@@ -40,11 +40,6 @@ class RdpLedger:
             self.eps_rdp = np.zeros(len(self.orders))
 
 
-def gaussian_delta_bound(sigma, eps):
-    """Smallest delta certified for the plain Gaussian mechanism."""
-    return 0.8 * math.exp(-0.5 * (sigma * eps) ** 2)
-
-
 def sgm_rdp(q, sigma, order):
     """RDP of one subsampled Gaussian step at an integer order alpha >= 2.
 

@@ -6,17 +6,22 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import accountant, data, pipeline
+from . import (accountant, data, metrics, models, params, pipeline, ppm, swag,
+               trainer)
 from .params import save_checkpoint
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PHASE = 3
 
+# A typed error that escapes a subcommand is a failure of that subcommand.
+PACKAGE_ERRORS = (accountant.AccountantError, data.DataError,
+                  metrics.MetricsError, models.ModelError, params.LayoutError,
+                  ppm.PpmError, swag.SwagError, trainer.TrainError)
 
-def _load_cfg(args):
+
+def _setup(args):
+    """Config (with --seed applied) and the created output directory."""
     obj = None
     if args.config:
         with open(args.config) as f:
@@ -24,19 +29,27 @@ def _load_cfg(args):
     cfg = pipeline.load_config(obj, args.override)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    return cfg
-
-
-def _out_dir(args):
     out = args.out or "runs/latest"
     os.makedirs(out, exist_ok=True)
-    return out
+    return cfg, out
+
+
+def _prepare(args):
+    """(cfg, out, train, test, spec) shared by the single-method commands."""
+    cfg, out = _setup(args)
+    train_view, test_view = pipeline.prepare_data(cfg)
+    spec = pipeline.model_spec(cfg, train_view.num_classes,
+                               train_view.feature_dim)
+    return cfg, out, train_view, test_view, spec
+
+
+def _f1_line(ev):
+    return "weighted F1 %.4f, macro F1 %.4f" % (ev["weighted_f1"],
+                                               ev["macro_f1"])
 
 
 def cmd_generate_data(args):
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    train_view, test_view = pipeline.prepare_data(cfg)
+    cfg, out, train_view, test_view, _ = _prepare(args)
     data.save_manifest(os.path.join(out, "train_manifest.json"), train_view,
                        split_seed=cfg["seed"])
     data.save_manifest(os.path.join(out, "test_manifest.json"), test_view,
@@ -49,50 +62,30 @@ def cmd_generate_data(args):
 
 
 def cmd_train(args):
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    train_view, test_view = pipeline.prepare_data(cfg)
-    spec = pipeline.model_spec(cfg, train_view.num_classes,
-                               train_view.feature_dim)
+    cfg, out, train_view, test_view, spec = _prepare(args)
     theta = pipeline.run_nonprivate(cfg, train_view)
     ev = pipeline.evaluate(spec, theta, test_view)
     save_checkpoint(os.path.join(out, "model.bin"), theta,
                     {"model": "non-private"})
-    print("non-private: weighted F1 %.4f, macro F1 %.4f"
-          % (ev["weighted_f1"], ev["macro_f1"]))
-    return EXIT_OK
-
-
-def _swag_ppm(args, reweighted):
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    train_view, test_view = pipeline.prepare_data(cfg)
-    spec = pipeline.model_spec(cfg, train_view.num_classes,
-                               train_view.feature_dim)
-    result = pipeline.run_swag_ppm(cfg, train_view, out_dir=out,
-                                   reweighted=reweighted)
-    ev = pipeline.evaluate(spec, result.released_theta, test_view)
-    print("epsilon = %.4f (2 * Delta, Delta = %.4f)"
-          % (result.epsilon, result.report.delta))
-    print("weighted F1 %.4f, macro F1 %.4f"
-          % (ev["weighted_f1"], ev["macro_f1"]))
+    print("non-private: " + _f1_line(ev))
     return EXIT_OK
 
 
 def cmd_swag_ppm(args):
-    return _swag_ppm(args, reweighted=False)
-
-
-def cmd_swag_ppm_rw(args):
-    return _swag_ppm(args, reweighted=True)
+    """`swag-ppm`, and `swag-ppm-rw` with the reweighting round."""
+    cfg, out, train_view, test_view, spec = _prepare(args)
+    result = pipeline.run_swag_ppm(
+        cfg, train_view, out_dir=out,
+        reweighted=args.command == "swag-ppm-rw")
+    ev = pipeline.evaluate(spec, result.released_theta, test_view)
+    print("epsilon = %.4f (2 * Delta, Delta = %.4f)"
+          % (result.epsilon, result.report.delta))
+    print(_f1_line(ev))
+    return EXIT_OK
 
 
 def cmd_dp_sgd(args):
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    train_view, test_view = pipeline.prepare_data(cfg)
-    spec = pipeline.model_spec(cfg, train_view.num_classes,
-                               train_view.feature_dim)
+    cfg, out, train_view, test_view, spec = _prepare(args)
     theta, sigma, budget = pipeline.run_dp_sgd(cfg, train_view)
     ev = pipeline.evaluate(spec, theta, test_view)
     save_checkpoint(os.path.join(out, "dp_sgd_model.bin"), theta,
@@ -100,32 +93,26 @@ def cmd_dp_sgd(args):
                      "epsilon": budget.epsilon, "delta": budget.delta})
     print("sigma = %.4f, realized (epsilon, delta) = (%.4f, %g)"
           % (sigma, budget.epsilon, budget.delta))
-    print("weighted F1 %.4f, macro F1 %.4f"
-          % (ev["weighted_f1"], ev["macro_f1"]))
+    print(_f1_line(ev))
     return EXIT_OK
 
 
 def cmd_account(args):
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+    """RDP ledger and (epsilon, delta) frontier of the DP-SGD run that
+    `dp-sgd` trains: same data, same schedule, same sigma."""
+    cfg, out, train_view, _, _ = _prepare(args)
     dp = cfg["dp_sgd"]
-    n = cfg["data"]["synthetic"]["total_records"] * cfg["data"]["train_fraction"]
-    batch = dp["batch_size"]
-    q = min(1.0, batch / n)
-    steps = dp["epochs"] * int(np.ceil(n / batch))
+    _, q, steps = pipeline.dp_schedule(cfg, len(train_view))
     sigma = accountant.calibrate_noise(dp["target_epsilon"], dp["delta"], q,
                                        steps)
     ledger = accountant.compose(accountant.RdpLedger(q, sigma), steps)
-    path = os.path.join(out, "frontier.csv")
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["delta", "epsilon", "order"])
-    with open(path, "w", newline="") as f:
-        fw = csv.writer(f)
-        fw.writerow(["delta", "epsilon", "order"])
-        for delta in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.99):
-            budget = accountant.to_dp(ledger, delta)
-            for w in (writer, fw):
-                w.writerow([delta, "%.6f" % budget.epsilon, budget.order])
+    frontier = [["delta", "epsilon", "order"]]
+    for delta in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.99):
+        budget = accountant.to_dp(ledger, delta)
+        frontier.append([delta, "%.6f" % budget.epsilon, budget.order])
+    csv.writer(sys.stdout).writerows(frontier)
+    with open(os.path.join(out, "frontier.csv"), "w", newline="") as f:
+        csv.writer(f).writerows(frontier)
     with open(os.path.join(out, "ledger.json"), "w") as f:
         json.dump(accountant.ledger_to_dict(ledger), f, indent=1)
     print("sigma = %.4f for target epsilon %g at delta %g (q=%.4f, T=%d)"
@@ -135,8 +122,7 @@ def cmd_account(args):
 
 
 def cmd_benchmark(args):
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+    cfg, out = _setup(args)
     rows, sweep_rows, _ = pipeline.run_benchmark(cfg, out_dir=out)
     failed = [row for row in rows if row.error]
     for row in rows:
@@ -157,7 +143,8 @@ def cmd_report(args):
         print("no summary at %s; run `benchmark` first" % path,
               file=sys.stderr)
         return EXIT_CONFIG
-    print(open(path).read())
+    with open(path) as f:
+        print(f.read())
     return EXIT_OK
 
 
@@ -176,7 +163,7 @@ def build_parser():
     for name, fn in [("generate-data", cmd_generate_data),
                      ("train", cmd_train),
                      ("swag-ppm", cmd_swag_ppm),
-                     ("swag-ppm-rw", cmd_swag_ppm_rw),
+                     ("swag-ppm-rw", cmd_swag_ppm),
                      ("dp-sgd", cmd_dp_sgd),
                      ("account", cmd_account),
                      ("benchmark", cmd_benchmark),
@@ -196,6 +183,10 @@ def main(argv=None):
         return EXIT_CONFIG
     except pipeline.PhaseError as e:
         print("phase failure: %s" % e, file=sys.stderr)
+        return EXIT_PHASE
+    except PACKAGE_ERRORS as e:
+        print("phase failure: %s" % pipeline.PhaseError(args.command, e),
+              file=sys.stderr)
         return EXIT_PHASE
 
 

@@ -241,7 +241,8 @@ def load_csv(path, feature_dim=4096):
     for rid, text, label in raw:
         indices, values = hash_features(tokenize(text), feature_dim)
         records.append(Record(rid, indices, values, label_index[label]))
-    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
     return LabeledDataset(records, feature_dim, len(labels),
                           {"kind": "csv", "path": str(path), "hash": digest},
                           label_names=labels)

@@ -108,10 +108,6 @@ def forward_batch(spec, theta, X):
     return _softmax(Z)
 
 
-def forward(spec, theta, features):
-    return forward_batch(spec, theta, features)[0]
-
-
 def log_likelihood_batch(spec, theta, X, y):
     """Per-record log p(label | features); probabilities floored at PROB_FLOOR."""
     P = forward_batch(spec, theta, X)
@@ -119,14 +115,31 @@ def log_likelihood_batch(spec, theta, X, y):
     return np.log(np.maximum(picked, PROB_FLOOR))
 
 
-def log_likelihood(spec, theta, features, label):
-    return float(log_likelihood_batch(spec, theta, _as_matrix(features), [label])[0])
-
-
 def _one_hot_residual(P, y):
     D = P.copy()
     D[np.arange(P.shape[0]), np.asarray(y)] -= 1.0
     return D
+
+
+def _hidden_residual(theta, H, D):
+    """Residual at the MLP's hidden pre-activations."""
+    return (D @ theta.tensor("W2").T) * (1.0 - H * H)
+
+
+def _backprop(theta, X, H, D, D1):
+    """Flat gradient from output residuals D and, for the MLP (H given),
+    hidden residuals D1; each row of D and D1 is one record's residual."""
+    grad = np.empty(theta.layout.size)
+    view = theta.layout.view
+    if H is None:
+        view(grad, "W")[:] = np.asarray(X.T @ D)
+        view(grad, "b")[:] = D.sum(axis=0)
+    else:
+        view(grad, "W2")[:] = H.T @ D
+        view(grad, "b2")[:] = D.sum(axis=0)
+        view(grad, "W1")[:] = np.asarray(X.T @ D1)
+        view(grad, "b1")[:] = D1.sum(axis=0)
+    return grad
 
 
 def weighted_nll_gradient(spec, theta, X, y, weights=None):
@@ -150,18 +163,8 @@ def weighted_nll_gradient(spec, theta, X, y, weights=None):
     Z, H = _logits(spec, theta, X)
     P = _softmax(Z)
     D = _one_hot_residual(P, y) * (weights / n)[:, None]
-    grad = np.empty(theta.layout.size)
-    if spec.family == SOFTMAX_LINEAR:
-        gW = np.asarray(X.T @ D)
-        gb = D.sum(axis=0)
-        theta.layout.view(grad, "W")[:] = gW
-        theta.layout.view(grad, "b")[:] = gb
-    else:
-        D1 = (D @ theta.tensor("W2").T) * (1.0 - H * H)
-        theta.layout.view(grad, "W2")[:] = H.T @ D
-        theta.layout.view(grad, "b2")[:] = D.sum(axis=0)
-        theta.layout.view(grad, "W1")[:] = np.asarray(X.T @ D1)
-        theta.layout.view(grad, "b1")[:] = D1.sum(axis=0)
+    D1 = None if H is None else _hidden_residual(theta, H, D)
+    grad = _backprop(theta, X, H, D, D1)
     if spec.weight_decay:
         grad += spec.weight_decay * theta.values
     return ParameterVector(grad, theta.layout)
@@ -188,24 +191,17 @@ def clipped_gradient_sum(spec, theta, X, y, clip_norm):
     P = _softmax(Z)
     D = _one_hot_residual(P, y)
     x_sq = _row_sq_norms(X)
-    if spec.family == SOFTMAX_LINEAR:
+    if H is None:
+        D1 = None
         norms = np.sqrt((x_sq + 1.0) * (D * D).sum(axis=1))
     else:
-        D1 = (D @ theta.tensor("W2").T) * (1.0 - H * H)
+        # D1 from the unscaled D: scaling first would round differently
+        D1 = _hidden_residual(theta, H, D)
         norms = np.sqrt((_row_sq_norms(H) + 1.0) * (D * D).sum(axis=1)
                         + (x_sq + 1.0) * (D1 * D1).sum(axis=1))
-    scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
-    Ds = D * scale[:, None]
-    grad = np.empty(theta.layout.size)
-    if spec.family == SOFTMAX_LINEAR:
-        theta.layout.view(grad, "W")[:] = np.asarray(X.T @ Ds)
-        theta.layout.view(grad, "b")[:] = Ds.sum(axis=0)
-    else:
-        D1s = D1 * scale[:, None]
-        theta.layout.view(grad, "W2")[:] = H.T @ Ds
-        theta.layout.view(grad, "b2")[:] = Ds.sum(axis=0)
-        theta.layout.view(grad, "W1")[:] = np.asarray(X.T @ D1s)
-        theta.layout.view(grad, "b1")[:] = D1s.sum(axis=0)
+    scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))[:, None]
+    grad = _backprop(theta, X, H, D * scale,
+                     None if D1 is None else D1 * scale)
     return ParameterVector(grad, theta.layout), norms
 
 

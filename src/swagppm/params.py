@@ -28,9 +28,6 @@ class Layout:
     def __repr__(self):
         return "Layout(%s)" % ", ".join("%s%s@%d" % s for s in self.slots)
 
-    def names(self):
-        return [name for name, _, _ in self.slots]
-
     def slot(self, name):
         for entry in self.slots:
             if entry[0] == name:
@@ -94,26 +91,47 @@ class ParameterVector:
 _MAGIC = b"SWPPMCK1"
 
 
+def write_header(f, magic, head):
+    """Binary file framing: magic, header length, sorted-key JSON header."""
+    blob = json.dumps(head, sort_keys=True).encode("utf-8")
+    f.write(magic)
+    f.write(struct.pack("<Q", len(blob)))
+    f.write(blob)
+
+
+def read_exact(f, size, error, path):
+    buf = f.read(size)
+    if len(buf) != size:
+        raise error("%s is truncated" % path)
+    return buf
+
+
+def read_header(f, magic, error, path):
+    """Inverse of write_header: (header dict, its layout). A short or corrupt
+    header raises `error`."""
+    if f.read(len(magic)) != magic:
+        raise error("bad magic in %s" % path)
+    (hlen,) = struct.unpack("<Q", read_exact(f, 8, error, path))
+    blob = read_exact(f, hlen, error, path)
+    try:
+        head = json.loads(blob.decode("utf-8"))
+        return head, Layout.from_json(head["layout"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise error("corrupt header in %s: %s" % (path, e)) from None
+
+
 def save_checkpoint(path, theta, header=None):
     """Write a checkpoint: magic, JSON header, little-endian float64 payload."""
     head = dict(header or {})
     head["layout"] = theta.layout.to_json()
-    blob = json.dumps(head, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
+        write_header(f, _MAGIC, head)
         f.write(theta.values.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; a short or corrupt file raises LayoutError."""
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _MAGIC:
-            raise LayoutError("bad checkpoint magic in %s" % path)
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        head = json.loads(f.read(hlen).decode("utf-8"))
-        layout = Layout.from_json(head["layout"])
-        payload = f.read(layout.size * 8)
-    values = np.frombuffer(payload, dtype="<f8")
-    return ParameterVector(values, layout), head
+        head, layout = read_header(f, _MAGIC, LayoutError, path)
+        payload = read_exact(f, layout.size * 8, LayoutError, path)
+    return ParameterVector(np.frombuffer(payload, dtype="<f8"), layout), head

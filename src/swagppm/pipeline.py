@@ -194,6 +194,19 @@ class SwagPpmResult:
         self.epsilon = self.report.epsilon
 
 
+# Per round: the phase that scores its draws, and the weights file it
+# writes (round 1 the initial weights, round 3 the reweighted ones).
+_ROUNDS = [("risks", "weights_initial.csv"), ("sensitivity", None),
+           ("sensitivity-reweighted", "weights_reweighted.csv")]
+
+
+def _phase(name, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - annotate phase and re-raise
+        raise PhaseError(name, e) from e
+
+
 def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
     """Figure-of-merit pipeline: two (or three, reweighted) fine-tune + SWAG
     rounds, risk-based weights in between, epsilon from the final draws,
@@ -211,83 +224,54 @@ def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
         os.makedirs(internal, exist_ok=True)
         os.makedirs(os.path.join(out_dir, "release"), exist_ok=True)
 
-    def phase(name, fn):
-        try:
-            return fn()
-        except Exception as e:  # noqa: BLE001 - annotate phase and re-raise
-            raise PhaseError(name, e) from e
-
-    moments1 = phase("swag-round-1",
-                     lambda: _train_round(spec, theta0, X, y, None, cfg,
-                                          "round1"))
-    draws1 = phase("draws-round-1",
-                   lambda: moments1.sample(ph["draws"],
-                                           derive_seed(master, "draws1")))
-    abs_ll1 = phase("risks", lambda: ppm.abs_loglik_matrix(spec, draws1, X, y))
-    risks = ppm.compute_risks(abs_ll1)
-    weights = ppm.map_weights(ids, risks, ph["c"], ph["g"])
-    if internal:
-        swag.save_moments(os.path.join(internal, "round1_moments.bin"),
-                          moments1)
-        np.save(os.path.join(internal, "round1_abs_ll.npy"), abs_ll1)
-        ppm.save_weights_csv(os.path.join(internal, "weights_initial.csv"),
-                             weights)
-
-    moments2 = phase("swag-round-2",
-                     lambda: _train_round(spec, theta0, X, y, weights.alpha,
-                                          cfg, "round2"))
-    draws2 = phase("draws-round-2",
-                   lambda: moments2.sample(ph["draws"],
-                                           derive_seed(master, "draws2")))
-    abs_ll2 = phase("sensitivity",
-                    lambda: ppm.abs_loglik_matrix(spec, draws2, X, y))
-    report = ppm.sensitivity(abs_ll2, weights.alpha, ids)
-    if internal:
-        np.save(os.path.join(internal, "round2_abs_ll.npy"), abs_ll2)
-        swag.save_moments(os.path.join(internal, "round2_moments.bin"),
-                          moments2)
-
-    final_moments, final_weights, final_report = moments2, weights, report
-    if reweighted:
-        final_weights = ppm.reweight(weights, report, ph["k"])
-        moments3 = phase("swag-round-3",
-                         lambda: _train_round(spec, theta0, X, y,
-                                              final_weights.alpha, cfg,
-                                              "round3"))
-        draws3 = phase("draws-round-3",
-                       lambda: moments3.sample(ph["draws"],
-                                               derive_seed(master, "draws3")))
-        abs_ll3 = phase("sensitivity-reweighted",
-                        lambda: ppm.abs_loglik_matrix(spec, draws3, X, y))
-        final_report = ppm.sensitivity(abs_ll3, final_weights.alpha, ids)
-        final_moments = moments3
+    weights = report = None
+    for r, (score_phase, weights_csv) in enumerate(
+            _ROUNDS[:3 if reweighted else 2], start=1):
+        if r == 3:
+            weights = ppm.reweight(weights, report, ph["k"])
+        tag = "round%d" % r
+        moments = _phase("swag-round-%d" % r, _train_round, spec, theta0, X,
+                         y, None if weights is None else weights.alpha,
+                         cfg, tag)
+        draws = _phase("draws-round-%d" % r, moments.sample, ph["draws"],
+                       derive_seed(master, "draws%d" % r))
+        abs_ll = _phase(score_phase, ppm.abs_loglik_matrix, spec, draws, X, y)
+        del draws
+        if weights is None:
+            weights = ppm.map_weights(ids, ppm.compute_risks(abs_ll),
+                                      ph["c"], ph["g"])
+        else:
+            report = ppm.sensitivity(abs_ll, weights.alpha, ids)
         if internal:
-            np.save(os.path.join(internal, "round3_abs_ll.npy"), abs_ll3)
-            swag.save_moments(os.path.join(internal, "round3_moments.bin"),
-                              moments3)
-            ppm.save_weights_csv(
-                os.path.join(internal, "weights_reweighted.csv"),
-                final_weights)
+            swag.save_moments(os.path.join(internal, tag + "_moments.bin"),
+                              moments)
+            np.save(os.path.join(internal, tag + "_abs_ll.npy"), abs_ll)
+            if weights_csv:
+                ppm.save_weights_csv(os.path.join(internal, weights_csv),
+                                     weights)
 
-    released = final_moments.sample(1, derive_seed(master, "release"))[0]
-    result = SwagPpmResult(released, final_report, final_weights,
-                           final_moments)
+    released = moments.sample(1, derive_seed(master, "release"))[0]
+    result = SwagPpmResult(released, report, weights, moments)
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "release", "released_model.bin"),
                         released, {"epsilon": result.epsilon})
         ppm.save_report_json(os.path.join(out_dir, "privacy_report.json"),
-                             final_report)
+                             report)
     return result
+
+
+def dp_schedule(cfg, n):
+    """DP-SGD (batch size, sampling rate q, step count) for n train records."""
+    dp = cfg["dp_sgd"]
+    batch = min(dp["batch_size"], n)
+    return batch, batch / n, dp["epochs"] * (-(-n // batch))
 
 
 def run_dp_sgd(cfg, train_view, delta=None):
     """DP-SGD baseline with sigma calibrated to the target epsilon."""
     dp = cfg["dp_sgd"]
     delta = dp["delta"] if delta is None else delta
-    n = len(train_view)
-    batch = min(dp["batch_size"], n)
-    q = batch / n
-    steps = dp["epochs"] * (-(-n // batch))
+    batch, q, steps = dp_schedule(cfg, len(train_view))
     sigma = accountant.calibrate_noise(dp["target_epsilon"], delta, q, steps)
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
     theta0 = models.init_params(spec, derive_seed(cfg["seed"], "init"))
@@ -350,66 +334,50 @@ def run_benchmark(cfg, out_dir=None):
     sweep, and emit the summary / per-class / sweep tables."""
     train_view, test_view = prepare_data(cfg)
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
-    rows = []
     aux = {"train_view": train_view, "test_view": test_view}
 
-    def bench(name, epsilon, delta, fn):
+    def bench(name, delta, fn):
+        """fn returns (theta, epsilon); a failure becomes an error row."""
         start = time.time()
         try:
-            theta = fn()
+            theta, epsilon = fn()
             ev = evaluate(spec, theta, test_view)
-            rows.append(BenchmarkRow(name, epsilon() if callable(epsilon)
-                                     else epsilon, delta,
-                                     ev["weighted_f1"], ev["macro_f1"],
-                                     ev["f1_per_class"], time.time() - start))
+            return BenchmarkRow(name, epsilon, delta, ev["weighted_f1"],
+                                ev["macro_f1"], ev["f1_per_class"],
+                                time.time() - start)
         except Exception as e:  # noqa: BLE001 - record and continue
-            rows.append(BenchmarkRow(name, None, delta, float("nan"),
-                                     float("nan"),
-                                     np.full(test_view.num_classes, np.nan),
-                                     time.time() - start, error=str(e)))
+            return BenchmarkRow(name, None, delta, float("nan"), float("nan"),
+                                np.full(test_view.num_classes, np.nan),
+                                time.time() - start, error=str(e))
 
-    bench("non-private", None, "-", lambda: run_nonprivate(cfg, train_view))
-
-    swag_dir = os.path.join(out_dir, "swag_ppm") if out_dir else None
-    res = {}
-
-    def swag_run(reweighted):
-        key = "rw" if reweighted else "plain"
-        res[key] = run_swag_ppm(
+    def swag_run(key, reweighted):
+        res = run_swag_ppm(
             cfg, train_view,
-            out_dir=(swag_dir + ("_rw" if reweighted else "")
-                     if swag_dir else None),
+            out_dir=os.path.join(out_dir, key) if out_dir else None,
             reweighted=reweighted)
-        return res[key].released_theta
-
-    bench("swag-ppm", lambda: res["plain"].epsilon, "O(n^-1/2)",
-          lambda: swag_run(False))
-    bench("swag-ppm-reweighted", lambda: res["rw"].epsilon, "O(n^-1/2)",
-          lambda: swag_run(True))
+        aux[key] = res
+        return res.released_theta, res.epsilon
 
     dp_out = {}
 
     def dp_run(delta):
         theta, sigma, budget = run_dp_sgd(cfg, train_view, delta)
         dp_out[delta] = (sigma, budget)
-        return theta
+        return theta, cfg["dp_sgd"]["target_epsilon"]
 
     base_delta = cfg["dp_sgd"]["delta"]
-    bench("dp-sgd", cfg["dp_sgd"]["target_epsilon"], repr(base_delta),
-          lambda: dp_run(base_delta))
-
-    sweep_rows = []
-    for delta in cfg["delta_sweep"]:
-        before = len(rows)
-        bench("dp-sgd", cfg["dp_sgd"]["target_epsilon"], repr(delta),
-              lambda: dp_run(delta))
-        sweep_rows.append(rows.pop(before))
-
-    if "plain" in res:
-        aux["weights"] = res["plain"].weights
-        aux["swag_ppm"] = res["plain"]
-    if "rw" in res:
-        aux["swag_ppm_rw"] = res["rw"]
+    rows = [
+        bench("non-private", "-",
+              lambda: (run_nonprivate(cfg, train_view), None)),
+        bench("swag-ppm", "O(n^-1/2)", lambda: swag_run("swag_ppm", False)),
+        bench("swag-ppm-reweighted", "O(n^-1/2)",
+              lambda: swag_run("swag_ppm_rw", True)),
+        bench("dp-sgd", repr(base_delta), lambda: dp_run(base_delta)),
+    ]
+    sweep_rows = [bench("dp-sgd", repr(delta), lambda: dp_run(delta))
+                  for delta in cfg["delta_sweep"]]
+    if "swag_ppm" in aux:
+        aux["weights"] = aux["swag_ppm"].weights
     aux["dp_budgets"] = dp_out
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -421,81 +389,69 @@ def _fmt_eps(row):
     return "-" if row.epsilon is None else "%.4g" % row.epsilon
 
 
+def _row_cells(row):
+    """One summary / delta-sweep table row."""
+    return [row.name, _fmt_eps(row), row.delta, "%.4f" % row.weighted_f1,
+            "%.4f" % row.macro_f1]
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_reports(out_dir, cfg, rows, sweep_rows, aux):
     train_view = aux["train_view"]
     test_view = aux["test_view"]
     train_counts = train_view.class_counts()
-    test_counts = test_view.class_counts()
-
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["model", "epsilon", "delta", "f1_weighted", "f1_macro"])
-        for row in rows:
-            w.writerow([row.name, _fmt_eps(row), row.delta,
-                        "%.4f" % row.weighted_f1, "%.4f" % row.macro_f1])
-
     by_name = {row.name: row for row in rows}
-    with open(os.path.join(out_dir, "per_class.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["code", "test_size", "f1_nonprivate", "f1_swagppm",
-                    "f1_dpsgd"])
-        for c in range(test_view.num_classes):
-            w.writerow([test_view.label_names[c], int(test_counts[c])] + [
-                "%.4f" % by_name[name].f1_per_class[c]
-                if name in by_name else ""
-                for name in ("non-private", "swag-ppm", "dp-sgd")])
 
-    with open(os.path.join(out_dir, "delta_sweep.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["method", "target_epsilon", "delta", "f1_weighted",
-                    "f1_macro"])
-        for row in sweep_rows:
-            w.writerow([row.name, _fmt_eps(row), row.delta,
-                        "%.4f" % row.weighted_f1, "%.4f" % row.macro_f1])
-        swag_row = by_name.get("swag-ppm")
-        if swag_row:
-            w.writerow([swag_row.name, _fmt_eps(swag_row), swag_row.delta,
-                        "%.4f" % swag_row.weighted_f1,
-                        "%.4f" % swag_row.macro_f1])
+    _write_csv(os.path.join(out_dir, "summary.csv"),
+               ["model", "epsilon", "delta", "f1_weighted", "f1_macro"],
+               [_row_cells(row) for row in rows])
+    swag_row = by_name.get("swag-ppm")
+    _write_csv(os.path.join(out_dir, "delta_sweep.csv"),
+               ["method", "target_epsilon", "delta", "f1_weighted",
+                "f1_macro"],
+               [_row_cells(row)
+                for row in sweep_rows + ([swag_row] if swag_row else [])])
 
-    # data behind the F1-by-class-size and weight-density figures
-    with open(os.path.join(out_dir, "f1_by_class_size.csv"), "w",
-              newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["code", "train_size", "f1_nonprivate", "f1_swagppm",
-                    "f1_dpsgd"])
-        for c in range(test_view.num_classes):
-            w.writerow([test_view.label_names[c], int(train_counts[c])] + [
-                "%.4f" % by_name[name].f1_per_class[c]
-                if name in by_name else ""
-                for name in ("non-private", "swag-ppm", "dp-sgd")])
+    # per_class.csv, and the data behind the F1-by-class-size figure
+    for name, size_column, counts in (
+            ("per_class.csv", "test_size", test_view.class_counts()),
+            ("f1_by_class_size.csv", "train_size", train_counts)):
+        _write_csv(
+            os.path.join(out_dir, name),
+            ["code", size_column, "f1_nonprivate", "f1_swagppm", "f1_dpsgd"],
+            [[test_view.label_names[c], int(counts[c])] + [
+                "%.4f" % by_name[m].f1_per_class[c] if m in by_name else ""
+                for m in ("non-private", "swag-ppm", "dp-sgd")]
+             for c in range(test_view.num_classes)])
 
-    if "weights" in aux:
+    if "weights" in aux:  # data behind the weight-density figure
         top, bottom = metrics.quartile_class_sets(train_counts)
         quart = {}
         for c in top:
             quart[int(c)] = "top"
         for c in bottom:
             quart[int(c)] = "bottom"
-        label_of = {int(i): int(lbl) for i, lbl in
-                    zip(train_view.ids, train_view.labels)}
+        class_of = {int(i): [train_view.label_names[int(c)],
+                             quart.get(int(c), "mid")]
+                    for i, c in zip(train_view.ids, train_view.labels)}
         weights = aux["weights"]
-        with open(os.path.join(out_dir, "weight_density.csv"), "w",
-                  newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["record_id", "class", "size_quartile", "alpha"])
-            for rid, alpha in zip(weights.record_ids, weights.alpha):
-                c = label_of[int(rid)]
-                w.writerow([int(rid), train_view.label_names[c],
-                            quart.get(c, "mid"), repr(float(alpha))])
+        _write_csv(
+            os.path.join(out_dir, "weight_density.csv"),
+            ["record_id", "class", "size_quartile", "alpha"],
+            [[int(rid)] + class_of[int(rid)] + [repr(float(alpha))]
+             for rid, alpha in zip(weights.record_ids, weights.alpha)])
 
     with open(os.path.join(out_dir, "summary.md"), "w") as f:
         f.write("| model | epsilon | delta | f1_weighted | f1_macro |\n")
         f.write("|---|---|---|---|---|\n")
         for row in rows:
-            f.write("| %s | %s | %s | %.4f | %.4f |\n"
-                    % (row.name, _fmt_eps(row), row.delta, row.weighted_f1,
-                       row.macro_f1))
+            f.write("| %s |\n" % " | ".join(_row_cells(row)))
 
     manifest = {
         "config": cfg,

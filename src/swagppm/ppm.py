@@ -27,14 +27,6 @@ class RiskWeights:
     g: float
     stage: str = STAGE_INITIAL
 
-    def alpha_for(self, ids):
-        """Alpha vector aligned with an arbitrary record-id sequence."""
-        lookup = {int(r): a for r, a in zip(self.record_ids, self.alpha)}
-        try:
-            return np.array([lookup[int(i)] for i in ids])
-        except KeyError as e:
-            raise PpmError("no weight for record id %s" % e) from None
-
 
 @dataclass
 class SensitivityReport:

@@ -1,12 +1,10 @@
 """Stochastic weight averaging with a Gaussian covariance built from
 a diagonal second-moment term and a low-rank deviation term."""
 
-import json
-import struct
-
 import numpy as np
 
-from .params import Layout, LayoutError, ParameterVector
+from .params import (LayoutError, ParameterVector, read_exact, read_header,
+                     write_header)
 
 
 class SwagError(RuntimeError):
@@ -18,7 +16,8 @@ class SwagMoments:
 
     Tracks the running mean, the running mean of element-wise squares, and
     up to k_max deviation columns theta_t - mean_t, where mean_t is the
-    running mean right after absorbing snapshot t (oldest columns evicted).
+    running mean right after absorbing snapshot t. The columns live in one
+    (p, k_max) array, oldest first; a full array evicts its oldest column.
     """
 
     def __init__(self, layout, k_max=20):
@@ -27,10 +26,10 @@ class SwagMoments:
         self.layout = layout
         self.k_max = int(k_max)
         self.count = 0
+        self.k = 0
         self.mean = np.zeros(layout.size)
         self.sq_mean = np.zeros(layout.size)
-        self.dev_columns = []
-        self.clamped_entries = 0  # diagnostic: negative-variance clamps seen
+        self._dev = np.zeros((layout.size, self.k_max))
 
     def absorb(self, theta):
         if theta.layout != self.layout:
@@ -38,15 +37,25 @@ class SwagMoments:
         t = self.count + 1
         self.mean += (theta.values - self.mean) / t
         self.sq_mean += (theta.values ** 2 - self.sq_mean) / t
-        self.dev_columns.append(theta.values - self.mean)
-        if len(self.dev_columns) > self.k_max:
-            self.dev_columns.pop(0)
+        if self.k == self.k_max:
+            self._dev[:, :-1] = self._dev[:, 1:]
+        else:
+            self.k += 1
+        self._dev[:, self.k - 1] = theta.values - self.mean
         self.count = t
         return self
 
     @property
-    def k(self):
-        return len(self.dev_columns)
+    def dev_columns(self):
+        """Read-only (k, p) view; iterating it yields the columns in order."""
+        cols = self._dev[:, :self.k].T
+        cols.flags.writeable = False
+        return cols
+
+    @property
+    def clamped_entries(self):
+        """Number of negative variance estimates that sigma_diag clamps."""
+        return int(np.count_nonzero(self.sq_mean - self.mean ** 2 < 0))
 
     def mean_vector(self):
         if self.count < 1:
@@ -55,9 +64,7 @@ class SwagMoments:
 
     def sigma_diag(self):
         """Element-wise variance estimate, clamped at zero."""
-        raw = self.sq_mean - self.mean ** 2
-        self.clamped_entries += int(np.count_nonzero(raw < 0))
-        return np.maximum(raw, 0.0)
+        return np.maximum(self.sq_mean - self.mean ** 2, 0.0)
 
     def covariance_apply(self, z1, z2):
         """mean + sqrt(sigma_diag/2) * z1 + D z2 / sqrt(2 (k-1)).
@@ -76,8 +83,8 @@ class SwagMoments:
             if z2.shape[0] != self.k:
                 raise SwagError("z2 length %d != column count %d"
                                 % (z2.shape[0], self.k))
-            D = np.stack(self.dev_columns, axis=1)
-            out = out + (D @ z2) / np.sqrt(2.0 * (self.k - 1))
+            out = out + (self._dev[:, :self.k] @ z2) / np.sqrt(
+                2.0 * (self.k - 1))
         return ParameterVector(out, self.layout)
 
     def sample(self, count, seed):
@@ -103,33 +110,26 @@ def save_moments(path, moments):
         "k_max": moments.k_max,
         "k": moments.k,
     }
-    blob = json.dumps(head, sort_keys=True).encode("utf-8")
-    D = (np.stack(moments.dev_columns, axis=1) if moments.dev_columns
-         else np.zeros((moments.layout.size, 0)))
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
+        write_header(f, _MAGIC, head)
         f.write(moments.mean.astype("<f8").tobytes())
         f.write(moments.sq_mean.astype("<f8").tobytes())
-        f.write(np.asfortranarray(D, dtype="<f8").tobytes(order="F"))
+        f.write(moments._dev[:, :moments.k].astype("<f8").tobytes(order="F"))
 
 
 def load_moments(path):
+    """Read a moments file; a short or corrupt file raises SwagError."""
     with open(path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise SwagError("bad moments magic in %s" % path)
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        head = json.loads(f.read(hlen).decode("utf-8"))
-        layout = Layout.from_json(head["layout"])
+        head, layout = read_header(f, _MAGIC, SwagError, path)
         p, k = layout.size, head["k"]
-        mean = np.frombuffer(f.read(p * 8), dtype="<f8")
-        sq_mean = np.frombuffer(f.read(p * 8), dtype="<f8")
-        D = np.frombuffer(f.read(p * k * 8), dtype="<f8").reshape(
-            (p, k), order="F")
+        if not 0 <= k <= head["k_max"]:
+            raise SwagError("bad column count %r in %s" % (k, path))
+        payload = read_exact(f, (2 + k) * p * 8, SwagError, path)
+    values = np.frombuffer(payload, dtype="<f8")
     moments = SwagMoments(layout, k_max=head["k_max"])
     moments.count = head["count"]
-    moments.mean = mean.copy()
-    moments.sq_mean = sq_mean.copy()
-    moments.dev_columns = [D[:, j].copy() for j in range(k)]
+    moments.k = k
+    moments.mean = values[:p].copy()
+    moments.sq_mean = values[p:2 * p].copy()
+    moments._dev[:, :k] = values[2 * p:].reshape((p, k), order="F")
     return moments

@@ -6,13 +6,6 @@ import pytest
 from swagppm import accountant
 
 
-def test_gaussian_delta_bound_values():
-    assert accountant.gaussian_delta_bound(1.0, 2.0) == pytest.approx(
-        0.8 * math.exp(-2.0), rel=1e-12)
-    assert accountant.gaussian_delta_bound(1.0, 0.0) == 0.8
-    assert accountant.gaussian_delta_bound(1.0, 100.0) < 1e-300
-
-
 def test_sgm_rdp_no_sampling():
     assert accountant.sgm_rdp(0.0, 1.0, 5) == 0.0
 

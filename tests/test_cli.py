@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from swagppm import cli
+from swagppm import cli, pipeline
 
 
 TINY = {
@@ -104,3 +104,25 @@ def test_override_flag(tmp_path, tiny_config_file, capsys):
 def test_report_without_benchmark(tmp_path):
     assert run(["--out", str(tmp_path / "none"),
                 "report"]) == cli.EXIT_CONFIG
+
+
+def test_account_sigma_is_the_dp_sgd_sigma(tmp_path, tiny_config_file):
+    out = tmp_path / "o"
+    assert run(["--config", tiny_config_file, "--out", str(out),
+                "account"]) == cli.EXIT_OK
+    ledger = json.loads((out / "ledger.json").read_text())
+    cfg = pipeline.load_config(TINY)
+    train, _ = pipeline.prepare_data(cfg)
+    _, sigma, _ = pipeline.run_dp_sgd(cfg, train)
+    assert ledger["sigma"] == sigma
+
+
+@pytest.mark.parametrize("command", ["dp-sgd", "account"])
+def test_typed_error_exits_with_phase(tmp_path, tiny_config_file, capsys,
+                                      command):
+    code = run(["--config", tiny_config_file, "--out", str(tmp_path / "o"),
+                "--override", "dp_sgd.target_epsilon=0.0001", command])
+    assert code == cli.EXIT_PHASE
+    err = capsys.readouterr().err
+    assert "phase %r failed" % command in err
+    assert "unattainable" in err

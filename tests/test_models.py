@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from swagppm import models
-from swagppm.params import Layout, ParameterVector, load_checkpoint, save_checkpoint
+from swagppm.params import (Layout, LayoutError, ParameterVector,
+                            load_checkpoint, save_checkpoint)
 
 from conftest import finite_difference_gradient, random_instance
 
@@ -23,14 +25,14 @@ def linear_theta(input_dim, num_classes, W=None, b=None):
 
 def test_forward_zero_theta_uniform():
     spec, theta = linear_theta(3, 4)
-    probs = models.forward(spec, theta, np.array([0.3, -1.0, 2.0]))
+    probs = models.forward_batch(spec, theta, np.array([[0.3, -1.0, 2.0]]))[0]
     np.testing.assert_allclose(probs, 0.25)
 
 
 def test_forward_hand_logits():
     # logits (0, ln 3) -> probabilities (0.25, 0.75)
     spec, theta = linear_theta(1, 2, b=np.array([0.0, math.log(3.0)]))
-    probs = models.forward(spec, theta, np.zeros(1))
+    probs = models.forward_batch(spec, theta, np.zeros((1, 1)))[0]
     np.testing.assert_allclose(probs, [0.25, 0.75], rtol=1e-12)
 
 
@@ -45,24 +47,24 @@ def test_forward_sums_to_one(rng):
 def test_forward_dimension_mismatch():
     spec, theta = linear_theta(3, 4)
     with pytest.raises(models.ModelError, match="W"):
-        models.forward(spec, theta, np.zeros(5))
+        models.forward_batch(spec, theta, np.zeros((1, 5)))
 
 
 def test_log_likelihood_uniform():
     spec, theta = linear_theta(3, 4)
-    ll = models.log_likelihood(spec, theta, np.zeros(3), 2)
+    ll = models.log_likelihood_batch(spec, theta, np.zeros((1, 3)), [2])[0]
     assert ll == pytest.approx(math.log(0.25), rel=1e-12)
 
 
 def test_log_likelihood_hand_value():
     spec, theta = linear_theta(1, 2, b=np.array([0.0, math.log(3.0)]))
-    ll = models.log_likelihood(spec, theta, np.zeros(1), 1)
+    ll = models.log_likelihood_batch(spec, theta, np.zeros((1, 1)), [1])[0]
     assert ll == pytest.approx(math.log(0.75), rel=1e-12)
 
 
 def test_log_likelihood_confident_limit():
     spec, theta = linear_theta(1, 2, b=np.array([0.0, 60.0]))
-    ll = models.log_likelihood(spec, theta, np.zeros(1), 1)
+    ll = models.log_likelihood_batch(spec, theta, np.zeros((1, 1)), [1])[0]
     assert -1e-20 < ll <= 0
 
 
@@ -160,6 +162,26 @@ def test_checkpoint_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(loaded.values, theta.values)
     assert loaded.layout == theta.layout
     assert head["seed"] == 7
+
+
+@settings(max_examples=15, deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(1, 3), max_size=2), min_size=1,
+                       max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_checkpoint_round_trip_and_truncation(tmp_path_factory, shapes, seed):
+    layout = Layout([("t%d" % i, shape) for i, shape in enumerate(shapes)])
+    theta = ParameterVector(
+        np.random.default_rng(seed).normal(0, 1, layout.size), layout)
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    save_checkpoint(path, theta, {"seed": seed})
+    loaded, head = load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.values, theta.values)
+    assert loaded.layout == layout and head["seed"] == seed
+    blob = path.read_bytes()
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        with pytest.raises(LayoutError):
+            load_checkpoint(path)
 
 
 def test_layout_partition():

@@ -169,10 +169,3 @@ def test_report_json_fields(tmp_path):
     assert obj["argmax_record_id"] in (10, 11)
     assert obj["num_draws"] == 2
 
-
-def test_alpha_for_alignment():
-    w = ppm.map_weights([5, 2, 8], [1.0, 2.0, 3.0], 1.0, 0.0)
-    aligned = w.alpha_for([8, 5])
-    np.testing.assert_array_equal(aligned, [w.alpha[2], w.alpha[0]])
-    with pytest.raises(ppm.PpmError):
-        w.alpha_for([99])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swagppm import swag
 from swagppm.params import Layout, LayoutError, ParameterVector
@@ -154,3 +155,81 @@ def test_moments_round_trip(tmp_path):
     (d1,) = m.sample(1, seed=5)
     (d2,) = loaded.sample(1, seed=5)
     np.testing.assert_array_equal(d1.values, d2.values)
+
+
+@pytest.mark.parametrize("absorbed", [5, 11])
+def test_sample_matches_list_formula(absorbed):
+    # Reference: the deviation columns kept as a list, oldest evicted, and
+    # each draw built from the re-stacked columns. 5 absorbs leave k < k_max;
+    # 11 evict four columns and leave k == k_max.
+    rng = np.random.default_rng(21)
+    layout = Layout([("w", (300,))])
+    m = swag.SwagMoments(layout, k_max=7)
+    mean, sq_mean, cols = np.zeros(300), np.zeros(300), []
+    for t in range(1, absorbed + 1):
+        theta = rng.normal(0, 1, 300)
+        m.absorb(ParameterVector(theta, layout))
+        mean += (theta - mean) / t
+        sq_mean += (theta ** 2 - sq_mean) / t
+        cols = (cols + [theta - mean])[-7:]
+    k = len(cols)
+    assert m.k == k
+    draws = m.sample(6, seed=4)
+    ref_rng = np.random.default_rng(4)
+    for draw in draws:
+        z1 = ref_rng.standard_normal(300)
+        z2 = ref_rng.standard_normal(k)
+        want = (mean + np.sqrt(np.maximum(sq_mean - mean ** 2, 0.0) / 2.0) * z1
+                + np.stack(cols, axis=1) @ z2 / np.sqrt(2.0 * (k - 1)))
+        np.testing.assert_array_equal(draw.values, want)
+
+
+def test_clamped_entries_counted_once():
+    layout = Layout([("w", (3,))])
+    m = swag.SwagMoments(layout, k_max=3)
+    m.mean = np.array([1.0, 2.0, 3.0])
+    m.sq_mean = np.array([0.5, 4.0, 10.0])  # 1 - 0.5 < 0 only for w[0]
+    m.count = 1
+    assert m.clamped_entries == 1
+    for _ in range(3):
+        m.sigma_diag()
+        m.sample(2, seed=0)
+    assert m.clamped_entries == 1
+
+
+def _absorbed(p, k_max, absorbs, seed):
+    layout = Layout([("w", (p,))])
+    m = swag.SwagMoments(layout, k_max=k_max)
+    rng = np.random.default_rng(seed)
+    for _ in range(absorbs):
+        m.absorb(ParameterVector(rng.normal(0, 1, p), layout))
+    return m
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(1, 6), k_max=st.integers(1, 5),
+       absorbs=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_moments_round_trip_property(tmp_path_factory, p, k_max, absorbs,
+                                     seed):
+    m = _absorbed(p, k_max, absorbs, seed)
+    path = tmp_path_factory.mktemp("moments") / "m.bin"
+    swag.save_moments(path, m)
+    loaded = swag.load_moments(path)
+    assert (loaded.count, loaded.k, loaded.k_max) == (m.count, m.k, m.k_max)
+    np.testing.assert_array_equal(loaded.mean, m.mean)
+    np.testing.assert_array_equal(loaded.sq_mean, m.sq_mean)
+    np.testing.assert_array_equal(loaded.dev_columns, m.dev_columns)
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=st.integers(1, 4), k_max=st.integers(1, 3),
+       absorbs=st.integers(0, 5))
+def test_moments_truncation_raises_swag_error(tmp_path_factory, p, k_max,
+                                              absorbs):
+    path = tmp_path_factory.mktemp("moments") / "m.bin"
+    swag.save_moments(path, _absorbed(p, k_max, absorbs, 0))
+    blob = path.read_bytes()
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        with pytest.raises(swag.SwagError):
+            swag.load_moments(path)
