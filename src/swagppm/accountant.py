@@ -55,19 +55,16 @@ def sgm_rdp(q, sigma, order):
         raise AccountantError("order must be an integer >= 2")
     if q == 0:
         return 0.0
-    log_terms = []
-    for k in range(a + 1):
-        if q < 1:
-            lt = (gammaln(a + 1) - gammaln(k + 1) - gammaln(a - k + 1)
-                  + (a - k) * math.log1p(-q))
-        elif k < a:
-            continue  # q == 1: only the k == a term survives
-        else:
-            lt = 0.0
-        if k > 0:
-            lt += k * math.log(q)
-        lt += k * (k - 1) / (2.0 * sigma * sigma)
-        log_terms.append(lt)
+    # the terms of all k at once, each summed in the order of the formula
+    if q < 1:
+        k = np.arange(a + 1)
+        log_terms = (gammaln(a + 1) - gammaln(k + 1) - gammaln(a - k + 1)
+                     + (a - k) * math.log1p(-q))
+    else:  # q == 1: only the k == a term survives
+        k = np.array([a])
+        log_terms = np.zeros(1)
+    log_terms = (log_terms + k * math.log(q)
+                 + k * (k - 1) / (2.0 * sigma * sigma))
     total = logsumexp(log_terms)
     if not np.isfinite(total):
         raise AccountantError(

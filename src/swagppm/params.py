@@ -1,6 +1,7 @@
 """Flat parameter vectors with a named-tensor layout and checkpoint I/O."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -112,6 +113,8 @@ def read_header(f, magic, error, path):
     if f.read(len(magic)) != magic:
         raise error("bad magic in %s" % path)
     (hlen,) = struct.unpack("<Q", read_exact(f, 8, error, path))
+    if hlen > os.fstat(f.fileno()).st_size - f.tell():
+        raise error("header length %d overruns %s" % (hlen, path))
     blob = read_exact(f, hlen, error, path)
     try:
         head = json.loads(blob.decode("utf-8"))

@@ -207,6 +207,27 @@ def _phase(name, fn, *args):
         raise PhaseError(name, e) from e
 
 
+def _score_draws(spec, draws, count, X, y, alpha, ids, abs_ll_path=None):
+    """Score each of the count draws as it is made and fold it into the
+    weighted sensitivity; no draw outlives its row. With a path, each |ll|
+    row is also written, as it is scored, into a (count, n) .npy file."""
+    rows = ppm.abs_loglik_rows(spec, draws, X, y)
+    if not abs_ll_path:
+        return ppm.stream_sensitivity(rows, alpha, ids)
+    sink = np.lib.format.open_memmap(abs_ll_path, mode="w+",
+                                     dtype=np.float64,
+                                     shape=(count, len(ids)))
+
+    def written():
+        for s, row in enumerate(rows):
+            sink[s] = row
+            yield row
+
+    report = ppm.stream_sensitivity(written(), alpha, ids)
+    sink.flush()
+    return report
+
+
 def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
     """Figure-of-merit pipeline: two (or three, reweighted) fine-tune + SWAG
     rounds, risk-based weights in between, epsilon from the final draws,
@@ -233,19 +254,21 @@ def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
         moments = _phase("swag-round-%d" % r, _train_round, spec, theta0, X,
                          y, None if weights is None else weights.alpha,
                          cfg, tag)
-        draws = _phase("draws-round-%d" % r, moments.sample, ph["draws"],
+        draws = _phase("draws-round-%d" % r, moments.draws, ph["draws"],
                        derive_seed(master, "draws%d" % r))
-        abs_ll = _phase(score_phase, ppm.abs_loglik_matrix, spec, draws, X, y)
-        del draws
+        # round 1 scores unweighted: its per-record maxima are the risks
+        alpha = np.ones(len(ids)) if weights is None else weights.alpha
+        scores = _phase(score_phase, _score_draws, spec, draws, ph["draws"],
+                        X, y, alpha, ids, internal and os.path.join(
+                            internal, tag + "_abs_ll.npy"))
         if weights is None:
-            weights = ppm.map_weights(ids, ppm.compute_risks(abs_ll),
-                                      ph["c"], ph["g"])
+            weights = ppm.map_weights(ids, scores.per_record, ph["c"],
+                                      ph["g"])
         else:
-            report = ppm.sensitivity(abs_ll, weights.alpha, ids)
+            report = scores
         if internal:
             swag.save_moments(os.path.join(internal, tag + "_moments.bin"),
                               moments)
-            np.save(os.path.join(internal, tag + "_abs_ll.npy"), abs_ll)
             if weights_csv:
                 ppm.save_weights_csv(os.path.join(internal, weights_csv),
                                      weights)

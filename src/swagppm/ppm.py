@@ -42,12 +42,18 @@ class SensitivityReport:
         self.epsilon = 2.0 * self.delta
 
 
-def abs_loglik_matrix(spec, draws, X, y):
-    """|log-likelihood| of every record under every draw, shape (S, n)."""
+def abs_loglik_rows(spec, draws, X, y):
+    """|log-likelihood| of every record, one length-n row per draw, made
+    lazily as the draws are consumed."""
     if X.shape[0] == 0:
         raise PpmError("empty dataset")
-    rows = [np.abs(models.log_likelihood_batch(spec, theta, X, y))
-            for theta in draws]
+    return (np.abs(models.log_likelihood_batch(spec, theta, X, y))
+            for theta in draws)
+
+
+def abs_loglik_matrix(spec, draws, X, y):
+    """|log-likelihood| of every record under every draw, shape (S, n)."""
+    rows = list(abs_loglik_rows(spec, draws, X, y))
     if not rows:
         raise PpmError("need at least one posterior draw")
     return np.stack(rows, axis=0)
@@ -81,22 +87,41 @@ def map_weights(record_ids, risks, c, g):
 def sensitivity(abs_ll, alpha, record_ids=None):
     """Weighted local sensitivity over the draw grid and its 2*Delta bound."""
     abs_ll = np.asarray(abs_ll)
+    if abs_ll.ndim != 2:
+        raise PpmError("risk matrix must be (draws, records)")
+    return stream_sensitivity(abs_ll, alpha, record_ids)
+
+
+def stream_sensitivity(rows, alpha, record_ids=None):
+    """sensitivity folded over |log-likelihood| rows, one per draw, as they
+    arrive: only the running per-record max and the draw that first
+    attains it are kept, so ties go to the lowest draw and record index."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    if abs_ll.shape[1] != alpha.shape[0]:
-        raise PpmError("alpha length does not match the record axis")
+    per_record = None
+    for s, row in enumerate(rows):
+        if np.shape(row) != alpha.shape:
+            raise PpmError("alpha length does not match the record axis")
+        weighted = row * alpha
+        if per_record is None:
+            per_record = weighted
+            argmax_draw = np.zeros(alpha.shape[0], dtype=np.intp)
+        else:
+            greater = weighted > per_record
+            per_record[greater] = weighted[greater]
+            argmax_draw[greater] = s
+    if per_record is None:
+        raise PpmError("need at least one posterior draw")
     if record_ids is None:
-        record_ids = np.arange(abs_ll.shape[1])
-    weighted = abs_ll * alpha[None, :]
-    per_record = weighted.max(axis=0)
+        record_ids = np.arange(alpha.shape[0])
+    record_ids = np.asarray(record_ids)
     i = int(per_record.argmax())
-    s = int(weighted[:, i].argmax())
     return SensitivityReport(
         delta=float(per_record[i]),
         per_record=per_record,
-        record_ids=np.asarray(record_ids),
-        argmax_draw=s,
-        argmax_record_id=int(np.asarray(record_ids)[i]),
-        num_draws=abs_ll.shape[0],
+        record_ids=record_ids,
+        argmax_draw=int(argmax_draw[i]),
+        argmax_record_id=int(record_ids[i]),
+        num_draws=s + 1,
     )
 
 
@@ -121,10 +146,13 @@ def reweight(weights, report, k):
                        stage="reweighted(k=%g)" % k)
 
 
+_WEIGHTS_COLUMNS = ["record_id", "risk", "normalized_risk", "alpha", "stage"]
+
+
 def save_weights_csv(path, weights):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["record_id", "risk", "normalized_risk", "alpha", "stage"])
+        w.writerow(_WEIGHTS_COLUMNS)
         for i in range(weights.record_ids.shape[0]):
             w.writerow([int(weights.record_ids[i]),
                         repr(float(weights.risks[i])),
@@ -134,13 +162,26 @@ def save_weights_csv(path, weights):
 
 
 def load_weights_csv(path):
+    """Read a weights file; a missing column, a row that lacks a field or a
+    non-numeric cell raises PpmError."""
     ids, risks, normalized, alpha, stage = [], [], [], [], STAGE_INITIAL
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            ids.append(int(row["record_id"]))
-            risks.append(float(row["risk"]))
-            normalized.append(float(row["normalized_risk"]))
-            alpha.append(float(row["alpha"]))
+        reader = csv.DictReader(f)
+        missing = set(_WEIGHTS_COLUMNS) - set(reader.fieldnames or [])
+        if missing:
+            raise PpmError("%s lacks the columns %s" % (path, sorted(missing)))
+        for row in reader:
+            if not all(row[column] for column in _WEIGHTS_COLUMNS):
+                raise PpmError("%s line %d lacks a field"
+                               % (path, reader.line_num))
+            try:
+                ids.append(int(row["record_id"]))
+                risks.append(float(row["risk"]))
+                normalized.append(float(row["normalized_risk"]))
+                alpha.append(float(row["alpha"]))
+            except ValueError as e:
+                raise PpmError("%s line %d: %s"
+                               % (path, reader.line_num, e)) from None
             stage = row["stage"]
     return RiskWeights(np.array(ids), np.array(risks), np.array(normalized),
                        np.array(alpha), c=float("nan"), g=float("nan"),

@@ -75,7 +75,6 @@ class SwagMoments:
             raise SwagError("no snapshots absorbed")
         z1 = np.asarray(z1, dtype=np.float64)
         z2 = np.asarray(z2, dtype=np.float64)
-        out = self.mean + np.sqrt(self.sigma_diag() / 2.0) * z1
         if np.any(z2 != 0):
             if self.k < 2:
                 raise SwagError(
@@ -83,21 +82,38 @@ class SwagMoments:
             if z2.shape[0] != self.k:
                 raise SwagError("z2 length %d != column count %d"
                                 % (z2.shape[0], self.k))
-            out = out + (self._dev[:, :self.k] @ z2) / np.sqrt(
-                2.0 * (self.k - 1))
+        return self._draw(self._diag_scale(), self._dev[:, :self.k], z1, z2)
+
+    def _diag_scale(self):
+        return np.sqrt(self.sigma_diag() / 2.0)
+
+    def _draw(self, diag_scale, dev, z1, z2):
+        """The draw formula of covariance_apply, on checked arguments."""
+        out = self.mean + diag_scale * z1
+        if np.any(z2 != 0):
+            out = out + (dev @ z2) / np.sqrt(2.0 * (self.k - 1))
         return ParameterVector(out, self.layout)
 
-    def sample(self, count, seed):
-        """count posterior draws; deterministic per (seed, count)."""
+    def draws(self, count, seed):
+        """Lazy iterator over count posterior draws; deterministic per
+        (seed, count). The arguments are checked here, before the first
+        draw, and sigma_diag is computed once for all draws."""
         if count < 1:
             raise SwagError("need at least one draw")
-        rng = np.random.default_rng(seed)
-        draws = []
+        if self.count < 1:
+            raise SwagError("no snapshots absorbed")
+        return self._draws(count, np.random.default_rng(seed),
+                           self._diag_scale(), self._dev[:, :self.k])
+
+    def _draws(self, count, rng, diag_scale, dev):
         for _ in range(count):
             z1 = rng.standard_normal(self.layout.size)
             z2 = rng.standard_normal(self.k) if self.k >= 2 else np.zeros(self.k)
-            draws.append(self.covariance_apply(z1, z2))
-        return draws
+            yield self._draw(diag_scale, dev, z1, z2)
+
+    def sample(self, count, seed):
+        """count posterior draws as a list; see draws."""
+        return list(self.draws(count, seed))
 
 
 _MAGIC = b"SWPPMSW1"

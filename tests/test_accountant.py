@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from swagppm import accountant
 
@@ -39,6 +40,37 @@ def test_sgm_rdp_monotonicity_grid():
         for sigma in sigmas:
             vals = [accountant.sgm_rdp(q, sigma, a) for a in orders]
             assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
+
+
+def _sgm_rdp_loop(q, sigma, a):
+    # Reference: the per-k loop sgm_rdp used before the terms were built as
+    # one array per order.
+    if q == 0:
+        return 0.0
+    log_terms = []
+    for k in range(a + 1):
+        if q < 1:
+            lt = (gammaln(a + 1) - gammaln(k + 1) - gammaln(a - k + 1)
+                  + (a - k) * math.log1p(-q))
+        elif k < a:
+            continue
+        else:
+            lt = 0.0
+        if k > 0:
+            lt += k * math.log(q)
+        lt += k * (k - 1) / (2.0 * sigma * sigma)
+        log_terms.append(lt)
+    return float(logsumexp(log_terms)) / (a - 1)
+
+
+def test_sgm_rdp_matches_per_k_loop():
+    sigmas = list(np.geomspace(0.3, 100.0, 12)) + [0.3 + 1e-3 * 7 / 9, 1.1,
+                                                    2.0, 99.9]
+    for q in (1e-3, 0.05, 512 / 10751, 512 / 1079, 0.5, 1.0):
+        for sigma in sigmas:
+            for a in range(2, 65):
+                assert accountant.sgm_rdp(q, sigma, a) == \
+                    _sgm_rdp_loop(q, sigma, a), (q, sigma, a)
 
 
 def test_sgm_rdp_rejects_bad_order():

@@ -1,9 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from swagppm import models
 from swagppm.params import (Layout, LayoutError, ParameterVector,
@@ -182,6 +183,21 @@ def test_checkpoint_round_trip_and_truncation(tmp_path_factory, shapes, seed):
         path.write_bytes(blob[:size])
         with pytest.raises(LayoutError):
             load_checkpoint(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.one_of(st.integers(0, 400), st.integers(0, 2 ** 64 - 1)))
+def test_checkpoint_header_length_field_raises_layout_error(
+        tmp_path_factory, length):
+    layout = Layout([("w", (2, 3)), ("b", (3,))])
+    theta = ParameterVector(np.arange(9.0), layout)
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    save_checkpoint(path, theta, {"epsilon": 1.5})
+    blob = path.read_bytes()
+    assume(length != struct.unpack("<Q", blob[8:16])[0])
+    path.write_bytes(blob[:8] + struct.pack("<Q", length) + blob[16:])
+    with pytest.raises(LayoutError):
+        load_checkpoint(path)
 
 
 def test_layout_partition():

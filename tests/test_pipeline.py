@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,23 @@ def test_swag_ppm_epsilon_cross_check(tmp_path):
     assert report.epsilon == result.epsilon
     persisted = json.load(open(os.path.join(out, "privacy_report.json")))
     assert persisted["epsilon"] == result.epsilon
+
+
+def test_swag_ppm_holds_no_draw_grid():
+    # S draws of p float64 each would take S*p*8 bytes; the release
+    # pipeline scores each draw as it is made, so its peak stays far below.
+    cfg = tiny_config()
+    cfg["phases"]["draws"] = 400
+    train, _ = pipeline.prepare_data(cfg)
+    spec = pipeline.model_spec(cfg, train.num_classes, train.feature_dim)
+    grid_bytes = cfg["phases"]["draws"] * spec.num_params * 8
+    tracemalloc.start()
+    try:
+        pipeline.run_swag_ppm(cfg, train, reweighted=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_bytes / 2
 
 
 def test_release_path_contains_only_the_released_draw(tmp_path):

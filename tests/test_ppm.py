@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swagppm import ppm
+from swagppm import models, ppm, swag
+from swagppm.params import ParameterVector
+
+from conftest import random_instance
 
 
 FIXTURE_LL = np.array([[1.0, 4.0], [2.0, 3.0]])  # (draws, records)
@@ -169,3 +173,173 @@ def test_report_json_fields(tmp_path):
     assert obj["argmax_record_id"] in (10, 11)
     assert obj["num_draws"] == 2
 
+
+
+def _matrix_sensitivity(abs_ll, alpha, record_ids):
+    # Reference: the weighted maxima of the whole (S, n) matrix at once, as
+    # sensitivity computed them before it folded over the rows.
+    weighted = abs_ll * alpha[None, :]
+    per_record = weighted.max(axis=0)
+    i = int(per_record.argmax())
+    return (float(per_record[i]), per_record, int(weighted[:, i].argmax()),
+            int(record_ids[i]))
+
+
+def _assert_reports_equal(a, b):
+    assert (a.delta, a.epsilon, a.argmax_draw, a.argmax_record_id,
+            a.num_draws) == (b.delta, b.epsilon, b.argmax_draw,
+                             b.argmax_record_id, b.num_draws)
+    np.testing.assert_array_equal(a.per_record, b.per_record)
+    np.testing.assert_array_equal(a.record_ids, b.record_ids)
+
+
+# few distinct values, so that maxima tie across draws and records
+TIED = st.sampled_from([0.0, 0.25, 1.0, 3.5])
+
+
+@st.composite
+def score_grids(draw, cells=st.one_of(TIED, st.floats(0.0, 100.0))):
+    S, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    abs_ll = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                                    min_size=S, max_size=S)))
+    alpha = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 0.3]),
+                                   min_size=n, max_size=n)))
+    ids = np.array(draw(st.permutations(range(100, 100 + n))))
+    return abs_ll, alpha, ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=score_grids())
+def test_stream_sensitivity_matches_matrix(grid):
+    abs_ll, alpha, ids = grid
+    streamed = ppm.stream_sensitivity(iter(list(abs_ll)), alpha, ids)
+    _assert_reports_equal(streamed, ppm.sensitivity(abs_ll, alpha, ids))
+    delta, per_record, draw, record = _matrix_sensitivity(abs_ll, alpha, ids)
+    assert (streamed.delta, streamed.argmax_draw,
+            streamed.argmax_record_id) == (delta, draw, record)
+    np.testing.assert_array_equal(streamed.per_record, per_record)
+    assert streamed.num_draws == abs_ll.shape[0]
+    assert streamed.epsilon == 2.0 * streamed.delta
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), S=st.integers(1, 12),
+       zeros=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_streamed_draws_match_scored_matrix(seed, S, zeros):
+    rng = np.random.default_rng(seed)
+    spec, theta, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=4)
+    X, y = np.vstack([X, X]), np.concatenate([y, y])  # repeated |ll|
+    m = swag.SwagMoments(theta.layout, k_max=3)
+    for _ in range(4):
+        m.absorb(ParameterVector(
+            theta.values + rng.normal(0, 0.1, theta.values.size),
+            theta.layout))
+    alpha = np.where(zeros, 0.0, rng.uniform(0, 1, 8))
+    ids = np.arange(8) * 3
+    streamed = ppm.stream_sensitivity(
+        ppm.abs_loglik_rows(spec, m.draws(S, seed), X, y), alpha, ids)
+    _assert_reports_equal(streamed, ppm.sensitivity(
+        ppm.abs_loglik_matrix(spec, m.sample(S, seed), X, y), alpha, ids))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=score_grids())
+def test_stream_delta_never_decreases_with_draws(grid):
+    abs_ll, alpha, ids = grid
+    deltas = [ppm.stream_sensitivity(abs_ll[:s], alpha, ids).delta
+              for s in range(1, abs_ll.shape[0] + 1)]
+    assert deltas == sorted(deltas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=score_grids(cells=st.one_of(TIED, st.floats(1e-3, 1e3))))
+def test_stream_delta_scales_exactly_with_alpha(grid):
+    abs_ll, alpha, ids = grid
+    base = ppm.stream_sensitivity(abs_ll, alpha, ids)
+    for c in (2.0, 0.5):
+        scaled = ppm.stream_sensitivity(abs_ll, c * alpha, ids)
+        assert scaled.delta == c * base.delta
+        assert scaled.epsilon == 2.0 * scaled.delta
+        np.testing.assert_array_equal(scaled.per_record, c * base.per_record)
+
+
+def test_stream_sensitivity_rejects_bad_input():
+    with pytest.raises(ppm.PpmError):
+        ppm.stream_sensitivity(iter([]), np.ones(2))
+    with pytest.raises(ppm.PpmError):
+        ppm.stream_sensitivity([np.ones(3)], np.ones(2))
+    with pytest.raises(ppm.PpmError):
+        ppm.sensitivity(np.ones(2), np.ones(2))
+
+
+WEIGHTS_HEADER = b"record_id,risk,normalized_risk,alpha,stage"
+STAGES = st.sampled_from(["initial", "reweighted(k=0.95)",
+                          "reweighted(k=0.5)"])
+
+
+@st.composite
+def risk_weights(draw, min_size=1):
+    n = draw(st.integers(min_size, 6))
+    ids = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n,
+                        max_size=n))
+    floats = [np.array(draw(st.lists(st.floats(allow_nan=False), min_size=n,
+                                     max_size=n)), dtype=np.float64)
+              for _ in range(3)]
+    return ppm.RiskWeights(np.array(ids, dtype=np.int64), *floats, c=1.0,
+                           g=0.0, stage=draw(STAGES))
+
+
+def _assert_weights_equal(got, want, rows):
+    np.testing.assert_array_equal(got.record_ids, want.record_ids[:rows])
+    for name in ("risks", "normalized", "alpha"):  # bit for bit
+        np.testing.assert_array_equal(
+            getattr(got, name).view(np.uint64),
+            getattr(want, name)[:rows].view(np.uint64))
+
+
+@settings(max_examples=50, deadline=None)
+@given(weights=risk_weights())
+def test_weights_csv_round_trip_property(tmp_path_factory, weights):
+    path = tmp_path_factory.mktemp("weights") / "w.csv"
+    ppm.save_weights_csv(path, weights)
+    loaded = ppm.load_weights_csv(path)
+    _assert_weights_equal(loaded, weights, len(weights.record_ids))
+    assert loaded.stage == weights.stage
+
+
+@settings(max_examples=15, deadline=None)
+@given(weights=risk_weights())
+def test_weights_csv_truncation(tmp_path_factory, weights):
+    path = tmp_path_factory.mktemp("weights") / "w.csv"
+    ppm.save_weights_csv(path, weights)
+    blob = path.read_bytes()
+    for size in range(len(blob)):
+        cut = blob[:size]
+        path.write_bytes(cut)
+        partial = cut[cut.rfind(b"\r\n") + 2:] if b"\r\n" in cut else cut
+        if size < len(WEIGHTS_HEADER):
+            with pytest.raises(ppm.PpmError):
+                ppm.load_weights_csv(path)
+        elif cut.endswith(b"\r\n"):
+            rows = cut.count(b"\r\n") - 1
+            loaded = ppm.load_weights_csv(path)
+            _assert_weights_equal(loaded, weights, rows)
+            if rows:
+                assert loaded.stage == weights.stage
+        elif (b"\r\n" in cut and partial
+              and (partial.count(b",") < 4 or partial.endswith(b","))):
+            with pytest.raises(ppm.PpmError, match="lacks a field"):
+                ppm.load_weights_csv(path)
+
+
+@pytest.mark.parametrize("text", [
+    "record_id,risk,normalized_risk,stage\n1,0.5,0.0,initial\n",
+    "record_id,risk,normalized_risk,alpha,stage\n1,abc,0.0,1.0,initial\n",
+    "record_id,risk,normalized_risk,alpha,stage\n1.5,0.5,0.0,1.0,initial\n",
+    "record_id,risk,normalized_risk,alpha,stage\n1,0.5,0.0\n",
+])
+def test_weights_csv_bad_file_raises_ppm_error(tmp_path, text):
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    with pytest.raises(ppm.PpmError, match="w.csv"):
+        ppm.load_weights_csv(path)

@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from swagppm import swag
 from swagppm.params import Layout, LayoutError, ParameterVector
@@ -197,6 +198,56 @@ def test_clamped_entries_counted_once():
     assert m.clamped_entries == 1
 
 
+def _sample_loop(m, count, seed):
+    # Reference: sample() as a list built draw by draw through the
+    # covariance_apply formula, with sigma_diag recomputed for every draw.
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        z1 = rng.standard_normal(m.layout.size)
+        z2 = rng.standard_normal(m.k) if m.k >= 2 else np.zeros(m.k)
+        out = m.mean + np.sqrt(m.sigma_diag() / 2.0) * z1
+        if np.any(z2 != 0):
+            out = out + (m.dev_columns.T @ z2) / np.sqrt(2.0 * (m.k - 1))
+        draws.append(out)
+    return draws
+
+
+@pytest.mark.parametrize("absorbed", [1, 2, 4, 11])
+def test_draws_match_per_draw_loop(absorbed):
+    # k_max = 7: 1 absorb leaves k < 2, 2 and 4 leave 2 <= k < k_max, and
+    # 11 evict four columns and leave k == k_max.
+    m = _absorbed(300, 7, absorbed, 21)
+    assert m.k == min(absorbed, 7)
+    want = _sample_loop(m, 9, seed=4)
+    for got in (list(m.draws(9, seed=4)), m.sample(9, seed=4)):
+        assert len(got) == 9
+        for draw, values in zip(got, want):
+            np.testing.assert_array_equal(draw.values, values)
+
+
+def test_draws_compute_sigma_diag_once():
+    m = _absorbed(20, 4, 6, 3)
+    calls = []
+    sigma_diag = m.sigma_diag
+    m.sigma_diag = lambda: calls.append(1) or sigma_diag()
+    draws = m.draws(50, seed=1)
+    assert len(calls) == 1
+    assert len(list(draws)) == 50 and len(calls) == 1
+    m.sample(30, seed=1)
+    assert len(calls) == 2
+
+
+def test_draws_check_arguments_before_the_first_draw(p1):
+    m = swag.SwagMoments(p1, k_max=2)
+    with pytest.raises(swag.SwagError):
+        m.draws(3, seed=0)  # no snapshots yet; nothing iterated
+    m.absorb(vec(p1, 1.0))
+    for count in (0, -1):
+        with pytest.raises(swag.SwagError):
+            m.draws(count, seed=0)
+
+
 def _absorbed(p, k_max, absorbs, seed):
     layout = Layout([("w", (p,))])
     m = swag.SwagMoments(layout, k_max=k_max)
@@ -233,3 +284,16 @@ def test_moments_truncation_raises_swag_error(tmp_path_factory, p, k_max,
         path.write_bytes(blob[:size])
         with pytest.raises(swag.SwagError):
             swag.load_moments(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.one_of(st.integers(0, 400), st.integers(0, 2 ** 64 - 1)))
+def test_moments_header_length_field_raises_swag_error(tmp_path_factory,
+                                                      length):
+    path = tmp_path_factory.mktemp("moments") / "m.bin"
+    swag.save_moments(path, _absorbed(3, 2, 3, 0))
+    blob = path.read_bytes()
+    assume(length != struct.unpack("<Q", blob[8:16])[0])
+    path.write_bytes(blob[:8] + struct.pack("<Q", length) + blob[16:])
+    with pytest.raises(swag.SwagError):
+        swag.load_moments(path)
