@@ -87,19 +87,42 @@ def _as_matrix(features):
     return arr
 
 
-def _logits(spec, theta, X):
+def _logits(spec, theta, X, Z=None):
+    """Logits (n, num_classes) and, for the MLP, its hidden activations H;
+    the MLP's logits are written into Z when it is given."""
     _check_features(spec, X)
     if spec.family == SOFTMAX_LINEAR:
-        Z = X @ theta.tensor("W") + theta.tensor("b")
-        return np.asarray(Z), None
-    H = np.tanh(np.asarray(X @ theta.tensor("W1")) + theta.tensor("b1"))
-    return H @ theta.tensor("W2") + theta.tensor("b2"), H
+        Z = np.asarray(X @ theta.tensor("W"))
+        Z += theta.tensor("b")
+        return Z, None
+    H = np.asarray(X @ theta.tensor("W1"))
+    H += theta.tensor("b1")
+    np.tanh(H, out=H)
+    Z = np.matmul(H, theta.tensor("W2"), out=Z)
+    Z += theta.tensor("b2")
+    return Z, H
+
+
+def _exp_shifted(Z, sums):
+    """Z <- exp(Z - row max of Z) and sums <- its row sums, in place."""
+    np.max(Z, axis=1, out=sums)
+    np.subtract(Z, sums[:, None], out=Z)
+    np.exp(Z, out=Z)
+    np.sum(Z, axis=1, out=sums)
 
 
 def _softmax(Z):
-    Z = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
+    """Softmax of the rows of Z, computed in Z."""
+    sums = np.empty(Z.shape[0])
+    _exp_shifted(Z, sums)
+    Z /= sums[:, None]
+    return Z
+
+
+def _log_floored(picked):
+    """log(max(picked, PROB_FLOOR)) in place: the one log-likelihood formula."""
+    np.maximum(picked, PROB_FLOOR, out=picked)
+    return np.log(picked, out=picked)
 
 
 def forward_batch(spec, theta, X):
@@ -108,11 +131,34 @@ def forward_batch(spec, theta, X):
     return _softmax(Z)
 
 
+def log_likelihood_rows(spec, thetas, X, y):
+    """Per-record log p(label | features) under each theta in turn, one
+    length-n row per theta; probabilities floored at PROB_FLOOR.
+
+    Every row is computed in the same buffers, allocated once per call, so
+    a row is valid only until the next one is made: copy it to keep it.
+    """
+    X = _as_matrix(X)
+    n, num_classes = X.shape[0], spec.num_classes
+    # flat index of each record's label cell in the (n, num_classes) logits
+    picked = np.ravel_multi_index((np.arange(n), np.asarray(y)),
+                                  (n, num_classes))
+    Z = np.empty((n, num_classes)) if spec.family == MLP_1_HIDDEN else None
+    sums = np.empty(n)
+    out = np.empty(n)
+    for theta in thetas:
+        E, _ = _logits(spec, theta, X, Z)
+        _exp_shifted(E, sums)
+        # E[i, y_i] / sums[i]: division rounds correctly, so these are the
+        # bits of the softmax's picked entries
+        np.take(E, picked, out=out, mode="clip")  # picked is in range
+        out /= sums
+        yield _log_floored(out)
+
+
 def log_likelihood_batch(spec, theta, X, y):
     """Per-record log p(label | features); probabilities floored at PROB_FLOOR."""
-    P = forward_batch(spec, theta, X)
-    picked = P[np.arange(P.shape[0]), np.asarray(y)]
-    return np.log(np.maximum(picked, PROB_FLOOR))
+    return next(log_likelihood_rows(spec, [theta], X, y))
 
 
 def _one_hot_residual(P, y):
@@ -142,12 +188,18 @@ def _backprop(theta, X, H, D, D1):
     return grad
 
 
-def weighted_nll_gradient(spec, theta, X, y, weights=None):
-    """Gradient of mean weighted NLL plus (weight_decay/2)*||theta||^2.
+def _forward(spec, theta, X, y):
+    """One forward pass for the gradients: softmax probabilities P, the MLP's
+    hidden activations H (None for the linear model) and each record's
+    log-likelihood, as log_likelihood_batch computes it."""
+    Z, H = _logits(spec, theta, X)
+    P = _softmax(Z)
+    return P, H, _log_floored(P[np.arange(P.shape[0]), np.asarray(y)])
 
-    The mean is over batch size, not over the weight total, so a small
-    weight shrinks that record's pull without renormalizing the others.
-    """
+
+def weighted_gradient_loglik(spec, theta, X, y, weights=None):
+    """(weighted_nll_gradient's values, log_likelihood_batch's values) from
+    one forward pass; the gradient is a fresh array the caller may reuse."""
     X = _as_matrix(X)
     n = X.shape[0]
     if n == 0:
@@ -160,13 +212,22 @@ def weighted_nll_gradient(spec, theta, X, y, weights=None):
             raise ModelError("weights length does not match batch size")
         if np.any(weights < 0) or np.any(weights > 1):
             raise ModelError("weights must lie in [0, 1]")
-    Z, H = _logits(spec, theta, X)
-    P = _softmax(Z)
+    P, H, loglik = _forward(spec, theta, X, y)
     D = _one_hot_residual(P, y) * (weights / n)[:, None]
     D1 = None if H is None else _hidden_residual(theta, H, D)
     grad = _backprop(theta, X, H, D, D1)
     if spec.weight_decay:
         grad += spec.weight_decay * theta.values
+    return grad, loglik
+
+
+def weighted_nll_gradient(spec, theta, X, y, weights=None):
+    """Gradient of mean weighted NLL plus (weight_decay/2)*||theta||^2.
+
+    The mean is over batch size, not over the weight total, so a small
+    weight shrinks that record's pull without renormalizing the others.
+    """
+    grad, _ = weighted_gradient_loglik(spec, theta, X, y, weights)
     return ParameterVector(grad, theta.layout)
 
 
@@ -176,19 +237,15 @@ def _row_sq_norms(X):
     return (X * X).sum(axis=1)
 
 
-def clipped_gradient_sum(spec, theta, X, y, clip_norm):
-    """Sum of per-example NLL gradients, each scaled by min(1, C/||g_i||).
-
-    Per-example gradients of both families are per-layer rank-1, so the
-    norms come from row norms without materializing n full gradients.
-    Returns (gradient_sum as ParameterVector, per-example pre-clip norms).
-    """
+def clipped_gradient_loglik(spec, theta, X, y, clip_norm):
+    """(clipped_gradient_sum's values, its pre-clip norms, the batch's
+    log_likelihood_batch values) from one forward pass; the gradient sum is
+    a fresh array the caller may reuse."""
     X = _as_matrix(X)
     n = X.shape[0]
     if n == 0:
         raise ModelError("empty minibatch")
-    Z, H = _logits(spec, theta, X)
-    P = _softmax(Z)
+    P, H, loglik = _forward(spec, theta, X, y)
     D = _one_hot_residual(P, y)
     x_sq = _row_sq_norms(X)
     if H is None:
@@ -202,16 +259,31 @@ def clipped_gradient_sum(spec, theta, X, y, clip_norm):
     scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))[:, None]
     grad = _backprop(theta, X, H, D * scale,
                      None if D1 is None else D1 * scale)
+    return grad, norms, loglik
+
+
+def clipped_gradient_sum(spec, theta, X, y, clip_norm):
+    """Sum of per-example NLL gradients, each scaled by min(1, C/||g_i||).
+
+    Per-example gradients of both families are per-layer rank-1, so the
+    norms come from row norms without materializing n full gradients.
+    Returns (gradient_sum as ParameterVector, per-example pre-clip norms).
+    """
+    grad, norms, _ = clipped_gradient_loglik(spec, theta, X, y, clip_norm)
     return ParameterVector(grad, theta.layout), norms
+
+
+def objective(spec, theta, loglik, weights=None):
+    """Mean weighted NLL plus the weight-decay penalty, from the batch's
+    per-record log-likelihoods: the training objective of mean_nll."""
+    if weights is None:
+        data_term = -loglik.mean()
+    else:
+        data_term = -(np.asarray(weights) * loglik).sum() / loglik.shape[0]
+    return data_term + 0.5 * spec.weight_decay * float(theta.values @ theta.values)
 
 
 def mean_nll(spec, theta, X, y, weights=None):
     """Mean weighted NLL plus the weight-decay penalty (training objective)."""
-    X = _as_matrix(X)
-    n = X.shape[0]
-    ll = log_likelihood_batch(spec, theta, X, y)
-    if weights is None:
-        data_term = -ll.mean()
-    else:
-        data_term = -(np.asarray(weights) * ll).sum() / n
-    return data_term + 0.5 * spec.weight_decay * float(theta.values @ theta.values)
+    return objective(spec, theta, log_likelihood_batch(spec, theta, X, y),
+                     weights)

@@ -210,7 +210,8 @@ def _phase(name, fn, *args):
 def _score_draws(spec, draws, count, X, y, alpha, ids, abs_ll_path=None):
     """Score each of the count draws as it is made and fold it into the
     weighted sensitivity; no draw outlives its row. With a path, each |ll|
-    row is also written, as it is scored, into a (count, n) .npy file."""
+    row is also written, as it is scored, into a (count, n) .npy file,
+    which a failure removes rather than leave it partly written."""
     rows = ppm.abs_loglik_rows(spec, draws, X, y)
     if not abs_ll_path:
         return ppm.stream_sensitivity(rows, alpha, ids)
@@ -223,8 +224,12 @@ def _score_draws(spec, draws, count, X, y, alpha, ids, abs_ll_path=None):
             sink[s] = row
             yield row
 
-    report = ppm.stream_sensitivity(written(), alpha, ids)
-    sink.flush()
+    try:
+        report = ppm.stream_sensitivity(written(), alpha, ids)
+        sink.flush()
+    except BaseException:
+        os.remove(abs_ll_path)
+        raise
     return report
 
 

@@ -4,6 +4,7 @@ and the Lipschitz-preserving reweighting step."""
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,16 +45,17 @@ class SensitivityReport:
 
 def abs_loglik_rows(spec, draws, X, y):
     """|log-likelihood| of every record, one length-n row per draw, made
-    lazily as the draws are consumed."""
+    lazily as the draws are consumed. The rows share one buffer, so a row
+    is valid only until the next one is made."""
     if X.shape[0] == 0:
         raise PpmError("empty dataset")
-    return (np.abs(models.log_likelihood_batch(spec, theta, X, y))
-            for theta in draws)
+    return (np.abs(ll, out=ll)
+            for ll in models.log_likelihood_rows(spec, draws, X, y))
 
 
 def abs_loglik_matrix(spec, draws, X, y):
     """|log-likelihood| of every record under every draw, shape (S, n)."""
-    rows = list(abs_loglik_rows(spec, draws, X, y))
+    rows = [row.copy() for row in abs_loglik_rows(spec, draws, X, y)]
     if not rows:
         raise PpmError("need at least one posterior draw")
     return np.stack(rows, axis=0)
@@ -101,14 +103,16 @@ def stream_sensitivity(rows, alpha, record_ids=None):
     for s, row in enumerate(rows):
         if np.shape(row) != alpha.shape:
             raise PpmError("alpha length does not match the record axis")
-        weighted = row * alpha
         if per_record is None:
-            per_record = weighted
+            per_record = row * alpha
             argmax_draw = np.zeros(alpha.shape[0], dtype=np.intp)
+            weighted = np.empty_like(per_record)
+            greater = np.empty(alpha.shape[0], dtype=bool)
         else:
-            greater = weighted > per_record
-            per_record[greater] = weighted[greater]
-            argmax_draw[greater] = s
+            np.multiply(row, alpha, out=weighted)
+            np.greater(weighted, per_record, out=greater)
+            np.copyto(per_record, weighted, where=greater)
+            np.copyto(argmax_draw, s, where=greater)
     if per_record is None:
         raise PpmError("need at least one posterior draw")
     if record_ids is None:
@@ -147,6 +151,9 @@ def reweight(weights, report, k):
 
 
 _WEIGHTS_COLUMNS = ["record_id", "risk", "normalized_risk", "alpha", "stage"]
+# the stages map_weights and reweight write; a stage cut short matches neither
+_STAGE = re.compile(r"%s|reweighted\(k=[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?\)"
+                    % STAGE_INITIAL)
 
 
 def save_weights_csv(path, weights):
@@ -162,8 +169,9 @@ def save_weights_csv(path, weights):
 
 
 def load_weights_csv(path):
-    """Read a weights file; a missing column, a row that lacks a field or a
-    non-numeric cell raises PpmError."""
+    """Read a weights file; a missing column, a row that lacks a field, a
+    non-numeric cell or a stage other than `initial` or `reweighted(k=...)`
+    raises PpmError."""
     ids, risks, normalized, alpha, stage = [], [], [], [], STAGE_INITIAL
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -183,6 +191,9 @@ def load_weights_csv(path):
                 raise PpmError("%s line %d: %s"
                                % (path, reader.line_num, e)) from None
             stage = row["stage"]
+            if not _STAGE.fullmatch(stage):
+                raise PpmError("%s line %d: unknown stage %r"
+                               % (path, reader.line_num, stage))
     return RiskWeights(np.array(ids), np.array(risks), np.array(normalized),
                        np.array(alpha), c=float("nan"), g=float("nan"),
                        stage=stage)

@@ -82,16 +82,22 @@ class SwagMoments:
             if z2.shape[0] != self.k:
                 raise SwagError("z2 length %d != column count %d"
                                 % (z2.shape[0], self.k))
-        return self._draw(self._diag_scale(), self._dev[:, :self.k], z1, z2)
+        p = self.layout.size
+        return self._draw(self._diag_scale(), self._dev[:, :self.k], z1, z2,
+                          np.empty(p), np.empty(p))
 
     def _diag_scale(self):
         return np.sqrt(self.sigma_diag() / 2.0)
 
-    def _draw(self, diag_scale, dev, z1, z2):
-        """The draw formula of covariance_apply, on checked arguments."""
-        out = self.mean + diag_scale * z1
+    def _draw(self, diag_scale, dev, z1, z2, out, low_rank):
+        """The draw formula of covariance_apply, on checked arguments, built
+        in out (which may be z1); low_rank is scratch of the same length."""
+        np.multiply(diag_scale, z1, out=out)
+        np.add(self.mean, out, out=out)
         if np.any(z2 != 0):
-            out = out + (dev @ z2) / np.sqrt(2.0 * (self.k - 1))
+            np.matmul(dev, z2, out=low_rank)
+            low_rank /= np.sqrt(2.0 * (self.k - 1))
+            out += low_rank
         return ParameterVector(out, self.layout)
 
     def draws(self, count, seed):
@@ -106,10 +112,13 @@ class SwagMoments:
                            self._diag_scale(), self._dev[:, :self.k])
 
     def _draws(self, count, rng, diag_scale, dev):
+        # each draw is built in z1, which ParameterVector then copies
+        z1 = np.empty(self.layout.size)
+        low_rank = np.empty(self.layout.size)
         for _ in range(count):
-            z1 = rng.standard_normal(self.layout.size)
+            rng.standard_normal(out=z1)
             z2 = rng.standard_normal(self.k) if self.k >= 2 else np.zeros(self.k)
-            yield self._draw(diag_scale, dev, z1, z2)
+            yield self._draw(diag_scale, dev, z1, z2, z1, low_rank)
 
     def sample(self, count, seed):
         """count posterior draws as a list; see draws."""

@@ -82,23 +82,58 @@ def dp_sgd_step(spec, theta, X, y, clip_norm, noise_multiplier, lr, noise_rng,
     n = X.shape[0]
     if n == 0:
         raise TrainError("empty minibatch")
-    if denom is None:
-        denom = n
-    grad_sum, _ = models.clipped_gradient_sum(spec, theta, X, y, clip_norm)
+    grad_sum, _, _ = models.clipped_gradient_loglik(spec, theta, X, y,
+                                                    clip_norm)
+    return _dp_update(theta, grad_sum, clip_norm, noise_multiplier, lr,
+                      noise_rng, n if denom is None else denom)
+
+
+def _dp_update(theta, grad_sum, clip_norm, noise_multiplier, lr, noise_rng,
+               denom):
+    """theta - lr * (grad_sum + noise) / denom, built in the noise array."""
     noise = noise_rng.normal(0.0, noise_multiplier * clip_norm,
                              size=theta.layout.size)
-    return theta.replace(theta.values - lr * (grad_sum.values + noise) / denom)
+    noise += grad_sum
+    noise *= lr
+    noise /= denom
+    np.subtract(theta.values, noise, out=noise)
+    return theta.replace(noise)
 
 
-def _adam_update(state, grad, config):
-    m, v, t = state
-    t += 1
-    m = config.beta1 * m + (1 - config.beta1) * grad
-    v = config.beta2 * v + (1 - config.beta2) * grad * grad
-    m_hat = m / (1 - config.beta1 ** t)
-    v_hat = v / (1 - config.beta2 ** t)
-    step = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-    return (m, v, t), step
+class _Adam:
+    """AdamW state: the moments m and v and one scratch array, allocated
+    once and updated in place in the textbook order of operations."""
+
+    def __init__(self, size, config):
+        self.config = config
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+        self._scratch = np.empty(size)
+
+    def update(self, theta, grad):
+        """theta after one step on grad, which serves as scratch."""
+        c, m, v, a = self.config, self.m, self.v, self._scratch
+        self.t += 1
+        m *= c.beta1
+        np.multiply(grad, 1 - c.beta1, out=a)
+        m += a
+        v *= c.beta2
+        np.multiply(grad, 1 - c.beta2, out=a)
+        a *= grad
+        v += a
+        # step = lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(v, 1 - c.beta2 ** self.t, out=a)
+        np.sqrt(a, out=a)
+        a += c.adam_eps
+        np.divide(m, 1 - c.beta1 ** self.t, out=grad)
+        grad *= c.learning_rate
+        grad /= a
+        np.subtract(theta.values, grad, out=grad)
+        if c.weight_decay:  # decoupled: lr * decay * theta
+            np.multiply(theta.values, c.learning_rate * c.weight_decay, out=a)
+            grad -= a
+        return theta.replace(grad)
 
 
 def train(spec, theta0, X, y, config, weights=None):
@@ -107,7 +142,8 @@ def train(spec, theta0, X, y, config, weights=None):
     weights, when given, is the per-record alpha vector aligned with X rows
     and is applied through the weighted NLL gradient. Deterministic for a
     fixed seed: shuffle order, Poisson inclusion, and noise all come from
-    streams derived from config.seed.
+    streams derived from config.seed. Each step's loss is models.objective
+    on the log-likelihoods of the forward pass its gradient makes.
     """
     n = X.shape[0]
     if config.batch_size > n:
@@ -122,7 +158,9 @@ def train(spec, theta0, X, y, config, weights=None):
         for s in np.random.SeedSequence(config.seed).spawn(2)]
     theta = theta0
     snapshots = []
-    adam_state = (np.zeros(len(theta0)), np.zeros(len(theta0)), 0)
+    adam = _Adam(len(theta0), config) if config.optimizer == ADAPTIVE else None
+    # the adaptive optimizer decays theta directly, so its gradient omits it
+    grad_spec = _no_decay(spec) if config.optimizer == ADAPTIVE else spec
     q = config.batch_size / n
     for epoch in range(config.epochs):
         mode = POISSON if config.optimizer == DP_SGD else SHUFFLE_PARTITION
@@ -135,33 +173,31 @@ def train(spec, theta0, X, y, config, weights=None):
                 continue
             Xb, yb = X[idx], np.asarray(y)[idx]
             wb = None if weights is None else weights[idx]
-            loss = models.mean_nll(spec, theta, Xb, yb, wb)
+            if config.optimizer == DP_SGD:
+                grad, _, loglik = models.clipped_gradient_loglik(
+                    spec, theta, Xb, yb, config.clip_norm)
+            else:
+                grad, loglik = models.weighted_gradient_loglik(
+                    grad_spec, theta, Xb, yb, wb)
+            loss = models.objective(spec, theta, loglik, wb)
             if not np.isfinite(loss):
                 raise TrainError(
                     "non-finite loss %r at epoch %d batch %d" % (loss, epoch, b))
             loss_sum += loss * idx.size
             count += idx.size
             if config.optimizer == DP_SGD:
-                theta = dp_sgd_step(
-                    spec, theta, Xb, yb, config.clip_norm,
-                    config.noise_multiplier, config.learning_rate, noise_rng,
-                    denom=config.batch_size)
+                theta = _dp_update(
+                    theta, grad, config.clip_norm, config.noise_multiplier,
+                    config.learning_rate, noise_rng, config.batch_size)
                 if config.weight_decay:
                     theta = theta.scale(
                         1.0 - config.learning_rate * config.weight_decay)
             elif config.optimizer == SGD_CONSTANT:
-                grad = models.weighted_nll_gradient(spec, theta, Xb, yb, wb)
+                grad *= config.learning_rate  # theta - lr * grad, in grad
                 theta = theta.replace(
-                    theta.values - config.learning_rate * grad.values)
+                    np.subtract(theta.values, grad, out=grad))
             else:
-                grad = models.weighted_nll_gradient(
-                    _no_decay(spec), theta, Xb, yb, wb)
-                adam_state, step = _adam_update(adam_state, grad.values, config)
-                new = theta.values - step
-                if config.weight_decay:
-                    new = new - config.learning_rate * config.weight_decay \
-                        * theta.values
-                theta = theta.replace(new)
+                theta = adam.update(theta, grad)
         mean_loss = loss_sum / count if count else float("nan")
         snapshots.append(EpochSnapshot(epoch, theta, mean_loss))
     return theta, snapshots

@@ -209,3 +209,68 @@ def test_layout_partition():
     for (_, end), (start, _) in zip(offsets, offsets[1:]):
         assert end == start
     assert offsets[-1][1] == layout.size == spec.num_params
+
+
+def _frozen_log_likelihood(spec, theta, X, y):
+    # Reference: log_likelihood_batch as it was before rows were scored in
+    # reused buffers, every step allocating its own array.
+    if spec.family == models.SOFTMAX_LINEAR:
+        Z = np.asarray(X @ theta.tensor("W") + theta.tensor("b"))
+    else:
+        H = np.tanh(np.asarray(X @ theta.tensor("W1")) + theta.tensor("b1"))
+        Z = H @ theta.tensor("W2") + theta.tensor("b2")
+    Z = Z - Z.max(axis=1, keepdims=True)
+    E = np.exp(Z)
+    P = E / E.sum(axis=1, keepdims=True)
+    picked = P[np.arange(P.shape[0]), np.asarray(y)]
+    return np.log(np.maximum(picked, models.PROB_FLOOR))
+
+
+@pytest.mark.parametrize("family",
+                         [models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_buffered_scorer_matches_frozen_log_likelihood(rng, family, sparse):
+    spec, theta, X, y = random_instance(rng, family, input_dim=40,
+                                        num_classes=9, hidden_dim=6, n=257)
+    X[rng.random(X.shape) < 0.8] = 0.0
+    if sparse:
+        X = sp.csr_matrix(X)
+    # the last theta drives some picked probabilities below PROB_FLOOR
+    thetas = [theta.replace(theta.values * c) for c in (1.0, 0.3, 4.0)]
+    thetas.append(theta.replace(theta.values * 400.0))
+    rows = [row.copy() for row in
+            models.log_likelihood_rows(spec, thetas, X, y)]
+    floored = 0
+    for t, row in zip(thetas, rows):
+        want = _frozen_log_likelihood(spec, t, X, y)
+        np.testing.assert_array_equal(row, want)
+        np.testing.assert_array_equal(
+            models.log_likelihood_batch(spec, t, X, y), want)
+        floored += np.count_nonzero(row == math.log(models.PROB_FLOOR))
+    assert floored > 0
+
+
+@pytest.mark.parametrize("family",
+                         [models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_fused_gradient_and_loss_match_separate_passes(rng, family,
+                                                       weight_decay):
+    spec, theta, X, y = random_instance(rng, family, n=30,
+                                        weight_decay=weight_decay)
+    for weights in (None, rng.uniform(0, 1, X.shape[0])):
+        grad, loglik = models.weighted_gradient_loglik(spec, theta, X, y,
+                                                       weights)
+        np.testing.assert_array_equal(
+            grad, models.weighted_nll_gradient(spec, theta, X, y,
+                                               weights).values)
+        np.testing.assert_array_equal(
+            loglik, models.log_likelihood_batch(spec, theta, X, y))
+        assert models.objective(spec, theta, loglik, weights) == \
+            models.mean_nll(spec, theta, X, y, weights)
+    grad, norms, loglik = models.clipped_gradient_loglik(spec, theta, X, y,
+                                                         0.05)
+    ref, ref_norms = models.clipped_gradient_sum(spec, theta, X, y, 0.05)
+    np.testing.assert_array_equal(grad, ref.values)
+    np.testing.assert_array_equal(norms, ref_norms)
+    assert models.objective(spec, theta, loglik) == \
+        models.mean_nll(spec, theta, X, y)

@@ -174,3 +174,23 @@ def test_phase_error_names_phase(monkeypatch):
     with pytest.raises(pipeline.PhaseError) as err:
         pipeline.run_swag_ppm(cfg, train)
     assert err.value.phase == "swag-round-1"
+
+
+def test_scoring_failure_removes_the_partial_score_file(monkeypatch,
+                                                        tmp_path):
+    cfg = tiny_config()
+    train, _ = pipeline.prepare_data(cfg)
+    rows = ppm.abs_loglik_rows
+
+    def two_rows_then_fail(*args):
+        for s, row in enumerate(rows(*args)):
+            if s == 2:
+                raise RuntimeError("scoring failed")
+            yield row
+
+    monkeypatch.setattr(ppm, "abs_loglik_rows", two_rows_then_fail)
+    out = str(tmp_path / "run")
+    with pytest.raises(pipeline.PhaseError) as err:
+        pipeline.run_swag_ppm(cfg, train, out_dir=out)
+    assert err.value.phase == "risks"
+    assert os.listdir(os.path.join(out, "internal")) == []

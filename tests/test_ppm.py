@@ -330,6 +330,11 @@ def test_weights_csv_truncation(tmp_path_factory, weights):
               and (partial.count(b",") < 4 or partial.endswith(b","))):
             with pytest.raises(ppm.PpmError, match="lacks a field"):
                 ppm.load_weights_csv(path)
+        elif b"\r\n" in cut and partial.split(b",")[-1].rstrip(b"\r") \
+                != weights.stage.encode():
+            # cut inside the last row's stage
+            with pytest.raises(ppm.PpmError, match="stage"):
+                ppm.load_weights_csv(path)
 
 
 @pytest.mark.parametrize("text", [
@@ -337,9 +342,56 @@ def test_weights_csv_truncation(tmp_path_factory, weights):
     "record_id,risk,normalized_risk,alpha,stage\n1,abc,0.0,1.0,initial\n",
     "record_id,risk,normalized_risk,alpha,stage\n1.5,0.5,0.0,1.0,initial\n",
     "record_id,risk,normalized_risk,alpha,stage\n1,0.5,0.0\n",
+    "record_id,risk,normalized_risk,alpha,stage\n1,0.5,0.0,1.0,Initial\n",
+    "record_id,risk,normalized_risk,alpha,stage\n1,0.5,0.0,1.0,reweighted\n",
+    "record_id,risk,normalized_risk,alpha,stage\n1,0.5,0.0,1.0,"
+    "reweighted(k=)\n",
 ])
 def test_weights_csv_bad_file_raises_ppm_error(tmp_path, text):
     path = tmp_path / "w.csv"
     path.write_text(text)
     with pytest.raises(ppm.PpmError, match="w.csv"):
         ppm.load_weights_csv(path)
+
+
+def test_weights_csv_cut_inside_the_stage_raises(tmp_path):
+    path = tmp_path / "w.csv"
+    ppm.save_weights_csv(path, ppm.map_weights([1, 2], [0.5, 2.0], 1.0, 0.0))
+    blob = path.read_bytes()
+    assert blob.endswith(b",initial\r\n")
+    path.write_bytes(blob[:-4])  # the last stage now reads 'initi'
+    with pytest.raises(ppm.PpmError, match=r"w\.csv line 3: .*'initi'"):
+        ppm.load_weights_csv(path)
+
+
+def test_abs_loglik_matrix_rows_are_distinct_arrays():
+    rng = np.random.default_rng(6)
+    spec, theta, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=7)
+    draws = [theta.replace(theta.values * c) for c in (0.5, 1.0, 2.0)]
+    abs_ll = ppm.abs_loglik_matrix(spec, draws, X, y)
+    assert abs_ll.shape == (3, 7)
+    for row, draw in zip(abs_ll, draws):
+        np.testing.assert_array_equal(
+            row, np.abs(models.log_likelihood_batch(spec, draw, X, y)))
+    assert not np.array_equal(abs_ll[0], abs_ll[1])
+    assert not np.array_equal(abs_ll[1], abs_ll[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=score_grids(cells=st.one_of(TIED, st.floats(1e-3, 1e3))),
+       k=st.floats(0.05, 0.99))
+def test_reweighted_unclipped_risks_stay_within_k_delta(grid, k):
+    abs_ll, alpha, ids = grid
+    report = ppm.sensitivity(abs_ll, alpha, ids)
+    if report.delta <= 0:
+        return
+    weights = ppm.RiskWeights(ids, abs_ll.max(axis=0), np.zeros(len(ids)),
+                              alpha, 1.0, 0.0)
+    rw = ppm.reweight(weights, report, k)
+    after = ppm.sensitivity(abs_ll, rw.alpha, ids)
+    unclipped = rw.alpha < 1.0
+    # k * Delta up to rounding: max|ll| * (k * alpha * Delta / per_record)
+    # and per_record = max|ll| * alpha round five times, k * Delta once, and
+    # each rounding is within a unit roundoff, eps / 2
+    bound = k * report.delta * (1 + 3 * np.finfo(float).eps)
+    assert np.all(after.per_record[unclipped] <= bound)

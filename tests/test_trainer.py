@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swagppm import models, trainer
 from swagppm.params import ParameterVector
@@ -144,3 +145,110 @@ def test_dp_sgd_sigma_zero_infinite_clip_matches_sgd(rng):
 def test_dp_sgd_config_validation():
     with pytest.raises(trainer.TrainError):
         trainer.TrainConfig(trainer.DP_SGD, 0.1, 4, 1, seed=0)
+
+
+def _frozen_train(spec, theta0, X, y, config, weights=None):
+    # Reference: train as it was before its steps reused buffers: the loss
+    # from a separate mean_nll pass, then allocating AdamW, SGD and DP-SGD
+    # updates. Returns the parameters and the mean loss after each epoch.
+    shuffle_rng, noise_rng = [
+        np.random.default_rng(s)
+        for s in np.random.SeedSequence(config.seed).spawn(2)]
+    c = config
+    n = X.shape[0]
+    no_decay = models.ModelSpec(spec.family, spec.input_dim,
+                                spec.num_classes, spec.hidden_dim, 0.0)
+    theta = theta0.values
+    m = v = np.zeros(theta.size)
+    t = 0
+    out = []
+    for _ in range(c.epochs):
+        mode = (trainer.POISSON if c.optimizer == trainer.DP_SGD
+                else trainer.SHUFFLE_PARTITION)
+        loss_sum, count = 0.0, 0
+        for idx in trainer.sample_minibatches(n, c.batch_size, mode,
+                                              shuffle_rng, q=c.batch_size / n):
+            if idx.size == 0:
+                continue
+            Xb, yb = X[idx], y[idx]
+            wb = None if weights is None else weights[idx]
+            cur = ParameterVector(theta, theta0.layout)
+            loss_sum += models.mean_nll(spec, cur, Xb, yb, wb) * idx.size
+            count += idx.size
+            if c.optimizer == trainer.DP_SGD:
+                g, _ = models.clipped_gradient_sum(spec, cur, Xb, yb,
+                                                   c.clip_norm)
+                noise = noise_rng.normal(0.0, c.noise_multiplier * c.clip_norm,
+                                         size=theta.size)
+                theta = theta - c.learning_rate * (g.values + noise) \
+                    / c.batch_size
+                if c.weight_decay:
+                    theta = theta * (1.0 - c.learning_rate * c.weight_decay)
+            elif c.optimizer == trainer.SGD_CONSTANT:
+                g = models.weighted_nll_gradient(spec, cur, Xb, yb, wb).values
+                theta = theta - c.learning_rate * g
+            else:
+                g = models.weighted_nll_gradient(no_decay, cur, Xb, yb,
+                                                 wb).values
+                t += 1
+                m = c.beta1 * m + (1 - c.beta1) * g
+                v = c.beta2 * v + (1 - c.beta2) * g * g
+                m_hat = m / (1 - c.beta1 ** t)
+                v_hat = v / (1 - c.beta2 ** t)
+                step = c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+                new = theta - step
+                if c.weight_decay:
+                    new = new - c.learning_rate * c.weight_decay * theta
+                theta = new
+        out.append((theta, loss_sum / count))
+    return out
+
+
+OPTIMIZER_CONFIGS = {
+    trainer.ADAPTIVE: dict(learning_rate=0.05, weight_decay=0.01),
+    trainer.SGD_CONSTANT: dict(learning_rate=0.1, weight_decay=0.01),
+    trainer.DP_SGD: dict(learning_rate=0.1, weight_decay=0.01, clip_norm=0.5,
+                         noise_multiplier=1.1),
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_CONFIGS))
+@pytest.mark.parametrize("family",
+                         [models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN])
+def test_train_matches_frozen_allocating_loop(rng, optimizer, family):
+    # 40 records in batches of 8 for 10 epochs: 50 steps (DP-SGD: 50
+    # Poisson batches)
+    spec, theta0, X, y = random_instance(rng, family, n=40, weight_decay=0.01)
+    weights = rng.uniform(0, 1, 40)
+    cfg = trainer.TrainConfig(optimizer, batch_size=8, epochs=10, seed=3,
+                              **OPTIMIZER_CONFIGS[optimizer])
+    for w in (None, weights):
+        _, snaps = trainer.train(spec, theta0, X, y, cfg, w)
+        want = _frozen_train(spec, theta0, X, y, cfg, w)
+        assert len(snaps) == len(want) == 10
+        for snap, (values, loss) in zip(snaps, want):
+            np.testing.assert_array_equal(snap.theta.values, values)
+            assert snap.mean_train_loss == loss
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       optimizer=st.sampled_from(sorted(OPTIMIZER_CONFIGS)),
+       family=st.sampled_from([models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN]),
+       n=st.integers(2, 24), batch_size=st.integers(1, 8),
+       weight_decay=st.sampled_from([0.0, 0.01]))
+def test_all_ones_weights_train_like_no_weights(seed, optimizer, family, n,
+                                                batch_size, weight_decay):
+    spec, theta0, X, y = random_instance(np.random.default_rng(seed), family,
+                                         n=n, weight_decay=weight_decay)
+    cfg = trainer.TrainConfig(optimizer, batch_size=min(batch_size, n),
+                              epochs=3, seed=seed,
+                              **dict(OPTIMIZER_CONFIGS[optimizer],
+                                     weight_decay=weight_decay))
+    a, snaps_a = trainer.train(spec, theta0, X, y, cfg, np.ones(n))
+    b, snaps_b = trainer.train(spec, theta0, X, y, cfg, None)
+    np.testing.assert_array_equal(a.values, b.values)
+    for sa, sb in zip(snaps_a, snaps_b):
+        np.testing.assert_array_equal(sa.theta.values, sb.theta.values)
+        assert sa.mean_train_loss == sb.mean_train_loss or (
+            np.isnan(sa.mean_train_loss) and np.isnan(sb.mean_train_loss))
