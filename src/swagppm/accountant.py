@@ -2,6 +2,7 @@
 orders, additive composition, conversion to (epsilon, delta), and noise
 calibration by bisection."""
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -76,10 +77,19 @@ def compose(ledger, steps):
     """Ledger after `steps` additive compositions of the per-step RDP."""
     if steps < 0:
         raise AccountantError("steps must be nonnegative")
-    per_step = np.array([sgm_rdp(ledger.q, ledger.sigma, a)
-                         for a in ledger.orders])
+    per_step = _per_step_rdp(ledger.q, ledger.sigma, tuple(ledger.orders))
     return RdpLedger(ledger.q, ledger.sigma, steps, ledger.orders,
                      steps * per_step)
+
+
+@functools.lru_cache(maxsize=1024)
+def _per_step_rdp(q, sigma, orders):
+    """sgm_rdp at every order, memoized: the bisections of calibrate_noise
+    for several deltas at one schedule revisit the same sigmas. Read-only,
+    since every caller shares the cached array."""
+    per_step = np.array([sgm_rdp(q, sigma, a) for a in orders])
+    per_step.setflags(write=False)
+    return per_step
 
 
 def to_dp(ledger, delta):

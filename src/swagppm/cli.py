@@ -124,13 +124,14 @@ def cmd_account(args):
 def cmd_benchmark(args):
     cfg, out = _setup(args)
     rows, sweep_rows, _ = pipeline.run_benchmark(cfg, out_dir=out)
-    failed = [row for row in rows if row.error]
-    for row in rows:
+    # the delta sweep's rows are printed only when they failed
+    failed_sweep = [row for row in sweep_rows if row.error is not None]
+    for row in rows + failed_sweep:
         print("%-22s eps=%-8s delta=%-10s wF1=%.4f mF1=%.4f %s"
               % (row.name, pipeline._fmt_eps(row), row.delta,
                  row.weighted_f1, row.macro_f1,
-                 ("FAILED: " + row.error) if row.error else ""))
-    if failed:
+                 "" if row.error is None else "FAILED: " + row.error))
+    if failed_sweep or any(row.error is not None for row in rows):
         return EXIT_PHASE
     print("reports written to %s" % out)
     return EXIT_OK

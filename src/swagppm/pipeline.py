@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -233,26 +234,30 @@ def _score_draws(spec, draws, count, X, y, alpha, ids, abs_ll_path=None):
     return report
 
 
-def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
-    """Figure-of-merit pipeline: two (or three, reweighted) fine-tune + SWAG
-    rounds, risk-based weights in between, epsilon from the final draws,
-    and a single released draw kept apart from the internal draws."""
+def _swag_rounds(cfg, train_view, out_dirs=()):
+    """The fine-tune + SWAG rounds in order, run one per step of the
+    generator, each yielding (round, moments, weights, report): round 1 the
+    initial weights and no report, round 2 the sensitivity report under
+    them, round 3 the reweighted weights and their report. out_dirs pairs
+    each output directory with the last round it keeps; a round writes its
+    internal/ artefacts, byte-identical, into every directory that keeps
+    it, so releases that share rounds also share their training and
+    scoring."""
     ph = cfg["phases"]
     master = cfg["seed"]
+    for out_dir, _ in out_dirs:
+        for sub in ("internal", "release"):
+            os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     X = train_view.feature_matrix()
     y = train_view.labels
     ids = train_view.ids
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
     theta0 = models.init_params(spec, derive_seed(master, "init"))
-    internal = None
-    if out_dir:
-        internal = os.path.join(out_dir, "internal")
-        os.makedirs(internal, exist_ok=True)
-        os.makedirs(os.path.join(out_dir, "release"), exist_ok=True)
 
     weights = report = None
-    for r, (score_phase, weights_csv) in enumerate(
-            _ROUNDS[:3 if reweighted else 2], start=1):
+    for r, (score_phase, weights_csv) in enumerate(_ROUNDS, start=1):
+        dirs = [os.path.join(d, "internal") for d, last in out_dirs
+                if last >= r]
         if r == 3:
             weights = ppm.reweight(weights, report, ph["k"])
         tag = "round%d" % r
@@ -263,22 +268,35 @@ def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
                        derive_seed(master, "draws%d" % r))
         # round 1 scores unweighted: its per-record maxima are the risks
         alpha = np.ones(len(ids)) if weights is None else weights.alpha
+        abs_ll = [os.path.join(d, tag + "_abs_ll.npy") for d in dirs]
         scores = _phase(score_phase, _score_draws, spec, draws, ph["draws"],
-                        X, y, alpha, ids, internal and os.path.join(
-                            internal, tag + "_abs_ll.npy"))
+                        X, y, alpha, ids, abs_ll[0] if abs_ll else None)
+        for path in abs_ll[1:]:
+            shutil.copyfile(abs_ll[0], path)
         if weights is None:
             weights = ppm.map_weights(ids, scores.per_record, ph["c"],
                                       ph["g"])
         else:
             report = scores
-        if internal:
-            swag.save_moments(os.path.join(internal, tag + "_moments.bin"),
-                              moments)
+        for d in dirs:
+            swag.save_moments(os.path.join(d, tag + "_moments.bin"), moments)
             if weights_csv:
-                ppm.save_weights_csv(os.path.join(internal, weights_csv),
-                                     weights)
+                ppm.save_weights_csv(os.path.join(d, weights_csv), weights)
+        yield r, moments, weights, report
 
-    released = moments.sample(1, derive_seed(master, "release"))[0]
+
+def _run_to_round(rounds, last):
+    """(moments, weights, report) of round `last`, running the rounds of
+    the _swag_rounds generator up to it."""
+    for r, *state in rounds:
+        if r == last:
+            return state
+
+
+def _release(cfg, moments, weights, report, out_dir=None):
+    """The one released draw, kept apart from the internal draws, and with
+    out_dir its checkpoint and privacy report."""
+    released = moments.sample(1, derive_seed(cfg["seed"], "release"))[0]
     result = SwagPpmResult(released, report, weights, moments)
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "release", "released_model.bin"),
@@ -286,6 +304,16 @@ def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
         ppm.save_report_json(os.path.join(out_dir, "privacy_report.json"),
                              report)
     return result
+
+
+def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
+    """Figure-of-merit pipeline: two (or three, reweighted) fine-tune + SWAG
+    rounds, risk-based weights in between, epsilon from the final draws,
+    and a single released draw kept apart from the internal draws."""
+    last = 3 if reweighted else 2
+    rounds = _swag_rounds(cfg, train_view,
+                          [(out_dir, last)] if out_dir else [])
+    return _release(cfg, *_run_to_round(rounds, last), out_dir)
 
 
 def dp_schedule(cfg, n):
@@ -376,13 +404,28 @@ def run_benchmark(cfg, out_dir=None):
         except Exception as e:  # noqa: BLE001 - record and continue
             return BenchmarkRow(name, None, delta, float("nan"), float("nan"),
                                 np.full(test_view.num_classes, np.nan),
-                                time.time() - start, error=str(e))
+                                time.time() - start,
+                                error=str(e) or type(e).__name__)
 
-    def swag_run(key, reweighted):
-        res = run_swag_ppm(
-            cfg, train_view,
-            out_dir=os.path.join(out_dir, key) if out_dir else None,
-            reweighted=reweighted)
+    # the two swag rows share rounds 1-2: the plain release is taken after
+    # round 2 and the reweighted one after round 3 of the same rounds
+    swag_lasts = {"swag_ppm": 2, "swag_ppm_rw": 3}
+    rounds = _swag_rounds(cfg, train_view, [
+        (os.path.join(out_dir, key), last)
+        for key, last in swag_lasts.items()] if out_dir else [])
+    round_error = None
+
+    def swag_run(key):
+        nonlocal round_error
+        if round_error is not None:
+            raise round_error  # a shared round failed for the first row
+        try:
+            state = _run_to_round(rounds, swag_lasts[key])
+        except Exception as e:
+            round_error = e
+            raise
+        res = _release(cfg, *state,
+                       out_dir=os.path.join(out_dir, key) if out_dir else None)
         aux[key] = res
         return res.released_theta, res.epsilon
 
@@ -397,9 +440,9 @@ def run_benchmark(cfg, out_dir=None):
     rows = [
         bench("non-private", "-",
               lambda: (run_nonprivate(cfg, train_view), None)),
-        bench("swag-ppm", "O(n^-1/2)", lambda: swag_run("swag_ppm", False)),
+        bench("swag-ppm", "O(n^-1/2)", lambda: swag_run("swag_ppm")),
         bench("swag-ppm-reweighted", "O(n^-1/2)",
-              lambda: swag_run("swag_ppm_rw", True)),
+              lambda: swag_run("swag_ppm_rw")),
         bench("dp-sgd", repr(base_delta), lambda: dp_run(base_delta)),
     ]
     sweep_rows = [bench("dp-sgd", repr(delta), lambda: dp_run(delta))

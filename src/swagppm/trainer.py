@@ -62,13 +62,18 @@ def sample_minibatches(n, batch_size, mode, rng, q=None):
     """
     if mode == SHUFFLE_PARTITION:
         perm = rng.permutation(n)
-        return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
+        return [perm[b] for b in _partition(n, batch_size)]
     if mode == POISSON:
         if q is None or not (0 < q <= 1):
             raise TrainError("poisson sampling requires q in (0, 1]")
         steps = -(-n // batch_size)
         return [np.nonzero(rng.random(n) < q)[0] for _ in range(steps)]
     raise TrainError("unknown sampling mode %r" % mode)
+
+
+def _partition(n, batch_size):
+    """The row ranges of a shuffle-partition epoch, as slices."""
+    return [slice(i, min(i + batch_size, n)) for i in range(0, n, batch_size)]
 
 
 def dp_sgd_step(spec, theta, X, y, clip_norm, noise_multiplier, lr, noise_rng,
@@ -161,18 +166,29 @@ def train(spec, theta0, X, y, config, weights=None):
     adam = _Adam(len(theta0), config) if config.optimizer == ADAPTIVE else None
     # the adaptive optimizer decays theta directly, so its gradient omits it
     grad_spec = _no_decay(spec) if config.optimizer == ADAPTIVE else spec
-    q = config.batch_size / n
+    y = np.asarray(y)
     for epoch in range(config.epochs):
-        mode = POISSON if config.optimizer == DP_SGD else SHUFFLE_PARTITION
-        batches = sample_minibatches(n, config.batch_size, mode, shuffle_rng,
-                                     q=q)
+        if config.optimizer == DP_SGD:
+            batches = sample_minibatches(n, config.batch_size, POISSON,
+                                         shuffle_rng, q=config.batch_size / n)
+            Xe, ye, we = X, y, weights
+        else:
+            # permute the rows once, then take each batch as a row range:
+            # the same rows in the same order as sample_minibatches' batches,
+            # without fancy-indexing X per step. The last epoch's copy is
+            # dropped first, so only one copy is held at a time.
+            Xe = ye = we = None
+            perm = shuffle_rng.permutation(n)
+            batches = _partition(n, config.batch_size)
+            Xe, ye = X[perm], y[perm]
+            we = None if weights is None else weights[perm]
         loss_sum = 0.0
         count = 0
         for b, idx in enumerate(batches):
             if config.optimizer == DP_SGD and idx.size == 0:
                 continue
-            Xb, yb = X[idx], np.asarray(y)[idx]
-            wb = None if weights is None else weights[idx]
+            Xb, yb = Xe[idx], ye[idx]
+            wb = None if we is None else we[idx]
             if config.optimizer == DP_SGD:
                 grad, _, loglik = models.clipped_gradient_loglik(
                     spec, theta, Xb, yb, config.clip_norm)
@@ -183,8 +199,8 @@ def train(spec, theta0, X, y, config, weights=None):
             if not np.isfinite(loss):
                 raise TrainError(
                     "non-finite loss %r at epoch %d batch %d" % (loss, epoch, b))
-            loss_sum += loss * idx.size
-            count += idx.size
+            loss_sum += loss * yb.shape[0]
+            count += yb.shape[0]
             if config.optimizer == DP_SGD:
                 theta = _dp_update(
                     theta, grad, config.clip_norm, config.noise_multiplier,

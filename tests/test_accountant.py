@@ -146,3 +146,33 @@ def test_calibrate_noise_q_zero_returns_bracket_min():
 def test_calibrate_noise_unattainable():
     with pytest.raises(accountant.AccountantError):
         accountant.calibrate_noise(1e-9, 1e-12, 1.0, 10**6)
+
+
+def test_memoized_per_step_rdp_matches_uncached(monkeypatch):
+    # the deltas of a sweep share their bisections' first sigmas
+    q, steps = 64 / 1000, 300
+    deltas = [1e-4, 1e-3, 1e-2]
+    accountant._per_step_rdp.cache_clear()
+    cached = [accountant.calibrate_noise(4.0, d, q, steps) for d in deltas]
+    assert accountant._per_step_rdp.cache_info().hits > 0
+    ledgers = [accountant.compose(accountant.RdpLedger(q, s), steps)
+               for s in cached]
+    monkeypatch.setattr(accountant, "_per_step_rdp",
+                        accountant._per_step_rdp.__wrapped__)
+    assert [accountant.calibrate_noise(4.0, d, q, steps)
+            for d in deltas] == cached
+    for sigma, ledger in zip(cached, ledgers):
+        want = steps * np.array([accountant.sgm_rdp(q, sigma, a)
+                                 for a in accountant.DEFAULT_ORDERS])
+        assert (ledger.eps_rdp == want).all()
+
+
+def test_memoized_per_step_rdp_is_not_shared_with_callers():
+    q, sigma, steps = 0.01, 1.3, 100
+    first = accountant.compose(accountant.RdpLedger(q, sigma), steps)
+    want = first.eps_rdp.copy()
+    first.eps_rdp[:] = -1.0
+    again = accountant.compose(accountant.RdpLedger(q, sigma), steps)
+    assert (again.eps_rdp == want).all()
+    per_step = accountant._per_step_rdp(q, sigma, accountant.DEFAULT_ORDERS)
+    assert not per_step.flags.writeable

@@ -126,3 +126,40 @@ def test_typed_error_exits_with_phase(tmp_path, tiny_config_file, capsys,
     err = capsys.readouterr().err
     assert "phase %r failed" % command in err
     assert "unattainable" in err
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError()
+
+
+@pytest.mark.parametrize("target", ["_train_round", "run_nonprivate"])
+def test_benchmark_exits_3_on_a_failed_row(tmp_path, tiny_config_file,
+                                           capsys, monkeypatch, target):
+    monkeypatch.setattr(pipeline, target, _raise_runtime_error)
+    code = run(["--config", tiny_config_file, "--out", str(tmp_path / "o"),
+                "benchmark"])
+    assert code == cli.EXIT_PHASE
+    out = capsys.readouterr().out
+    if target == "_train_round":
+        failed = [line for line in out.splitlines() if "FAILED" in line]
+        assert len(failed) == 2
+        assert all("phase 'swag-round-1' failed" in line for line in failed)
+    else:
+        assert "FAILED: RuntimeError" in out
+
+
+def test_benchmark_exits_3_on_a_failed_sweep_row(tmp_path, tiny_config_file,
+                                                 capsys, monkeypatch):
+    run_dp_sgd = pipeline.run_dp_sgd
+
+    def fail_at_sweep_end(cfg, train_view, delta=None):
+        if delta == 0.99:
+            raise RuntimeError()
+        return run_dp_sgd(cfg, train_view, delta)
+
+    monkeypatch.setattr(pipeline, "run_dp_sgd", fail_at_sweep_end)
+    code = run(["--config", tiny_config_file, "--out", str(tmp_path / "o"),
+                "benchmark"])
+    assert code == cli.EXIT_PHASE
+    assert "delta=0.99       wF1=nan mF1=nan FAILED: RuntimeError" in \
+        capsys.readouterr().out

@@ -194,3 +194,99 @@ def test_scoring_failure_removes_the_partial_score_file(monkeypatch,
         pipeline.run_swag_ppm(cfg, train, out_dir=out)
     assert err.value.phase == "risks"
     assert os.listdir(os.path.join(out, "internal")) == []
+
+
+def _files(root):
+    """{relative path: bytes} of every file under root."""
+    out = {}
+    for d, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(d, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
+def test_benchmark_trains_each_shared_round_once(monkeypatch):
+    cfg = tiny_config()
+    cfg["delta_sweep"] = []
+    calls = []
+    train_round = pipeline._train_round
+
+    def spy(*args):
+        calls.append(args[-1])
+        return train_round(*args)
+
+    monkeypatch.setattr(pipeline, "_train_round", spy)
+    rows, _, _ = pipeline.run_benchmark(cfg)
+    assert all(row.error is None for row in rows)
+    assert calls == ["round1", "round2", "round3"]
+
+
+def test_benchmark_swag_rows_equal_separate_releases(tmp_path):
+    cfg = tiny_config()
+    cfg["delta_sweep"] = []
+    bench_out = str(tmp_path / "bench")
+    _, _, aux = pipeline.run_benchmark(cfg, out_dir=bench_out)
+    train, _ = pipeline.prepare_data(cfg)
+    for key, reweighted in (("swag_ppm", False), ("swag_ppm_rw", True)):
+        out = str(tmp_path / key)
+        alone = pipeline.run_swag_ppm(cfg, train, out_dir=out,
+                                      reweighted=reweighted)
+        shared = aux[key]
+        assert (shared.released_theta.values
+                == alone.released_theta.values).all()
+        assert shared.report.delta == alone.report.delta
+        assert shared.epsilon == alone.epsilon
+        assert (shared.weights.alpha == alone.weights.alpha).all()
+        assert shared.weights.stage == alone.weights.stage
+        want = _files(out)
+        assert len(want) == (10 if reweighted else 7)
+        assert _files(os.path.join(bench_out, key)) == want
+
+
+def test_failed_shared_round_fails_both_swag_rows(monkeypatch):
+    cfg = tiny_config()
+    cfg["delta_sweep"] = []
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("exploded")
+
+    monkeypatch.setattr(pipeline, "_train_round", boom)
+    rows, _, aux = pipeline.run_benchmark(cfg)
+    by_name = {row.name: row for row in rows}
+    plain = by_name["swag-ppm"].error
+    assert plain == "phase 'swag-round-1' failed: exploded"
+    assert by_name["swag-ppm-reweighted"].error == plain
+    assert by_name["non-private"].error is None
+    assert "swag_ppm" not in aux and "swag_ppm_rw" not in aux
+
+
+def test_release_failure_fails_only_its_row(monkeypatch, tmp_path):
+    cfg = tiny_config()
+    cfg["delta_sweep"] = []
+    save = pipeline.save_checkpoint
+
+    def fail_plain(path, *args, **kwargs):
+        if os.sep + "swag_ppm" + os.sep in path:
+            raise OSError("disk full")
+        return save(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "save_checkpoint", fail_plain)
+    rows, _, _ = pipeline.run_benchmark(cfg, out_dir=str(tmp_path / "b"))
+    by_name = {row.name: row for row in rows}
+    assert by_name["swag-ppm"].error == "disk full"
+    assert by_name["swag-ppm-reweighted"].error is None
+
+
+def test_empty_error_message_keeps_the_row_failed(monkeypatch):
+    cfg = tiny_config()
+    cfg["delta_sweep"] = []
+
+    def fail(*args):
+        raise RuntimeError()
+
+    monkeypatch.setattr(pipeline, "run_nonprivate", fail)
+    rows, _, _ = pipeline.run_benchmark(cfg)
+    assert rows[0].name == "non-private"
+    assert rows[0].error == "RuntimeError"

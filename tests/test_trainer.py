@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from swagppm import models, trainer
@@ -142,6 +143,20 @@ def test_dp_sgd_sigma_zero_infinite_clip_matches_sgd(rng):
     np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-15)
 
 
+def test_permuted_row_ranges_equal_fancy_indexed_batches(rng):
+    # the CSR arrays of each batch match X[idx] exactly, not only its values
+    X = sp.random(50, 30, density=0.2, format="csr", random_state=4)
+    perm = np.random.default_rng(0).permutation(50)
+    batches = trainer.sample_minibatches(50, 8, trainer.SHUFFLE_PARTITION,
+                                         np.random.default_rng(0))
+    Xp = X[perm]
+    for idx, rows in zip(batches, trainer._partition(50, 8)):
+        want, got = X[idx], Xp[rows]
+        for attr in ("indptr", "indices", "data"):
+            assert (getattr(got, attr) == getattr(want, attr)).all()
+        assert got.shape == want.shape
+
+
 def test_dp_sgd_config_validation():
     with pytest.raises(trainer.TrainError):
         trainer.TrainConfig(trainer.DP_SGD, 0.1, 4, 1, seed=0)
@@ -215,10 +230,15 @@ OPTIMIZER_CONFIGS = {
 @pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_CONFIGS))
 @pytest.mark.parametrize("family",
                          [models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN])
-def test_train_matches_frozen_allocating_loop(rng, optimizer, family):
+@pytest.mark.parametrize("sparse", [False, True])
+def test_train_matches_frozen_allocating_loop(rng, optimizer, family, sparse):
     # 40 records in batches of 8 for 10 epochs: 50 steps (DP-SGD: 50
-    # Poisson batches)
+    # Poisson batches). The reference takes each batch as X[idx]; train
+    # slices row ranges of a once-per-epoch permuted X, dense or CSR.
     spec, theta0, X, y = random_instance(rng, family, n=40, weight_decay=0.01)
+    if sparse:
+        X[rng.random(X.shape) < 0.5] = 0.0
+        X = sp.csr_matrix(X)
     weights = rng.uniform(0, 1, 40)
     cfg = trainer.TrainConfig(optimizer, batch_size=8, epochs=10, seed=3,
                               **OPTIMIZER_CONFIGS[optimizer])
