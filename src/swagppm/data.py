@@ -3,9 +3,10 @@ features, stratified capping/splitting, and class-imbalance measurement."""
 
 import csv
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,10 +18,18 @@ class DataError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Feature hashing
+#
+# A record's feature vector is a signed hashed bag-of-words, L2-normalized.
+# Each token adds its sign at its index: the index is the low bits of the
+# token's 64-bit FNV-1a hash and the sign is its top bit, so vectors are
+# stable across runs and platforms. Every path (`hash_features`, `load_csv`,
+# `generate`) hashes each distinct token name once and aggregates a block of
+# records in one vectorized pass (`_hash_block`).
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def fnv1a_64(token):
@@ -34,33 +43,88 @@ def tokenize(text):
     return text.lower().split()
 
 
-def hash_features(tokens, dim):
-    """Signed hashed bag-of-words, L2-normalized.
-
-    Index is the low bits of a 64-bit FNV-1a hash, sign is its top bit, so
-    the vector is stable across runs and platforms. Empty input gives the
-    zero vector.
-    """
+def _token_table(names, dim):
+    """Index and sign arrays of each token name's hash, in name order."""
     if dim < 1 or dim & (dim - 1):
         raise DataError("hash dimension must be a power of two")
-    acc = {}
-    for tok in tokens:
-        h = fnv1a_64(tok)
-        idx = h & (dim - 1)
-        sign = 1.0 if h >> 63 else -1.0
-        acc[idx] = acc.get(idx, 0.0) + sign
-    indices = np.array(sorted(acc), dtype=np.int64)
-    values = np.array([acc[i] for i in indices])
-    norm = np.linalg.norm(values)
-    if norm > 0:
-        values = values / norm
+    hashes = [fnv1a_64(name) for name in names]
+    index = np.array([h & (dim - 1) for h in hashes], dtype=np.int64)
+    sign = np.array([1.0 if h >> 63 else -1.0 for h in hashes])
+    return index, sign
+
+
+def _hash_block(lengths, index, sign, dim):
+    """Hashed features of a block of records as CSR (indptr, indices,
+    values): record r owns the next lengths[r] tokens of index/sign.
+
+    Per record this equals summing the signs per index in a dict, sorting
+    the indices and dividing by np.linalg.norm, bit for bit: sums of +-1 are
+    exact integers in any order, the norm is sqrt(x.x) over them, and the
+    division is elementwise. An index whose signs cancel keeps an explicit
+    0.0, and a record with norm 0 keeps its zero values.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n = lengths.size
+    if n * dim > _INT64_MAX:
+        raise DataError("a block of %d records is too large for dimension %d"
+                        % (n, dim))
+    owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys, inverse = np.unique(owner * dim + index, return_inverse=True)
+    sums = np.bincount(inverse, weights=sign, minlength=keys.size)
+    owner = keys // dim
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    # bincount makes an empty record's segment 0, where reduceat would not
+    norms = np.sqrt(np.bincount(owner, weights=sums * sums, minlength=n))
+    norms[norms == 0] = 1.0
+    return indptr, keys - owner * dim, sums / norms[owner]
+
+
+def _hash_documents(documents, dim):
+    """`_hash_block` over token lists, hashing each distinct token once."""
+    rows = {}  # token -> its row in the token table, in first-seen order
+    tokens = [rows.setdefault(tok, len(rows))
+              for doc in documents for tok in doc]
+    index, sign = _token_table(rows, dim)
+    tokens = np.array(tokens, dtype=np.int64)
+    return _hash_block([len(doc) for doc in documents], index[tokens],
+                       sign[tokens], dim)
+
+
+def hash_features(tokens, dim):
+    """Signed hashed bag-of-words of one token list, L2-normalized, as
+    (indices, values). Empty input gives the zero vector."""
+    _, indices, values = _hash_documents([tokens], dim)
     return indices, values
+
+
+def _check_block(indptr, indices, values):
+    """Raise DataError unless every record's indices strictly increase and
+    every value is finite."""
+    steps = np.diff(indices)
+    starts = np.asarray(indptr)[1:-1]
+    # the step into the next record's first index may go down
+    steps[starts[(starts > 0) & (starts <= steps.size)] - 1] = 1
+    if np.any(steps <= 0):
+        raise DataError("feature indices must be strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise DataError("feature values must be finite")
+
+
+def _block_records(ids, labels, indptr, indices, values):
+    """Records of a checked block; each owns a copy of its slices, so no
+    record keeps the whole block alive."""
+    _check_block(indptr, indices, values)
+    bounds = indptr.tolist()
+    return [Record._trusted(rid, indices[a:b].copy(), values[a:b].copy(),
+                           label)
+            for rid, label, a, b in zip(ids, labels, bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
 # Dataset containers
 
-@dataclass
+@dataclass(slots=True)
 class Record:
     id: int
     indices: np.ndarray
@@ -68,21 +132,32 @@ class Record:
     label: int
 
     def __post_init__(self):
-        if np.any(np.diff(self.indices) <= 0):
-            raise DataError("feature indices must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("feature values must be finite")
+        _check_block((0, len(self.indices)), self.indices, self.values)
+
+    @classmethod
+    def _trusted(cls, id, indices, values, label):
+        """A record whose arrays were already validated, built without
+        checking them again."""
+        record = object.__new__(cls)
+        record.id, record.indices, record.values, record.label = \
+            id, indices, values, label
+        return record
 
 
 class LabeledDataset:
     def __init__(self, records, feature_dim, num_classes, provenance=None,
                  label_names=None):
-        self.records = list(records)
+        self._records = tuple(records)
+        self._matrix = None
         self.feature_dim = feature_dim
         self.num_classes = num_classes
         self.provenance = provenance or {}
         self.label_names = (label_names if label_names is not None
                             else [str(c) for c in range(num_classes)])
+
+    @property
+    def records(self):
+        return self._records
 
     def __len__(self):
         return len(self.records)
@@ -102,15 +177,22 @@ class LabeledDataset:
         return counts
 
     def feature_matrix(self):
-        indptr = np.zeros(len(self.records) + 1, dtype=np.int64)
-        for i, r in enumerate(self.records):
-            indptr[i + 1] = indptr[i] + len(r.indices)
-        indices = (np.concatenate([r.indices for r in self.records])
-                   if self.records else np.zeros(0, dtype=np.int64))
-        values = (np.concatenate([r.values for r in self.records])
-                  if self.records else np.zeros(0))
-        return sp.csr_matrix((values, indices, indptr),
-                             shape=(len(self.records), self.feature_dim))
+        """The records' features as CSR, built on the first call. Every
+        caller gets the same matrix, so its arrays are read-only."""
+        if self._matrix is None:
+            indptr = np.zeros(len(self.records) + 1, dtype=np.int64)
+            for i, r in enumerate(self.records):
+                indptr[i + 1] = indptr[i] + len(r.indices)
+            indices = (np.concatenate([r.indices for r in self.records])
+                       if self.records else np.zeros(0, dtype=np.int64))
+            values = (np.concatenate([r.values for r in self.records])
+                      if self.records else np.zeros(0))
+            matrix = sp.csr_matrix((values, indices, indptr),
+                                   shape=(len(self.records), self.feature_dim))
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                array.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
 
     def subset(self, record_indices, provenance=None):
         return LabeledDataset([self.records[i] for i in record_indices],
@@ -122,7 +204,7 @@ class LabeledDataset:
         counts = self.class_counts()
         keep = np.nonzero(counts)[0]
         remap = {int(old): new for new, old in enumerate(keep)}
-        records = [Record(r.id, r.indices, r.values, remap[r.label])
+        records = [Record._trusted(r.id, r.indices, r.values, remap[r.label])
                    for r in self.records]
         names = [self.label_names[old] for old in keep]
         return LabeledDataset(records, self.feature_dim, len(keep),
@@ -173,6 +255,15 @@ class SyntheticSpec:
             raise DataError("total_records must cover every class")
         if not (0 <= self.class_signal_strength <= 1):
             raise DataError("class_signal_strength must lie in [0, 1]")
+        lo, hi = self.tokens_per_record
+        if not 0 <= lo <= hi:
+            raise DataError("tokens_per_record must be (lo, hi) with "
+                            "0 <= lo <= hi, got %r"
+                            % (self.tokens_per_record,))
+        if self.vocab_size < 1 or self.class_vocab_size < 1:
+            raise DataError("vocab_size and class_vocab_size must be >= 1")
+        if self.feature_dim < 1 or self.feature_dim & (self.feature_dim - 1):
+            raise DataError("feature_dim must be a power of two")
 
 
 def _zipf_counts(num_classes, exponent, total):
@@ -198,26 +289,36 @@ def generate(spec):
 
     Each class gets a private token pool; each record mixes class tokens
     (with probability class_signal_strength) and shared vocabulary tokens.
+    Records are hashed one class block at a time.
     """
     rng = np.random.default_rng(spec.seed)
+    integers, random = rng.integers, rng.random
     counts = _zipf_counts(spec.num_classes, spec.zipf_exponent,
                           spec.total_records)
     lo, hi = spec.tokens_per_record
+    vocab, class_vocab = spec.vocab_size, spec.class_vocab_size
+    signal, dim = spec.class_signal_strength, spec.feature_dim
+    shared = _token_table(["w%d" % j for j in range(vocab)], dim)
     records = []
-    rid = 0
     for c in range(spec.num_classes):
+        # token j < vocab is shared word j, token vocab + j is class token j
+        index, sign = (np.concatenate(pair) for pair in zip(
+            shared, _token_table(["c%d_t%d" % (c, j)
+                                  for j in range(class_vocab)], dim)))
+        lengths, tokens = [], []
         for _ in range(int(counts[c])):
-            n_tok = int(rng.integers(lo, hi + 1))
-            tokens = []
+            n_tok = int(integers(lo, hi + 1))
+            lengths.append(n_tok)
             for _ in range(n_tok):
-                if rng.random() < spec.class_signal_strength:
-                    j = int(rng.integers(spec.class_vocab_size))
-                    tokens.append("c%d_t%d" % (c, j))
+                if random() < signal:
+                    tokens.append(vocab + int(integers(class_vocab)))
                 else:
-                    tokens.append("w%d" % int(rng.integers(spec.vocab_size)))
-            indices, values = hash_features(tokens, spec.feature_dim)
-            records.append(Record(rid, indices, values, c))
-            rid += 1
+                    tokens.append(int(integers(vocab)))
+        tokens = np.array(tokens, dtype=np.int64)
+        block = _hash_block(lengths, index[tokens], sign[tokens], dim)
+        records.extend(_block_records(
+            range(len(records), len(records) + len(lengths)),
+            itertools.repeat(c), *block))
     provenance = {"kind": "synthetic", "seed": spec.seed,
                   "params": {k: getattr(spec, k) for k in
                              ("num_classes", "zipf_exponent", "total_records",
@@ -227,6 +328,28 @@ def generate(spec):
                           provenance)
 
 
+def _csv_rows(path, reader):
+    """(id, text, label) per row; DataError naming the path and line for a
+    row with a non-integer or repeated id or a missing field."""
+    lines = {}  # id -> the line it was first seen on
+    rows = []
+    for row in reader:
+        where = "%s line %d" % (path, reader.line_num)
+        if row["text"] is None or row["label"] is None:
+            raise DataError("%s: row lacks its text or label" % where)
+        try:
+            rid = int(row["id"])
+        except ValueError:
+            raise DataError("%s: id %r is not an integer"
+                            % (where, row["id"])) from None
+        if rid in lines:
+            raise DataError("%s: id %d repeats line %d"
+                            % (where, rid, lines[rid]))
+        lines[rid] = reader.line_num
+        rows.append((rid, row["text"], row["label"]))
+    return rows
+
+
 def load_csv(path, feature_dim=4096):
     """Ingest `id,text,label` rows (header required) into hashed features."""
     with open(path, newline="", encoding="utf-8") as f:
@@ -234,13 +357,15 @@ def load_csv(path, feature_dim=4096):
         if reader.fieldnames is None or \
                 [c.strip() for c in reader.fieldnames[:3]] != ["id", "text", "label"]:
             raise DataError("CSV must start with header id,text,label")
-        raw = [(int(row["id"]), row["text"], row["label"]) for row in reader]
+        reader.fieldnames = [c.strip() for c in reader.fieldnames]
+        raw = _csv_rows(path, reader)
     labels = sorted({label for _, _, label in raw})
     label_index = {name: i for i, name in enumerate(labels)}
-    records = []
-    for rid, text, label in raw:
-        indices, values = hash_features(tokenize(text), feature_dim)
-        records.append(Record(rid, indices, values, label_index[label]))
+    block = _hash_documents([tokenize(text) for _, text, _ in raw],
+                            feature_dim)
+    records = _block_records([rid for rid, _, _ in raw],
+                             [label_index[label] for _, _, label in raw],
+                             *block)
     with open(path, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
     return LabeledDataset(records, feature_dim, len(labels),

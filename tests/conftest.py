@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from swagppm import models
+
+# CI selects this profile (HYPOTHESIS_PROFILE=ci) so that a failing property
+# replays the same examples on every run and prints its reproduction blob.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_instance(rng, family, input_dim=5, num_classes=3, hidden_dim=4,

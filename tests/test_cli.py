@@ -163,3 +163,15 @@ def test_benchmark_exits_3_on_a_failed_sweep_row(tmp_path, tiny_config_file,
     assert code == cli.EXIT_PHASE
     assert "delta=0.99       wF1=nan mF1=nan FAILED: RuntimeError" in \
         capsys.readouterr().out
+
+
+def test_generate_data_exits_3_on_a_bad_csv(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,text,label\n1,fell off ladder,fracture\n"
+                    "1,cut by saw,laceration\n")
+    code = run(["--out", str(tmp_path / "o"), "--override",
+                "data.csv_path=%s" % json.dumps(str(path)), "generate-data"])
+    assert code == cli.EXIT_PHASE
+    err = capsys.readouterr().err
+    assert "phase 'generate-data' failed" in err
+    assert "%s line 3: id 1 repeats line 2" % path in err

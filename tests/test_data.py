@@ -215,7 +215,63 @@ def test_manifest_contents(tmp_path):
     path = tmp_path / "manifest.json"
     data.save_manifest(path, ds, split_seed=42)
     import json
-    obj = json.load(open(path))
+    with open(path) as f:
+        obj = json.load(f)
     assert obj["num_records"] == len(ds)
     assert obj["split_seed"] == 42
     assert sum(obj["class_counts"].values()) == len(ds)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(tokens_per_record=(5, 4)),
+    dict(tokens_per_record=(-1, 4)),
+    dict(vocab_size=0),
+    dict(class_vocab_size=0),
+    dict(feature_dim=100),
+    dict(feature_dim=0),
+])
+def test_spec_rejects_bad_values(bad):
+    with pytest.raises(data.DataError):
+        small_spec(**bad)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x1,fell,fracture", "line 3: id 'x1' is not an integer"),
+    ("4,cut by saw", "line 3: row lacks its text or label"),
+    ("4", "line 3: row lacks its text or label"),
+    ("1,cut by saw,laceration", "line 3: id 1 repeats line 2"),
+])
+def test_csv_bad_rows_raise_data_error(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,text,label\n1,fell off ladder,fracture\n%s\n"
+                    "2,slipped,fracture\n" % row)
+    with pytest.raises(data.DataError) as info:
+        data.load_csv(path)
+    assert str(path) in str(info.value) and message in str(info.value)
+
+
+def test_feature_matrix_is_built_once(monkeypatch):
+    ds = data.generate(small_spec())
+    builds = []
+    csr_matrix = data.sp.csr_matrix
+    monkeypatch.setattr(data.sp, "csr_matrix",
+                        lambda *a, **k: builds.append(1) or csr_matrix(*a, **k))
+    first = ds.feature_matrix()
+    again = ds.feature_matrix()
+    assert len(builds) == 1 and again is first
+    fresh = data.LabeledDataset(ds.records, ds.feature_dim,
+                                ds.num_classes).feature_matrix()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(again, name), getattr(fresh, name))
+    assert isinstance(ds.records, tuple)
+    with pytest.raises(ValueError):
+        first.data[0] = 0.0
+    with pytest.raises(AttributeError):
+        ds.records = ()
+
+
+def test_csv_header_names_may_carry_spaces(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("id, text , label\n1,fell off ladder,fracture\n")
+    ds = data.load_csv(path, feature_dim=64)
+    assert ds.label_names == ["fracture"] and ds.records[0].id == 1
