@@ -22,12 +22,10 @@ spec = models.ModelSpec(models.SOFTMAX_LINEAR, dataset.feature_dim,
                         dataset.num_classes, weight_decay=1e-4)
 theta = models.init_params(spec, seed=3)
 
-ft = trainer.TrainConfig(trainer.ADAPTIVE, 0.01, 32, 5, seed=4,
-                         weight_decay=spec.weight_decay)
+ft = trainer.TrainConfig(trainer.ADAPTIVE, 0.01, 32, 5, seed=4)
 theta, _ = trainer.train(spec, theta, X, y, ft)
 
-sw = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.03, 32, 12, seed=5,
-                         weight_decay=spec.weight_decay)
+sw = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.03, 32, 12, seed=5)
 _, snapshots = trainer.train(spec, theta, X, y, sw)
 
 moments = swag.SwagMoments(spec.layout(), k_max=10)

@@ -21,11 +21,9 @@ spec = models.ModelSpec(models.SOFTMAX_LINEAR, dataset.feature_dim,
                         dataset.num_classes, weight_decay=1e-4)
 
 theta = models.init_params(spec, seed=1)
-cfg = trainer.TrainConfig(trainer.ADAPTIVE, 0.01, 32, 5, seed=2,
-                          weight_decay=spec.weight_decay)
+cfg = trainer.TrainConfig(trainer.ADAPTIVE, 0.01, 32, 5, seed=2)
 theta, _ = trainer.train(spec, theta, X, y, cfg)
-sw = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.03, 32, 12, seed=3,
-                         weight_decay=spec.weight_decay)
+sw = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.03, 32, 12, seed=3)
 _, snaps = trainer.train(spec, theta, X, y, sw)
 moments = swag.SwagMoments(spec.layout())
 for s in snaps:
@@ -33,7 +31,9 @@ for s in snaps:
 
 draws = moments.sample(200, seed=4)
 abs_ll = ppm.abs_loglik_matrix(spec, draws, X, y)
-risks = ppm.compute_risks(abs_ll)
+# a record's risk is its max |ll| over the draws: the sensitivity fold's
+# per-record maxima with every weight 1
+risks = ppm.sensitivity(abs_ll, np.ones(len(dataset))).per_record
 weights = ppm.map_weights(dataset.ids, risks, c=1.0, g=0.0)
 print("risks: min %.3f, median %.3f, max %.3f"
       % (risks.min(), np.median(risks), risks.max()))

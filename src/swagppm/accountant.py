@@ -102,19 +102,20 @@ def to_dp(ledger, delta):
     return DpBudget(float(candidates[j]), delta, order=int(ledger.orders[j]))
 
 
+# calibrate_noise searches this sigma range to this width
 SIGMA_BRACKET = (0.3, 100.0)
+SIGMA_TOL = 1e-3
 
 
-def calibrate_noise(target_eps, delta, q, steps, tol=1e-3,
-                    bracket=SIGMA_BRACKET, orders=DEFAULT_ORDERS):
-    """Smallest sigma in the bracket whose composed budget meets target_eps."""
+def calibrate_noise(target_eps, delta, q, steps):
+    """Smallest sigma in SIGMA_BRACKET, to within SIGMA_TOL, whose composed
+    budget at DEFAULT_ORDERS meets target_eps."""
     if target_eps <= 0:
         raise AccountantError("target epsilon must be positive")
-    lo, hi = bracket
+    lo, hi = SIGMA_BRACKET
 
     def eps_at(sigma):
-        return to_dp(compose(RdpLedger(q, sigma, orders=orders), steps),
-                     delta).epsilon
+        return to_dp(compose(RdpLedger(q, sigma), steps), delta).epsilon
 
     if eps_at(lo) <= target_eps:
         return lo
@@ -122,7 +123,7 @@ def calibrate_noise(target_eps, delta, q, steps, tol=1e-3,
         raise AccountantError(
             "target epsilon %g unattainable for sigma in [%g, %g]"
             % (target_eps, lo, hi))
-    while hi - lo > tol:
+    while hi - lo > SIGMA_TOL:
         mid = 0.5 * (lo + hi)
         if eps_at(mid) <= target_eps:
             hi = mid

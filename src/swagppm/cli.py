@@ -29,9 +29,8 @@ def _setup(args):
     cfg = pipeline.load_config(obj, args.override)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    out = args.out or "runs/latest"
-    os.makedirs(out, exist_ok=True)
-    return cfg, out
+    os.makedirs(args.out, exist_ok=True)
+    return cfg, args.out
 
 
 def _prepare(args):
@@ -138,8 +137,7 @@ def cmd_benchmark(args):
 
 
 def cmd_report(args):
-    out = args.out or "runs/latest"
-    path = os.path.join(out, "summary.md")
+    path = os.path.join(args.out, "summary.md")
     if not os.path.exists(path):
         print("no summary at %s; run `benchmark` first" % path,
               file=sys.stderr)
@@ -156,7 +154,8 @@ def build_parser():
                     "mechanisms, with a DP-SGD baseline.")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", default="runs/latest",
+                        help="output directory (default: %(default)s)")
     parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="dotted config override, value parsed as JSON")

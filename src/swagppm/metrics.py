@@ -22,19 +22,25 @@ class ConfusionTally:
 
 
 def tally_from_predictions(y_true, y_pred, num_classes):
+    """Per-class true positives, false positives, false negatives and
+    support; a label or prediction outside [0, num_classes) raises
+    MetricsError."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    tp = np.zeros(num_classes, dtype=np.int64)
-    fp = np.zeros(num_classes, dtype=np.int64)
-    fn = np.zeros(num_classes, dtype=np.int64)
-    support = np.bincount(y_true, minlength=num_classes)
-    for t, p in zip(y_true, y_pred):
-        if t == p:
-            tp[t] += 1
-        else:
-            fp[p] += 1
-            fn[t] += 1
-    return ConfusionTally(tp, fp, fn, support)
+    if y_true.shape != y_pred.shape:
+        raise MetricsError("%d labels but %d predictions"
+                           % (y_true.size, y_pred.size))
+    for name, v in (("label", y_true), ("prediction", y_pred)):
+        if v.size and (v.min() < 0 or v.max() >= num_classes):
+            raise MetricsError("a %s lies outside [0, %d)"
+                               % (name, num_classes))
+    hit = y_true == y_pred
+
+    def count(v):
+        return np.bincount(v, minlength=num_classes)
+
+    return ConfusionTally(count(y_true[hit]), count(y_pred[~hit]),
+                          count(y_true[~hit]), count(y_true))
 
 
 def f1_per_class(tally):

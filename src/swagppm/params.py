@@ -49,7 +49,7 @@ class Layout:
 
 
 class ParameterVector:
-    """Immutable flat float64 vector; arithmetic requires matching layouts."""
+    """Immutable flat float64 vector, finite, over a named-tensor layout."""
 
     def __init__(self, values, layout):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -69,21 +69,6 @@ class ParameterVector:
 
     def replace(self, values):
         return ParameterVector(values, self.layout)
-
-    def _check(self, other):
-        if self.layout != other.layout:
-            raise LayoutError("layout mismatch between parameter vectors")
-
-    def __add__(self, other):
-        self._check(other)
-        return self.replace(self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self.replace(self.values - other.values)
-
-    def scale(self, c):
-        return self.replace(self.values * c)
 
     def __len__(self):
         return self.values.shape[0]

@@ -132,15 +132,17 @@ def derive_seed(master, tag):
 
 
 def prepare_data(cfg):
-    """Generate or ingest, cap-sample, and split. Returns (train, test)."""
+    """Generate or ingest, cap-sample, and split. Returns (train, test). A
+    synthetic spec or cap that the data layer rejects, or a field of the
+    wrong type, raises ConfigError; a CSV file that fails to load raises
+    DataError."""
     master = cfg["seed"]
     dc = cfg["data"]
-    if dc.get("csv_path"):
-        dataset = data.load_csv(dc["csv_path"],
-                                dc["synthetic"]["feature_dim"])
-    else:
-        sc = dc["synthetic"]
-        dataset = data.generate(data.SyntheticSpec(
+    sc = dc["synthetic"]
+    try:
+        if dc["cap"] < 2:
+            raise data.DataError("cap must be >= 2, got %r" % dc["cap"])
+        spec = None if dc.get("csv_path") else data.SyntheticSpec(
             num_classes=sc["num_classes"],
             zipf_exponent=sc["zipf_exponent"],
             total_records=sc["total_records"],
@@ -149,7 +151,11 @@ def prepare_data(cfg):
             class_signal_strength=sc["class_signal_strength"],
             seed=derive_seed(master, "data"),
             feature_dim=sc["feature_dim"],
-        ))
+        )
+    except (TypeError, ValueError) as e:  # DataError is a ValueError
+        raise ConfigError("data: %s" % e) from None
+    dataset = (data.load_csv(dc["csv_path"], sc["feature_dim"])
+               if spec is None else data.generate(spec))
     dataset = data.stratified_cap_sample(
         dataset, cap=dc["cap"], fraction=dc["sampling_fraction"],
         seed=derive_seed(master, "cap"))
@@ -169,13 +175,11 @@ def _train_round(spec, theta0, X, y, weights, cfg, seed_tag):
     master = cfg["seed"]
     ft_cfg = trainer.TrainConfig(
         trainer.ADAPTIVE, ph["finetune_lr"], ph["batch_size"],
-        ph["finetune_epochs"], seed=derive_seed(master, seed_tag + "/ft"),
-        weight_decay=spec.weight_decay)
+        ph["finetune_epochs"], seed=derive_seed(master, seed_tag + "/ft"))
     theta, _ = trainer.train(spec, theta0, X, y, ft_cfg, weights)
     swag_cfg = trainer.TrainConfig(
         trainer.SGD_CONSTANT, ph["swag_lr"], ph["batch_size"],
-        ph["swag_epochs"], seed=derive_seed(master, seed_tag + "/swag"),
-        weight_decay=spec.weight_decay)
+        ph["swag_epochs"], seed=derive_seed(master, seed_tag + "/swag"))
     moments = swag.SwagMoments(theta0.layout, k_max=ph["swag_rank"])
     _, snapshots = trainer.train(spec, theta, X, y, swag_cfg, weights)
     for snap in snapshots:
@@ -215,7 +219,7 @@ def _score_draws(spec, draws, count, X, y, alpha, ids, abs_ll_path=None):
     which a failure removes rather than leave it partly written."""
     rows = ppm.abs_loglik_rows(spec, draws, X, y)
     if not abs_ll_path:
-        return ppm.stream_sensitivity(rows, alpha, ids)
+        return ppm.sensitivity(rows, alpha, ids)
     sink = np.lib.format.open_memmap(abs_ll_path, mode="w+",
                                      dtype=np.float64,
                                      shape=(count, len(ids)))
@@ -226,7 +230,7 @@ def _score_draws(spec, draws, count, X, y, alpha, ids, abs_ll_path=None):
             yield row
 
     try:
-        report = ppm.stream_sensitivity(written(), alpha, ids)
+        report = ppm.sensitivity(written(), alpha, ids)
         sink.flush()
     except BaseException:
         os.remove(abs_ll_path)
@@ -348,8 +352,7 @@ def run_nonprivate(cfg, train_view):
     theta0 = models.init_params(spec, derive_seed(cfg["seed"], "init"))
     tc = trainer.TrainConfig(
         trainer.ADAPTIVE, np_cfg["learning_rate"], np_cfg["batch_size"],
-        np_cfg["epochs"], seed=derive_seed(cfg["seed"], "nonprivate"),
-        weight_decay=spec.weight_decay)
+        np_cfg["epochs"], seed=derive_seed(cfg["seed"], "nonprivate"))
     theta, _ = trainer.train(spec, theta0, train_view.feature_matrix(),
                              train_view.labels, tc)
     return theta

@@ -61,14 +61,6 @@ def abs_loglik_matrix(spec, draws, X, y):
     return np.stack(rows, axis=0)
 
 
-def compute_risks(abs_ll):
-    """Per-record risk: max |log-likelihood| over the realized draws."""
-    abs_ll = np.asarray(abs_ll)
-    if abs_ll.ndim != 2 or abs_ll.shape[0] < 1 or abs_ll.shape[1] < 1:
-        raise PpmError("risk matrix must be (draws, records) and nonempty")
-    return abs_ll.max(axis=0)
-
-
 def map_weights(record_ids, risks, c, g):
     """Linear map from min-max normalized risks to weights in [0, 1]."""
     risks = np.asarray(risks, dtype=np.float64)
@@ -86,18 +78,14 @@ def map_weights(record_ids, risks, c, g):
     return RiskWeights(record_ids, risks, normalized, alpha, c, g)
 
 
-def sensitivity(abs_ll, alpha, record_ids=None):
-    """Weighted local sensitivity over the draw grid and its 2*Delta bound."""
-    abs_ll = np.asarray(abs_ll)
-    if abs_ll.ndim != 2:
-        raise PpmError("risk matrix must be (draws, records)")
-    return stream_sensitivity(abs_ll, alpha, record_ids)
-
-
-def stream_sensitivity(rows, alpha, record_ids=None):
-    """sensitivity folded over |log-likelihood| rows, one per draw, as they
-    arrive: only the running per-record max and the draw that first
-    attains it are kept, so ties go to the lowest draw and record index."""
+def sensitivity(rows, alpha, record_ids=None):
+    """Weighted local sensitivity over the draw grid and its 2*Delta bound:
+    Delta = max over draws s and records i of alpha_i |ll_si|. rows is any
+    iterable of |log-likelihood| rows, one per draw, such as an (S, n) array
+    or abs_loglik_rows; each row is folded in as it arrives, and only the
+    running per-record max and the draw that first attains it are kept, so
+    ties go to the lowest draw and record index. With alpha all ones,
+    per_record is each record's risk, its max |ll| over the draws."""
     alpha = np.asarray(alpha, dtype=np.float64)
     per_record = None
     for s, row in enumerate(rows):

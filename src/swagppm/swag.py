@@ -66,59 +66,34 @@ class SwagMoments:
         """Element-wise variance estimate, clamped at zero."""
         return np.maximum(self.sq_mean - self.mean ** 2, 0.0)
 
-    def covariance_apply(self, z1, z2):
-        """mean + sqrt(sigma_diag/2) * z1 + D z2 / sqrt(2 (k-1)).
-
-        z1 has length p, z2 length k. With both zero this returns the mean.
-        """
-        if self.count < 1:
-            raise SwagError("no snapshots absorbed")
-        z1 = np.asarray(z1, dtype=np.float64)
-        z2 = np.asarray(z2, dtype=np.float64)
-        if np.any(z2 != 0):
-            if self.k < 2:
-                raise SwagError(
-                    "low-rank term needs at least 2 deviation columns")
-            if z2.shape[0] != self.k:
-                raise SwagError("z2 length %d != column count %d"
-                                % (z2.shape[0], self.k))
-        p = self.layout.size
-        return self._draw(self._diag_scale(), self._dev[:, :self.k], z1, z2,
-                          np.empty(p), np.empty(p))
-
-    def _diag_scale(self):
-        return np.sqrt(self.sigma_diag() / 2.0)
-
-    def _draw(self, diag_scale, dev, z1, z2, out, low_rank):
-        """The draw formula of covariance_apply, on checked arguments, built
-        in out (which may be z1); low_rank is scratch of the same length."""
-        np.multiply(diag_scale, z1, out=out)
-        np.add(self.mean, out, out=out)
-        if np.any(z2 != 0):
-            np.matmul(dev, z2, out=low_rank)
-            low_rank /= np.sqrt(2.0 * (self.k - 1))
-            out += low_rank
-        return ParameterVector(out, self.layout)
-
     def draws(self, count, seed):
-        """Lazy iterator over count posterior draws; deterministic per
-        (seed, count). The arguments are checked here, before the first
-        draw, and sigma_diag is computed once for all draws."""
+        """Lazy iterator over count posterior draws, each
+        mean + sqrt(sigma_diag/2) * z1 + D z2 / sqrt(2 (k-1)) with z1 ~ N(0,
+        I_p) and, when k >= 2, z2 ~ N(0, I_k); with k < 2 the low-rank term
+        is dropped. Deterministic per (seed, count). The arguments are
+        checked here, before the first draw, and sigma_diag is computed once
+        for all draws."""
         if count < 1:
             raise SwagError("need at least one draw")
         if self.count < 1:
             raise SwagError("no snapshots absorbed")
         return self._draws(count, np.random.default_rng(seed),
-                           self._diag_scale(), self._dev[:, :self.k])
+                           np.sqrt(self.sigma_diag() / 2.0))
 
-    def _draws(self, count, rng, diag_scale, dev):
-        # each draw is built in z1, which ParameterVector then copies
-        z1 = np.empty(self.layout.size)
+    def _draws(self, count, rng, diag_scale):
+        # each draw is built in z, which ParameterVector then copies
+        dev = self._dev[:, :self.k]
+        z = np.empty(self.layout.size)
         low_rank = np.empty(self.layout.size)
         for _ in range(count):
-            rng.standard_normal(out=z1)
-            z2 = rng.standard_normal(self.k) if self.k >= 2 else np.zeros(self.k)
-            yield self._draw(diag_scale, dev, z1, z2, z1, low_rank)
+            rng.standard_normal(out=z)
+            z *= diag_scale
+            z += self.mean
+            if self.k >= 2:
+                np.matmul(dev, rng.standard_normal(self.k), out=low_rank)
+                low_rank /= np.sqrt(2.0 * (self.k - 1))
+                z += low_rank
+            yield ParameterVector(z, self.layout)
 
     def sample(self, count, seed):
         """count posterior draws as a list; see draws."""

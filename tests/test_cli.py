@@ -175,3 +175,14 @@ def test_generate_data_exits_3_on_a_bad_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "phase 'generate-data' failed" in err
     assert "%s line 3: id 1 repeats line 2" % path in err
+
+
+@pytest.mark.parametrize("override", [
+    "data.synthetic.vocab_size=0", "data.synthetic.num_classes=1",
+    "data.cap=1", "data.synthetic.tokens_per_record=5",
+])
+def test_bad_data_config_exits_2(tmp_path, capsys, override):
+    code = run(["--out", str(tmp_path / "o"), "--override", override,
+                "generate-data"])
+    assert code == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swagppm import metrics
 
@@ -83,6 +84,50 @@ def test_tally_from_predictions_identities(rng):
     assert (t.tp + t.fp).sum() == 200
     np.testing.assert_array_equal(t.support,
                                   np.bincount(y_true, minlength=num_classes))
+
+
+def _tally_loop(y_true, y_pred, num_classes):
+    # Reference: the per-record loop tally_from_predictions ran before it
+    # counted with bincount.
+    tp = np.zeros(num_classes, dtype=np.int64)
+    fp = np.zeros(num_classes, dtype=np.int64)
+    fn = np.zeros(num_classes, dtype=np.int64)
+    support = np.bincount(y_true, minlength=num_classes)
+    for t, p in zip(y_true, y_pred):
+        if t == p:
+            tp[t] += 1
+        else:
+            fp[p] += 1
+            fn[t] += 1
+    return metrics.ConfusionTally(tp, fp, fn, support)
+
+
+@st.composite
+def predictions(draw):
+    num_classes = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 40))
+    labels = st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n)
+    return (np.array(draw(labels), dtype=np.int64),
+            np.array(draw(labels), dtype=np.int64), num_classes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=predictions())
+def test_tally_matches_per_record_loop(case):
+    got = metrics.tally_from_predictions(*case)
+    want = _tally_loop(*case)
+    for name in ("tp", "fp", "fn", "support"):
+        assert (getattr(got, name) == getattr(want, name)).all()
+        assert getattr(got, name).shape == (case[2],)
+
+
+@pytest.mark.parametrize("y_true, y_pred", [
+    ([0, 3], [0, 1]), ([0, 1], [0, 3]), ([-1, 1], [0, 1]), ([0, 1], [0, -1]),
+    ([0, 1], [0]),
+])
+def test_tally_rejects_out_of_range_or_unequal_lengths(y_true, y_pred):
+    with pytest.raises(metrics.MetricsError):
+        metrics.tally_from_predictions(np.array(y_true), np.array(y_pred), 3)
 
 
 def test_quartile_sets_basic():

@@ -75,7 +75,8 @@ def test_swag_ppm_epsilon_cross_check(tmp_path):
     assert result.epsilon == 2.0 * result.report.delta
     assert report.delta == result.report.delta
     assert report.epsilon == result.epsilon
-    persisted = json.load(open(os.path.join(out, "privacy_report.json")))
+    with open(os.path.join(out, "privacy_report.json")) as f:
+        persisted = json.load(f)
     assert persisted["epsilon"] == result.epsilon
 
 
@@ -149,16 +150,20 @@ def test_benchmark_deterministic_and_reports(tmp_path):
         assert a.weighted_f1 == b.weighted_f1
         assert a.macro_f1 == b.macro_f1
     # report files exist with the expected headers
-    summary = open(os.path.join(out, "summary.csv")).readline().strip()
-    assert summary == "model,epsilon,delta,f1_weighted,f1_macro"
-    per_class = open(os.path.join(out, "per_class.csv")).readline().strip()
-    assert per_class == "code,test_size,f1_nonprivate,f1_swagppm,f1_dpsgd"
-    sweep = open(os.path.join(out, "delta_sweep.csv")).readline().strip()
-    assert sweep == "method,target_epsilon,delta,f1_weighted,f1_macro"
+    def header(name):
+        with open(os.path.join(out, name)) as f:
+            return f.readline().strip()
+
+    assert header("summary.csv") == "model,epsilon,delta,f1_weighted,f1_macro"
+    assert header("per_class.csv") == \
+        "code,test_size,f1_nonprivate,f1_swagppm,f1_dpsgd"
+    assert header("delta_sweep.csv") == \
+        "method,target_epsilon,delta,f1_weighted,f1_macro"
     for name in ("summary.md", "manifest.json", "f1_by_class_size.csv",
                  "weight_density.csv"):
         assert os.path.exists(os.path.join(out, name))
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
     assert manifest["config"]["seed"] == cfg["seed"]
     assert "content_hash" in manifest["train_manifest"]
 

@@ -11,21 +11,26 @@ from conftest import random_instance
 FIXTURE_LL = np.array([[1.0, 4.0], [2.0, 3.0]])  # (draws, records)
 
 
+def risks(abs_ll):
+    """Per-record risks: the fold's per-record maxima with alpha all ones,
+    as the first round takes them."""
+    return ppm.sensitivity(abs_ll, np.ones(np.shape(abs_ll)[1])).per_record
+
+
 def test_compute_risks_column_max():
-    np.testing.assert_array_equal(ppm.compute_risks(FIXTURE_LL), [2.0, 4.0])
+    np.testing.assert_array_equal(risks(FIXTURE_LL), [2.0, 4.0])
 
 
 def test_compute_risks_single_draw():
-    np.testing.assert_array_equal(ppm.compute_risks(FIXTURE_LL[:1]),
-                                  FIXTURE_LL[0])
+    np.testing.assert_array_equal(risks(FIXTURE_LL[:1]), FIXTURE_LL[0])
 
 
 def test_compute_risks_monotone_in_draws():
     rng = np.random.default_rng(0)
     for _ in range(20):
         abs_ll = rng.uniform(0, 5, (6, 8))
-        base = ppm.compute_risks(abs_ll[:3])
-        more = ppm.compute_risks(abs_ll)
+        base = risks(abs_ll[:3])
+        more = risks(abs_ll)
         assert np.all(more >= base)
 
 
@@ -168,7 +173,8 @@ def test_report_json_fields(tmp_path):
     path = tmp_path / "report.json"
     ppm.save_report_json(path, report)
     import json
-    obj = json.load(open(path))
+    with open(path) as f:
+        obj = json.load(f)
     assert obj["epsilon"] == 4.0
     assert obj["argmax_record_id"] in (10, 11)
     assert obj["num_draws"] == 2
@@ -212,7 +218,7 @@ def score_grids(draw, cells=st.one_of(TIED, st.floats(0.0, 100.0))):
 @given(grid=score_grids())
 def test_stream_sensitivity_matches_matrix(grid):
     abs_ll, alpha, ids = grid
-    streamed = ppm.stream_sensitivity(iter(list(abs_ll)), alpha, ids)
+    streamed = ppm.sensitivity(iter(list(abs_ll)), alpha, ids)
     _assert_reports_equal(streamed, ppm.sensitivity(abs_ll, alpha, ids))
     delta, per_record, draw, record = _matrix_sensitivity(abs_ll, alpha, ids)
     assert (streamed.delta, streamed.argmax_draw,
@@ -236,7 +242,7 @@ def test_streamed_draws_match_scored_matrix(seed, S, zeros):
             theta.layout))
     alpha = np.where(zeros, 0.0, rng.uniform(0, 1, 8))
     ids = np.arange(8) * 3
-    streamed = ppm.stream_sensitivity(
+    streamed = ppm.sensitivity(
         ppm.abs_loglik_rows(spec, m.draws(S, seed), X, y), alpha, ids)
     _assert_reports_equal(streamed, ppm.sensitivity(
         ppm.abs_loglik_matrix(spec, m.sample(S, seed), X, y), alpha, ids))
@@ -246,7 +252,7 @@ def test_streamed_draws_match_scored_matrix(seed, S, zeros):
 @given(grid=score_grids())
 def test_stream_delta_never_decreases_with_draws(grid):
     abs_ll, alpha, ids = grid
-    deltas = [ppm.stream_sensitivity(abs_ll[:s], alpha, ids).delta
+    deltas = [ppm.sensitivity(abs_ll[:s], alpha, ids).delta
               for s in range(1, abs_ll.shape[0] + 1)]
     assert deltas == sorted(deltas)
 
@@ -255,9 +261,9 @@ def test_stream_delta_never_decreases_with_draws(grid):
 @given(grid=score_grids(cells=st.one_of(TIED, st.floats(1e-3, 1e3))))
 def test_stream_delta_scales_exactly_with_alpha(grid):
     abs_ll, alpha, ids = grid
-    base = ppm.stream_sensitivity(abs_ll, alpha, ids)
+    base = ppm.sensitivity(abs_ll, alpha, ids)
     for c in (2.0, 0.5):
-        scaled = ppm.stream_sensitivity(abs_ll, c * alpha, ids)
+        scaled = ppm.sensitivity(abs_ll, c * alpha, ids)
         assert scaled.delta == c * base.delta
         assert scaled.epsilon == 2.0 * scaled.delta
         np.testing.assert_array_equal(scaled.per_record, c * base.per_record)
@@ -265,9 +271,9 @@ def test_stream_delta_scales_exactly_with_alpha(grid):
 
 def test_stream_sensitivity_rejects_bad_input():
     with pytest.raises(ppm.PpmError):
-        ppm.stream_sensitivity(iter([]), np.ones(2))
+        ppm.sensitivity(iter([]), np.ones(2))
     with pytest.raises(ppm.PpmError):
-        ppm.stream_sensitivity([np.ones(3)], np.ones(2))
+        ppm.sensitivity([np.ones(3)], np.ones(2))
     with pytest.raises(ppm.PpmError):
         ppm.sensitivity(np.ones(2), np.ones(2))
 

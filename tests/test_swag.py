@@ -65,25 +65,40 @@ def test_running_mean_exactness():
                                rtol=1e-12)
 
 
-def test_covariance_apply_mean_recovery(p1):
+class _FixedNormals:
+    """Stands in for the draw generator: every draw gets the normals z1
+    (length p) and z2 (length k)."""
+
+    def __init__(self, z1, z2):
+        self.z1, self.z2 = z1, z2
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.array(self.z2, dtype=float)
+        out[:] = self.z1
+        return out
+
+
+def _draw_with(monkeypatch, m, z1, z2):
+    """The draw m.draws makes from the normals z1 and z2."""
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _FixedNormals(z1, z2))
+    (draw,) = m.draws(1, seed=0)
+    return draw
+
+
+def test_covariance_apply_mean_recovery(p1, monkeypatch):
     m = swag.SwagMoments(p1, k_max=2)
     m.absorb(vec(p1, 1.0)).absorb(vec(p1, 3.0))
-    out = m.covariance_apply(np.zeros(1), np.zeros(2))
+    out = _draw_with(monkeypatch, m, [0.0], [0.0, 0.0])
     assert out.values[0] == 2.0
 
 
-def test_covariance_apply_hand_fixture(p1):
+def test_covariance_apply_hand_fixture(p1, monkeypatch):
     m = swag.SwagMoments(p1, k_max=2)
     m.absorb(vec(p1, 1.0)).absorb(vec(p1, 3.0))
-    out = m.covariance_apply(np.array([1.0]), np.array([0.0, 1.0]))
+    out = _draw_with(monkeypatch, m, [1.0], [0.0, 1.0])
     assert out.values[0] == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-12)
-
-
-def test_covariance_apply_low_rank_requires_columns(p1):
-    m = swag.SwagMoments(p1, k_max=2)
-    m.absorb(vec(p1, 1.0))
-    with pytest.raises(swag.SwagError):
-        m.covariance_apply(np.zeros(1), np.array([1.0]))
 
 
 def monte_carlo_moments(p=4, T=6, draws=4000):
@@ -96,13 +111,9 @@ def monte_carlo_moments(p=4, T=6, draws=4000):
 
 
 def test_covariance_monte_carlo_oracle():
-    m, rng = monte_carlo_moments()
-    p, k = m.layout.size, m.k
-    draws = 20_000
-    outs = np.empty((draws, p))
-    for i in range(draws):
-        outs[i] = m.covariance_apply(rng.standard_normal(p),
-                                     rng.standard_normal(k)).values
+    m, _ = monte_carlo_moments()
+    k = m.k
+    outs = np.stack([d.values for d in m.draws(20_000, seed=8)])
     D = np.stack(m.dev_columns, axis=1)
     target = 0.5 * (np.diag(m.sigma_diag()) + D @ D.T / (k - 1))
     sample_cov = np.cov(outs.T)
@@ -200,7 +211,7 @@ def test_clamped_entries_counted_once():
 
 def _sample_loop(m, count, seed):
     # Reference: sample() as a list built draw by draw through the
-    # covariance_apply formula, with sigma_diag recomputed for every draw.
+    # covariance formula, with sigma_diag recomputed for every draw.
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(count):

@@ -36,9 +36,9 @@ def test_zero_epochs_identity():
 @pytest.mark.parametrize("optimizer",
                          [trainer.SGD_CONSTANT, trainer.ADAPTIVE])
 def test_train_deterministic(rng, optimizer):
-    spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=20)
-    cfg = trainer.TrainConfig(optimizer, 0.05, 5, 3, seed=99,
-                              weight_decay=0.01)
+    spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=20,
+                                         weight_decay=0.01)
+    cfg = trainer.TrainConfig(optimizer, 0.05, 5, 3, seed=99)
     a, _ = trainer.train(spec, theta0, X, y, cfg)
     b, _ = trainer.train(spec, theta0, X, y, cfg)
     np.testing.assert_array_equal(a.values, b.values)
@@ -59,9 +59,24 @@ def test_batch_size_exceeds_dataset(rng):
         trainer.train(spec, theta0, X, y, cfg)
 
 
+def _shuffle_batches(n, batch_size, rng):
+    # Reference: a shuffle-partition epoch, a random permutation chopped
+    # into batch_size chunks, as the trainer takes it for SGD and Adam.
+    perm = rng.permutation(n)
+    return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
+
+
+def _poisson_batches(n, batch_size, rng, q):
+    # Reference: a DP-SGD epoch, ceil(n / batch_size) batches that each take
+    # every record independently with probability q, as the trainer draws
+    # them with q = batch_size / n.
+    return [np.nonzero(rng.random(n) < q)[0]
+            for _ in range(-(-n // batch_size))]
+
+
 def test_shuffle_partition_covers():
     rng = np.random.default_rng(0)
-    batches = trainer.sample_minibatches(10, 3, trainer.SHUFFLE_PARTITION, rng)
+    batches = _shuffle_batches(10, 3, rng)
     sizes = sorted(len(b) for b in batches)
     assert sizes == [1, 3, 3, 3]
     assert sorted(np.concatenate(batches).tolist()) == list(range(10))
@@ -69,10 +84,9 @@ def test_shuffle_partition_covers():
 
 def test_poisson_q_one_full_batches():
     rng = np.random.default_rng(0)
-    batches = trainer.sample_minibatches(10, 5, trainer.POISSON, rng,
-                                         q=1.0 - 1e-16)
+    batches = _poisson_batches(10, 5, rng, q=1.0 - 1e-16)
     # q effectively 1: every record in every batch
-    batches = trainer.sample_minibatches(10, 5, trainer.POISSON, rng, q=1.0)
+    batches = _poisson_batches(10, 5, rng, q=1.0)
     for b in batches:
         assert b.tolist() == list(range(10))
 
@@ -80,17 +94,25 @@ def test_poisson_q_one_full_batches():
 def test_poisson_inclusion_rate():
     rng = np.random.default_rng(7)
     n = 10_000
-    (batch,) = trainer.sample_minibatches(n, n, trainer.POISSON, rng, q=0.5)
+    (batch,) = _poisson_batches(n, n, rng, q=0.5)
     sd = np.sqrt(n * 0.25)
     assert abs(batch.size - 5000) < 3 * sd
 
 
+def _one_full_batch_dp_step(spec, theta0, X, y, clip_norm, noise_multiplier,
+                            lr, seed):
+    # batch_size n makes q = 1: one epoch is one step on every record
+    cfg = trainer.TrainConfig(trainer.DP_SGD, lr, X.shape[0], 1, seed=seed,
+                              clip_norm=clip_norm,
+                              noise_multiplier=noise_multiplier)
+    theta, _ = trainer.train(spec, theta0, X, y, cfg)
+    return theta
+
+
 def test_dp_sgd_step_degenerates_to_sgd(rng):
     spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=6)
-    noise_rng = np.random.default_rng(1)
-    stepped = trainer.dp_sgd_step(spec, theta0, X, y, clip_norm=1e9,
-                                  noise_multiplier=0.0, lr=0.1,
-                                  noise_rng=noise_rng)
+    stepped = _one_full_batch_dp_step(spec, theta0, X, y, clip_norm=1e9,
+                                      noise_multiplier=0.0, lr=0.1, seed=1)
     grad = models.weighted_nll_gradient(spec, theta0, X, y)
     plain = theta0.values - 0.1 * grad.values
     np.testing.assert_allclose(stepped.values, plain, rtol=1e-12, atol=1e-16)
@@ -107,18 +129,9 @@ def test_dp_sgd_clip_norm_exact(rng):
 
 def test_dp_sgd_step_reproducible(rng):
     spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=6)
-    a = trainer.dp_sgd_step(spec, theta0, X, y, 1.0, 1.0, 0.1,
-                            np.random.default_rng(42))
-    b = trainer.dp_sgd_step(spec, theta0, X, y, 1.0, 1.0, 0.1,
-                            np.random.default_rng(42))
+    a = _one_full_batch_dp_step(spec, theta0, X, y, 1.0, 1.0, 0.1, seed=42)
+    b = _one_full_batch_dp_step(spec, theta0, X, y, 1.0, 1.0, 0.1, seed=42)
     np.testing.assert_array_equal(a.values, b.values)
-
-
-def test_dp_sgd_empty_minibatch(rng):
-    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=3)
-    with pytest.raises(trainer.TrainError):
-        trainer.dp_sgd_step(spec, theta0, X[:0], y[:0], 1.0, 1.0, 0.1,
-                            np.random.default_rng(0))
 
 
 def test_clip_never_increases_norms(rng):
@@ -147,10 +160,10 @@ def test_permuted_row_ranges_equal_fancy_indexed_batches(rng):
     # the CSR arrays of each batch match X[idx] exactly, not only its values
     X = sp.random(50, 30, density=0.2, format="csr", random_state=4)
     perm = np.random.default_rng(0).permutation(50)
-    batches = trainer.sample_minibatches(50, 8, trainer.SHUFFLE_PARTITION,
-                                         np.random.default_rng(0))
+    batches = _shuffle_batches(50, 8, np.random.default_rng(0))
     Xp = X[perm]
-    for idx, rows in zip(batches, trainer._partition(50, 8)):
+    for idx, rows in zip(batches, [slice(i, min(i + 8, 50))
+                                   for i in range(0, 50, 8)]):
         want, got = X[idx], Xp[rows]
         for attr in ("indptr", "indices", "data"):
             assert (getattr(got, attr) == getattr(want, attr)).all()
@@ -165,7 +178,8 @@ def test_dp_sgd_config_validation():
 def _frozen_train(spec, theta0, X, y, config, weights=None):
     # Reference: train as it was before its steps reused buffers: the loss
     # from a separate mean_nll pass, then allocating AdamW, SGD and DP-SGD
-    # updates. Returns the parameters and the mean loss after each epoch.
+    # updates, with weight decay spec.weight_decay and no decay in DP-SGD.
+    # Returns the parameters and the mean loss after each epoch.
     shuffle_rng, noise_rng = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(2)]
@@ -178,11 +192,13 @@ def _frozen_train(spec, theta0, X, y, config, weights=None):
     t = 0
     out = []
     for _ in range(c.epochs):
-        mode = (trainer.POISSON if c.optimizer == trainer.DP_SGD
-                else trainer.SHUFFLE_PARTITION)
+        if c.optimizer == trainer.DP_SGD:
+            batches = _poisson_batches(n, c.batch_size, shuffle_rng,
+                                       c.batch_size / n)
+        else:
+            batches = _shuffle_batches(n, c.batch_size, shuffle_rng)
         loss_sum, count = 0.0, 0
-        for idx in trainer.sample_minibatches(n, c.batch_size, mode,
-                                              shuffle_rng, q=c.batch_size / n):
+        for idx in batches:
             if idx.size == 0:
                 continue
             Xb, yb = X[idx], y[idx]
@@ -197,8 +213,6 @@ def _frozen_train(spec, theta0, X, y, config, weights=None):
                                          size=theta.size)
                 theta = theta - c.learning_rate * (g.values + noise) \
                     / c.batch_size
-                if c.weight_decay:
-                    theta = theta * (1.0 - c.learning_rate * c.weight_decay)
             elif c.optimizer == trainer.SGD_CONSTANT:
                 g = models.weighted_nll_gradient(spec, cur, Xb, yb, wb).values
                 theta = theta - c.learning_rate * g
@@ -206,23 +220,23 @@ def _frozen_train(spec, theta0, X, y, config, weights=None):
                 g = models.weighted_nll_gradient(no_decay, cur, Xb, yb,
                                                  wb).values
                 t += 1
-                m = c.beta1 * m + (1 - c.beta1) * g
-                v = c.beta2 * v + (1 - c.beta2) * g * g
-                m_hat = m / (1 - c.beta1 ** t)
-                v_hat = v / (1 - c.beta2 ** t)
-                step = c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+                m = 0.9 * m + (1 - 0.9) * g
+                v = 0.999 * v + (1 - 0.999) * g * g
+                m_hat = m / (1 - 0.9 ** t)
+                v_hat = v / (1 - 0.999 ** t)
+                step = c.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
                 new = theta - step
-                if c.weight_decay:
-                    new = new - c.learning_rate * c.weight_decay * theta
+                if spec.weight_decay:
+                    new = new - c.learning_rate * spec.weight_decay * theta
                 theta = new
         out.append((theta, loss_sum / count))
     return out
 
 
 OPTIMIZER_CONFIGS = {
-    trainer.ADAPTIVE: dict(learning_rate=0.05, weight_decay=0.01),
-    trainer.SGD_CONSTANT: dict(learning_rate=0.1, weight_decay=0.01),
-    trainer.DP_SGD: dict(learning_rate=0.1, weight_decay=0.01, clip_norm=0.5,
+    trainer.ADAPTIVE: dict(learning_rate=0.05),
+    trainer.SGD_CONSTANT: dict(learning_rate=0.1),
+    trainer.DP_SGD: dict(learning_rate=0.1, clip_norm=0.5,
                          noise_multiplier=1.1),
 }
 
@@ -263,8 +277,7 @@ def test_all_ones_weights_train_like_no_weights(seed, optimizer, family, n,
                                          n=n, weight_decay=weight_decay)
     cfg = trainer.TrainConfig(optimizer, batch_size=min(batch_size, n),
                               epochs=3, seed=seed,
-                              **dict(OPTIMIZER_CONFIGS[optimizer],
-                                     weight_decay=weight_decay))
+                              **OPTIMIZER_CONFIGS[optimizer])
     a, snaps_a = trainer.train(spec, theta0, X, y, cfg, np.ones(n))
     b, snaps_b = trainer.train(spec, theta0, X, y, cfg, None)
     np.testing.assert_array_equal(a.values, b.values)
