@@ -49,10 +49,8 @@ def _f1_line(ev):
 
 def cmd_generate_data(args):
     cfg, out, train_view, test_view, _ = _prepare(args)
-    data.save_manifest(os.path.join(out, "train_manifest.json"), train_view,
-                       split_seed=cfg["seed"])
-    data.save_manifest(os.path.join(out, "test_manifest.json"), test_view,
-                       split_seed=cfg["seed"])
+    data.save_manifest(os.path.join(out, "train_manifest.json"), train_view)
+    data.save_manifest(os.path.join(out, "test_manifest.json"), test_view)
     print("train: %d records, %d classes, gini=%.3f"
           % (len(train_view), train_view.num_classes,
              data.gini(train_view.class_counts())))

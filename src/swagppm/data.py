@@ -3,7 +3,6 @@ features, stratified capping/splitting, and class-imbalance measurement."""
 
 import csv
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Tuple
@@ -98,6 +97,12 @@ def hash_features(tokens, dim):
     return indices, values
 
 
+def _csr(indptr, indices, values, dim):
+    """The CSR matrix of a hashed block."""
+    return sp.csr_matrix((values, indices, indptr),
+                         shape=(len(indptr) - 1, dim))
+
+
 def _check_block(indptr, indices, values):
     """Raise DataError unless every record's indices strictly increase and
     every value is finite."""
@@ -111,124 +116,103 @@ def _check_block(indptr, indices, values):
         raise DataError("feature values must be finite")
 
 
-def _block_records(ids, labels, indptr, indices, values):
-    """Records of a checked block; each owns a copy of its slices, so no
-    record keeps the whole block alive."""
-    _check_block(indptr, indices, values)
-    bounds = indptr.tolist()
-    return [Record._trusted(rid, indices[a:b].copy(), values[a:b].copy(),
-                           label)
-            for rid, label, a, b in zip(ids, labels, bounds, bounds[1:])]
-
-
 # ---------------------------------------------------------------------------
 # Dataset containers
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Record:
+    """One row of a dataset, as `LabeledDataset.records` builds it."""
     id: int
     indices: np.ndarray
     values: np.ndarray
     label: int
 
-    def __post_init__(self):
-        _check_block((0, len(self.indices)), self.indices, self.values)
-
-    @classmethod
-    def _trusted(cls, id, indices, values, label):
-        """A record whose arrays were already validated, built without
-        checking them again."""
-        record = object.__new__(cls)
-        record.id, record.indices, record.values, record.label = \
-            id, indices, values, label
-        return record
-
 
 class LabeledDataset:
-    def __init__(self, records, feature_dim, num_classes, provenance=None,
+    """Records as arrays: row i of the CSR feature matrix is record ids[i],
+    labelled labels[i]. Validated once here, then every array is read-only,
+    so every caller can share them."""
+
+    def __init__(self, ids, labels, matrix, num_classes, provenance=None,
                  label_names=None):
-        self._records = tuple(records)
-        self._matrix = None
-        self.feature_dim = feature_dim
+        try:
+            self.ids = np.array(ids, dtype=np.int64)
+        except OverflowError:
+            raise DataError("record ids must fit in int64") from None
+        self.labels = np.array(labels, dtype=np.int64)
+        self._matrix = matrix = sp.csr_matrix(matrix)
+        self.feature_dim = dim = matrix.shape[1]
+        if not self.ids.shape == self.labels.shape == matrix.shape[:1]:
+            raise DataError("ids, labels and feature rows differ in number")
+        _check_block(matrix.indptr, matrix.indices, matrix.data)
+        if np.any((matrix.indices < 0) | (matrix.indices >= dim)):
+            raise DataError("feature indices must lie in [0, %d)" % dim)
+        if np.any((self.labels < 0) | (self.labels >= num_classes)):
+            raise DataError("labels must lie in [0, %d)" % num_classes)
+        for array in (self.ids, self.labels, matrix.indptr, matrix.indices,
+                      matrix.data):
+            array.flags.writeable = False
         self.num_classes = num_classes
         self.provenance = provenance or {}
         self.label_names = (label_names if label_names is not None
                             else [str(c) for c in range(num_classes)])
 
+    def __len__(self):
+        return self.ids.size
+
+    def _rows(self):
+        """A Record per row, its indices cast from the CSR's int32 to int64."""
+        m = self._matrix
+        bounds = m.indptr.tolist()
+        for rid, label, a, b in zip(self.ids.tolist(), self.labels.tolist(),
+                                    bounds, bounds[1:]):
+            yield Record(rid, m.indices[a:b].astype(np.int64), m.data[a:b],
+                         label)
+
     @property
     def records(self):
-        return self._records
-
-    def __len__(self):
-        return len(self.records)
-
-    @property
-    def ids(self):
-        return np.array([r.id for r in self.records])
-
-    @property
-    def labels(self):
-        return np.array([r.label for r in self.records])
+        """The rows as Records, built on each access."""
+        return tuple(self._rows())
 
     def class_counts(self):
-        counts = np.zeros(self.num_classes, dtype=np.int64)
-        for r in self.records:
-            counts[r.label] += 1
-        return counts
+        return np.bincount(self.labels, minlength=self.num_classes)
 
     def feature_matrix(self):
-        """The records' features as CSR, built on the first call. Every
-        caller gets the same matrix, so its arrays are read-only."""
-        if self._matrix is None:
-            indptr = np.zeros(len(self.records) + 1, dtype=np.int64)
-            for i, r in enumerate(self.records):
-                indptr[i + 1] = indptr[i] + len(r.indices)
-            indices = (np.concatenate([r.indices for r in self.records])
-                       if self.records else np.zeros(0, dtype=np.int64))
-            values = (np.concatenate([r.values for r in self.records])
-                      if self.records else np.zeros(0))
-            matrix = sp.csr_matrix((values, indices, indptr),
-                                   shape=(len(self.records), self.feature_dim))
-            for array in (matrix.data, matrix.indices, matrix.indptr):
-                array.flags.writeable = False
-            self._matrix = matrix
+        """The read-only CSR feature matrix, the same object on each call."""
         return self._matrix
 
     def subset(self, record_indices, provenance=None):
-        return LabeledDataset([self.records[i] for i in record_indices],
-                              self.feature_dim, self.num_classes,
+        idx = np.asarray(record_indices, dtype=np.intp)
+        return LabeledDataset(self.ids[idx], self.labels[idx],
+                              self._matrix[idx], self.num_classes,
                               provenance or self.provenance, self.label_names)
 
     def compact_labels(self):
         """Renumber labels contiguously, dropping empty classes."""
-        counts = self.class_counts()
-        keep = np.nonzero(counts)[0]
-        remap = {int(old): new for new, old in enumerate(keep)}
-        records = [Record._trusted(r.id, r.indices, r.values, remap[r.label])
-                   for r in self.records]
-        names = [self.label_names[old] for old in keep]
-        return LabeledDataset(records, self.feature_dim, len(keep),
-                              self.provenance, names)
+        present = self.class_counts() > 0
+        remap = np.cumsum(present) - 1
+        names = [name for name, p in zip(self.label_names, present) if p]
+        return LabeledDataset(self.ids, remap[self.labels], self._matrix,
+                              len(names), self.provenance, names)
 
     def content_hash(self):
         h = hashlib.sha256()
-        for r in self.records:
+        for r in self._rows():
             h.update(str(r.id).encode())
             h.update(r.indices.tobytes())
-            h.update(np.ascontiguousarray(r.values).tobytes())
+            h.update(r.values.tobytes())
             h.update(str(r.label).encode())
         return h.hexdigest()
 
-    def manifest(self, split_seed=None):
+    def manifest(self):
         counts = self.class_counts()
         return {
             "provenance": self.provenance,
-            "num_records": len(self.records),
+            "num_records": len(self),
             "num_classes": self.num_classes,
             "class_counts": {self.label_names[c]: int(counts[c])
                              for c in range(self.num_classes)},
             "gini": gini(counts),
-            "split_seed": split_seed,
             "content_hash": self.content_hash(),
         }
 
@@ -289,7 +273,7 @@ def generate(spec):
 
     Each class gets a private token pool; each record mixes class tokens
     (with probability class_signal_strength) and shared vocabulary tokens.
-    Records are hashed one class block at a time.
+    The whole corpus is hashed in one block.
     """
     rng = np.random.default_rng(spec.seed)
     integers, random = rng.integers, rng.random
@@ -298,34 +282,33 @@ def generate(spec):
     lo, hi = spec.tokens_per_record
     vocab, class_vocab = spec.vocab_size, spec.class_vocab_size
     signal, dim = spec.class_signal_strength, spec.feature_dim
-    shared = _token_table(["w%d" % j for j in range(vocab)], dim)
-    records = []
+    # token j < vocab is shared word j, token vocab + c * class_vocab + j is
+    # class c's token j
+    index, sign = _token_table(
+        ["w%d" % j for j in range(vocab)]
+        + ["c%d_t%d" % (c, j) for c in range(spec.num_classes)
+           for j in range(class_vocab)], dim)
+    lengths, tokens = [], []
     for c in range(spec.num_classes):
-        # token j < vocab is shared word j, token vocab + j is class token j
-        index, sign = (np.concatenate(pair) for pair in zip(
-            shared, _token_table(["c%d_t%d" % (c, j)
-                                  for j in range(class_vocab)], dim)))
-        lengths, tokens = [], []
+        own = vocab + c * class_vocab
         for _ in range(int(counts[c])):
             n_tok = int(integers(lo, hi + 1))
             lengths.append(n_tok)
             for _ in range(n_tok):
                 if random() < signal:
-                    tokens.append(vocab + int(integers(class_vocab)))
+                    tokens.append(own + int(integers(class_vocab)))
                 else:
                     tokens.append(int(integers(vocab)))
-        tokens = np.array(tokens, dtype=np.int64)
-        block = _hash_block(lengths, index[tokens], sign[tokens], dim)
-        records.extend(_block_records(
-            range(len(records), len(records) + len(lengths)),
-            itertools.repeat(c), *block))
+    tokens = np.array(tokens, dtype=np.int64)
+    matrix = _csr(*_hash_block(lengths, index[tokens], sign[tokens], dim), dim)
     provenance = {"kind": "synthetic", "seed": spec.seed,
                   "params": {k: getattr(spec, k) for k in
                              ("num_classes", "zipf_exponent", "total_records",
                               "vocab_size", "class_signal_strength",
                               "feature_dim")}}
-    return LabeledDataset(records, spec.feature_dim, spec.num_classes,
-                          provenance)
+    return LabeledDataset(np.arange(len(lengths)),
+                          np.repeat(np.arange(spec.num_classes), counts),
+                          matrix, spec.num_classes, provenance)
 
 
 def _csv_rows(path, reader):
@@ -361,14 +344,13 @@ def load_csv(path, feature_dim=4096):
         raw = _csv_rows(path, reader)
     labels = sorted({label for _, _, label in raw})
     label_index = {name: i for i, name in enumerate(labels)}
-    block = _hash_documents([tokenize(text) for _, text, _ in raw],
-                            feature_dim)
-    records = _block_records([rid for rid, _, _ in raw],
-                             [label_index[label] for _, _, label in raw],
-                             *block)
+    matrix = _csr(*_hash_documents([tokenize(text) for _, text, _ in raw],
+                                   feature_dim), feature_dim)
     with open(path, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
-    return LabeledDataset(records, feature_dim, len(labels),
+    return LabeledDataset([rid for rid, _, _ in raw],
+                          [label_index[label] for _, _, label in raw], matrix,
+                          len(labels),
                           {"kind": "csv", "path": str(path), "hash": digest},
                           label_names=labels)
 
@@ -422,8 +404,9 @@ def stratified_split(dataset, train_fraction=0.5, seed=0):
         test_idx.extend(perm[n_train:].tolist())
     train_idx.sort()
     test_idx.sort()
-    return (dataset.subset(train_idx, dict(dataset.provenance, split="train")),
-            dataset.subset(test_idx, dict(dataset.provenance, split="test")))
+    return tuple(dataset.subset(idx, dict(dataset.provenance, split={
+        "part": part, "train_fraction": train_fraction, "seed": seed}))
+        for part, idx in (("train", train_idx), ("test", test_idx)))
 
 
 def gini(class_counts):
@@ -438,6 +421,6 @@ def gini(class_counts):
                  / (2.0 * m * m * mu))
 
 
-def save_manifest(path, dataset, split_seed=None):
+def save_manifest(path, dataset):
     with open(path, "w") as f:
-        json.dump(dataset.manifest(split_seed), f, indent=1)
+        json.dump(dataset.manifest(), f, indent=1)

@@ -82,46 +82,44 @@ DEFAULT_CONFIG = {
 }
 
 
-def _check_keys(section, allowed, path):
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError("unknown config keys at %s: %s"
-                          % (path, sorted(unknown)))
+def _merge(section, update, path):
+    """Merge update into a config section key by key, rejecting unknown
+    keys. A subsection is merged in turn, never replaced by a value, and a
+    value is never replaced by a section."""
+    if not isinstance(update, dict):
+        raise ConfigError("%s is a section, not a value: %r"
+                          % (path or "the config", update))
+    for key, value in update.items():
+        where = "%s.%s" % (path, key) if path else key
+        if key not in section:
+            raise ConfigError("unknown config key %r" % where)
+        if isinstance(section[key], dict):
+            _merge(section[key], value, where)
+        elif isinstance(value, dict):
+            raise ConfigError("%s is a value, not a section" % where)
+        else:
+            section[key] = value
 
 
 def load_config(obj=None, overrides=None):
     """Merge a (partial) config dict over the defaults, rejecting unknown
-    keys, and apply dotted key=value overrides."""
+    keys, then each dotted key=value override, which sets one value."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    obj = obj or {}
-    _check_keys(obj, cfg, "<root>")
-    if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError("unsupported schema_version %r"
-                          % obj["schema_version"])
-    for key, value in obj.items():
-        if isinstance(value, dict):
-            _check_keys(value, cfg[key], key)
-            if key == "data" and "synthetic" in value and value["synthetic"]:
-                _check_keys(value["synthetic"], cfg["data"]["synthetic"],
-                            "data.synthetic")
-                cfg["data"]["synthetic"].update(value["synthetic"])
-                value = {k: v for k, v in value.items() if k != "synthetic"}
-            cfg[key].update(value)
-        else:
-            cfg[key] = value
+    _merge(cfg, {} if obj is None else obj, "")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError("override %r is not key=value" % item)
         dotted, raw = item.split("=", 1)
-        node = cfg
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError("unknown override path %r" % dotted)
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError("unknown override key %r" % dotted)
-        node[parts[-1]] = json.loads(raw)
+        update = json.loads(raw)
+        if isinstance(update, dict):
+            raise ConfigError("override %r sets a section, not a value"
+                              % item)
+        for part in reversed(dotted.split(".")):
+            update = {part: update}
+        _merge(cfg, update, "")
+    if cfg["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError("unsupported schema_version %r"
+                          % cfg["schema_version"])
     return cfg
 
 
@@ -142,6 +140,12 @@ def prepare_data(cfg):
     try:
         if dc["cap"] < 2:
             raise data.DataError("cap must be >= 2, got %r" % dc["cap"])
+        if not 0 < dc["sampling_fraction"] <= 1:
+            raise data.DataError("sampling_fraction must lie in (0, 1], "
+                                 "got %r" % dc["sampling_fraction"])
+        if not 0 < dc["train_fraction"] < 1:
+            raise data.DataError("train_fraction must lie in (0, 1), got %r"
+                                 % dc["train_fraction"])
         spec = None if dc.get("csv_path") else data.SyntheticSpec(
             num_classes=sc["num_classes"],
             zipf_exponent=sc["zipf_exponent"],
@@ -164,9 +168,13 @@ def prepare_data(cfg):
 
 
 def model_spec(cfg, num_classes, feature_dim):
+    """The config's model; a setting it rejects raises ConfigError."""
     mc = cfg["model"]
-    return models.ModelSpec(mc["family"], feature_dim, num_classes,
-                            mc["hidden_dim"], mc["weight_decay"])
+    try:
+        return models.ModelSpec(mc["family"], feature_dim, num_classes,
+                                mc["hidden_dim"], mc["weight_decay"])
+    except (TypeError, ValueError) as e:  # ModelError is a ValueError
+        raise ConfigError("model: %s" % e) from None
 
 
 def _train_round(spec, theta0, X, y, weights, cfg, seed_tag):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from swagppm import cli, pipeline
+from swagppm import cli, data, pipeline
 
 
 TINY = {
@@ -180,9 +180,54 @@ def test_generate_data_exits_3_on_a_bad_csv(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "data.synthetic.vocab_size=0", "data.synthetic.num_classes=1",
     "data.cap=1", "data.synthetic.tokens_per_record=5",
+    "data.train_fraction=2", 'data.train_fraction="x"',
+    "data.train_fraction=0", "data.sampling_fraction=0",
+    "data.sampling_fraction=1.5", "data.synthetic={}", "data={}",
 ])
-def test_bad_data_config_exits_2(tmp_path, capsys, override):
+def test_bad_data_config_exits_2(tmp_path, capsys, monkeypatch, override):
+    # each is rejected before any record is generated
+    monkeypatch.setattr(data, "generate", _raise_runtime_error)
     code = run(["--out", str(tmp_path / "o"), "--override", override,
                 "generate-data"])
     assert code == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+def test_bad_model_family_exits_2(tmp_path, capsys):
+    code = run(["--out", str(tmp_path / "o"), "--override",
+                'model.family="cnn"', "train"])
+    assert code == cli.EXIT_CONFIG
+    assert "unknown model family 'cnn'" in capsys.readouterr().err
+
+
+def test_config_file_section_given_a_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"model": 5}))
+    code = run(["--config", str(path), "--out", str(tmp_path / "o"),
+                "generate-data"])
+    assert code == cli.EXIT_CONFIG
+    assert "config error: model is a section" in capsys.readouterr().err
+
+
+def test_manifests_rebuild_the_split_from_the_recorded_seed(
+        tmp_path, tiny_config_file):
+    out = tmp_path / "o"
+    assert run(["--config", tiny_config_file, "--out", str(out),
+                "generate-data"]) == cli.EXIT_OK
+    cfg = pipeline.load_config(TINY)
+    sc = cfg["data"]["synthetic"]
+    for part in ("train", "test"):
+        manifest = json.loads((out / ("%s_manifest.json" % part)).read_text())
+        prov = manifest["provenance"]
+        split, cap = prov["split"], prov["cap_sample"]
+        assert split["part"] == part
+        assert split["seed"] == pipeline.derive_seed(cfg["seed"], "split")
+        dataset = data.generate(data.SyntheticSpec(
+            **dict(sc, tokens_per_record=tuple(sc["tokens_per_record"])),
+            seed=prov["seed"]))
+        capped = data.stratified_cap_sample(dataset, cap["cap"],
+                                            cap["fraction"], cap["seed"])
+        views = dict(zip(("train", "test"), data.stratified_split(
+            capped, split["train_fraction"], split["seed"])))
+        assert views[split["part"]].content_hash() == \
+            manifest["content_hash"]

@@ -1,8 +1,12 @@
 import csv
 import importlib.resources
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from swagppm import data, models, trainer
 from swagppm.params import ParameterVector
@@ -14,6 +18,16 @@ def small_spec(**overrides):
                 class_signal_strength=0.8, seed=11, feature_dim=256)
     base.update(overrides)
     return data.SyntheticSpec(**base)
+
+
+def dataset_of(labels, num_classes, columns=None):
+    """Record i has id i, label labels[i] and the one feature columns[i]
+    (default 0) of value 1.0, in dimension 8."""
+    n = len(labels)
+    columns = np.zeros(n, dtype=np.int64) if columns is None else columns
+    matrix = sp.csr_matrix((np.ones(n), columns, np.arange(n + 1)),
+                           shape=(n, 8))
+    return data.LabeledDataset(range(n), labels, matrix, num_classes)
 
 
 def test_hash_features_empty():
@@ -91,14 +105,8 @@ def test_generate_infeasible():
 
 def test_cap_sample_rule():
     # counts {A:500, B:150, C:1} -> {A:200, B:150}, singleton dropped
-    records = []
-    rid = 0
-    for label, count in [(0, 500), (1, 150), (2, 1)]:
-        for _ in range(count):
-            records.append(data.Record(rid, np.array([rid % 7]),
-                                       np.array([1.0]), label))
-            rid += 1
-    ds = data.LabeledDataset(records, 8, 3)
+    labels = [0] * 500 + [1] * 150 + [2]
+    ds = dataset_of(labels, 3, np.arange(len(labels)) % 7)
     out = data.stratified_cap_sample(ds, cap=200, fraction=1.0, seed=0)
     assert sorted(out.class_counts().tolist()) == [150, 200]
     assert out.num_classes == 2
@@ -111,9 +119,7 @@ def test_cap_sample_identity_when_loose():
 
 
 def test_cap_sample_all_singletons_warns():
-    records = [data.Record(i, np.array([0]), np.array([1.0]), i)
-               for i in range(3)]
-    ds = data.LabeledDataset(records, 8, 3)
+    ds = dataset_of([0, 1, 2], 3)
     with pytest.warns(UserWarning):
         out = data.stratified_cap_sample(ds, cap=5)
     assert len(out) == 0
@@ -131,17 +137,13 @@ def test_cap_sample_never_increases_or_leaves_singletons():
 
 
 def test_split_class_of_two():
-    records = [data.Record(i, np.array([0]), np.array([1.0]), 0)
-               for i in range(2)]
-    ds = data.LabeledDataset(records, 8, 1)
+    ds = dataset_of([0, 0], 1)
     train, test = data.stratified_split(ds, 0.5, seed=0)
     assert len(train) == 1 and len(test) == 1
 
 
 def test_split_round_half_up():
-    records = [data.Record(i, np.array([0]), np.array([1.0]), 0)
-               for i in range(199)]
-    ds = data.LabeledDataset(records, 8, 1)
+    ds = dataset_of([0] * 199, 1)
     train, test = data.stratified_split(ds, 0.5, seed=0)
     assert len(train) == 100 and len(test) == 99
 
@@ -160,8 +162,7 @@ def test_split_partition():
 
 
 def test_split_rejects_singleton_class():
-    records = [data.Record(0, np.array([0]), np.array([1.0]), 0)]
-    ds = data.LabeledDataset(records, 8, 1)
+    ds = dataset_of([0], 1)
     with pytest.raises(data.DataError):
         data.stratified_split(ds)
 
@@ -211,14 +212,14 @@ def test_csv_requires_header(tmp_path):
 
 
 def test_manifest_contents(tmp_path):
-    ds = data.generate(small_spec())
+    ds, _ = data.stratified_split(data.generate(small_spec()), 0.5, seed=42)
     path = tmp_path / "manifest.json"
-    data.save_manifest(path, ds, split_seed=42)
-    import json
+    data.save_manifest(path, ds)
     with open(path) as f:
         obj = json.load(f)
     assert obj["num_records"] == len(ds)
-    assert obj["split_seed"] == 42
+    assert obj["provenance"]["split"] == {"part": "train",
+                                          "train_fraction": 0.5, "seed": 42}
     assert sum(obj["class_counts"].values()) == len(ds)
 
 
@@ -250,24 +251,41 @@ def test_csv_bad_rows_raise_data_error(tmp_path, row, message):
     assert str(path) in str(info.value) and message in str(info.value)
 
 
-def test_feature_matrix_is_built_once(monkeypatch):
+def test_feature_matrix_is_the_stored_read_only_matrix():
     ds = data.generate(small_spec())
-    builds = []
-    csr_matrix = data.sp.csr_matrix
-    monkeypatch.setattr(data.sp, "csr_matrix",
-                        lambda *a, **k: builds.append(1) or csr_matrix(*a, **k))
     first = ds.feature_matrix()
-    again = ds.feature_matrix()
-    assert len(builds) == 1 and again is first
-    fresh = data.LabeledDataset(ds.records, ds.feature_dim,
-                                ds.num_classes).feature_matrix()
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(again, name), getattr(fresh, name))
-    assert isinstance(ds.records, tuple)
-    with pytest.raises(ValueError):
-        first.data[0] = 0.0
+    assert ds.feature_matrix() is first
+    assert first.shape == (len(ds), ds.feature_dim)
+    for array in (ds.ids, ds.labels, first.indptr, first.indices,
+                  first.data):
+        with pytest.raises(ValueError):
+            array[0] = 0
     with pytest.raises(AttributeError):
         ds.records = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.records[0].label = 1
+
+
+@pytest.mark.parametrize("ids, labels, rows, message", [
+    (range(3), [0, 1], 3, "differ in number"),
+    (range(2), [0, 1], 3, "differ in number"),
+    (range(3), [0, 1, 2], 3, r"labels must lie in \[0, 2\)"),
+    (range(3), [0, -1, 1], 3, r"labels must lie in \[0, 2\)"),
+    ([2 ** 63], [0], 1, "fit in int64"),
+])
+def test_constructor_rejects_bad_ids_lengths_and_labels(ids, labels, rows,
+                                                        message):
+    matrix = sp.csr_matrix(np.ones((rows, 8)))
+    with pytest.raises(data.DataError, match=message):
+        data.LabeledDataset(ids, labels, matrix, 2)
+
+
+@pytest.mark.parametrize("column", [-1, 8])
+def test_constructor_rejects_an_index_past_the_dimension(column):
+    matrix = sp.csr_matrix((np.ones(1), np.array([column]), np.array([0, 1])),
+                           shape=(1, 8))
+    with pytest.raises(data.DataError, match="must lie in"):
+        data.LabeledDataset([0], [0], matrix, 1)
 
 
 def test_csv_header_names_may_carry_spaces(tmp_path):

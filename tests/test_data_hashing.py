@@ -229,8 +229,9 @@ def test_check_block_accepts_a_hashed_block():
     # record boundaries step down (2 -> 0), which is allowed
     assert indptr.tolist() == [0, 2, 2, 6, 7]
     data._check_block(indptr, indices, values)
-    records = data._block_records(range(4), [0, 1, 0, 1], indptr, indices,
-                                  values)
+    records = data.LabeledDataset(range(4), [0, 1, 0, 1],
+                                  data._csr(indptr, indices, values, 8),
+                                  2).records
     assert [r.indices.tolist() for r in records] == [[1, 5], [], [0, 2, 3, 7],
                                                      [6]]
 
@@ -248,7 +249,8 @@ def test_check_block_rejects_a_corrupted_block(field, position, value,
     with pytest.raises(data.DataError, match=message):
         data._check_block(indptr, indices, values)
     with pytest.raises(data.DataError, match=message):
-        data._block_records(range(4), [0] * 4, indptr, indices, values)
+        data.LabeledDataset(range(4), [0] * 4,
+                            data._csr(indptr, indices, values, 8), 1)
 
 
 def test_hash_block_rejects_keys_past_int64():

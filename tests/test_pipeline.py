@@ -28,6 +28,22 @@ def test_load_config_rejects_unknown_keys():
         pipeline.load_config({"schema_version": 99})
 
 
+def test_load_config_merges_sections_key_by_key():
+    cfg = pipeline.load_config({"data": {"synthetic": {"vocab_size": 7},
+                                         "cap": 9}},
+                               ["data.synthetic.num_classes=4"])
+    synthetic = dict(pipeline.DEFAULT_CONFIG["data"]["synthetic"],
+                     vocab_size=7, num_classes=4)
+    assert cfg["data"]["synthetic"] == synthetic and cfg["data"]["cap"] == 9
+    for obj, overrides in [({"model": 5}, []), ({"seed": {}}, []),
+                           ({"data": {"synthetic": {"bogus": 1}}}, []),
+                           ([], []), (None, ["data={}"]),
+                           (None, ["data.synthetic=3"]),
+                           (None, ["schema_version=2"])]:
+        with pytest.raises(pipeline.ConfigError):
+            pipeline.load_config(obj, overrides)
+
+
 def test_load_config_overrides():
     cfg = pipeline.load_config(None, ["phases.draws=12", "seed=5"])
     assert cfg["phases"]["draws"] == 12
