@@ -99,9 +99,7 @@ def cmd_account(args):
     `dp-sgd` trains: same data, same schedule, same sigma."""
     cfg, out, train_view, _, _ = _prepare(args)
     dp = cfg["dp_sgd"]
-    _, q, steps = pipeline.dp_schedule(cfg, len(train_view))
-    sigma = accountant.calibrate_noise(dp["target_epsilon"], dp["delta"], q,
-                                       steps)
+    _, q, steps, sigma = pipeline.dp_schedule(cfg, len(train_view))
     ledger = accountant.compose(accountant.RdpLedger(q, sigma), steps)
     frontier = [["delta", "epsilon", "order"]]
     for delta in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.99):

@@ -42,6 +42,7 @@ class ModelSpec:
             raise ModelError("need at least 2 classes")
         if self.weight_decay < 0:
             raise ModelError("weight_decay must be nonnegative")
+        self.layout()  # raises LayoutError on a non-integer dimension
 
     def layout(self):
         if self.family == SOFTMAX_LINEAR:
@@ -64,10 +65,9 @@ def init_params(spec, seed):
     if spec.family == MLP_1_HIDDEN:
         rng = np.random.default_rng(seed)
         for name, fan_in in (("W1", spec.input_dim), ("W2", spec.hidden_dim)):
-            _, shape, offset = layout.slot(name)
-            size = int(np.prod(shape))
+            view = layout.view(values, name)
             bound = 1.0 / np.sqrt(fan_in)
-            values[offset:offset + size] = rng.uniform(-bound, bound, size)
+            view[...] = rng.uniform(-bound, bound, view.shape)
     return ParameterVector(values, layout)
 
 

@@ -1,7 +1,9 @@
-"""Flat parameter vectors with a named-tensor layout and checkpoint I/O."""
+"""Flat parameter vectors with a named-tensor layout, and the binary file
+frame that checkpoints and moment files share."""
 
 import json
-import os
+import math
+import operator
 import struct
 
 import numpy as np
@@ -12,15 +14,25 @@ class LayoutError(ValueError):
 
 
 class Layout:
-    """Ordered list of (name, shape) slots packed into one flat float64 vector."""
+    """Ordered (name, shape) slots, each dimension a non-negative integer,
+    packed into one flat float64 vector; view reads a table built once."""
 
     def __init__(self, slots):
         self.slots = []
+        self._table = {}
         offset = 0
-        for name, shape in slots:
-            shape = tuple(int(s) for s in shape)
+        for name, dims in slots:
+            try:
+                shape = tuple(map(operator.index, dims))
+            except TypeError:
+                shape = (-1,)  # not integers: rejected as a negative is
+            if min(shape, default=0) < 0:
+                raise LayoutError("tensor %r: bad shape %r" % (name, dims))
+            size = math.prod(shape)
             self.slots.append((name, shape, offset))
-            offset += int(np.prod(shape)) if shape else 1
+            # a repeated name keeps its first slot
+            self._table.setdefault(name, (offset, offset + size, shape))
+            offset += size
         self.size = offset
 
     def __eq__(self, other):
@@ -29,16 +41,12 @@ class Layout:
     def __repr__(self):
         return "Layout(%s)" % ", ".join("%s%s@%d" % s for s in self.slots)
 
-    def slot(self, name):
-        for entry in self.slots:
-            if entry[0] == name:
-                return entry
-        raise LayoutError("no tensor named %r in layout" % name)
-
     def view(self, values, name):
-        name, shape, offset = self.slot(name)
-        size = int(np.prod(shape)) if shape else 1
-        return values[offset:offset + size].reshape(shape)
+        try:
+            start, stop, shape = self._table[name]
+        except KeyError:
+            raise LayoutError("no tensor %r in layout" % (name,)) from None
+        return values[start:stop].reshape(shape)
 
     def to_json(self):
         return [[name, list(shape)] for name, shape, _ in self.slots]
@@ -74,52 +82,53 @@ class ParameterVector:
         return self.values.shape[0]
 
 
+def write_file(path, magic, head, *arrays):
+    """Binary file frame: magic, header length, sorted-key JSON header, then
+    each array's values as little-endian float64 in C order."""
+    blob = json.dumps(head, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack("<Q", len(blob)))
+        f.write(blob)
+        for values in arrays:
+            f.write(values.astype("<f8").tobytes())
+
+
+def read_file(path, magic, error):
+    """Inverse of write_file: (header dict, its layout, float64 payload). The
+    file is read once, and every length is checked against the bytes it
+    holds; a short, overlong or corrupt file raises `error`."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    start = len(magic) + 8
+    if blob[:len(magic)] != magic or len(blob) < start:
+        raise error("bad magic or truncated frame in %s" % path)
+    (hlen,) = struct.unpack_from("<Q", blob, len(magic))
+    if hlen > len(blob) - start:
+        raise error("header length %d overruns %s" % (hlen, path))
+    try:  # a payload of part of a float64 is a ValueError too
+        head = json.loads(blob[start:start + hlen].decode("utf-8"))
+        layout = Layout.from_json(head["layout"])
+        payload = np.frombuffer(blob, "<f8", offset=start + hlen)
+    except (KeyError, TypeError, ValueError) as e:  # LayoutError included
+        raise error("corrupt %s: %s" % (path, e)) from None
+    return head, layout, payload
+
+
 _MAGIC = b"SWPPMCK1"
 
 
-def write_header(f, magic, head):
-    """Binary file framing: magic, header length, sorted-key JSON header."""
-    blob = json.dumps(head, sort_keys=True).encode("utf-8")
-    f.write(magic)
-    f.write(struct.pack("<Q", len(blob)))
-    f.write(blob)
-
-
-def read_exact(f, size, error, path):
-    buf = f.read(size)
-    if len(buf) != size:
-        raise error("%s is truncated" % path)
-    return buf
-
-
-def read_header(f, magic, error, path):
-    """Inverse of write_header: (header dict, its layout). A short or corrupt
-    header raises `error`."""
-    if f.read(len(magic)) != magic:
-        raise error("bad magic in %s" % path)
-    (hlen,) = struct.unpack("<Q", read_exact(f, 8, error, path))
-    if hlen > os.fstat(f.fileno()).st_size - f.tell():
-        raise error("header length %d overruns %s" % (hlen, path))
-    blob = read_exact(f, hlen, error, path)
-    try:
-        head = json.loads(blob.decode("utf-8"))
-        return head, Layout.from_json(head["layout"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise error("corrupt header in %s: %s" % (path, e)) from None
-
-
 def save_checkpoint(path, theta, header=None):
-    """Write a checkpoint: magic, JSON header, little-endian float64 payload."""
+    """Write a checkpoint: the header given plus the layout, and theta."""
     head = dict(header or {})
     head["layout"] = theta.layout.to_json()
-    with open(path, "wb") as f:
-        write_header(f, _MAGIC, head)
-        f.write(theta.values.astype("<f8").tobytes())
+    write_file(path, _MAGIC, head, theta.values)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; a short or corrupt file raises LayoutError."""
-    with open(path, "rb") as f:
-        head, layout = read_header(f, _MAGIC, LayoutError, path)
-        payload = read_exact(f, layout.size * 8, LayoutError, path)
-    return ParameterVector(np.frombuffer(payload, dtype="<f8"), layout), head
+    """Read a checkpoint; a misframed or corrupt file raises LayoutError."""
+    head, layout, payload = read_file(path, _MAGIC, LayoutError)
+    if payload.size != layout.size:
+        raise LayoutError("%s holds %d values, its layout %d"
+                          % (path, payload.size, layout.size))
+    return ParameterVector(payload, layout), head

@@ -131,9 +131,10 @@ def derive_seed(master, tag):
 
 def prepare_data(cfg):
     """Generate or ingest, cap-sample, and split. Returns (train, test). A
-    synthetic spec or cap that the data layer rejects, or a field of the
-    wrong type, raises ConfigError; a CSV file that fails to load raises
-    DataError."""
+    model setting, synthetic spec or cap that the model or data layer
+    rejects, or a field of the wrong type, raises ConfigError before any
+    record is built; a CSV file that fails to load raises DataError."""
+    model_spec(cfg, 2, 1)  # the model section, checked before any data
     master = cfg["seed"]
     dc = cfg["data"]
     sc = dc["synthetic"]
@@ -328,19 +329,22 @@ def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
     return _release(cfg, *_run_to_round(rounds, last), out_dir)
 
 
-def dp_schedule(cfg, n):
-    """DP-SGD (batch size, sampling rate q, step count) for n train records."""
+def dp_schedule(cfg, n, delta=None):
+    """DP-SGD (batch size, sampling rate q, step count, sigma) for n train
+    records; sigma meets the target epsilon at delta, the config's if None."""
     dp = cfg["dp_sgd"]
     batch = min(dp["batch_size"], n)
-    return batch, batch / n, dp["epochs"] * (-(-n // batch))
+    q, steps = batch / n, dp["epochs"] * (-(-n // batch))
+    delta = dp["delta"] if delta is None else delta
+    return batch, q, steps, accountant.calibrate_noise(
+        dp["target_epsilon"], delta, q, steps)
 
 
 def run_dp_sgd(cfg, train_view, delta=None):
     """DP-SGD baseline with sigma calibrated to the target epsilon."""
     dp = cfg["dp_sgd"]
     delta = dp["delta"] if delta is None else delta
-    batch, q, steps = dp_schedule(cfg, len(train_view))
-    sigma = accountant.calibrate_noise(dp["target_epsilon"], delta, q, steps)
+    batch, q, steps, sigma = dp_schedule(cfg, len(train_view), delta)
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
     theta0 = models.init_params(spec, derive_seed(cfg["seed"], "init"))
     tc = trainer.TrainConfig(

@@ -3,8 +3,7 @@ a diagonal second-moment term and a low-rank deviation term."""
 
 import numpy as np
 
-from .params import (LayoutError, ParameterVector, read_exact, read_header,
-                     write_header)
+from .params import LayoutError, ParameterVector, read_file, write_file
 
 
 class SwagError(RuntimeError):
@@ -104,30 +103,26 @@ _MAGIC = b"SWPPMSW1"
 
 
 def save_moments(path, moments):
-    head = {
-        "layout": moments.layout.to_json(),
-        "count": moments.count,
-        "k_max": moments.k_max,
-        "k": moments.k,
-    }
-    with open(path, "wb") as f:
-        write_header(f, _MAGIC, head)
-        f.write(moments.mean.astype("<f8").tobytes())
-        f.write(moments.sq_mean.astype("<f8").tobytes())
-        f.write(moments._dev[:, :moments.k].astype("<f8").tobytes(order="F"))
+    head = {"layout": moments.layout.to_json(), "count": moments.count,
+            "k_max": moments.k_max, "k": moments.k}
+    write_file(path, _MAGIC, head, moments.mean, moments.sq_mean,
+               moments.dev_columns)
 
 
 def load_moments(path):
-    """Read a moments file; a short or corrupt file raises SwagError."""
-    with open(path, "rb") as f:
-        head, layout = read_header(f, _MAGIC, SwagError, path)
-        p, k = layout.size, head["k"]
-        if not 0 <= k <= head["k_max"]:
-            raise SwagError("bad column count %r in %s" % (k, path))
-        payload = read_exact(f, (2 + k) * p * 8, SwagError, path)
-    values = np.frombuffer(payload, dtype="<f8")
-    moments = SwagMoments(layout, k_max=head["k_max"])
-    moments.count = head["count"]
+    """Read a moments file; a misframed or corrupt file raises SwagError."""
+    head, layout, values = read_file(path, _MAGIC, SwagError)
+    p = layout.size
+    count, k, k_max = (head.get(key) for key in ("count", "k", "k_max"))
+    if (any(type(v) is not int for v in (count, k, k_max))
+            or not 0 <= k <= k_max or count < 0):
+        raise SwagError("bad count %r, k %r or k_max %r in %s"
+                        % (count, k, k_max, path))
+    if values.size != (2 + k) * p:
+        raise SwagError("%s holds %d values, its header implies %d"
+                        % (path, values.size, (2 + k) * p))
+    moments = SwagMoments(layout, k_max=k_max)
+    moments.count = count
     moments.k = k
     moments.mean = values[:p].copy()
     moments.sq_mean = values[p:2 * p].copy()

@@ -1,6 +1,6 @@
 """Training loops: adaptive (AdamW-style), constant-lr SGD, and DP-SGD."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -132,7 +132,8 @@ def train(spec, theta0, X, y, config, weights=None):
     adam = (_Adam(len(theta0), config.learning_rate, spec.weight_decay)
             if config.optimizer == ADAPTIVE else None)
     # the adaptive optimizer decays theta directly, so its gradient omits it
-    grad_spec = _no_decay(spec) if config.optimizer == ADAPTIVE else spec
+    grad_spec = (replace(spec, weight_decay=0.0)
+                 if config.optimizer == ADAPTIVE else spec)
     y = np.asarray(y)
     for epoch in range(config.epochs):
         if config.optimizer == DP_SGD:
@@ -185,11 +186,3 @@ def train(spec, theta0, X, y, config, weights=None):
         mean_loss = loss_sum / count if count else float("nan")
         snapshots.append(EpochSnapshot(epoch, theta, mean_loss))
     return theta, snapshots
-
-
-def _no_decay(spec):
-    """Adaptive optimizer uses decoupled decay, so the gradient omits it."""
-    if spec.weight_decay == 0:
-        return spec
-    return models.ModelSpec(spec.family, spec.input_dim, spec.num_classes,
-                            spec.hidden_dim, 0.0)

@@ -1,8 +1,10 @@
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from swagppm import models
 
@@ -37,6 +39,21 @@ def finite_difference_gradient(f, values, h=1e-5):
         dn[i] -= h
         grad[i] = (f(up) - f(dn)) / (2 * h)
     return grad
+
+
+def frozen_frame(magic, head, payload):
+    """Reference: the binary file frame as checkpoints and moment files were
+    written before one writer served both: magic, header length,
+    sorted-key JSON header, payload bytes."""
+    blob = json.dumps(head, sort_keys=True).encode("utf-8")
+    return magic + struct.pack("<Q", len(blob)) + blob + payload
+
+
+# Shape entries a loader must refuse: negative, more values than any file
+# holds, and not integers at all. Each shape they go into has only dims
+# >= 1 beside them, so 2 ** 40 is never multiplied down to 0.
+BAD_DIMS = st.one_of(st.integers(max_value=-1), st.just(2 ** 40),
+                     st.floats(), st.text(max_size=3))
 
 
 @pytest.fixture

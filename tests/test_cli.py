@@ -200,6 +200,22 @@ def test_bad_model_family_exits_2(tmp_path, capsys):
     assert "unknown model family 'cnn'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [
+    ['model.family="cnn"'],
+    ['model.family="mlp-1-hidden"', "model.hidden_dim=32.5"],
+    ["model.weight_decay=-1"],
+])
+def test_bad_model_config_exits_2_before_any_data(tmp_path, capsys,
+                                                 monkeypatch, overrides):
+    monkeypatch.setattr(data, "generate", _raise_runtime_error)
+    for command in ("train", "benchmark"):
+        args = ["--out", str(tmp_path / "o")]
+        for override in overrides:
+            args += ["--override", override]
+        assert run(args + [command]) == cli.EXIT_CONFIG
+        assert "config error: model:" in capsys.readouterr().err
+
+
 def test_config_file_section_given_a_value_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"model": 5}))

@@ -10,7 +10,8 @@ from swagppm import models
 from swagppm.params import (Layout, LayoutError, ParameterVector,
                             load_checkpoint, save_checkpoint)
 
-from conftest import finite_difference_gradient, random_instance
+from conftest import (BAD_DIMS, finite_difference_gradient, frozen_frame,
+                      random_instance)
 
 
 def linear_theta(input_dim, num_classes, W=None, b=None):
@@ -209,6 +210,81 @@ def test_layout_partition():
     for (_, end), (start, _) in zip(offsets, offsets[1:]):
         assert end == start
     assert offsets[-1][1] == layout.size == spec.num_params
+
+
+def test_layout_view_of_an_unknown_name_raises_layout_error():
+    layout = Layout([("w", (2, 3)), ("b", (3,))])
+    with pytest.raises(LayoutError, match="'W'"):
+        layout.view(np.zeros(layout.size), "W")
+
+
+@pytest.mark.parametrize("dims", [(5, 3, 2.5), (5, 2.0, 0), (-1, 3, 0),
+                                  ("5", 3, 0)])
+def test_model_spec_rejects_a_bad_dimension(dims):
+    input_dim, num_classes, hidden_dim = dims
+    family = models.MLP_1_HIDDEN if hidden_dim else models.SOFTMAX_LINEAR
+    with pytest.raises(ValueError):
+        models.ModelSpec(family, input_dim, num_classes, hidden_dim)
+
+
+def _frozen_init_params(spec, seed):
+    # Reference: init_params as it was when it did its own offset arithmetic
+    layout = spec.layout()
+    values = np.zeros(layout.size)
+    if spec.family == models.MLP_1_HIDDEN:
+        rng = np.random.default_rng(seed)
+        offsets = {name: (shape, off) for name, shape, off in layout.slots}
+        for name, fan_in in (("W1", spec.input_dim), ("W2", spec.hidden_dim)):
+            shape, offset = offsets[name]
+            size = int(np.prod(shape))
+            bound = 1.0 / np.sqrt(fan_in)
+            values[offset:offset + size] = rng.uniform(-bound, bound, size)
+    return values
+
+
+@settings(max_examples=20, deadline=None)
+@given(input_dim=st.integers(1, 12), num_classes=st.integers(2, 5),
+       hidden_dim=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_init_params_matches_frozen_offset_arithmetic(input_dim, num_classes,
+                                                      hidden_dim, seed):
+    family = models.MLP_1_HIDDEN if hidden_dim else models.SOFTMAX_LINEAR
+    spec = models.ModelSpec(family, input_dim, num_classes, hidden_dim)
+    got = models.init_params(spec, seed).values
+    assert (got == _frozen_init_params(spec, seed)).all()
+
+
+def test_checkpoint_bytes_match_frozen_writer(tmp_path, rng):
+    spec, theta, _, _ = random_instance(rng, models.MLP_1_HIDDEN)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, theta, {"seed": 7, "epsilon": 1.5})
+    head = {"seed": 7, "epsilon": 1.5, "layout": theta.layout.to_json()}
+    assert path.read_bytes() == frozen_frame(
+        b"SWPPMCK1", head, theta.values.astype("<f8").tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(1, 3), max_size=2), max_size=2),
+       bad=BAD_DIMS, where=st.integers(0, 2), values=st.integers(0, 8))
+def test_checkpoint_with_a_bad_dimension_raises_layout_error(
+        tmp_path_factory, shapes, bad, where, values):
+    shapes.insert(where % (len(shapes) + 1), [1, bad])
+    head = {"layout": [["t%d" % i, shape] for i, shape in enumerate(shapes)]}
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    path.write_bytes(frozen_frame(b"SWPPMCK1", head, bytes(8 * values)))
+    with pytest.raises(LayoutError):
+        load_checkpoint(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(extra=st.binary(min_size=1, max_size=16))
+def test_checkpoint_with_trailing_bytes_raises_layout_error(tmp_path_factory,
+                                                            extra):
+    layout = Layout([("w", (2, 3)), ("b", (3,))])
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    save_checkpoint(path, ParameterVector(np.arange(9.0), layout))
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(LayoutError):
+        load_checkpoint(path)
 
 
 def _frozen_log_likelihood(spec, theta, X, y):

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from swagppm import swag
 from swagppm.params import Layout, LayoutError, ParameterVector
 
+from conftest import BAD_DIMS, frozen_frame
+
 
 def vec(layout, *values):
     return ParameterVector(np.array(values, dtype=float), layout)
@@ -306,5 +308,82 @@ def test_moments_header_length_field_raises_swag_error(tmp_path_factory,
     blob = path.read_bytes()
     assume(length != struct.unpack("<Q", blob[8:16])[0])
     path.write_bytes(blob[:8] + struct.pack("<Q", length) + blob[16:])
+    with pytest.raises(swag.SwagError):
+        swag.load_moments(path)
+
+
+def _moments_head(m):
+    return {"layout": m.layout.to_json(), "count": m.count, "k_max": m.k_max,
+            "k": m.k}
+
+
+def _frozen_moments_payload(m):
+    # Reference: save_moments' payload as it was, the deviation columns
+    # written from the (p, k) buffer in Fortran order
+    return (m.mean.astype("<f8").tobytes()
+            + m.sq_mean.astype("<f8").tobytes()
+            + m._dev[:, :m.k].astype("<f8").tobytes(order="F"))
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=st.integers(1, 5), k_max=st.integers(1, 4),
+       absorbs=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_moments_bytes_match_frozen_writer(tmp_path_factory, p, k_max,
+                                           absorbs, seed):
+    m = _absorbed(p, k_max, absorbs, seed)
+    path = tmp_path_factory.mktemp("moments") / "m.bin"
+    swag.save_moments(path, m)
+    assert path.read_bytes() == frozen_frame(
+        b"SWPPMSW1", _moments_head(m), _frozen_moments_payload(m))
+
+
+_MISSING = object()
+# A header field swapped for a value that is missing, not an int, or out of
+# range for the file's count=3, k=2, k_max=2.
+_BAD_FIELDS = st.one_of(
+    st.tuples(st.sampled_from(["count", "k", "k_max"]),
+              st.one_of(st.just(_MISSING), st.none(), st.booleans(),
+                        st.floats(), st.text(max_size=3),
+                        st.lists(st.integers(0, 3), max_size=1))),
+    st.tuples(st.just("count"), st.integers(max_value=-1)),
+    st.tuples(st.just("k"), st.one_of(st.integers(max_value=-1),
+                                      st.integers(3, 50))),
+    st.tuples(st.just("k_max"), st.integers(-3, 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=_BAD_FIELDS)
+def test_moments_bad_header_field_raises_swag_error(tmp_path_factory, field):
+    m = _absorbed(3, 2, 3, 0)
+    head = _moments_head(m)
+    key, value = field
+    if value is _MISSING:
+        del head[key]
+    else:
+        head[key] = value
+    path = tmp_path_factory.mktemp("moments") / "m.bin"
+    path.write_bytes(frozen_frame(b"SWPPMSW1", head,
+                                  _frozen_moments_payload(m)))
+    with pytest.raises(swag.SwagError):
+        swag.load_moments(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad=BAD_DIMS, values=st.integers(0, 12))
+def test_moments_bad_dimension_raises_swag_error(tmp_path_factory, bad,
+                                                 values):
+    head = {"layout": [["w", [2, bad]]], "count": 1, "k_max": 2, "k": 1}
+    path = tmp_path_factory.mktemp("moments") / "m.bin"
+    path.write_bytes(frozen_frame(b"SWPPMSW1", head, bytes(8 * values)))
+    with pytest.raises(swag.SwagError):
+        swag.load_moments(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(extra=st.binary(min_size=1, max_size=16))
+def test_moments_trailing_bytes_raise_swag_error(tmp_path_factory, extra):
+    path = tmp_path_factory.mktemp("moments") / "m.bin"
+    swag.save_moments(path, _absorbed(3, 2, 3, 0))
+    path.write_bytes(path.read_bytes() + extra)
     with pytest.raises(swag.SwagError):
         swag.load_moments(path)
