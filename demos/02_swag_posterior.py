@@ -9,6 +9,7 @@ and compares their losses to the mean.
 import numpy as np
 
 from swagppm import data, models, swag, trainer
+from swagppm.params import ParameterVector
 
 spec_d = data.SyntheticSpec(num_classes=6, zipf_exponent=1.2,
                             total_records=600, vocab_size=300,
@@ -36,8 +37,8 @@ print("absorbed %d snapshots, rank %d, clamped entries %d"
 print("diagonal variance: mean %.2e, max %.2e"
       % (moments.sigma_diag().mean(), moments.sigma_diag().max()))
 
-mean_loss = -models.log_likelihood_batch(spec, moments.mean_vector(),
-                                         X, y).mean()
+mean_theta = ParameterVector(moments.mean, moments.layout)
+mean_loss = -models.log_likelihood_batch(spec, mean_theta, X, y).mean()
 draw_losses = [-models.log_likelihood_batch(spec, d, X, y).mean()
                for d in moments.sample(8, seed=6)]
 print("mean-weights loss %.4f" % mean_loss)

@@ -29,8 +29,7 @@ moments = swag.SwagMoments(spec.layout())
 for s in snaps:
     moments.absorb(s.theta)
 
-draws = moments.sample(200, seed=4)
-abs_ll = ppm.abs_loglik_matrix(spec, draws, X, y)
+abs_ll = ppm.abs_loglik_matrix(spec, moments.draws(200, seed=4), X, y)
 # a record's risk is its max |ll| over the draws: the sensitivity fold's
 # per-record maxima with every weight 1
 risks = ppm.sensitivity(abs_ll, np.ones(len(dataset))).per_record

@@ -2,7 +2,9 @@
 
 Two families: a softmax-linear model and a one-hidden-layer tanh MLP.
 All batch operations accept either a dense (n, d) array or a scipy CSR
-matrix of features.
+matrix of features. The functions the training and draw loops call
+(log_likelihood_rows, the *_loglik gradients, objective) take theta as a
+flat float64 array over spec.layout(); the others take a ParameterVector.
 """
 
 from dataclasses import dataclass
@@ -42,20 +44,21 @@ class ModelSpec:
             raise ModelError("need at least 2 classes")
         if self.weight_decay < 0:
             raise ModelError("weight_decay must be nonnegative")
-        self.layout()  # raises LayoutError on a non-integer dimension
+        # built once; a non-integer dimension raises LayoutError
+        object.__setattr__(self, "_layout", Layout(
+            [("W", (self.input_dim, self.num_classes)),
+             ("b", (self.num_classes,))] if self.family == SOFTMAX_LINEAR
+            else [("W1", (self.input_dim, self.hidden_dim)),
+                  ("b1", (self.hidden_dim,)),
+                  ("W2", (self.hidden_dim, self.num_classes)),
+                  ("b2", (self.num_classes,))]))
 
     def layout(self):
-        if self.family == SOFTMAX_LINEAR:
-            return Layout([("W", (self.input_dim, self.num_classes)),
-                           ("b", (self.num_classes,))])
-        return Layout([("W1", (self.input_dim, self.hidden_dim)),
-                       ("b1", (self.hidden_dim,)),
-                       ("W2", (self.hidden_dim, self.num_classes)),
-                       ("b2", (self.num_classes,))])
+        return self._layout
 
     @property
     def num_params(self):
-        return self.layout().size
+        return self._layout.size
 
 
 def init_params(spec, seed):
@@ -91,15 +94,16 @@ def _logits(spec, theta, X, Z=None):
     """Logits (n, num_classes) and, for the MLP, its hidden activations H;
     the MLP's logits are written into Z when it is given."""
     _check_features(spec, X)
+    view = spec.layout().view
     if spec.family == SOFTMAX_LINEAR:
-        Z = np.asarray(X @ theta.tensor("W"))
-        Z += theta.tensor("b")
+        Z = np.asarray(X @ view(theta, "W"))
+        Z += view(theta, "b")
         return Z, None
-    H = np.asarray(X @ theta.tensor("W1"))
-    H += theta.tensor("b1")
+    H = np.asarray(X @ view(theta, "W1"))
+    H += view(theta, "b1")
     np.tanh(H, out=H)
-    Z = np.matmul(H, theta.tensor("W2"), out=Z)
-    Z += theta.tensor("b2")
+    Z = np.matmul(H, view(theta, "W2"), out=Z)
+    Z += view(theta, "b2")
     return Z, H
 
 
@@ -127,7 +131,7 @@ def _log_floored(picked):
 
 def forward_batch(spec, theta, X):
     """Softmax class probabilities for a batch, shape (n, num_classes)."""
-    Z, _ = _logits(spec, theta, _as_matrix(X))
+    Z, _ = _logits(spec, theta.values, _as_matrix(X))
     return _softmax(Z)
 
 
@@ -158,7 +162,7 @@ def log_likelihood_rows(spec, thetas, X, y):
 
 def log_likelihood_batch(spec, theta, X, y):
     """Per-record log p(label | features); probabilities floored at PROB_FLOOR."""
-    return next(log_likelihood_rows(spec, [theta], X, y))
+    return next(log_likelihood_rows(spec, [theta.values], X, y))
 
 
 def _one_hot_residual(P, y):
@@ -167,16 +171,16 @@ def _one_hot_residual(P, y):
     return D
 
 
-def _hidden_residual(theta, H, D):
+def _hidden_residual(spec, theta, H, D):
     """Residual at the MLP's hidden pre-activations."""
-    return (D @ theta.tensor("W2").T) * (1.0 - H * H)
+    return (D @ spec.layout().view(theta, "W2").T) * (1.0 - H * H)
 
 
-def _backprop(theta, X, H, D, D1):
+def _backprop(spec, X, H, D, D1):
     """Flat gradient from output residuals D and, for the MLP (H given),
     hidden residuals D1; each row of D and D1 is one record's residual."""
-    grad = np.empty(theta.layout.size)
-    view = theta.layout.view
+    grad = np.empty(spec.num_params)
+    view = spec.layout().view
     if H is None:
         view(grad, "W")[:] = np.asarray(X.T @ D)
         view(grad, "b")[:] = D.sum(axis=0)
@@ -191,7 +195,7 @@ def _backprop(theta, X, H, D, D1):
 def _forward(spec, theta, X, y):
     """One forward pass for the gradients: softmax probabilities P, the MLP's
     hidden activations H (None for the linear model) and each record's
-    log-likelihood, as log_likelihood_batch computes it."""
+    log-likelihood, as log_likelihood_rows computes it."""
     Z, H = _logits(spec, theta, X)
     P = _softmax(Z)
     return P, H, _log_floored(P[np.arange(P.shape[0]), np.asarray(y)])
@@ -214,10 +218,10 @@ def weighted_gradient_loglik(spec, theta, X, y, weights=None):
             raise ModelError("weights must lie in [0, 1]")
     P, H, loglik = _forward(spec, theta, X, y)
     D = _one_hot_residual(P, y) * (weights / n)[:, None]
-    D1 = None if H is None else _hidden_residual(theta, H, D)
-    grad = _backprop(theta, X, H, D, D1)
+    D1 = None if H is None else _hidden_residual(spec, theta, H, D)
+    grad = _backprop(spec, X, H, D, D1)
     if spec.weight_decay:
-        grad += spec.weight_decay * theta.values
+        grad += spec.weight_decay * theta
     return grad, loglik
 
 
@@ -227,7 +231,7 @@ def weighted_nll_gradient(spec, theta, X, y, weights=None):
     The mean is over batch size, not over the weight total, so a small
     weight shrinks that record's pull without renormalizing the others.
     """
-    grad, _ = weighted_gradient_loglik(spec, theta, X, y, weights)
+    grad, _ = weighted_gradient_loglik(spec, theta.values, X, y, weights)
     return ParameterVector(grad, theta.layout)
 
 
@@ -253,11 +257,11 @@ def clipped_gradient_loglik(spec, theta, X, y, clip_norm):
         norms = np.sqrt((x_sq + 1.0) * (D * D).sum(axis=1))
     else:
         # D1 from the unscaled D: scaling first would round differently
-        D1 = _hidden_residual(theta, H, D)
+        D1 = _hidden_residual(spec, theta, H, D)
         norms = np.sqrt((_row_sq_norms(H) + 1.0) * (D * D).sum(axis=1)
                         + (x_sq + 1.0) * (D1 * D1).sum(axis=1))
     scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))[:, None]
-    grad = _backprop(theta, X, H, D * scale,
+    grad = _backprop(spec, X, H, D * scale,
                      None if D1 is None else D1 * scale)
     return grad, norms, loglik
 
@@ -269,7 +273,8 @@ def clipped_gradient_sum(spec, theta, X, y, clip_norm):
     norms come from row norms without materializing n full gradients.
     Returns (gradient_sum as ParameterVector, per-example pre-clip norms).
     """
-    grad, norms, _ = clipped_gradient_loglik(spec, theta, X, y, clip_norm)
+    grad, norms, _ = clipped_gradient_loglik(spec, theta.values, X, y,
+                                             clip_norm)
     return ParameterVector(grad, theta.layout), norms
 
 
@@ -280,10 +285,12 @@ def objective(spec, theta, loglik, weights=None):
         data_term = -loglik.mean()
     else:
         data_term = -(np.asarray(weights) * loglik).sum() / loglik.shape[0]
-    return data_term + 0.5 * spec.weight_decay * float(theta.values @ theta.values)
+    # ||theta||^2, taken even at zero decay (0 * inf is nan), lets the loss
+    # check catch a non-finite theta entry that the logits never read
+    return data_term + 0.5 * spec.weight_decay * float(theta @ theta)
 
 
 def mean_nll(spec, theta, X, y, weights=None):
     """Mean weighted NLL plus the weight-decay penalty (training objective)."""
-    return objective(spec, theta, log_likelihood_batch(spec, theta, X, y),
-                     weights)
+    return objective(spec, theta.values,
+                     log_likelihood_batch(spec, theta, X, y), weights)

@@ -72,9 +72,6 @@ class ParameterVector:
         self.values = values
         self.layout = layout
 
-    def tensor(self, name):
-        return self.layout.view(self.values, name)
-
     def replace(self, values):
         return ParameterVector(values, self.layout)
 

@@ -8,7 +8,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -191,9 +191,7 @@ def _train_round(spec, theta0, X, y, weights, cfg, seed_tag):
         ph["swag_epochs"], seed=derive_seed(master, seed_tag + "/swag"))
     moments = swag.SwagMoments(theta0.layout, k_max=ph["swag_rank"])
     _, snapshots = trainer.train(spec, theta, X, y, swag_cfg, weights)
-    for snap in snapshots:
-        moments.absorb(snap.theta)
-    return moments
+    return moments.absorb(*(snap.theta for snap in snapshots))
 
 
 @dataclass
@@ -202,10 +200,10 @@ class SwagPpmResult:
     report: ppm.SensitivityReport
     weights: ppm.RiskWeights
     moments: swag.SwagMoments
-    epsilon: float = field(init=False)
 
-    def __post_init__(self):
-        self.epsilon = self.report.epsilon
+    @property
+    def epsilon(self):
+        return self.report.epsilon
 
 
 # Per round: the phase that scores its draws, and the weights file it

@@ -4,7 +4,6 @@ and the Lipschitz-preserving reweighting step."""
 
 import csv
 import json
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +43,9 @@ class SensitivityReport:
 
 
 def abs_loglik_rows(spec, draws, X, y):
-    """|log-likelihood| of every record, one length-n row per draw, made
-    lazily as the draws are consumed. The rows share one buffer, so a row
-    is valid only until the next one is made."""
+    """|log-likelihood| of every record, one length-n row per draw (a flat
+    parameter array), made lazily as the draws are consumed. The rows share
+    one buffer, so a row is valid only until the next one is made."""
     if X.shape[0] == 0:
         raise PpmError("empty dataset")
     return (np.abs(ll, out=ll)
@@ -54,7 +53,8 @@ def abs_loglik_rows(spec, draws, X, y):
 
 
 def abs_loglik_matrix(spec, draws, X, y):
-    """|log-likelihood| of every record under every draw, shape (S, n)."""
+    """|log-likelihood| of every record under every draw (a flat parameter
+    array), shape (S, n)."""
     rows = [row.copy() for row in abs_loglik_rows(spec, draws, X, y)]
     if not rows:
         raise PpmError("need at least one posterior draw")
@@ -85,12 +85,16 @@ def sensitivity(rows, alpha, record_ids=None):
     or abs_loglik_rows; each row is folded in as it arrives, and only the
     running per-record max and the draw that first attains it are kept, so
     ties go to the lowest draw and record index. With alpha all ones,
-    per_record is each record's risk, its max |ll| over the draws."""
+    per_record is each record's risk, its max |ll| over the draws. A row
+    that holds a NaN raises PpmError naming its draw: the maxima would skip
+    it."""
     alpha = np.asarray(alpha, dtype=np.float64)
     per_record = None
     for s, row in enumerate(rows):
         if np.shape(row) != alpha.shape:
             raise PpmError("alpha length does not match the record axis")
+        if np.isnan(row).any():
+            raise PpmError("draw %d scores a NaN |log-likelihood|" % s)
         if per_record is None:
             per_record = row * alpha
             argmax_draw = np.zeros(alpha.shape[0], dtype=np.intp)
@@ -139,9 +143,6 @@ def reweight(weights, report, k):
 
 
 _WEIGHTS_COLUMNS = ["record_id", "risk", "normalized_risk", "alpha", "stage"]
-# the stages map_weights and reweight write; a stage cut short matches neither
-_STAGE = re.compile(r"%s|reweighted\(k=[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?\)"
-                    % STAGE_INITIAL)
 
 
 def save_weights_csv(path, weights):
@@ -154,37 +155,6 @@ def save_weights_csv(path, weights):
                         repr(float(weights.normalized[i])),
                         repr(float(weights.alpha[i])),
                         weights.stage])
-
-
-def load_weights_csv(path):
-    """Read a weights file; a missing column, a row that lacks a field, a
-    non-numeric cell or a stage other than `initial` or `reweighted(k=...)`
-    raises PpmError."""
-    ids, risks, normalized, alpha, stage = [], [], [], [], STAGE_INITIAL
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = set(_WEIGHTS_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise PpmError("%s lacks the columns %s" % (path, sorted(missing)))
-        for row in reader:
-            if not all(row[column] for column in _WEIGHTS_COLUMNS):
-                raise PpmError("%s line %d lacks a field"
-                               % (path, reader.line_num))
-            try:
-                ids.append(int(row["record_id"]))
-                risks.append(float(row["risk"]))
-                normalized.append(float(row["normalized_risk"]))
-                alpha.append(float(row["alpha"]))
-            except ValueError as e:
-                raise PpmError("%s line %d: %s"
-                               % (path, reader.line_num, e)) from None
-            stage = row["stage"]
-            if not _STAGE.fullmatch(stage):
-                raise PpmError("%s line %d: unknown stage %r"
-                               % (path, reader.line_num, stage))
-    return RiskWeights(np.array(ids), np.array(risks), np.array(normalized),
-                       np.array(alpha), c=float("nan"), g=float("nan"),
-                       stage=stage)
 
 
 def save_report_json(path, report):

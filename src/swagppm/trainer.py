@@ -6,7 +6,7 @@ from typing import Optional
 import numpy as np
 
 from . import models
-from .params import ParameterVector
+from .params import LayoutError, ParameterVector
 
 ADAPTIVE = "adaptive"
 SGD_CONSTANT = "sgd-constant"
@@ -53,17 +53,16 @@ class EpochSnapshot:
 
 def _dp_update(theta, grad_sum, clip_norm, noise_multiplier, lr, noise_rng,
                denom):
-    """One DP-SGD update from the clipped gradient sum: theta - lr *
-    (grad_sum + noise) / denom, built in the noise array. The trainer passes
-    the nominal batch size as denom, so the Poisson batch-size randomness
-    does not leak into the scale of the update."""
+    """One in-place DP-SGD update of the array theta from the clipped gradient
+    sum: theta -= lr * (grad_sum + noise) / denom, built in the noise array.
+    The trainer passes the nominal batch size as denom, so the Poisson
+    batch-size randomness does not leak into the scale of the update."""
     noise = noise_rng.normal(0.0, noise_multiplier * clip_norm,
-                             size=theta.layout.size)
+                             size=theta.size)
     noise += grad_sum
     noise *= lr
     noise /= denom
-    np.subtract(theta.values, noise, out=noise)
-    return theta.replace(noise)
+    theta -= noise
 
 
 class _Adam:
@@ -79,7 +78,7 @@ class _Adam:
         self._scratch = np.empty(size)
 
     def update(self, theta, grad):
-        """theta after one step on grad, which serves as scratch."""
+        """One in-place step of the array theta on grad, the scratch."""
         lr, m, v, a = self.learning_rate, self.m, self.v, self._scratch
         self.t += 1
         m *= ADAM_BETA1
@@ -96,11 +95,12 @@ class _Adam:
         np.divide(m, 1 - ADAM_BETA1 ** self.t, out=grad)
         grad *= lr
         grad /= a
-        np.subtract(theta.values, grad, out=grad)
-        if self.weight_decay:  # decoupled: lr * decay * theta
-            np.multiply(theta.values, lr * self.weight_decay, out=a)
-            grad -= a
-        return theta.replace(grad)
+        if self.weight_decay:  # decoupled: (theta - step) - lr * decay * theta
+            np.multiply(theta, lr * self.weight_decay, out=a)
+            theta -= grad
+            theta -= a
+        else:
+            theta -= grad
 
 
 def train(spec, theta0, X, y, config, weights=None):
@@ -115,6 +115,10 @@ def train(spec, theta0, X, y, config, weights=None):
     seed: shuffle order, Poisson inclusion, and noise all come from streams
     derived from config.seed. Each step's loss is models.objective on the
     log-likelihoods of the forward pass its gradient makes.
+
+    The steps update one array in place, and each epoch's snapshot is its
+    one ParameterVector. A non-finite theta raises TrainError naming the
+    epoch, from the next step's loss or from the epoch's snapshot.
     """
     n = X.shape[0]
     if config.batch_size > n:
@@ -127,9 +131,9 @@ def train(spec, theta0, X, y, config, weights=None):
     shuffle_rng, noise_rng = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(2)]
-    theta = theta0
+    theta = theta0.values.copy()
     snapshots = []
-    adam = (_Adam(len(theta0), config.learning_rate, spec.weight_decay)
+    adam = (_Adam(theta.size, config.learning_rate, spec.weight_decay)
             if config.optimizer == ADAPTIVE else None)
     # the adaptive optimizer decays theta directly, so its gradient omits it
     grad_spec = (replace(spec, weight_decay=0.0)
@@ -174,15 +178,18 @@ def train(spec, theta0, X, y, config, weights=None):
             loss_sum += loss * yb.shape[0]
             count += yb.shape[0]
             if config.optimizer == DP_SGD:
-                theta = _dp_update(
-                    theta, grad, config.clip_norm, config.noise_multiplier,
-                    config.learning_rate, noise_rng, config.batch_size)
+                _dp_update(theta, grad, config.clip_norm,
+                           config.noise_multiplier, config.learning_rate,
+                           noise_rng, config.batch_size)
             elif config.optimizer == SGD_CONSTANT:
-                grad *= config.learning_rate  # theta - lr * grad, in grad
-                theta = theta.replace(
-                    np.subtract(theta.values, grad, out=grad))
+                grad *= config.learning_rate
+                theta -= grad
             else:
-                theta = adam.update(theta, grad)
+                adam.update(theta, grad)
         mean_loss = loss_sum / count if count else float("nan")
-        snapshots.append(EpochSnapshot(epoch, theta, mean_loss))
-    return theta, snapshots
+        try:
+            snapshot = ParameterVector(theta, theta0.layout)
+        except LayoutError as e:  # non-finite: the last step's update
+            raise TrainError("epoch %d: %s" % (epoch, e)) from None
+        snapshots.append(EpochSnapshot(epoch, snapshot, mean_loss))
+    return (snapshots[-1].theta if snapshots else theta0), snapshots

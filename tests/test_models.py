@@ -290,11 +290,14 @@ def test_checkpoint_with_trailing_bytes_raises_layout_error(tmp_path_factory,
 def _frozen_log_likelihood(spec, theta, X, y):
     # Reference: log_likelihood_batch as it was before rows were scored in
     # reused buffers, every step allocating its own array.
+    def tensor(name):
+        return theta.layout.view(theta.values, name)
+
     if spec.family == models.SOFTMAX_LINEAR:
-        Z = np.asarray(X @ theta.tensor("W") + theta.tensor("b"))
+        Z = np.asarray(X @ tensor("W") + tensor("b"))
     else:
-        H = np.tanh(np.asarray(X @ theta.tensor("W1")) + theta.tensor("b1"))
-        Z = H @ theta.tensor("W2") + theta.tensor("b2")
+        H = np.tanh(np.asarray(X @ tensor("W1")) + tensor("b1"))
+        Z = H @ tensor("W2") + tensor("b2")
     Z = Z - Z.max(axis=1, keepdims=True)
     E = np.exp(Z)
     P = E / E.sum(axis=1, keepdims=True)
@@ -315,7 +318,8 @@ def test_buffered_scorer_matches_frozen_log_likelihood(rng, family, sparse):
     thetas = [theta.replace(theta.values * c) for c in (1.0, 0.3, 4.0)]
     thetas.append(theta.replace(theta.values * 400.0))
     rows = [row.copy() for row in
-            models.log_likelihood_rows(spec, thetas, X, y)]
+            models.log_likelihood_rows(spec, [t.values for t in thetas], X,
+                                       y)]
     floored = 0
     for t, row in zip(thetas, rows):
         want = _frozen_log_likelihood(spec, t, X, y)
@@ -334,19 +338,19 @@ def test_fused_gradient_and_loss_match_separate_passes(rng, family,
     spec, theta, X, y = random_instance(rng, family, n=30,
                                         weight_decay=weight_decay)
     for weights in (None, rng.uniform(0, 1, X.shape[0])):
-        grad, loglik = models.weighted_gradient_loglik(spec, theta, X, y,
-                                                       weights)
+        grad, loglik = models.weighted_gradient_loglik(spec, theta.values, X,
+                                                       y, weights)
         np.testing.assert_array_equal(
             grad, models.weighted_nll_gradient(spec, theta, X, y,
                                                weights).values)
         np.testing.assert_array_equal(
             loglik, models.log_likelihood_batch(spec, theta, X, y))
-        assert models.objective(spec, theta, loglik, weights) == \
+        assert models.objective(spec, theta.values, loglik, weights) == \
             models.mean_nll(spec, theta, X, y, weights)
-    grad, norms, loglik = models.clipped_gradient_loglik(spec, theta, X, y,
-                                                         0.05)
+    grad, norms, loglik = models.clipped_gradient_loglik(spec, theta.values,
+                                                         X, y, 0.05)
     ref, ref_norms = models.clipped_gradient_sum(spec, theta, X, y, 0.05)
     np.testing.assert_array_equal(grad, ref.values)
     np.testing.assert_array_equal(norms, ref_norms)
-    assert models.objective(spec, theta, loglik) == \
+    assert models.objective(spec, theta.values, loglik) == \
         models.mean_nll(spec, theta, X, y)

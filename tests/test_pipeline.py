@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swagppm import pipeline, ppm
+from swagppm import models, pipeline, ppm, swag
+from swagppm.params import ParameterVector
 
 
 def tiny_config(seed=7, **phase_overrides):
@@ -215,6 +216,31 @@ def test_scoring_failure_removes_the_partial_score_file(monkeypatch,
         pipeline.run_swag_ppm(cfg, train, out_dir=out)
     assert err.value.phase == "risks"
     assert os.listdir(os.path.join(out, "internal")) == []
+
+
+def test_a_draw_that_scores_nan_fails_the_scoring_phase(monkeypatch):
+    # round 1's third draw is finite, but its entries of 1e308 overflow the
+    # logits, so some record's |ll| is NaN; Delta must not skip it
+    cfg = tiny_config()
+    train, _ = pipeline.prepare_data(cfg)
+    spec = pipeline.model_spec(cfg, train.num_classes, train.feature_dim)
+    overflowing = np.full(spec.num_params, 1e308)
+    draws = swag.SwagMoments.draws
+
+    def one_overflowing(self, count, seed):
+        for s, draw in enumerate(draws(self, count, seed)):
+            yield overflowing if s == 2 else draw
+
+    monkeypatch.setattr(swag.SwagMoments, "draws", one_overflowing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(models.log_likelihood_batch(
+            spec, ParameterVector(overflowing, spec.layout()),
+            train.feature_matrix(), train.labels)).any()
+        with pytest.raises(pipeline.PhaseError) as err:
+            pipeline.run_swag_ppm(cfg, train)
+    assert err.value.phase == "risks"
+    assert isinstance(err.value.cause, ppm.PpmError)
+    assert "draw 2 " in str(err.value.cause)
 
 
 def _files(root):

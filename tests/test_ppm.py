@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,11 +158,23 @@ def test_reweight_rejects_zero_delta():
         ppm.reweight(w, report, 0.95)
 
 
+def read_weights_csv(path):
+    """The inverse of save_weights_csv, for its round trips: every row's
+    id, risk, normalized risk and alpha, and the stage of the last row."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    return ppm.RiskWeights(
+        np.array([int(r["record_id"]) for r in rows], dtype=np.int64),
+        *[np.array([float(r[column]) for r in rows])
+          for column in ("risk", "normalized_risk", "alpha")],
+        c=float("nan"), g=float("nan"), stage=rows[-1]["stage"])
+
+
 def test_weights_csv_round_trip(tmp_path):
     w = ppm.map_weights([3, 7, 9], [0.5, 2.0, 1.0], 1.0, 0.1)
     path = tmp_path / "weights.csv"
     ppm.save_weights_csv(path, w)
-    loaded = ppm.load_weights_csv(path)
+    loaded = read_weights_csv(path)
     np.testing.assert_array_equal(loaded.record_ids, w.record_ids)
     np.testing.assert_array_equal(loaded.risks, w.risks)
     np.testing.assert_array_equal(loaded.alpha, w.alpha)
@@ -245,7 +259,8 @@ def test_streamed_draws_match_scored_matrix(seed, S, zeros):
     streamed = ppm.sensitivity(
         ppm.abs_loglik_rows(spec, m.draws(S, seed), X, y), alpha, ids)
     _assert_reports_equal(streamed, ppm.sensitivity(
-        ppm.abs_loglik_matrix(spec, m.sample(S, seed), X, y), alpha, ids))
+        ppm.abs_loglik_matrix(spec, [d.values for d in m.sample(S, seed)], X,
+                              y), alpha, ids))
 
 
 @settings(max_examples=100, deadline=None)
@@ -269,6 +284,28 @@ def test_stream_delta_scales_exactly_with_alpha(grid):
         np.testing.assert_array_equal(scaled.per_record, c * base.per_record)
 
 
+@pytest.mark.parametrize("rows, draw", [([[1.0, 1.0], [np.nan, 5.0]], 1),
+                                        ([[np.nan, 5.0], [1.0, 1.0]], 0)])
+def test_sensitivity_nan_row_raises_naming_its_draw(rows, draw):
+    # a NaN after the first row used to drop out of the maxima (Delta 5)
+    with pytest.raises(ppm.PpmError, match="draw %d " % draw):
+        ppm.sensitivity(np.array(rows), np.ones(2))
+    with pytest.raises(ppm.PpmError, match="draw %d " % draw):
+        ppm.sensitivity(iter(np.array(rows)), np.ones(2))
+
+
+def test_finite_draw_that_overflows_the_logits_raises():
+    # p = 6; entries of +-1e308 are finite, but the logits overflow to inf
+    # and inf - inf is NaN in the softmax
+    spec = models.ModelSpec(models.SOFTMAX_LINEAR, 2, 2)
+    draws = [np.zeros(6), np.array([1e308, -1e308, 1e308, -1e308, 0, 0])]
+    X, y = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ppm.PpmError, match="draw 1 "):
+            ppm.sensitivity(ppm.abs_loglik_rows(spec, draws, X, y),
+                            np.ones(2))
+
+
 def test_stream_sensitivity_rejects_bad_input():
     with pytest.raises(ppm.PpmError):
         ppm.sensitivity(iter([]), np.ones(2))
@@ -278,7 +315,6 @@ def test_stream_sensitivity_rejects_bad_input():
         ppm.sensitivity(np.ones(2), np.ones(2))
 
 
-WEIGHTS_HEADER = b"record_id,risk,normalized_risk,alpha,stage"
 STAGES = st.sampled_from(["initial", "reweighted(k=0.95)",
                           "reweighted(k=0.5)"])
 
@@ -308,73 +344,16 @@ def _assert_weights_equal(got, want, rows):
 def test_weights_csv_round_trip_property(tmp_path_factory, weights):
     path = tmp_path_factory.mktemp("weights") / "w.csv"
     ppm.save_weights_csv(path, weights)
-    loaded = ppm.load_weights_csv(path)
+    loaded = read_weights_csv(path)
     _assert_weights_equal(loaded, weights, len(weights.record_ids))
     assert loaded.stage == weights.stage
-
-
-@settings(max_examples=15, deadline=None)
-@given(weights=risk_weights())
-def test_weights_csv_truncation(tmp_path_factory, weights):
-    path = tmp_path_factory.mktemp("weights") / "w.csv"
-    ppm.save_weights_csv(path, weights)
-    blob = path.read_bytes()
-    for size in range(len(blob)):
-        cut = blob[:size]
-        path.write_bytes(cut)
-        partial = cut[cut.rfind(b"\r\n") + 2:] if b"\r\n" in cut else cut
-        if size < len(WEIGHTS_HEADER):
-            with pytest.raises(ppm.PpmError):
-                ppm.load_weights_csv(path)
-        elif cut.endswith(b"\r\n"):
-            rows = cut.count(b"\r\n") - 1
-            loaded = ppm.load_weights_csv(path)
-            _assert_weights_equal(loaded, weights, rows)
-            if rows:
-                assert loaded.stage == weights.stage
-        elif (b"\r\n" in cut and partial
-              and (partial.count(b",") < 4 or partial.endswith(b","))):
-            with pytest.raises(ppm.PpmError, match="lacks a field"):
-                ppm.load_weights_csv(path)
-        elif b"\r\n" in cut and partial.split(b",")[-1].rstrip(b"\r") \
-                != weights.stage.encode():
-            # cut inside the last row's stage
-            with pytest.raises(ppm.PpmError, match="stage"):
-                ppm.load_weights_csv(path)
-
-
-@pytest.mark.parametrize("text", [
-    "record_id,risk,normalized_risk,stage\n1,0.5,0.0,initial\n",
-    "record_id,risk,normalized_risk,alpha,stage\n1,abc,0.0,1.0,initial\n",
-    "record_id,risk,normalized_risk,alpha,stage\n1.5,0.5,0.0,1.0,initial\n",
-    "record_id,risk,normalized_risk,alpha,stage\n1,0.5,0.0\n",
-    "record_id,risk,normalized_risk,alpha,stage\n1,0.5,0.0,1.0,Initial\n",
-    "record_id,risk,normalized_risk,alpha,stage\n1,0.5,0.0,1.0,reweighted\n",
-    "record_id,risk,normalized_risk,alpha,stage\n1,0.5,0.0,1.0,"
-    "reweighted(k=)\n",
-])
-def test_weights_csv_bad_file_raises_ppm_error(tmp_path, text):
-    path = tmp_path / "w.csv"
-    path.write_text(text)
-    with pytest.raises(ppm.PpmError, match="w.csv"):
-        ppm.load_weights_csv(path)
-
-
-def test_weights_csv_cut_inside_the_stage_raises(tmp_path):
-    path = tmp_path / "w.csv"
-    ppm.save_weights_csv(path, ppm.map_weights([1, 2], [0.5, 2.0], 1.0, 0.0))
-    blob = path.read_bytes()
-    assert blob.endswith(b",initial\r\n")
-    path.write_bytes(blob[:-4])  # the last stage now reads 'initi'
-    with pytest.raises(ppm.PpmError, match=r"w\.csv line 3: .*'initi'"):
-        ppm.load_weights_csv(path)
 
 
 def test_abs_loglik_matrix_rows_are_distinct_arrays():
     rng = np.random.default_rng(6)
     spec, theta, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=7)
     draws = [theta.replace(theta.values * c) for c in (0.5, 1.0, 2.0)]
-    abs_ll = ppm.abs_loglik_matrix(spec, draws, X, y)
+    abs_ll = ppm.abs_loglik_matrix(spec, [d.values for d in draws], X, y)
     assert abs_ll.shape == (3, 7)
     for row, draw in zip(abs_ll, draws):
         np.testing.assert_array_equal(

@@ -86,21 +86,21 @@ def _draw_with(monkeypatch, m, z1, z2):
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: _FixedNormals(z1, z2))
     (draw,) = m.draws(1, seed=0)
-    return draw
+    return draw.copy()
 
 
 def test_covariance_apply_mean_recovery(p1, monkeypatch):
     m = swag.SwagMoments(p1, k_max=2)
     m.absorb(vec(p1, 1.0)).absorb(vec(p1, 3.0))
     out = _draw_with(monkeypatch, m, [0.0], [0.0, 0.0])
-    assert out.values[0] == 2.0
+    assert out[0] == 2.0
 
 
 def test_covariance_apply_hand_fixture(p1, monkeypatch):
     m = swag.SwagMoments(p1, k_max=2)
     m.absorb(vec(p1, 1.0)).absorb(vec(p1, 3.0))
     out = _draw_with(monkeypatch, m, [1.0], [0.0, 1.0])
-    assert out.values[0] == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-12)
+    assert out[0] == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-12)
 
 
 def monte_carlo_moments(p=4, T=6, draws=4000):
@@ -115,7 +115,7 @@ def monte_carlo_moments(p=4, T=6, draws=4000):
 def test_covariance_monte_carlo_oracle():
     m, _ = monte_carlo_moments()
     k = m.k
-    outs = np.stack([d.values for d in m.draws(20_000, seed=8)])
+    outs = np.stack([d.copy() for d in m.draws(20_000, seed=8)])
     D = np.stack(m.dev_columns, axis=1)
     target = 0.5 * (np.diag(m.sigma_diag()) + D @ D.T / (k - 1))
     sample_cov = np.cov(outs.T)
@@ -233,10 +233,11 @@ def test_draws_match_per_draw_loop(absorbed):
     m = _absorbed(300, 7, absorbed, 21)
     assert m.k == min(absorbed, 7)
     want = _sample_loop(m, 9, seed=4)
-    for got in (list(m.draws(9, seed=4)), m.sample(9, seed=4)):
+    for got in ([d.copy() for d in m.draws(9, seed=4)],
+                [d.values for d in m.sample(9, seed=4)]):
         assert len(got) == 9
         for draw, values in zip(got, want):
-            np.testing.assert_array_equal(draw.values, values)
+            np.testing.assert_array_equal(draw, values)
 
 
 def test_draws_compute_sigma_diag_once():
@@ -387,3 +388,95 @@ def test_moments_trailing_bytes_raise_swag_error(tmp_path_factory, extra):
     path.write_bytes(path.read_bytes() + extra)
     with pytest.raises(swag.SwagError):
         swag.load_moments(path)
+
+
+def test_drawn_view_cannot_be_written(p1):
+    m = swag.SwagMoments(p1, k_max=2)
+    m.absorb(vec(p1, 1.0)).absorb(vec(p1, 3.0))
+    for draw in m.draws(2, seed=0):
+        assert not draw.flags.writeable
+        with pytest.raises(ValueError):
+            draw[0] = 0.0
+
+
+@pytest.mark.parametrize("z1", [np.inf, -np.inf, np.nan])
+def test_non_finite_draw_raises_swag_error(p1, monkeypatch, z1):
+    m = swag.SwagMoments(p1, k_max=2)
+    m.absorb(vec(p1, 1.0)).absorb(vec(p1, 3.0))
+    with pytest.raises(swag.SwagError, match="draw 0"):
+        _draw_with(monkeypatch, m, [z1], [0.0, 0.0])
+
+
+def count_vectors_built(monkeypatch):
+    """A list that gains an entry for every ParameterVector built from now."""
+    built = []
+    init = ParameterVector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParameterVector, "__init__", counting_init)
+    return built
+
+
+def test_draws_build_no_parameter_vector(monkeypatch):
+    m = _absorbed(30, 4, 6, 5)
+    built = count_vectors_built(monkeypatch)
+    assert sum(1 for _ in m.draws(25, seed=2)) == 25
+    assert built == []
+    m.sample(3, seed=2)
+    assert len(built) == 3
+
+
+def test_moments_with_a_huge_k_max_load_and_save_the_same_bytes(tmp_path):
+    # k_max = 2**40 deviation columns of one value would take 8 TiB; only
+    # the k = 0 columns the file holds are allocated
+    path = tmp_path / "m.bin"
+    head = {"layout": [["w", [1]]], "count": 1, "k": 0, "k_max": 2 ** 40}
+    blob = frozen_frame(b"SWPPMSW1", head,
+                        np.array([2.0, 5.0]).astype("<f8").tobytes())
+    path.write_bytes(blob)
+    m = swag.load_moments(path)
+    assert (m.count, m.k, m.k_max) == (1, 0, 2 ** 40)
+    assert m.dev_columns.shape == (0, 1)
+    swag.save_moments(tmp_path / "again.bin", m)
+    assert (tmp_path / "again.bin").read_bytes() == blob
+    m.absorb(vec(m.layout, 4.0))  # grows by the one column absorbed
+    assert m.k == 1 and m._dev.shape == (1, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 5), k_max=st.integers(1, 4),
+       cuts=st.lists(st.integers(0, 4), max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_absorbing_in_one_call_equals_one_at_a_time(p, k_max, cuts, seed):
+    # the snapshots go in as len(cuts) calls of cuts[i] each, eviction
+    # included once more than k_max are absorbed
+    layout = Layout([("w", (p,))])
+    rng = np.random.default_rng(seed)
+    snaps = [ParameterVector(rng.normal(0, 1, p), layout)
+             for _ in range(sum(cuts))]
+    one = swag.SwagMoments(layout, k_max=k_max)
+    for theta in snaps:
+        one.absorb(theta)
+    grouped = swag.SwagMoments(layout, k_max=k_max)
+    start = 0
+    for size in cuts:
+        grouped.absorb(*snaps[start:start + size])
+        start += size
+    assert (grouped.count, grouped.k) == (one.count, one.k)
+    assert grouped._dev.shape == (p, one.k)
+    for name in ("mean", "sq_mean", "dev_columns"):
+        assert (getattr(grouped, name) == getattr(one, name)).all()
+    if one.count:
+        for a, b in zip(grouped.draws(3, seed), one.sample(3, seed)):
+            assert (a == b.values).all()
+
+
+def test_absorb_checks_every_layout_before_absorbing_any(p1):
+    m = swag.SwagMoments(p1, k_max=3)
+    with pytest.raises(LayoutError):
+        m.absorb(vec(p1, 1.0), ParameterVector(np.zeros(2),
+                                               Layout([("w", (2,))])))
+    assert (m.count, m.k) == (0, 0)

@@ -285,3 +285,61 @@ def test_all_ones_weights_train_like_no_weights(seed, optimizer, family, n,
         np.testing.assert_array_equal(sa.theta.values, sb.theta.values)
         assert sa.mean_train_loss == sb.mean_train_loss or (
             np.isnan(sa.mean_train_loss) and np.isnan(sb.mean_train_loss))
+
+
+def count_vectors_built(monkeypatch):
+    """A list that gains an entry for every ParameterVector built from now."""
+    built = []
+    init = ParameterVector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParameterVector, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_CONFIGS))
+def test_train_builds_one_vector_per_epoch(rng, monkeypatch, optimizer):
+    spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=24,
+                                         weight_decay=0.01)
+    cfg = trainer.TrainConfig(optimizer, batch_size=4, epochs=3, seed=2,
+                              **OPTIMIZER_CONFIGS[optimizer])
+    built = count_vectors_built(monkeypatch)
+    theta, snaps = trainer.train(spec, theta0, X, y, cfg)
+    assert len(built) == 3  # 18 steps (DP-SGD: 18 Poisson batches)
+    assert theta is snaps[-1].theta
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("bad_step, message", [
+    (5, "non-finite loss .* at epoch 1 batch 2"),
+    (3, "epoch 0: .*non-finite")])
+def test_non_finite_theta_raises_train_error_naming_the_epoch(
+        rng, monkeypatch, weight_decay, bad_step, message):
+    # One gradient entry turns inf at bad_step: a W row whose feature no
+    # record has, so the logits never read the entry and only the ||theta||^2
+    # term of the loss sees it. Batches of 2 over 8 records: step 5 is in
+    # the middle of epoch 1 and caught by the next step's loss, step 3 ends
+    # epoch 0 and is caught by its snapshot.
+    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8,
+                                         weight_decay=weight_decay)
+    X[:, 2] = 0.0
+    X = sp.csr_matrix(X)
+    unused = spec.layout().view(np.arange(spec.num_params), "W")[2, 0]
+    gradient = models.weighted_gradient_loglik
+    steps = []
+
+    def gradient_going_inf(*args):
+        grad, loglik = gradient(*args)
+        steps.append(1)
+        if len(steps) == bad_step + 1:
+            grad[unused] = np.inf
+        return grad, loglik
+
+    monkeypatch.setattr(models, "weighted_gradient_loglik",
+                        gradient_going_inf)
+    cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 2, 3, seed=0)
+    with pytest.raises(trainer.TrainError, match=message):
+        trainer.train(spec, theta0, X, y, cfg)
