@@ -5,6 +5,7 @@ import copy
 import csv
 import hashlib
 import json
+import numbers
 import os
 import shutil
 import time
@@ -133,7 +134,8 @@ def prepare_data(cfg):
     """Generate or ingest, cap-sample, and split. Returns (train, test). A
     model setting, synthetic spec or cap that the model or data layer
     rejects, or a field of the wrong type, raises ConfigError before any
-    record is built; a CSV file that fails to load raises DataError."""
+    record is built, and so does a training, SWAG, PPM or DP setting (see
+    _check_settings); a CSV file that fails to load raises DataError."""
     model_spec(cfg, 2, 1)  # the model section, checked before any data
     master = cfg["seed"]
     dc = cfg["data"]
@@ -159,6 +161,7 @@ def prepare_data(cfg):
         )
     except (TypeError, ValueError) as e:  # DataError is a ValueError
         raise ConfigError("data: %s" % e) from None
+    _check_settings(cfg)
     dataset = (data.load_csv(dc["csv_path"], sc["feature_dim"])
                if spec is None else data.generate(spec))
     dataset = data.stratified_cap_sample(
@@ -178,19 +181,71 @@ def model_spec(cfg, num_classes, feature_dim):
         raise ConfigError("model: %s" % e) from None
 
 
+# recipe: (optimizer, config section, learning-rate key, epochs key)
+_RECIPES = {
+    "finetune": (trainer.ADAPTIVE, "phases", "finetune_lr",
+                 "finetune_epochs"),
+    "swag": (trainer.SGD_CONSTANT, "phases", "swag_lr", "swag_epochs"),
+    "nonprivate": (trainer.ADAPTIVE, "nonprivate", "learning_rate", "epochs"),
+    "dp-sgd": (trainer.DP_SGD, "dp_sgd", "learning_rate", "epochs"),
+}
+
+
+def _train_config(cfg, recipe, seed_tag, batch_size=None, sigma=None):
+    """The TrainConfig of a recipe, seeded from seed_tag. DP-SGD takes the
+    batch size it trains with (default: the section's) and sigma."""
+    optimizer, section, lr, epochs = _RECIPES[recipe]
+    sc = cfg[section]
+    return trainer.TrainConfig(
+        optimizer, sc[lr], batch_size or sc["batch_size"], sc[epochs],
+        derive_seed(cfg["seed"], seed_tag), sc.get("clip_norm"), sigma)
+
+
+def _check_settings(cfg):
+    """The settings a run would otherwise reject only once it has data or
+    has trained: the SWAG, PPM and DP ranges, then each recipe's
+    TrainConfig (DP-SGD's at the configured batch size and sigma 0). A
+    value out of range or of the wrong type raises ConfigError."""
+    ph, dp = cfg["phases"], cfg["dp_sgd"]
+    unit = (lambda v: 0 < v < 1, "in (0, 1)")
+    count = (lambda v: isinstance(v, numbers.Integral) and v >= 1,
+             "an integer >= 1")
+    for key, value, ok, want in [
+            ("phases.k", ph["k"]) + unit,
+            ("phases.c", ph["c"], lambda v: v >= 0, ">= 0"),
+            ("phases.g", ph["g"], lambda v: isinstance(v, numbers.Real),
+             "a number"),
+            ("phases.draws", ph["draws"]) + count,
+            ("phases.swag_rank", ph["swag_rank"]) + count,
+            ("dp_sgd.target_epsilon", dp["target_epsilon"], lambda v: v > 0,
+             "> 0"),
+            ("dp_sgd.delta", dp["delta"]) + unit,
+            ("delta_sweep", cfg["delta_sweep"],
+             lambda v: all(0 < d < 1 for d in v),
+             "a list of deltas in (0, 1)")]:
+        try:
+            good = ok(value)
+        except TypeError:
+            good = False
+        if not good:
+            raise ConfigError("%s must be %s, got %r" % (key, want, value))
+    for recipe in _RECIPES:
+        try:
+            _train_config(cfg, recipe, recipe, sigma=0.0)
+        except trainer.TrainError as e:
+            raise ConfigError("%s training: %s" % (recipe, e)) from None
+
+
 def _train_round(spec, theta0, X, y, weights, cfg, seed_tag):
     """One fine-tune + constant-lr SWAG round; returns the moment accumulator."""
-    ph = cfg["phases"]
-    master = cfg["seed"]
-    ft_cfg = trainer.TrainConfig(
-        trainer.ADAPTIVE, ph["finetune_lr"], ph["batch_size"],
-        ph["finetune_epochs"], seed=derive_seed(master, seed_tag + "/ft"))
-    theta, _ = trainer.train(spec, theta0, X, y, ft_cfg, weights)
-    swag_cfg = trainer.TrainConfig(
-        trainer.SGD_CONSTANT, ph["swag_lr"], ph["batch_size"],
-        ph["swag_epochs"], seed=derive_seed(master, seed_tag + "/swag"))
-    moments = swag.SwagMoments(theta0.layout, k_max=ph["swag_rank"])
-    _, snapshots = trainer.train(spec, theta, X, y, swag_cfg, weights)
+    theta, _ = trainer.train(spec, theta0, X, y,
+                             _train_config(cfg, "finetune", seed_tag + "/ft"),
+                             weights)
+    moments = swag.SwagMoments(theta0.layout,
+                               k_max=cfg["phases"]["swag_rank"])
+    _, snapshots = trainer.train(
+        spec, theta, X, y, _train_config(cfg, "swag", seed_tag + "/swag"),
+        weights)
     return moments.absorb(*(snap.theta for snap in snapshots))
 
 
@@ -245,20 +300,18 @@ def _score_draws(spec, draws, count, X, y, alpha, ids, abs_ll_path=None):
     return report
 
 
-def _swag_rounds(cfg, train_view, out_dirs=()):
+def _swag_rounds(cfg, train_view, out_dir=None):
     """The fine-tune + SWAG rounds in order, run one per step of the
     generator, each yielding (round, moments, weights, report): round 1 the
     initial weights and no report, round 2 the sensitivity report under
-    them, round 3 the reweighted weights and their report. out_dirs pairs
-    each output directory with the last round it keeps; a round writes its
-    internal/ artefacts, byte-identical, into every directory that keeps
-    it, so releases that share rounds also share their training and
-    scoring."""
+    them, round 3 the reweighted weights and their report. With out_dir,
+    each round writes its artefacts once, into out_dir/internal. A round
+    drops the previous round's moments before it trains."""
     ph = cfg["phases"]
     master = cfg["seed"]
-    for out_dir, _ in out_dirs:
-        for sub in ("internal", "release"):
-            os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+    internal = out_dir and os.path.join(out_dir, "internal")
+    if internal:
+        os.makedirs(internal, exist_ok=True)
     X = train_view.feature_matrix()
     y = train_view.labels
     ids = train_view.ids
@@ -267,11 +320,11 @@ def _swag_rounds(cfg, train_view, out_dirs=()):
 
     weights = report = None
     for r, (score_phase, weights_csv) in enumerate(_ROUNDS, start=1):
-        dirs = [os.path.join(d, "internal") for d, last in out_dirs
-                if last >= r]
         if r == 3:
-            weights = ppm.reweight(weights, report, ph["k"])
+            weights = _phase("reweight", ppm.reweight, weights, report,
+                             ph["k"])
         tag = "round%d" % r
+        moments = None  # so two rounds' moments never coexist
         moments = _phase("swag-round-%d" % r, _train_round, spec, theta0, X,
                          y, None if weights is None else weights.alpha,
                          cfg, tag)
@@ -279,37 +332,39 @@ def _swag_rounds(cfg, train_view, out_dirs=()):
                        derive_seed(master, "draws%d" % r))
         # round 1 scores unweighted: its per-record maxima are the risks
         alpha = np.ones(len(ids)) if weights is None else weights.alpha
-        abs_ll = [os.path.join(d, tag + "_abs_ll.npy") for d in dirs]
+        abs_ll = internal and os.path.join(internal, tag + "_abs_ll.npy")
         scores = _phase(score_phase, _score_draws, spec, draws, ph["draws"],
-                        X, y, alpha, ids, abs_ll[0] if abs_ll else None)
-        for path in abs_ll[1:]:
-            shutil.copyfile(abs_ll[0], path)
+                        X, y, alpha, ids, abs_ll)
         if weights is None:
             weights = ppm.map_weights(ids, scores.per_record, ph["c"],
                                       ph["g"])
         else:
             report = scores
-        for d in dirs:
-            swag.save_moments(os.path.join(d, tag + "_moments.bin"), moments)
+        if internal:
+            swag.save_moments(os.path.join(internal, tag + "_moments.bin"),
+                              moments)
             if weights_csv:
-                ppm.save_weights_csv(os.path.join(d, weights_csv), weights)
+                ppm.save_weights_csv(os.path.join(internal, weights_csv),
+                                     weights)
         yield r, moments, weights, report
 
 
 def _run_to_round(rounds, last):
-    """(moments, weights, report) of round `last`, running the rounds of
-    the _swag_rounds generator up to it."""
+    """(moments, weights, report) of round `last`, running the _swag_rounds
+    generator up to it; no earlier round is held while the next one runs."""
     for r, *state in rounds:
         if r == last:
             return state
+        del state
 
 
 def _release(cfg, moments, weights, report, out_dir=None):
     """The one released draw, kept apart from the internal draws, and with
-    out_dir its checkpoint and privacy report."""
+    out_dir its checkpoint under release/ and its privacy report."""
     released = moments.sample(1, derive_seed(cfg["seed"], "release"))[0]
     result = SwagPpmResult(released, report, weights, moments)
     if out_dir:
+        os.makedirs(os.path.join(out_dir, "release"), exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "release", "released_model.bin"),
                         released, {"epsilon": result.epsilon})
         ppm.save_report_json(os.path.join(out_dir, "privacy_report.json"),
@@ -321,10 +376,9 @@ def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
     """Figure-of-merit pipeline: two (or three, reweighted) fine-tune + SWAG
     rounds, risk-based weights in between, epsilon from the final draws,
     and a single released draw kept apart from the internal draws."""
-    last = 3 if reweighted else 2
-    rounds = _swag_rounds(cfg, train_view,
-                          [(out_dir, last)] if out_dir else [])
-    return _release(cfg, *_run_to_round(rounds, last), out_dir)
+    rounds = _swag_rounds(cfg, train_view, out_dir)
+    return _release(cfg, *_run_to_round(rounds, 3 if reweighted else 2),
+                    out_dir)
 
 
 def dp_schedule(cfg, n, delta=None):
@@ -340,31 +394,24 @@ def dp_schedule(cfg, n, delta=None):
 
 def run_dp_sgd(cfg, train_view, delta=None):
     """DP-SGD baseline with sigma calibrated to the target epsilon."""
-    dp = cfg["dp_sgd"]
-    delta = dp["delta"] if delta is None else delta
+    delta = cfg["dp_sgd"]["delta"] if delta is None else delta
     batch, q, steps, sigma = dp_schedule(cfg, len(train_view), delta)
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
     theta0 = models.init_params(spec, derive_seed(cfg["seed"], "init"))
-    tc = trainer.TrainConfig(
-        trainer.DP_SGD, dp["learning_rate"], batch, dp["epochs"],
-        seed=derive_seed(cfg["seed"], "dp-sgd"), clip_norm=dp["clip_norm"],
-        noise_multiplier=sigma)
-    theta, _ = trainer.train(spec, theta0, train_view.feature_matrix(),
-                             train_view.labels, tc)
+    theta, _ = trainer.train(
+        spec, theta0, train_view.feature_matrix(), train_view.labels,
+        _train_config(cfg, "dp-sgd", "dp-sgd", batch, sigma))
     budget = accountant.to_dp(
         accountant.compose(accountant.RdpLedger(q, sigma), steps), delta)
     return theta, sigma, budget
 
 
 def run_nonprivate(cfg, train_view):
-    np_cfg = cfg["nonprivate"]
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
     theta0 = models.init_params(spec, derive_seed(cfg["seed"], "init"))
-    tc = trainer.TrainConfig(
-        trainer.ADAPTIVE, np_cfg["learning_rate"], np_cfg["batch_size"],
-        np_cfg["epochs"], seed=derive_seed(cfg["seed"], "nonprivate"))
-    theta, _ = trainer.train(spec, theta0, train_view.feature_matrix(),
-                             train_view.labels, tc)
+    theta, _ = trainer.train(
+        spec, theta0, train_view.feature_matrix(), train_view.labels,
+        _train_config(cfg, "nonprivate", "nonprivate"))
     return theta
 
 
@@ -420,25 +467,29 @@ def run_benchmark(cfg, out_dir=None):
                                 time.time() - start,
                                 error=str(e) or type(e).__name__)
 
-    # the two swag rows share rounds 1-2: the plain release is taken after
-    # round 2 and the reweighted one after round 3 of the same rounds
-    swag_lasts = {"swag_ppm": 2, "swag_ppm_rw": 3}
-    rounds = _swag_rounds(cfg, train_view, [
-        (os.path.join(out_dir, key), last)
-        for key, last in swag_lasts.items()] if out_dir else [])
+    # the swag rows share rounds 1-2, written into swag_ppm_rw/; the plain row
+    # copies them out after round 2, leaving out any earlier run's round 3
+    dirs = {key: os.path.join(out_dir, key) if out_dir else None
+            for key in ("swag_ppm", "swag_ppm_rw")}
+    rounds = _swag_rounds(cfg, train_view, dirs["swag_ppm_rw"])
     round_error = None
 
-    def swag_run(key):
+    def swag_run(key, last):
         nonlocal round_error
         if round_error is not None:
             raise round_error  # a shared round failed for the first row
         try:
-            state = _run_to_round(rounds, swag_lasts[key])
+            state = _run_to_round(rounds, last)
         except Exception as e:
             round_error = e
             raise
-        res = _release(cfg, *state,
-                       out_dir=os.path.join(out_dir, key) if out_dir else None)
+        if out_dir and key == "swag_ppm":
+            shutil.copytree(os.path.join(dirs["swag_ppm_rw"], "internal"),
+                            os.path.join(dirs[key], "internal"),
+                            ignore=shutil.ignore_patterns("round3_*",
+                                                          _ROUNDS[2][1]),
+                            dirs_exist_ok=True)
+        res = _release(cfg, *state, out_dir=dirs[key])
         aux[key] = res
         return res.released_theta, res.epsilon
 
@@ -453,9 +504,9 @@ def run_benchmark(cfg, out_dir=None):
     rows = [
         bench("non-private", "-",
               lambda: (run_nonprivate(cfg, train_view), None)),
-        bench("swag-ppm", "O(n^-1/2)", lambda: swag_run("swag_ppm")),
+        bench("swag-ppm", "O(n^-1/2)", lambda: swag_run("swag_ppm", 2)),
         bench("swag-ppm-reweighted", "O(n^-1/2)",
-              lambda: swag_run("swag_ppm_rw")),
+              lambda: swag_run("swag_ppm_rw", 3)),
         bench("dp-sgd", repr(base_delta), lambda: dp_run(base_delta)),
     ]
     sweep_rows = [bench("dp-sgd", repr(delta), lambda: dp_run(delta))

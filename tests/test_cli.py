@@ -216,6 +216,43 @@ def test_bad_model_config_exits_2_before_any_data(tmp_path, capsys,
         assert "config error: model:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, override, message", [
+    ("train", "nonprivate.learning_rate=null",
+     "nonprivate training: bad learning_rate None"),
+    ("swag-ppm-rw", "phases.batch_size=3.5", "finetune training: "),
+    ("swag-ppm-rw", "phases.draws=0", "phases.draws must be an integer"),
+    ("swag-ppm-rw", 'phases.draws="5"', "phases.draws must be an integer"),
+    ("swag-ppm-rw", "phases.swag_rank=0", "phases.swag_rank must be an"),
+    ("swag-ppm-rw", "phases.k=1.5", "phases.k must be in (0, 1)"),
+    ("swag-ppm-rw", "phases.c=-1", "phases.c must be >= 0"),
+    ("swag-ppm", 'phases.g="x"', "phases.g must be a number"),
+    ("benchmark", "delta_sweep=[2]", "delta_sweep must be a list of"),
+    ("benchmark", "dp_sgd.delta=0", "dp_sgd.delta must be in (0, 1)"),
+    ("benchmark", "dp_sgd.target_epsilon=0",
+     "dp_sgd.target_epsilon must be > 0"),
+    ("benchmark", "dp_sgd.clip_norm=0",
+     "dp-sgd training: dp-sgd requires clip_norm > 0"),
+])
+def test_bad_training_config_exits_2_before_any_data(
+        tmp_path, capsys, monkeypatch, command, override, message):
+    monkeypatch.setattr(data, "generate", _raise_runtime_error)
+    code = run(["--out", str(tmp_path / "o"), "--override", override,
+                command])
+    assert code == cli.EXIT_CONFIG
+    assert "config error: " + message in capsys.readouterr().err
+
+
+def test_reweighting_failure_exits_3_naming_its_phase(tmp_path,
+                                                      tiny_config_file,
+                                                      capsys):
+    code = run(["--config", tiny_config_file, "--out", str(tmp_path / "o"),
+                "--override", "phases.c=0", "--override", "phases.g=0",
+                "swag-ppm-rw"])
+    assert code == cli.EXIT_PHASE
+    assert ("phase 'reweight' failed: reweighting undefined when Delta is "
+            "zero") in capsys.readouterr().err
+
+
 def test_config_file_section_given_a_value_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"model": 5}))

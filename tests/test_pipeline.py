@@ -1,6 +1,9 @@
+import gc
 import json
 import os
+import shutil
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -290,6 +293,82 @@ def test_benchmark_swag_rows_equal_separate_releases(tmp_path):
         want = _files(out)
         assert len(want) == (10 if reweighted else 7)
         assert _files(os.path.join(bench_out, key)) == want
+
+
+def test_no_round_outlives_the_next_rounds_training(monkeypatch):
+    cfg = tiny_config()
+    train, _ = pipeline.prepare_data(cfg)
+    train_round = pipeline._train_round
+    earlier = []
+
+    def spy(*args):
+        gc.collect()
+        assert all(ref() is None for ref in earlier)
+        moments = train_round(*args)
+        earlier.append(weakref.ref(moments))
+        return moments
+
+    monkeypatch.setattr(pipeline, "_train_round", spy)
+    res = pipeline.run_swag_ppm(cfg, train, reweighted=True)
+    assert len(earlier) == 3 and earlier[-1]() is res.moments
+
+
+def test_benchmark_writes_each_round_artefact_once(monkeypatch, tmp_path):
+    cfg = tiny_config()
+    cfg["delta_sweep"] = []
+    calls = []
+    for module, name in ((swag, "save_moments"), (ppm, "save_weights_csv")):
+        def spy(path, obj, _save=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _save(path, obj)
+        monkeypatch.setattr(module, name, spy)
+    rows, _, _ = pipeline.run_benchmark(cfg, out_dir=str(tmp_path / "b"))
+    assert all(row.error is None for row in rows)
+    assert calls.count("save_moments") == 3
+    assert calls.count("save_weights_csv") == 2
+
+
+def test_failed_copy_fails_only_the_plain_row(monkeypatch, tmp_path):
+    cfg = tiny_config()
+    cfg["delta_sweep"] = []
+
+    def fail(*args, **kwargs):
+        raise OSError("copy failed")
+
+    monkeypatch.setattr(shutil, "copytree", fail)
+    bench_out = str(tmp_path / "bench")
+    rows, _, aux = pipeline.run_benchmark(cfg, out_dir=bench_out)
+    by_name = {row.name: row for row in rows}
+    assert by_name["swag-ppm"].error == "copy failed"
+    assert by_name["swag-ppm-reweighted"].error is None
+    assert "swag_ppm" not in aux
+    train, _ = pipeline.prepare_data(cfg)
+    alone = str(tmp_path / "alone")
+    pipeline.run_swag_ppm(cfg, train, out_dir=alone, reweighted=True)
+    assert _files(os.path.join(bench_out, "swag_ppm_rw")) == _files(alone)
+
+
+def test_benchmark_rerun_copies_only_rounds_1_and_2(tmp_path):
+    cfg = tiny_config()
+    cfg["delta_sweep"] = []
+    bench_out = str(tmp_path / "bench")
+    for _ in range(2):  # the second run finds round 3's files in place
+        pipeline.run_benchmark(cfg, out_dir=bench_out)
+    train, _ = pipeline.prepare_data(cfg)
+    alone = str(tmp_path / "alone")
+    pipeline.run_swag_ppm(cfg, train, out_dir=alone)
+    assert _files(os.path.join(bench_out, "swag_ppm")) == _files(alone)
+
+
+def test_reweighting_failure_names_its_phase():
+    cfg = tiny_config()
+    cfg["phases"].update(c=0.0, g=0.0)  # every alpha 0, so Delta is 0
+    cfg["delta_sweep"] = []
+    rows, _, _ = pipeline.run_benchmark(cfg)
+    by_name = {row.name: row for row in rows}
+    assert by_name["swag-ppm"].error is None
+    assert by_name["swag-ppm-reweighted"].error == (
+        "phase 'reweight' failed: reweighting undefined when Delta is zero")
 
 
 def test_failed_shared_round_fails_both_swag_rows(monkeypatch):

@@ -175,6 +175,21 @@ def test_dp_sgd_config_validation():
         trainer.TrainConfig(trainer.DP_SGD, 0.1, 4, 1, seed=0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"learning_rate": None}, {"learning_rate": "0.1"},
+    {"learning_rate": float("nan")}, {"batch_size": 3.5},
+    {"batch_size": "4"}, {"batch_size": None}, {"epochs": 2.0},
+    {"epochs": None}, {"optimizer": trainer.DP_SGD, "clip_norm": "1"},
+    {"optimizer": trainer.DP_SGD, "noise_multiplier": "0"},
+])
+def test_config_of_a_wrong_type_raises_train_error(fields):
+    args = dict(optimizer=trainer.DP_SGD, learning_rate=0.1, batch_size=4,
+                epochs=1, seed=0, clip_norm=1.0, noise_multiplier=0.0)
+    trainer.TrainConfig(**args)
+    with pytest.raises(trainer.TrainError):
+        trainer.TrainConfig(**dict(args, **fields))
+
+
 def _frozen_train(spec, theta0, X, y, config, weights=None):
     # Reference: train as it was before its steps reused buffers: the loss
     # from a separate mean_nll pass, then allocating AdamW, SGD and DP-SGD
