@@ -5,7 +5,6 @@ calibration by bisection."""
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 from scipy.special import gammaln, logsumexp

@@ -10,6 +10,8 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from .params import is_integer, is_number
+
 
 class DataError(ValueError):
     pass
@@ -233,6 +235,15 @@ class SyntheticSpec:
     class_vocab_size: int = 20
 
     def __post_init__(self):
+        for name in ("num_classes", "total_records", "vocab_size",
+                     "class_vocab_size", "feature_dim"):
+            if not is_integer(getattr(self, name)):
+                raise DataError("%s must be an integer, got %r"
+                                % (name, getattr(self, name)))
+        for name in ("zipf_exponent", "class_signal_strength"):
+            if not is_number(getattr(self, name)):
+                raise DataError("%s must be a number, got %r"
+                                % (name, getattr(self, name)))
         if self.num_classes < 2:
             raise DataError("need at least 2 classes")
         if self.total_records < self.num_classes:
@@ -240,9 +251,9 @@ class SyntheticSpec:
         if not (0 <= self.class_signal_strength <= 1):
             raise DataError("class_signal_strength must lie in [0, 1]")
         lo, hi = self.tokens_per_record
-        if not 0 <= lo <= hi:
-            raise DataError("tokens_per_record must be (lo, hi) with "
-                            "0 <= lo <= hi, got %r"
+        if not (is_integer(lo) and is_integer(hi) and 0 <= lo <= hi):
+            raise DataError("tokens_per_record must be integers (lo, hi) "
+                            "with 0 <= lo <= hi, got %r"
                             % (self.tokens_per_record,))
         if self.vocab_size < 1 or self.class_vocab_size < 1:
             raise DataError("vocab_size and class_vocab_size must be >= 1")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .params import Layout, ParameterVector
+from .params import Layout, ParameterVector, is_integer, is_number
 
 SOFTMAX_LINEAR = "softmax-linear"
 MLP_1_HIDDEN = "mlp-1-hidden"
@@ -36,13 +36,16 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in (SOFTMAX_LINEAR, MLP_1_HIDDEN):
             raise ModelError("unknown model family %r" % self.family)
+        if not is_integer(self.hidden_dim):
+            raise ModelError("hidden_dim must be an integer, got %r"
+                             % self.hidden_dim)
         if self.family == MLP_1_HIDDEN and self.hidden_dim <= 0:
             raise ModelError("mlp-1-hidden requires hidden_dim > 0")
         if self.family == SOFTMAX_LINEAR and self.hidden_dim != 0:
             raise ModelError("softmax-linear requires hidden_dim == 0")
         if self.num_classes < 2:
             raise ModelError("need at least 2 classes")
-        if self.weight_decay < 0:
+        if not (is_number(self.weight_decay) and self.weight_decay >= 0):
             raise ModelError("weight_decay must be nonnegative")
         # built once; a non-integer dimension raises LayoutError
         object.__setattr__(self, "_layout", Layout(

@@ -3,6 +3,7 @@ frame that checkpoints and moment files share."""
 
 import json
 import math
+import numbers
 import operator
 import struct
 
@@ -11,6 +12,17 @@ import numpy as np
 
 class LayoutError(ValueError):
     pass
+
+
+def is_integer(value):
+    """Whether value is an integer; a bool, which Python counts as one, is
+    not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value):
+    """Whether value is a real number; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class Layout:

@@ -5,7 +5,6 @@ import copy
 import csv
 import hashlib
 import json
-import numbers
 import os
 import shutil
 import time
@@ -15,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import accountant, data, metrics, models, ppm, swag, trainer
-from .params import save_checkpoint
+from .params import is_integer, is_number, save_checkpoint
 
 
 class ConfigError(ValueError):
@@ -131,39 +130,13 @@ def derive_seed(master, tag):
 
 
 def prepare_data(cfg):
-    """Generate or ingest, cap-sample, and split. Returns (train, test). A
-    model setting, synthetic spec or cap that the model or data layer
-    rejects, or a field of the wrong type, raises ConfigError before any
-    record is built, and so does a training, SWAG, PPM or DP setting (see
-    _check_settings); a CSV file that fails to load raises DataError."""
-    model_spec(cfg, 2, 1)  # the model section, checked before any data
-    master = cfg["seed"]
-    dc = cfg["data"]
-    sc = dc["synthetic"]
-    try:
-        if dc["cap"] < 2:
-            raise data.DataError("cap must be >= 2, got %r" % dc["cap"])
-        if not 0 < dc["sampling_fraction"] <= 1:
-            raise data.DataError("sampling_fraction must lie in (0, 1], "
-                                 "got %r" % dc["sampling_fraction"])
-        if not 0 < dc["train_fraction"] < 1:
-            raise data.DataError("train_fraction must lie in (0, 1), got %r"
-                                 % dc["train_fraction"])
-        spec = None if dc.get("csv_path") else data.SyntheticSpec(
-            num_classes=sc["num_classes"],
-            zipf_exponent=sc["zipf_exponent"],
-            total_records=sc["total_records"],
-            vocab_size=sc["vocab_size"],
-            tokens_per_record=tuple(sc["tokens_per_record"]),
-            class_signal_strength=sc["class_signal_strength"],
-            seed=derive_seed(master, "data"),
-            feature_dim=sc["feature_dim"],
-        )
-    except (TypeError, ValueError) as e:  # DataError is a ValueError
-        raise ConfigError("data: %s" % e) from None
-    _check_settings(cfg)
-    dataset = (data.load_csv(dc["csv_path"], sc["feature_dim"])
-               if spec is None else data.generate(spec))
+    """Generate or ingest, cap-sample, and split; returns (train, test).
+    _check_settings runs first, so a bad setting raises ConfigError before
+    any record is built; a CSV file that fails to load raises DataError."""
+    spec = _check_settings(cfg)
+    master, dc = cfg["seed"], cfg["data"]
+    dataset = (data.load_csv(dc["csv_path"], spec.feature_dim)
+               if dc["csv_path"] else data.generate(spec))
     dataset = data.stratified_cap_sample(
         dataset, cap=dc["cap"], fraction=dc["sampling_fraction"],
         seed=derive_seed(master, "cap"))
@@ -202,26 +175,36 @@ def _train_config(cfg, recipe, seed_tag, batch_size=None, sigma=None):
 
 
 def _check_settings(cfg):
-    """The settings a run would otherwise reject only once it has data or
-    has trained: the SWAG, PPM and DP ranges, then each recipe's
-    TrainConfig (DP-SGD's at the configured batch size and sigma 0). A
-    value out of range or of the wrong type raises ConfigError."""
-    ph, dp = cfg["phases"], cfg["dp_sgd"]
-    unit = (lambda v: 0 < v < 1, "in (0, 1)")
-    count = (lambda v: isinstance(v, numbers.Integral) and v >= 1,
-             "an integer >= 1")
+    """The one judge of a config, run before any record is built: the table
+    below, the model section, the data.synthetic section as the
+    data.SyntheticSpec it returns, and each recipe's TrainConfig (DP-SGD's
+    at the configured batch size and sigma 0). A CSV run reads only
+    feature_dim, the width it hashes into, so its spec takes the default
+    section with that value. A bad value or type raises ConfigError naming
+    its key or section."""
+    dc, ph, dp = cfg["data"], cfg["phases"], cfg["dp_sgd"]
+    unit = (lambda v: is_number(v) and 0 < v < 1, "in (0, 1)")
+    count = (lambda v: is_integer(v) and v >= 1, "an integer >= 1")
     for key, value, ok, want in [
+            ("seed", cfg["seed"], is_integer, "an integer"),
+            ("data.csv_path", dc["csv_path"],
+             lambda v: v is None or isinstance(v, str) and v != "",
+             "null or a non-empty string"),
+            ("data.cap", dc["cap"], lambda v: is_integer(v) and v >= 2,
+             "an integer >= 2"),
+            ("data.sampling_fraction", dc["sampling_fraction"],
+             lambda v: is_number(v) and 0 < v <= 1, "in (0, 1]"),
+            ("data.train_fraction", dc["train_fraction"]) + unit,
             ("phases.k", ph["k"]) + unit,
-            ("phases.c", ph["c"], lambda v: v >= 0, ">= 0"),
-            ("phases.g", ph["g"], lambda v: isinstance(v, numbers.Real),
-             "a number"),
+            ("phases.c", ph["c"], lambda v: is_number(v) and v >= 0, ">= 0"),
+            ("phases.g", ph["g"], is_number, "a number"),
             ("phases.draws", ph["draws"]) + count,
             ("phases.swag_rank", ph["swag_rank"]) + count,
-            ("dp_sgd.target_epsilon", dp["target_epsilon"], lambda v: v > 0,
-             "> 0"),
+            ("dp_sgd.target_epsilon", dp["target_epsilon"],
+             lambda v: is_number(v) and v > 0, "> 0"),
             ("dp_sgd.delta", dp["delta"]) + unit,
             ("delta_sweep", cfg["delta_sweep"],
-             lambda v: all(0 < d < 1 for d in v),
+             lambda v: all(unit[0](d) for d in v),
              "a list of deltas in (0, 1)")]:
         try:
             good = ok(value)
@@ -229,11 +212,23 @@ def _check_settings(cfg):
             good = False
         if not good:
             raise ConfigError("%s must be %s, got %r" % (key, want, value))
+    model_spec(cfg, 2, 1)
+    sc = dc["synthetic"]
+    if dc["csv_path"]:
+        sc = dict(DEFAULT_CONFIG["data"]["synthetic"],
+                  feature_dim=sc["feature_dim"])
+    try:
+        spec = data.SyntheticSpec(
+            **dict(sc, tokens_per_record=tuple(sc["tokens_per_record"])),
+            seed=derive_seed(cfg["seed"], "data"))
+    except (TypeError, ValueError) as e:  # DataError is a ValueError
+        raise ConfigError("data.synthetic: %s" % e) from None
     for recipe in _RECIPES:
         try:
             _train_config(cfg, recipe, recipe, sigma=0.0)
         except trainer.TrainError as e:
             raise ConfigError("%s training: %s" % (recipe, e)) from None
+    return spec
 
 
 def _train_round(spec, theta0, X, y, weights, cfg, seed_tag):
@@ -483,12 +478,14 @@ def run_benchmark(cfg, out_dir=None):
         except Exception as e:
             round_error = e
             raise
-        if out_dir and key == "swag_ppm":
-            shutil.copytree(os.path.join(dirs["swag_ppm_rw"], "internal"),
-                            os.path.join(dirs[key], "internal"),
-                            ignore=shutil.ignore_patterns("round3_*",
-                                                          _ROUNDS[2][1]),
-                            dirs_exist_ok=True)
+        if key == "swag_ppm":
+            aux["weights"] = state[1]  # round 2's: the initial weights
+            if out_dir:
+                shutil.copytree(
+                    os.path.join(dirs["swag_ppm_rw"], "internal"),
+                    os.path.join(dirs[key], "internal"),
+                    ignore=shutil.ignore_patterns("round3_*", _ROUNDS[2][1]),
+                    dirs_exist_ok=True)
         res = _release(cfg, *state, out_dir=dirs[key])
         aux[key] = res
         return res.released_theta, res.epsilon
@@ -511,8 +508,6 @@ def run_benchmark(cfg, out_dir=None):
     ]
     sweep_rows = [bench("dp-sgd", repr(delta), lambda: dp_run(delta))
                   for delta in cfg["delta_sweep"]]
-    if "swag_ppm" in aux:
-        aux["weights"] = aux["swag_ppm"].weights
     aux["dp_budgets"] = dp_out
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -566,21 +561,18 @@ def write_reports(out_dir, cfg, rows, sweep_rows, aux):
              for c in range(test_view.num_classes)])
 
     if "weights" in aux:  # data behind the weight-density figure
+        # the weights were mapped from train_view.ids, so the arrays align
         top, bottom = metrics.quartile_class_sets(train_counts)
-        quart = {}
-        for c in top:
-            quart[int(c)] = "top"
-        for c in bottom:
-            quart[int(c)] = "bottom"
-        class_of = {int(i): [train_view.label_names[int(c)],
-                             quart.get(int(c), "mid")]
-                    for i, c in zip(train_view.ids, train_view.labels)}
-        weights = aux["weights"]
+        quartile = np.full(train_view.num_classes, "mid", dtype=object)
+        quartile[top] = "top"
+        quartile[bottom] = "bottom"
         _write_csv(
             os.path.join(out_dir, "weight_density.csv"),
             ["record_id", "class", "size_quartile", "alpha"],
-            [[int(rid)] + class_of[int(rid)] + [repr(float(alpha))]
-             for rid, alpha in zip(weights.record_ids, weights.alpha)])
+            [[int(rid), train_view.label_names[c], quartile[c],
+              repr(float(alpha))]
+             for rid, c, alpha in zip(train_view.ids, train_view.labels,
+                                      aux["weights"].alpha)])
 
     with open(os.path.join(out_dir, "summary.md"), "w") as f:
         f.write("| model | epsilon | delta | f1_weighted | f1_macro |\n")

@@ -1,13 +1,12 @@
 """Training loops: adaptive (AdamW-style), constant-lr SGD, and DP-SGD."""
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import models
-from .params import LayoutError, ParameterVector
+from .params import LayoutError, ParameterVector, is_integer, is_number
 
 ADAPTIVE = "adaptive"
 SGD_CONSTANT = "sgd-constant"
@@ -35,21 +34,19 @@ class TrainConfig:
 
     def __post_init__(self):
         """A field of the wrong type or out of range raises TrainError."""
-        real, integral = numbers.Real, numbers.Integral
         if self.optimizer not in (ADAPTIVE, SGD_CONSTANT, DP_SGD):
             raise TrainError("unknown optimizer %r" % self.optimizer)
-        if not (isinstance(self.learning_rate, real) and self.learning_rate > 0
-                and isinstance(self.batch_size, integral)
-                and self.batch_size > 0
-                and isinstance(self.epochs, integral) and self.epochs >= 0):
+        if not (is_number(self.learning_rate) and self.learning_rate > 0
+                and is_integer(self.batch_size) and self.batch_size > 0
+                and is_integer(self.epochs) and self.epochs >= 0):
             raise TrainError(
                 "bad learning_rate %r, batch_size %r or epochs %r: need a "
                 "rate > 0, an integer batch size > 0 and integer epochs >= 0"
                 % (self.learning_rate, self.batch_size, self.epochs))
         if self.optimizer == DP_SGD:
-            if not (isinstance(self.clip_norm, real) and self.clip_norm > 0):
+            if not (is_number(self.clip_norm) and self.clip_norm > 0):
                 raise TrainError("dp-sgd requires clip_norm > 0")
-            if not (isinstance(self.noise_multiplier, real)
+            if not (is_number(self.noise_multiplier)
                     and self.noise_multiplier >= 0):
                 raise TrainError("dp-sgd requires noise_multiplier >= 0")
 

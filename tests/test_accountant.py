@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln, logsumexp
 
 from swagppm import accountant
@@ -136,6 +137,28 @@ def test_calibrate_noise_dp_sgd_configuration():
 
     assert eps(sigma) <= 4.0
     assert eps(sigma - 0.01) > 4.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(target=st.floats(0.5, 10.0), log_delta=st.floats(-6.0, -1.0),
+       q=st.floats(0.001, 0.5), steps=st.integers(1, 2000))
+def test_calibrate_noise_returns_the_least_sigma_that_meets_the_target(
+        target, log_delta, q, steps):
+    delta = 10.0 ** log_delta
+
+    def eps(sigma):
+        return accountant.to_dp(
+            accountant.compose(accountant.RdpLedger(q, sigma), steps),
+            delta).epsilon
+
+    lo, hi = accountant.SIGMA_BRACKET
+    try:
+        sigma = accountant.calibrate_noise(target, delta, q, steps)
+    except accountant.AccountantError:
+        assert eps(hi) > target  # raised only when no sigma meets it
+        return
+    assert eps(sigma) <= target
+    assert sigma == lo or eps(sigma - 2 * accountant.SIGMA_TOL) > target
 
 
 def test_calibrate_noise_q_zero_returns_bracket_min():

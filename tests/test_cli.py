@@ -204,6 +204,8 @@ def test_bad_model_family_exits_2(tmp_path, capsys):
     ['model.family="cnn"'],
     ['model.family="mlp-1-hidden"', "model.hidden_dim=32.5"],
     ["model.weight_decay=-1"],
+    ['model.family="mlp-1-hidden"', "model.hidden_dim=true"],
+    ["model.weight_decay=true"],
 ])
 def test_bad_model_config_exits_2_before_any_data(tmp_path, capsys,
                                                  monkeypatch, overrides):
@@ -232,14 +234,82 @@ def test_bad_model_config_exits_2_before_any_data(tmp_path, capsys,
      "dp_sgd.target_epsilon must be > 0"),
     ("benchmark", "dp_sgd.clip_norm=0",
      "dp-sgd training: dp-sgd requires clip_norm > 0"),
+    # values that crashed with a traceback or ran another config than the
+    # one they name; a list sets several values
+    ("generate-data", ['seed="x"', 'data.csv_path="records.csv"'],
+     "seed must be an integer"),
+    ("generate-data", "seed=1.5", "seed must be an integer, got 1.5"),
+    ("generate-data", "seed=true", "seed must be an integer, got True"),
+    ("generate-data", "data.csv_path=5",
+     "data.csv_path must be null or a non-empty"),
+    ("generate-data", "data.csv_path=true",
+     "data.csv_path must be null or a non-empty"),
+    ("generate-data", 'data.csv_path=""',
+     "data.csv_path must be null or a non-empty"),
+    ("generate-data", "data.csv_path=0",
+     "data.csv_path must be null or a non-empty"),
+    ("generate-data", "data.cap=2.5",
+     "data.cap must be an integer >= 2, got 2.5"),
+    ("generate-data", "data.synthetic.num_classes=3.5",
+     "data.synthetic: num_classes must be an integer"),
+    ("generate-data", 'data.synthetic.zipf_exponent="x"',
+     "data.synthetic: zipf_exponent must be a number"),
+    ("generate-data", "data.synthetic.total_records=300.5",
+     "data.synthetic: total_records must be an integer"),
+    ("generate-data", "data.synthetic.feature_dim=true",
+     "data.synthetic: feature_dim must be an integer"),
+    ("generate-data", "data.synthetic.tokens_per_record=[1.5, 3]",
+     "data.synthetic: tokens_per_record must be integers"),
+    ("generate-data", "phases.draws=true",
+     "phases.draws must be an integer >= 1"),
+    ("generate-data", "nonprivate.epochs=true", "nonprivate training: "),
+    ("generate-data",
+     ['data.csv_path="records.csv"', 'data.synthetic.feature_dim="x"'],
+     "data.synthetic: feature_dim must be an integer"),
+    ("generate-data",
+     ['data.csv_path="records.csv"', "data.synthetic.feature_dim=100"],
+     "data.synthetic: feature_dim must be a power of two"),
+    # a bool is not a number either
+    ("generate-data", "data.synthetic.class_signal_strength=true",
+     "data.synthetic: class_signal_strength must be a number"),
+    ("generate-data", "data.synthetic.zipf_exponent=true",
+     "data.synthetic: zipf_exponent must be a number"),
+    ("generate-data", "data.sampling_fraction=true",
+     "data.sampling_fraction must be in (0, 1], got True"),
+    ("generate-data", "phases.finetune_lr=true",
+     "finetune training: bad learning_rate True"),
+    ("generate-data", "phases.c=true", "phases.c must be >= 0, got True"),
+    ("generate-data", "phases.g=true", "phases.g must be a number"),
+    ("generate-data", "dp_sgd.target_epsilon=true",
+     "dp_sgd.target_epsilon must be > 0, got True"),
+    ("generate-data", "dp_sgd.clip_norm=true",
+     "dp-sgd training: dp-sgd requires clip_norm > 0"),
 ])
 def test_bad_training_config_exits_2_before_any_data(
         tmp_path, capsys, monkeypatch, command, override, message):
     monkeypatch.setattr(data, "generate", _raise_runtime_error)
-    code = run(["--out", str(tmp_path / "o"), "--override", override,
-                command])
+    monkeypatch.setattr(data, "load_csv", _raise_runtime_error)
+    args = ["--out", str(tmp_path / "o")]
+    for value in [override] if isinstance(override, str) else override:
+        args += ["--override", value]
+    code = run(args + [command])
     assert code == cli.EXIT_CONFIG
     assert "config error: " + message in capsys.readouterr().err
+
+
+def test_csv_run_judges_only_the_feature_dim(tmp_path, capsys):
+    # the rest of data.synthetic describes data a CSV run never generates
+    path = tmp_path / "records.csv"
+    path.write_text("id,text,label\n" + "".join(
+        "%d,record %d,%s\n" % (i, i, "ab"[i % 2]) for i in range(8)))
+    args = ["--out", str(tmp_path / "o")]
+    for override in ["data.csv_path=%s" % json.dumps(str(path)),
+                     "data.synthetic.class_signal_strength=2",
+                     "data.synthetic.total_records=1",
+                     "data.synthetic.tokens_per_record=[5, 1]"]:
+        args += ["--override", override]
+    assert run(args + ["generate-data"]) == cli.EXIT_OK, \
+        capsys.readouterr().err
 
 
 def test_reweighting_failure_exits_3_naming_its_phase(tmp_path,

@@ -230,6 +230,14 @@ def test_manifest_contents(tmp_path):
     dict(class_vocab_size=0),
     dict(feature_dim=100),
     dict(feature_dim=0),
+    dict(num_classes=3.5),
+    dict(total_records=300.5),
+    dict(feature_dim=True),
+    dict(tokens_per_record=(1.5, 3)),
+    dict(zipf_exponent="x"),
+    dict(class_signal_strength=None),
+    dict(zipf_exponent=True),
+    dict(class_signal_strength=True),
 ])
 def test_spec_rejects_bad_values(bad):
     with pytest.raises(data.DataError):

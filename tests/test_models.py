@@ -219,7 +219,7 @@ def test_layout_view_of_an_unknown_name_raises_layout_error():
 
 
 @pytest.mark.parametrize("dims", [(5, 3, 2.5), (5, 2.0, 0), (-1, 3, 0),
-                                  ("5", 3, 0)])
+                                  ("5", 3, 0), (5, 3, True)])
 def test_model_spec_rejects_a_bad_dimension(dims):
     input_dim, num_classes, hidden_dim = dims
     family = models.MLP_1_HIDDEN if hidden_dim else models.SOFTMAX_LINEAR

@@ -346,6 +346,13 @@ def test_failed_copy_fails_only_the_plain_row(monkeypatch, tmp_path):
     alone = str(tmp_path / "alone")
     pipeline.run_swag_ppm(cfg, train, out_dir=alone, reweighted=True)
     assert _files(os.path.join(bench_out, "swag_ppm_rw")) == _files(alone)
+    # the weight density comes from the rounds, not the failed release
+    monkeypatch.undo()
+    unpatched = str(tmp_path / "unpatched")
+    pipeline.run_benchmark(cfg, out_dir=unpatched)
+    density = "weight_density.csv"
+    assert os.path.exists(os.path.join(bench_out, density))
+    assert _files(bench_out)[density] == _files(unpatched)[density]
 
 
 def test_benchmark_rerun_copies_only_rounds_1_and_2(tmp_path):

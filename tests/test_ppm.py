@@ -62,6 +62,19 @@ def test_map_weights_all_equal_risks():
     np.testing.assert_array_equal(w.alpha, 1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(risks=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=30),
+       c=st.floats(0.0, 3.0), g=st.floats(-2.0, 2.0))
+def test_map_weights_properties(risks, c, g):
+    w = ppm.map_weights(np.arange(len(risks)), risks, c, g)
+    assert ((0.0 <= w.alpha) & (w.alpha <= 1.0)).all()
+    # with c >= 0, a riskier record never gets more weight
+    assert (np.diff(w.alpha[np.argsort(risks, kind="stable")]) <= 0).all()
+    if min(risks) < max(risks):
+        assert w.alpha[np.argmin(risks)] == np.clip(c + g, 0.0, 1.0)
+        assert w.alpha[np.argmax(risks)] == np.clip(g, 0.0, 1.0)
+
+
 def test_map_weights_needs_two_records():
     with pytest.raises(ppm.PpmError):
         ppm.map_weights([0], [1.0], 1.0, 0.0)

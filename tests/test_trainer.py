@@ -181,6 +181,9 @@ def test_dp_sgd_config_validation():
     {"batch_size": "4"}, {"batch_size": None}, {"epochs": 2.0},
     {"epochs": None}, {"optimizer": trainer.DP_SGD, "clip_norm": "1"},
     {"optimizer": trainer.DP_SGD, "noise_multiplier": "0"},
+    {"batch_size": True}, {"epochs": True}, {"learning_rate": True},
+    {"optimizer": trainer.DP_SGD, "clip_norm": True},
+    {"optimizer": trainer.DP_SGD, "noise_multiplier": True},
 ])
 def test_config_of_a_wrong_type_raises_train_error(fields):
     args = dict(optimizer=trainer.DP_SGD, learning_rate=0.1, batch_size=4,
