@@ -238,30 +238,34 @@ def weighted_nll_gradient(spec, theta, X, y, weights=None):
     return ParameterVector(grad, theta.layout)
 
 
-def _row_sq_norms(X):
+def row_sq_norms(X):
+    """Each row's squared L2 norm, dense or CSR."""
     if sp.issparse(X):
         return np.asarray(X.multiply(X).sum(axis=1)).ravel()
     return (X * X).sum(axis=1)
 
 
-def clipped_gradient_loglik(spec, theta, X, y, clip_norm):
+def clipped_gradient_loglik(spec, theta, X, y, clip_norm, x_sq=None):
     """(clipped_gradient_sum's values, its pre-clip norms, the batch's
     log_likelihood_batch values) from one forward pass; the gradient sum is
-    a fresh array the caller may reuse."""
+    a fresh array the caller may reuse. x_sq, when given, is row_sq_norms of
+    X's rows, so a caller that batches the rows of one matrix computes it
+    once and indexes it per batch."""
     X = _as_matrix(X)
     n = X.shape[0]
     if n == 0:
         raise ModelError("empty minibatch")
     P, H, loglik = _forward(spec, theta, X, y)
     D = _one_hot_residual(P, y)
-    x_sq = _row_sq_norms(X)
+    if x_sq is None:
+        x_sq = row_sq_norms(X)
     if H is None:
         D1 = None
         norms = np.sqrt((x_sq + 1.0) * (D * D).sum(axis=1))
     else:
         # D1 from the unscaled D: scaling first would round differently
         D1 = _hidden_residual(spec, theta, H, D)
-        norms = np.sqrt((_row_sq_norms(H) + 1.0) * (D * D).sum(axis=1)
+        norms = np.sqrt((row_sq_norms(H) + 1.0) * (D * D).sum(axis=1)
                         + (x_sq + 1.0) * (D1 * D1).sum(axis=1))
     scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))[:, None]
     grad = _backprop(spec, X, H, D * scale,
@@ -281,6 +285,22 @@ def clipped_gradient_sum(spec, theta, X, y, clip_norm):
     return ParameterVector(grad, theta.layout), norms
 
 
+# OpenBLAS takes a dot this short on the calling thread. A longer one wakes
+# its pool, whose thread then spins for a while after the call, and its
+# bits depend on the thread count.
+DOT_SLICE = 8192
+
+
+def _sq_norm(theta):
+    """||theta||^2 as a sum of dots over slices of at most DOT_SLICE
+    entries; a theta that short is one dot, theta @ theta."""
+    total = 0.0
+    for start in range(0, theta.size, DOT_SLICE):
+        part = theta[start:start + DOT_SLICE]
+        total += float(part @ part)
+    return total
+
+
 def objective(spec, theta, loglik, weights=None):
     """Mean weighted NLL plus the weight-decay penalty, from the batch's
     per-record log-likelihoods: the training objective of mean_nll."""
@@ -290,7 +310,7 @@ def objective(spec, theta, loglik, weights=None):
         data_term = -(np.asarray(weights) * loglik).sum() / loglik.shape[0]
     # ||theta||^2, taken even at zero decay (0 * inf is nan), lets the loss
     # check catch a non-finite theta entry that the logits never read
-    return data_term + 0.5 * spec.weight_decay * float(theta @ theta)
+    return data_term + 0.5 * spec.weight_decay * _sq_norm(theta)
 
 
 def mean_nll(spec, theta, X, y, weights=None):

@@ -132,11 +132,18 @@ def derive_seed(master, tag):
 def prepare_data(cfg):
     """Generate or ingest, cap-sample, and split; returns (train, test).
     _check_settings runs first, so a bad setting raises ConfigError before
-    any record is built; a CSV file that fails to load raises DataError."""
+    any record is built. A CSV file that cannot be opened or read (missing,
+    a directory, no permission) raises ConfigError naming data.csv_path; one
+    whose contents fail to load raises DataError."""
     spec = _check_settings(cfg)
     master, dc = cfg["seed"], cfg["data"]
-    dataset = (data.load_csv(dc["csv_path"], spec.feature_dim)
-               if dc["csv_path"] else data.generate(spec))
+    if dc["csv_path"]:
+        try:
+            dataset = data.load_csv(dc["csv_path"], spec.feature_dim)
+        except OSError as e:
+            raise ConfigError("data.csv_path: %s" % e) from None
+    else:
+        dataset = data.generate(spec)
     dataset = data.stratified_cap_sample(
         dataset, cap=dc["cap"], fraction=dc["sampling_fraction"],
         seed=derive_seed(master, "cap"))

@@ -1,6 +1,9 @@
 """Training loops: adaptive (AdamW-style), constant-lr SGD, and DP-SGD."""
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -58,14 +61,12 @@ class EpochSnapshot:
     mean_train_loss: float
 
 
-def _dp_update(theta, grad_sum, clip_norm, noise_multiplier, lr, noise_rng,
-               denom):
+def _dp_update(theta, grad_sum, noise, lr, denom):
     """One in-place DP-SGD update of the array theta from the clipped gradient
-    sum: theta -= lr * (grad_sum + noise) / denom, built in the noise array.
-    The trainer passes the nominal batch size as denom, so the Poisson
-    batch-size randomness does not leak into the scale of the update."""
-    noise = noise_rng.normal(0.0, noise_multiplier * clip_norm,
-                             size=theta.size)
+    sum and the step's drawn noise: theta -= lr * (grad_sum + noise) / denom,
+    built in the noise array. The trainer passes the nominal batch size as
+    denom, so the Poisson batch-size randomness does not leak into the scale
+    of the update."""
     noise += grad_sum
     noise *= lr
     noise /= denom
@@ -140,63 +141,78 @@ def train(spec, theta0, X, y, config, weights=None):
         for s in np.random.SeedSequence(config.seed).spawn(2)]
     theta = theta0.values.copy()
     snapshots = []
+    dp = config.optimizer == DP_SGD
     adam = (_Adam(theta.size, config.learning_rate, spec.weight_decay)
             if config.optimizer == ADAPTIVE else None)
     # the adaptive optimizer decays theta directly, so its gradient omits it
     grad_spec = (replace(spec, weight_decay=0.0)
                  if config.optimizer == ADAPTIVE else spec)
     y = np.asarray(y)
-    for epoch in range(config.epochs):
-        if config.optimizer == DP_SGD:
-            # Poisson sampling: ceil(n / batch_size) batches, each taking
-            # every record independently with probability batch_size / n
-            q = config.batch_size / n
-            batches = [np.nonzero(shuffle_rng.random(n) < q)[0]
-                       for _ in range(-(-n // config.batch_size))]
-            Xe, ye, we = X, y, weights
-        else:
-            # a shuffle-partition epoch: permute the rows once, then take
-            # each batch as a row range, without fancy-indexing X per step.
-            # The last epoch's copy is dropped first, so only one copy is
-            # held at a time.
-            Xe = ye = we = None
-            perm = shuffle_rng.permutation(n)
-            batches = [slice(i, min(i + config.batch_size, n))
-                       for i in range(0, n, config.batch_size)]
-            Xe, ye = X[perm], y[perm]
-            we = None if weights is None else weights[perm]
-        loss_sum = 0.0
-        count = 0
-        for b, idx in enumerate(batches):
-            if config.optimizer == DP_SGD and idx.size == 0:
-                continue
-            Xb, yb = Xe[idx], ye[idx]
-            wb = None if we is None else we[idx]
-            if config.optimizer == DP_SGD:
-                grad, _, loglik = models.clipped_gradient_loglik(
-                    spec, theta, Xb, yb, config.clip_norm)
+    if dp:
+        x_sq = models.row_sq_norms(X)  # indexed per Poisson batch
+        draw = partial(noise_rng.normal, 0.0,
+                       config.noise_multiplier * config.clip_norm, theta.size)
+    # DP-SGD draws its noise on one worker thread, one step ahead: the next
+    # step's draw runs while this step's gradient does. The worker calls
+    # only noise_rng and the draws are taken in order, so the noise is the
+    # serial stream; a step that fails waits for the draw in flight.
+    pool = ThreadPoolExecutor(max_workers=1) if dp else nullcontext()
+    with pool:
+        pending = pool.submit(draw) if dp else None
+        for epoch in range(config.epochs):
+            if dp:
+                # Poisson sampling: ceil(n / batch_size) batches, each taking
+                # every record independently with probability batch_size / n
+                q = config.batch_size / n
+                batches = [np.nonzero(shuffle_rng.random(n) < q)[0]
+                           for _ in range(-(-n // config.batch_size))]
+                Xe, ye, we = X, y, weights
             else:
-                grad, loglik = models.weighted_gradient_loglik(
-                    grad_spec, theta, Xb, yb, wb)
-            loss = models.objective(spec, theta, loglik, wb)
-            if not np.isfinite(loss):
-                raise TrainError(
-                    "non-finite loss %r at epoch %d batch %d" % (loss, epoch, b))
-            loss_sum += loss * yb.shape[0]
-            count += yb.shape[0]
-            if config.optimizer == DP_SGD:
-                _dp_update(theta, grad, config.clip_norm,
-                           config.noise_multiplier, config.learning_rate,
-                           noise_rng, config.batch_size)
-            elif config.optimizer == SGD_CONSTANT:
-                grad *= config.learning_rate
-                theta -= grad
-            else:
-                adam.update(theta, grad)
-        mean_loss = loss_sum / count if count else float("nan")
-        try:
-            snapshot = ParameterVector(theta, theta0.layout)
-        except LayoutError as e:  # non-finite: the last step's update
-            raise TrainError("epoch %d: %s" % (epoch, e)) from None
-        snapshots.append(EpochSnapshot(epoch, snapshot, mean_loss))
+                # a shuffle-partition epoch: permute the rows once, then take
+                # each batch as a row range, without fancy-indexing X per
+                # step. The last epoch's copy is dropped first, so only one
+                # copy is held at a time.
+                Xe = ye = we = None
+                perm = shuffle_rng.permutation(n)
+                batches = [slice(i, min(i + config.batch_size, n))
+                           for i in range(0, n, config.batch_size)]
+                Xe, ye = X[perm], y[perm]
+                we = None if weights is None else weights[perm]
+            loss_sum = 0.0
+            count = 0
+            for b, idx in enumerate(batches):
+                if dp and idx.size == 0:
+                    continue  # takes no draw
+                Xb, yb = Xe[idx], ye[idx]
+                wb = None if we is None else we[idx]
+                if dp:
+                    noise = pending.result()
+                    pending = pool.submit(draw)
+                    grad, _, loglik = models.clipped_gradient_loglik(
+                        spec, theta, Xb, yb, config.clip_norm, x_sq[idx])
+                else:
+                    grad, loglik = models.weighted_gradient_loglik(
+                        grad_spec, theta, Xb, yb, wb)
+                loss = models.objective(spec, theta, loglik, wb)
+                if not np.isfinite(loss):
+                    raise TrainError("non-finite loss %r at epoch %d batch %d"
+                                     % (loss, epoch, b))
+                loss_sum += loss * yb.shape[0]
+                count += yb.shape[0]
+                if dp:
+                    _dp_update(theta, grad, noise, config.learning_rate,
+                               config.batch_size)
+                elif config.optimizer == SGD_CONSTANT:
+                    grad *= config.learning_rate
+                    theta -= grad
+                else:
+                    adam.update(theta, grad)
+            mean_loss = loss_sum / count if count else float("nan")
+            try:
+                snapshot = ParameterVector(theta, theta0.layout)
+            except LayoutError as e:  # non-finite: the last step's update
+                raise TrainError("epoch %d: %s" % (epoch, e)) from None
+            snapshots.append(EpochSnapshot(epoch, snapshot, mean_loss))
+        if dp:
+            pending.result()  # the draw made ahead for a step that never came
     return (snapshots[-1].theta if snapshots else theta0), snapshots

@@ -177,6 +177,31 @@ def test_generate_data_exits_3_on_a_bad_csv(tmp_path, capsys):
     assert "%s line 3: id 1 repeats line 2" % path in err
 
 
+def test_csv_path_a_directory_exits_2_naming_the_key(tmp_path, capsys):
+    code = run(["--out", str(tmp_path / "o"), "--override",
+                "data.csv_path=%s" % json.dumps(str(tmp_path)),
+                "generate-data"])
+    assert code == cli.EXIT_CONFIG
+    assert "config error: data.csv_path: " in capsys.readouterr().err
+
+
+def test_csv_path_unreadable_exits_2_naming_the_key(tmp_path, capsys,
+                                                    monkeypatch):
+    path = tmp_path / "records.csv"
+    path.write_text("id,text,label\n")
+
+    def open_denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    # the open in the data module, as a file without read permission meets it
+    monkeypatch.setattr(data, "open", open_denied, raising=False)
+    code = run(["--out", str(tmp_path / "o"), "--override",
+                "data.csv_path=%s" % json.dumps(str(path)), "generate-data"])
+    assert code == cli.EXIT_CONFIG
+    assert "config error: data.csv_path: [Errno 13] Permission denied" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override", [
     "data.synthetic.vocab_size=0", "data.synthetic.num_classes=1",
     "data.cap=1", "data.synthetic.tokens_per_record=5",

@@ -354,3 +354,42 @@ def test_fused_gradient_and_loss_match_separate_passes(rng, family,
     np.testing.assert_array_equal(norms, ref_norms)
     assert models.objective(spec, theta.values, loglik) == \
         models.mean_nll(spec, theta, X, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       family=st.sampled_from([models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN]),
+       sparse=st.booleans(), n=st.integers(1, 40),
+       input_dim=st.integers(1, 100))
+def test_clipped_gradient_with_indexed_row_norms_equals_without(
+        seed, family, sparse, n, input_dim):
+    # the trainer takes row_sq_norms of all of X once and indexes it by each
+    # Poisson batch's rows
+    rng = np.random.default_rng(seed)
+    spec, theta, X, y = random_instance(rng, family, input_dim=input_dim, n=n)
+    if sparse:
+        X[rng.random(X.shape) < 0.5] = 0.0
+        X = sp.csr_matrix(X)
+    idx = np.nonzero(rng.random(n) < 0.5)[0]
+    assume(idx.size)
+    want = models.clipped_gradient_loglik(spec, theta.values, X[idx], y[idx],
+                                          0.05)
+    got = models.clipped_gradient_loglik(spec, theta.values, X[idx], y[idx],
+                                         0.05, models.row_sq_norms(X)[idx])
+    for a, b in zip(got, want):
+        assert (a == b).all()
+
+
+@pytest.mark.parametrize("size", [1, 100, models.DOT_SLICE])
+def test_sq_norm_of_one_slice_is_one_dot(size):
+    values = np.random.default_rng(size).normal(size=size)
+    assert models._sq_norm(values) == float(values @ values)
+
+
+def test_sq_norm_over_slices_sees_every_entry():
+    values = np.random.default_rng(0).normal(size=2 * models.DOT_SLICE + 5)
+    assert models._sq_norm(values) == pytest.approx(float(values @ values),
+                                                    rel=1e-12)
+    for bad, want in ((np.inf, np.isposinf), (np.nan, np.isnan)):
+        values[-1] = bad
+        assert want(models._sq_norm(values))

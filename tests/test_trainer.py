@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -361,3 +366,137 @@ def test_non_finite_theta_raises_train_error_naming_the_epoch(
     cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 2, 3, seed=0)
     with pytest.raises(trainer.TrainError, match=message):
         trainer.train(spec, theta0, X, y, cfg)
+
+
+def test_dp_sgd_with_empty_batches_matches_frozen_loop(rng):
+    # batches of 1 over 12 records: q = 1/12, so about a third of the
+    # Poisson batches are empty and take no noise draw, while the draw
+    # made ahead for the next step waits across them
+    spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=12)
+    cfg = trainer.TrainConfig(trainer.DP_SGD, batch_size=1, epochs=4, seed=8,
+                              **OPTIMIZER_CONFIGS[trainer.DP_SGD])
+    shuffle_rng = np.random.default_rng(
+        np.random.SeedSequence(cfg.seed).spawn(2)[0])
+    sizes = [b.size for _ in range(cfg.epochs)
+             for b in _poisson_batches(12, 1, shuffle_rng, 1 / 12)]
+    assert 0 in sizes[:-1]  # a step follows an empty batch
+    _, snaps = trainer.train(spec, theta0, X, y, cfg)
+    want = _frozen_train(spec, theta0, X, y, cfg)
+    assert len(snaps) == len(want) == 4
+    for snap, (values, loss) in zip(snaps, want):
+        np.testing.assert_array_equal(snap.theta.values, values)
+        assert snap.mean_train_loss == loss
+
+
+class _FailingDraws:
+    """A Generator whose normal draws raise, naming the thread they ran on."""
+
+    def __init__(self, rng, threads):
+        self._rng = rng
+        self._threads = threads
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def normal(self, *args, **kwargs):
+        self._threads.append(threading.current_thread())
+        raise RuntimeError("noise draw failed")
+
+
+def _inf_at_first_step(monkeypatch, spec):
+    # the non-finite setup of the test below: the first step's gradient
+    # turns inf at a W entry whose feature no record has
+    unused = spec.layout().view(np.arange(spec.num_params), "W")[2, 0]
+    gradient = models.clipped_gradient_loglik
+    steps = []
+
+    def gradient_going_inf(*args):
+        grad, norms, loglik = gradient(*args)
+        steps.append(1)
+        if len(steps) == 1:
+            grad[unused] = np.inf
+        return grad, norms, loglik
+
+    monkeypatch.setattr(models, "clipped_gradient_loglik", gradient_going_inf)
+
+
+def test_no_thread_outlives_dp_sgd_train(rng, monkeypatch):
+    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8)
+    X[:, 2] = 0.0
+    X = sp.csr_matrix(X)
+    cfg = trainer.TrainConfig(trainer.DP_SGD, batch_size=2, epochs=3, seed=0,
+                              **OPTIMIZER_CONFIGS[trainer.DP_SGD])
+    before = threading.enumerate()
+    trainer.train(spec, theta0, X, y, cfg)
+    assert threading.enumerate() == before
+
+    with monkeypatch.context() as m:
+        _inf_at_first_step(m, spec)
+        with pytest.raises(trainer.TrainError,
+                           match="non-finite loss .* at epoch 0 batch"):
+            trainer.train(spec, theta0, X, y, cfg)
+    assert threading.enumerate() == before
+
+    threads = []
+    default_rng = np.random.default_rng
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng",
+                  lambda seed: _FailingDraws(default_rng(seed), threads))
+        with pytest.raises(RuntimeError, match="noise draw failed"):
+            trainer.train(spec, theta0, X, y, cfg)
+    assert threads and threading.main_thread() not in threads
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_CONFIGS))
+def test_only_dp_sgd_starts_a_thread(rng, monkeypatch, optimizer):
+    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8)
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    cfg = trainer.TrainConfig(optimizer, batch_size=2, epochs=2, seed=0,
+                              **OPTIMIZER_CONFIGS[optimizer])
+    trainer.train(spec, theta0, X, y, cfg)
+    assert len(started) == (optimizer == trainer.DP_SGD)
+
+
+# Trains DP-SGD at p = 4096 * 3 + 3 = 12291 > 10000, where one dot of theta
+# with itself runs on OpenBLAS's pool, and prints each epoch's loss repr and
+# the sha256 of the final theta.
+_THREAD_COUNT_RUN = """
+import hashlib, json
+import numpy as np
+import scipy.sparse as sp
+from swagppm import models, trainer
+rng = np.random.default_rng(5)
+spec = models.ModelSpec(models.SOFTMAX_LINEAR, 4096, 3, weight_decay=0.01)
+theta0 = models.init_params(spec, 0).replace(rng.normal(0, 1, spec.num_params))
+X = sp.random(200, 4096, density=0.01, format="csr", random_state=5)
+y = rng.integers(0, 3, 200)
+cfg = trainer.TrainConfig(trainer.DP_SGD, 0.1, 20, 3, seed=1, clip_norm=0.5,
+                          noise_multiplier=1.1)
+theta, snaps = trainer.train(spec, theta0, X, y, cfg)
+print(json.dumps([[repr(s.mean_train_loss) for s in snaps],
+                  hashlib.sha256(theta.values.tobytes()).hexdigest()]))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 CPUs for a second BLAS thread")
+def test_dp_sgd_losses_and_theta_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(
+                           os.pathsep)))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _THREAD_COUNT_RUN], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1]
