@@ -24,8 +24,11 @@ def _setup(args):
     """Config (with --seed applied) and the created output directory."""
     obj = None
     if args.config:
-        with open(args.config) as f:
-            obj = json.load(f)
+        try:
+            with open(args.config) as f:
+                obj = json.load(f)
+        except OSError as e:  # missing, a directory, no permission
+            raise pipeline.ConfigError("--config: %s" % e) from None
     cfg = pipeline.load_config(obj, args.override)
     if args.seed is not None:
         cfg["seed"] = args.seed

@@ -221,6 +221,19 @@ class LabeledDataset:
 
 # ---------------------------------------------------------------------------
 # Synthetic generation
+#
+# A synthetic record is defined by Generator calls on default_rng(seed):
+# integers(lo, hi + 1) for its length, then per token random() < signal to
+# pick its class's pool or the shared vocabulary, and integers(size) for the
+# token in that pool. `generate` replays those calls from blocks of the bit
+# generator's raw output (`random_raw`), bit for bit, by three facts of
+# numpy's Generator on PCG64:
+# - random() takes one raw output r and returns (r >> 11) * 2**-53;
+# - integers(k), 1 < k <= 2**32, takes a 32-bit word and applies Lemire's
+#   method: m = word * k, drawn again while m mod 2**32 < 2**32 mod k, and
+#   the result is m >> 32. A word is the low half of a new raw output, whose
+#   high half is kept as the next word; random() leaves a kept half alone;
+# - integers(1) takes nothing.
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -257,6 +270,11 @@ class SyntheticSpec:
                             % (self.tokens_per_record,))
         if self.vocab_size < 1 or self.class_vocab_size < 1:
             raise DataError("vocab_size and class_vocab_size must be >= 1")
+        # integers(k) past 2**32 takes 64-bit words, which generate does not
+        # replay
+        if max(self.vocab_size, self.class_vocab_size, hi - lo + 1) > 2 ** 32:
+            raise DataError("vocab_size, class_vocab_size and the number of "
+                            "record lengths must be at most 2**32")
         if self.feature_dim < 1 or self.feature_dim & (self.feature_dim - 1):
             raise DataError("feature_dim must be a power of two")
 
@@ -279,47 +297,195 @@ def _zipf_counts(num_classes, exponent, total):
     return counts
 
 
+_MASK32 = 0xFFFFFFFF
+_CHUNK = 4096  # records per vectorized token pass
+
+
+class _RawStream:
+    """random() and integers(k) of a PCG64 Generator, replayed one call at a
+    time from its bit generator's raw output.
+
+    raw[pos] is the next unused output and half the kept high half of a
+    split output, -1 when none is kept. Only `reserve` drops outputs, so a
+    position taken between two `reserve` calls stays valid.
+    """
+
+    def __init__(self, bit_generator):
+        self._bits = bit_generator
+        self.raw = np.empty(0, dtype=np.uint64)
+        self.pos = 0
+        self.half = -1
+
+    def reserve(self, size):
+        """Drop the used outputs and hold at least `size` unused ones."""
+        self.raw, self.pos = self.raw[self.pos:], 0
+        self.ensure(size)
+
+    def ensure(self, size):
+        """Hold at least `size` unused outputs."""
+        short = self.pos + size - self.raw.size
+        if short > 0:
+            self.raw = np.concatenate((self.raw, self._bits.random_raw(short)))
+
+    def _take(self):
+        self.ensure(1)
+        self.pos += 1
+        return int(self.raw[self.pos - 1])
+
+    def random(self):
+        return (self._take() >> 11) * 2.0 ** -53
+
+    def _word(self):
+        if self.half >= 0:
+            word, self.half = self.half, -1
+            return word
+        r = self._take()
+        self.half = r >> 32
+        return r & _MASK32
+
+    def integers(self, k):
+        if k == 1:
+            return 0
+        m = self._word() * k
+        while (m & _MASK32) < (1 << 32) % k:
+            m = self._word() * k
+        return m >> 32
+
+    def skip_tokens(self, n):
+        """Move past n tokens that each take a uniform and then a word, none
+        rejected. With a half kept, the first token takes one output and the
+        kept half; after that, each two tokens take three outputs: a
+        uniform, the output split for their two words, and a uniform."""
+        if n and self.half >= 0:
+            self.pos, self.half, n = self.pos + 1, -1, n - 1
+        self.pos += 3 * (n >> 1)
+        if n & 1:
+            self.ensure(2)
+            self.half = int(self.raw[self.pos + 1]) >> 32
+            self.pos += 2
+
+
+def _token_pass(raw, lengths, start, half, own, spec):
+    """The tokens of consecutive records, read from raw where `skip_tokens`
+    puts them, and a mask of the tokens whose word is rejected; a record's
+    layout holds only up to its first rejection. Record i's tokens start at
+    raw[start[i]] with kept half half[i], and own[i] is its pool's first
+    token."""
+    rec = np.repeat(np.arange(lengths.size), lengths)
+    j = np.arange(rec.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    half = half[rec]
+    j -= half >= 0  # token -1 takes the kept half
+    base = start[rec] + (half >= 0) + 3 * (j >> 1)
+    odd = j & 1
+    u = (raw[base + 2 * odd] >> 11).astype(np.float64) * 2.0 ** -53
+    # token -1 reads a stand-in word (at index 0 or more), then the kept half
+    word = (raw[np.maximum(base + 1, 0)] >> (32 * odd).astype(np.uint64)) \
+        & _MASK32
+    word[j < 0] = half[j < 0]
+    pool = u < spec.class_signal_strength
+    k = np.where(pool, spec.class_vocab_size,
+                 spec.vocab_size).astype(np.uint64)
+    m = word * k
+    rejected = (m & _MASK32) < np.uint64(1 << 32) % k
+    return (m >> 32).astype(np.int64) + np.where(pool, own[rec], 0), rejected
+
+
+def _replay(stream, n, own, spec):
+    """One record's n tokens, call by call."""
+    return [own + stream.integers(spec.class_vocab_size)
+            if stream.random() < spec.class_signal_strength
+            else stream.integers(spec.vocab_size) for _ in range(n)]
+
+
+def _draw_tokens(rng, labels, spec):
+    """Consecutive runs of records as (lengths, token ids), drawn from rng
+    as the Generator calls that define them draw them.
+
+    A scan over a chunk of records draws each length and finds where the
+    record's tokens start, then one vectorized pass reads the chunk's
+    tokens. A record with a rejected token word is replayed call by call,
+    and the next chunk starts after it."""
+    lo, hi = spec.tokens_per_record
+    signal = spec.class_signal_strength
+    # The pass needs every token to take a word. If a pool a token can come
+    # from holds one token, it takes none, so every record is replayed.
+    replay = (signal > 0 and spec.class_vocab_size == 1) or \
+        (signal < 1 and spec.vocab_size == 1)
+    worst = 1 + hi + (hi + 1) // 2  # outputs a record takes, unrejected
+    stream = _RawStream(rng.bit_generator)
+    r = 0
+    while r < labels.size:
+        own = spec.vocab_size + labels[r:r + _CHUNK] * spec.class_vocab_size
+        lengths, start, half = (np.empty(own.size, dtype=np.int64)
+                                for _ in range(3))
+        stream.reserve(own.size * worst)
+        replayed = []
+        for i in range(own.size):
+            stream.ensure(worst)
+            lengths[i] = n = lo + stream.integers(hi - lo + 1)
+            start[i], half[i] = stream.pos, stream.half
+            if replay:
+                replayed += _replay(stream, n, own[i], spec)
+            else:
+                stream.skip_tokens(n)
+        if replay:
+            yield lengths, np.array(replayed, dtype=np.int64)
+            r += own.size
+            continue
+        tokens, rejected = _token_pass(stream.raw, lengths, start, half, own,
+                                       spec)
+        if not rejected.any():
+            yield lengths, tokens
+            r += own.size
+            continue
+        # keep the records before the first rejection, replay its record
+        ends = np.cumsum(lengths)
+        i = int(np.searchsorted(ends, np.argmax(rejected), side="right"))
+        yield lengths[:i], tokens[:ends[i] - lengths[i]]
+        stream.pos, stream.half = int(start[i]), int(half[i])
+        yield lengths[i:i + 1], np.array(_replay(stream, lengths[i], own[i],
+                                                 spec), dtype=np.int64)
+        r += i + 1
+
+
+def _stack_blocks(blocks):
+    """One hashed block of consecutive hashed blocks of records."""
+    indptr, indices, values = zip(*blocks)
+    offsets = np.cumsum([0] + [p[-1] for p in indptr[:-1]])
+    return (np.concatenate([[0]] + [p[1:] + o
+                                    for p, o in zip(indptr, offsets)]),
+            np.concatenate(indices), np.concatenate(values))
+
+
 def generate(spec):
     """Synthetic imbalanced token dataset, deterministic per seed.
 
     Each class gets a private token pool; each record mixes class tokens
     (with probability class_signal_strength) and shared vocabulary tokens.
-    The whole corpus is hashed in one block.
+    The corpus is hashed a chunk of records at a time, as it is drawn.
     """
-    rng = np.random.default_rng(spec.seed)
-    integers, random = rng.integers, rng.random
     counts = _zipf_counts(spec.num_classes, spec.zipf_exponent,
                           spec.total_records)
-    lo, hi = spec.tokens_per_record
-    vocab, class_vocab = spec.vocab_size, spec.class_vocab_size
-    signal, dim = spec.class_signal_strength, spec.feature_dim
+    vocab, class_vocab, dim = (spec.vocab_size, spec.class_vocab_size,
+                               spec.feature_dim)
     # token j < vocab is shared word j, token vocab + c * class_vocab + j is
     # class c's token j
     index, sign = _token_table(
         ["w%d" % j for j in range(vocab)]
         + ["c%d_t%d" % (c, j) for c in range(spec.num_classes)
            for j in range(class_vocab)], dim)
-    lengths, tokens = [], []
-    for c in range(spec.num_classes):
-        own = vocab + c * class_vocab
-        for _ in range(int(counts[c])):
-            n_tok = int(integers(lo, hi + 1))
-            lengths.append(n_tok)
-            for _ in range(n_tok):
-                if random() < signal:
-                    tokens.append(own + int(integers(class_vocab)))
-                else:
-                    tokens.append(int(integers(vocab)))
-    tokens = np.array(tokens, dtype=np.int64)
-    matrix = _csr(*_hash_block(lengths, index[tokens], sign[tokens], dim), dim)
+    labels = np.repeat(np.arange(spec.num_classes), counts)
+    matrix = _csr(*_stack_blocks(
+        _hash_block(lengths, index[tokens], sign[tokens], dim)
+        for lengths, tokens in _draw_tokens(np.random.default_rng(spec.seed),
+                                            labels, spec)), dim)
     provenance = {"kind": "synthetic", "seed": spec.seed,
                   "params": {k: getattr(spec, k) for k in
                              ("num_classes", "zipf_exponent", "total_records",
                               "vocab_size", "class_signal_strength",
                               "feature_dim")}}
-    return LabeledDataset(np.arange(len(lengths)),
-                          np.repeat(np.arange(spec.num_classes), counts),
-                          matrix, spec.num_classes, provenance)
+    return LabeledDataset(np.arange(labels.size), labels, matrix,
+                          spec.num_classes, provenance)
 
 
 def _csv_rows(path, reader):

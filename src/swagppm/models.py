@@ -111,16 +111,28 @@ def _logits(spec, theta, X, Z=None):
 
 
 def _exp_shifted(Z, sums):
-    """Z <- exp(Z - row max of Z) and sums <- its row sums, in place."""
-    np.max(Z, axis=1, out=sums)
+    """Z <- exp(Z - sums[:, None]) and sums <- its row sums, in place; sums
+    holds the row max of Z on entry."""
     np.subtract(Z, sums[:, None], out=Z)
     np.exp(Z, out=Z)
     np.sum(Z, axis=1, out=sums)
 
 
+def _running_row_max(Z, out):
+    """out <- the row max of Z, as a running maximum over the columns. At
+    many rows and few columns this beats np.max's per-row reduction, and a
+    maximum is exact, so it equals np.max(Z, axis=1) under ==, NaN where
+    that is NaN. Only the sign of a zero or NaN max may differ: exp(Z - max)
+    does not see a zero's, and a NaN score means nothing by its sign
+    (`ppm` takes |ll| and rejects a NaN)."""
+    np.copyto(out, Z[:, 0])
+    for column in Z.T[1:]:
+        np.maximum(out, column, out=out)
+
+
 def _softmax(Z):
     """Softmax of the rows of Z, computed in Z."""
-    sums = np.empty(Z.shape[0])
+    sums = np.max(Z, axis=1)
     _exp_shifted(Z, sums)
     Z /= sums[:, None]
     return Z
@@ -155,6 +167,7 @@ def log_likelihood_rows(spec, thetas, X, y):
     out = np.empty(n)
     for theta in thetas:
         E, _ = _logits(spec, theta, X, Z)
+        _running_row_max(E, sums)
         _exp_shifted(E, sums)
         # E[i, y_i] / sums[i]: division rounds correctly, so these are the
         # bits of the softmax's picked entries

@@ -50,6 +50,13 @@ def test_missing_config_file(tmp_path):
                 "train"]) == cli.EXIT_CONFIG
 
 
+def test_config_a_directory_exits_2_naming_the_option(tmp_path, capsys):
+    code = run(["--config", str(tmp_path), "--out", str(tmp_path / "o"),
+                "generate-data"])
+    assert code == cli.EXIT_CONFIG
+    assert "config error: --config: " in capsys.readouterr().err
+
+
 def test_train(tmp_path, tiny_config_file, capsys):
     code = run(["--config", tiny_config_file, "--out", str(tmp_path / "o"),
                 "train"])

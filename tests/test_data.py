@@ -238,6 +238,9 @@ def test_manifest_contents(tmp_path):
     dict(class_signal_strength=None),
     dict(zipf_exponent=True),
     dict(class_signal_strength=True),
+    dict(vocab_size=2 ** 32 + 1),
+    dict(class_vocab_size=2 ** 32 + 1),
+    dict(tokens_per_record=(0, 2 ** 32)),
 ])
 def test_spec_rejects_bad_values(bad):
     with pytest.raises(data.DataError):

@@ -205,6 +205,90 @@ def test_load_csv_matches_frozen_per_row_hashing(tmp_path):
         for rid, text, label in rows])
 
 
+# --- the raw-output replay ----------------------------------------------------
+
+def test_raw_stream_replays_generator_calls():
+    # integers(2**31 + 1) rejects about half its words, integers(2**32) is
+    # numpy's plain 32-bit draw and integers(1) takes nothing; uniforms in
+    # between must leave a kept half alone
+    sizes = [2 ** 31 + 1, 1, 2 ** 32, 7, 2 ** 31 + 1, 2 ** 31 + 1, 1, 3]
+    rng = np.random.default_rng(5)
+    stream = data._RawStream(np.random.default_rng(5).bit_generator)
+    stream.reserve(3)  # too few: the stream grows as it is read
+    for step in range(400):
+        k = sizes[step % len(sizes)]
+        if step % 3:
+            assert stream.random() == rng.random()
+        assert stream.integers(k) == int(rng.integers(k))
+
+
+def _first_rejection(seed, num_tokens, vocab):
+    """The first token whose word integers(vocab) rejects, or None, when every
+    token takes a uniform and then a word: tokens 2m and 2m + 1 take the low
+    and the high half of raw output 3m + 1."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw(
+        3 * (num_tokens // 2 + 1))
+    split = raw[1::3]
+    words = np.stack([split & 0xFFFFFFFF, split >> 32], axis=1).ravel()
+    leftover = (words[:num_tokens] * np.uint64(vocab)) & 0xFFFFFFFF
+    rejected = np.flatnonzero(leftover < (1 << 32) % vocab)
+    return int(rejected[0]) if rejected.size else None
+
+
+@pytest.mark.parametrize("chunk", [data._CHUNK, 1])
+def test_generate_matches_frozen_past_a_rejected_word(chunk, monkeypatch):
+    # integers(50000) rejects a word with probability 17296 / 2**32; search
+    # for a seed whose corpus meets one, mid-corpus, with every token shared
+    # and every record 10 tokens long, so the length draws take nothing.
+    # With chunks of one record, the rejected record starts its chunk.
+    monkeypatch.setattr(data, "_CHUNK", chunk)
+    for seed in range(500):
+        first = _first_rejection(seed, 20000, 50000)
+        if first is not None and 1000 <= first < 19000:
+            break
+    else:
+        raise AssertionError("no seed meets a rejected word")
+    spec = data.SyntheticSpec(2, 0.0, 2000, 50000, (10, 10), 0.0, seed,
+                              feature_dim=4096)
+    _assert_records_equal(data.generate(spec).records, _frozen_generate(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    # every token takes a word, and records end with a kept half
+    data.SyntheticSpec(3, 1.0, 40, 9, (3, 3), 0.5, 1, 8, 4),
+    data.SyntheticSpec(3, 1.0, 40, 9, (0, 5), 0.5, 2, 8, 4),
+    # no token takes a word, so a kept half outlives many uniforms
+    data.SyntheticSpec(3, 1.0, 40, 1, (0, 5), 0.0, 3, 8, 4),
+    # only the shared words take one: every record is replayed
+    data.SyntheticSpec(3, 1.0, 40, 9, (0, 5), 0.5, 4, 8, 1),
+])
+def test_generate_matches_frozen_across_chunks(spec, monkeypatch):
+    # chunks of 3 records, so many chunks start with a kept half
+    monkeypatch.setattr(data, "_CHUNK", 3)
+    _assert_records_equal(data.generate(spec).records, _frozen_generate(spec))
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_generate_large_corpus_matches_frozen(seed):
+    # the large benchmark workloads' corpus
+    cfg = pipeline.load_config(None, ["data.synthetic.total_records=40000"])
+    cfg["seed"] = seed
+    spec = pipeline._check_settings(cfg)
+    ds = data.generate(spec)
+    want = _frozen_generate(spec)
+    lengths = [indices.size for _, indices, _, _ in want]
+    matrix = data._csr(np.concatenate([[0], np.cumsum(lengths)]),
+                       np.concatenate([r[1] for r in want]),
+                       np.concatenate([r[2] for r in want]), spec.feature_dim)
+    got = ds.feature_matrix()
+    for a, b in [(ds.ids, np.array([r[0] for r in want])),
+                 (ds.labels, np.array([r[3] for r in want])),
+                 (got.indptr, matrix.indptr), (got.indices, matrix.indices),
+                 (got.data, matrix.data)]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.data.tobytes() == matrix.data.tobytes()
+
+
 # --- golden digests -----------------------------------------------------------
 
 def test_default_views_content_hash_is_pinned():

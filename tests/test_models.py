@@ -393,3 +393,44 @@ def test_sq_norm_over_slices_sees_every_entry():
     for bad, want in ((np.inf, np.isposinf), (np.nan, np.isnan)):
         values[-1] = bad
         assert want(models._sq_norm(values))
+
+
+SPECIAL = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1.0, -1.0, 700.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), num_classes=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scored_rows_match_frozen_on_special_logits(n, num_classes, seed):
+    # log_likelihood_rows takes each row's max as a running maximum over the
+    # columns, the frozen scorer with np.max; logits with infinities, NaNs of
+    # either sign and zeros of either sign must give the same rows
+    rng = np.random.default_rng(seed)
+    logits = rng.choice(SPECIAL, size=(n, num_classes))
+    y = rng.integers(num_classes, size=n)
+    spec = models.ModelSpec(models.SOFTMAX_LINEAR, 3, num_classes)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(models, "_logits",
+                   lambda spec, theta, X, Z: (theta.copy(), None))
+        got = next(models.log_likelihood_rows(spec, [logits],
+                                              np.zeros((n, 3)), y))
+        Z = logits - logits.max(axis=1, keepdims=True)
+        E = np.exp(Z)
+        P = E / E.sum(axis=1, keepdims=True)
+        want = np.log(np.maximum(P[np.arange(n), y], models.PROB_FLOOR))
+    np.testing.assert_array_equal(got, want)  # NaN where want has NaN
+    # a NaN's sign follows the NaN the row max returned, and np.max's
+    # reduction may return a NaN of the other sign than the one it met;
+    # every caller takes |ll| or rejects a NaN
+    real = ~np.isnan(want)
+    assert got[real].tobytes() == want[real].tobytes()
+
+
+def test_running_row_max_equals_np_max():
+    Z = np.array([[np.inf, 0.0, 1.0], [-np.inf, -np.inf, -np.inf],
+                  [1.0, np.nan, np.inf], [-0.0, -0.0, -0.0],
+                  [-5.0, 3.0, 2.5]])
+    out = np.empty(Z.shape[0])
+    models._running_row_max(Z, out)
+    np.testing.assert_array_equal(out, np.max(Z, axis=1))
+    assert np.signbit(out[3])
