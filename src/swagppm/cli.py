@@ -14,25 +14,30 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PHASE = 3
 
-# A typed error that escapes a subcommand is a failure of that subcommand.
-PACKAGE_ERRORS = (accountant.AccountantError, data.DataError,
-                  metrics.MetricsError, models.ModelError, params.LayoutError,
-                  ppm.PpmError, swag.SwagError, trainer.TrainError)
+# A typed error or an OSError that escapes a subcommand is its failure.
+SUBCOMMAND_ERRORS = (accountant.AccountantError, data.DataError,
+                     metrics.MetricsError, models.ModelError,
+                     params.LayoutError, ppm.PpmError, swag.SwagError,
+                     trainer.TrainError, OSError)
 
 
 def _setup(args):
-    """Config (with --seed applied) and the created output directory."""
+    """Config (with --seed applied) and the created output directory; a bad
+    --config (unreadable or not JSON) or --out is a ConfigError naming it."""
     obj = None
     if args.config:
         try:
             with open(args.config) as f:
                 obj = json.load(f)
-        except OSError as e:  # missing, a directory, no permission
+        except (OSError, ValueError) as e:  # unreadable, or not JSON
             raise pipeline.ConfigError("--config: %s" % e) from None
     cfg = pipeline.load_config(obj, args.override)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:  # a file, or no permission
+        raise pipeline.ConfigError("--out: %s" % e) from None
     return cfg, args.out
 
 
@@ -138,9 +143,8 @@ def cmd_benchmark(args):
 def cmd_report(args):
     path = os.path.join(args.out, "summary.md")
     if not os.path.exists(path):
-        print("no summary at %s; run `benchmark` first" % path,
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise pipeline.ConfigError("no summary at %s; run `benchmark` first"
+                                   % path)
     with open(path) as f:
         print(f.read())
     return EXIT_OK
@@ -177,13 +181,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (pipeline.ConfigError, json.JSONDecodeError, FileNotFoundError) as e:
+    except pipeline.ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     except pipeline.PhaseError as e:
         print("phase failure: %s" % e, file=sys.stderr)
         return EXIT_PHASE
-    except PACKAGE_ERRORS as e:
+    except SUBCOMMAND_ERRORS as e:
         print("phase failure: %s" % pipeline.PhaseError(args.command, e),
               file=sys.stderr)
         return EXIT_PHASE

@@ -537,7 +537,7 @@ def load_csv(path, feature_dim=4096):
 
 def stratified_cap_sample(dataset, cap=200, fraction=1.0, seed=0):
     """Per class, keep min(round(fraction * n_c), cap, n_c) records without
-    replacement, then drop classes left with a single record."""
+    replacement and drop singleton classes; DataError if under two remain."""
     if cap < 2:
         raise DataError("cap must be >= 2")
     rng = np.random.default_rng(seed)
@@ -553,10 +553,10 @@ def stratified_cap_sample(dataset, cap=200, fraction=1.0, seed=0):
             continue
         keep.extend(rng.choice(members, size=take, replace=False).tolist())
     keep.sort()
-    if not keep:
-        import warnings
-        warnings.warn("stratified cap sample removed every class")
     out = dataset.subset(keep).compact_labels()
+    if out.num_classes < 2:
+        raise DataError("the cap sample keeps %d classes; need at least 2"
+                        % out.num_classes)
     out.provenance = dict(dataset.provenance,
                           cap_sample={"cap": cap, "fraction": fraction,
                                       "seed": seed})

@@ -16,10 +16,6 @@ class ConfusionTally:
     fn: np.ndarray
     support: np.ndarray
 
-    @property
-    def num_classes(self):
-        return self.tp.shape[0]
-
 
 def tally_from_predictions(y_true, y_pred, num_classes):
     """Per-class true positives, false positives, false negatives and

@@ -87,10 +87,7 @@ def _check_features(spec, X):
 def _as_matrix(features):
     if sp.issparse(features):
         return features
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return arr
+    return np.asarray(features, dtype=np.float64)
 
 
 def _logits(spec, theta, X, Z=None):

@@ -26,8 +26,8 @@ def is_number(value):
 
 
 class Layout:
-    """Ordered (name, shape) slots, each dimension a non-negative integer,
-    packed into one flat float64 vector; view reads a table built once."""
+    """Ordered (name, shape) slots, with distinct names and non-negative
+    integer dimensions, in one flat float64 vector; view reads a table."""
 
     def __init__(self, slots):
         self.slots = []
@@ -40,10 +40,11 @@ class Layout:
                 shape = (-1,)  # not integers: rejected as a negative is
             if min(shape, default=0) < 0:
                 raise LayoutError("tensor %r: bad shape %r" % (name, dims))
+            if name in self._table:
+                raise LayoutError("tensor %r repeats in the layout" % (name,))
             size = math.prod(shape)
             self.slots.append((name, shape, offset))
-            # a repeated name keeps its first slot
-            self._table.setdefault(name, (offset, offset + size, shape))
+            self._table[name] = (offset, offset + size, shape)
             offset += size
         self.size = offset
 

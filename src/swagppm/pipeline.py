@@ -110,7 +110,10 @@ def load_config(obj=None, overrides=None):
         if "=" not in item:
             raise ConfigError("override %r is not key=value" % item)
         dotted, raw = item.split("=", 1)
-        update = json.loads(raw)
+        try:
+            update = json.loads(raw)
+        except ValueError as e:  # not JSON
+            raise ConfigError("override %r: %s" % (item, e)) from None
         if isinstance(update, dict):
             raise ConfigError("override %r sets a section, not a value"
                               % item)
@@ -207,6 +210,7 @@ def _check_settings(cfg):
             ("phases.g", ph["g"], is_number, "a number"),
             ("phases.draws", ph["draws"]) + count,
             ("phases.swag_rank", ph["swag_rank"]) + count,
+            ("phases.swag_epochs", ph["swag_epochs"]) + count,
             ("dp_sgd.target_epsilon", dp["target_epsilon"],
              lambda v: is_number(v) and v > 0, "> 0"),
             ("dp_sgd.delta", dp["delta"]) + unit,
@@ -330,8 +334,7 @@ def _swag_rounds(cfg, train_view, out_dir=None):
         moments = _phase("swag-round-%d" % r, _train_round, spec, theta0, X,
                          y, None if weights is None else weights.alpha,
                          cfg, tag)
-        draws = _phase("draws-round-%d" % r, moments.draws, ph["draws"],
-                       derive_seed(master, "draws%d" % r))
+        draws = moments.draws(ph["draws"], derive_seed(master, "draws%d" % r))
         # round 1 scores unweighted: its per-record maxima are the risks
         alpha = np.ones(len(ids)) if weights is None else weights.alpha
         abs_ll = internal and os.path.join(internal, tag + "_abs_ll.npy")
@@ -417,15 +420,10 @@ def run_nonprivate(cfg, train_view):
     return theta
 
 
-def predict(spec, theta, view):
-    """Argmax predictions; np.argmax breaks ties toward the lowest index."""
-    P = models.forward_batch(spec, theta, view.feature_matrix())
-    return P.argmax(axis=1)
-
-
 def evaluate(spec, theta, test_view):
-    y_pred = predict(spec, theta, test_view)
-    tally = metrics.tally_from_predictions(test_view.labels, y_pred,
+    """F1 of the argmax predictions, whose ties go to the lowest class."""
+    P = models.forward_batch(spec, theta, test_view.feature_matrix())
+    tally = metrics.tally_from_predictions(test_view.labels, P.argmax(axis=1),
                                            test_view.num_classes)
     return {
         "tally": tally,
@@ -452,7 +450,8 @@ def run_benchmark(cfg, out_dir=None):
     sweep, and emit the summary / per-class / sweep tables."""
     train_view, test_view = prepare_data(cfg)
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
-    aux = {"train_view": train_view, "test_view": test_view}
+    aux = {"train_view": train_view, "test_view": test_view,
+           "dp_budgets": {}}
 
     def bench(name, delta, fn):
         """fn returns (theta, epsilon); a failure becomes an error row."""
@@ -497,11 +496,9 @@ def run_benchmark(cfg, out_dir=None):
         aux[key] = res
         return res.released_theta, res.epsilon
 
-    dp_out = {}
-
     def dp_run(delta):
         theta, sigma, budget = run_dp_sgd(cfg, train_view, delta)
-        dp_out[delta] = (sigma, budget)
+        aux["dp_budgets"][delta] = (sigma, budget)
         return theta, cfg["dp_sgd"]["target_epsilon"]
 
     base_delta = cfg["dp_sgd"]["delta"]
@@ -515,7 +512,6 @@ def run_benchmark(cfg, out_dir=None):
     ]
     sweep_rows = [bench("dp-sgd", repr(delta), lambda: dp_run(delta))
                   for delta in cfg["delta_sweep"]]
-    aux["dp_budgets"] = dp_out
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_reports(out_dir, cfg, rows, sweep_rows, aux)

@@ -4,7 +4,7 @@ and the Lipschitz-preserving reweighting step."""
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +36,10 @@ class SensitivityReport:
     argmax_draw: int
     argmax_record_id: int
     num_draws: int
-    epsilon: float = field(init=False)
 
-    def __post_init__(self):
-        self.epsilon = 2.0 * self.delta
+    @property
+    def epsilon(self):  # the privacy bound
+        return 2.0 * self.delta
 
 
 def abs_loglik_rows(spec, draws, X, y):

@@ -115,10 +115,11 @@ def train(spec, theta0, X, y, config, weights=None):
     """Run the configured optimizer; returns (theta_final, epoch snapshots).
 
     weights, when given, is the per-record alpha vector aligned with X rows
-    and is applied through the weighted NLL gradient. Weight decay is
-    spec.weight_decay: the adaptive optimizer applies it decoupled from the
-    gradient, as AdamW does, constant-lr SGD through the gradient of the
-    penalty, and DP-SGD not at all, since its clipped gradients omit the
+    and is applied through the weighted NLL gradient. DP-SGD's clipped
+    gradient has no weights, so it raises TrainError when given them. Weight
+    decay is spec.weight_decay: the adaptive optimizer applies it decoupled
+    from the gradient, as AdamW does, constant-lr SGD through the gradient of
+    the penalty, and DP-SGD not at all, since its clipped gradients omit the
     penalty. Every optimizer's loss includes it. Deterministic for a fixed
     seed: shuffle order, Poisson inclusion, and noise all come from streams
     derived from config.seed. Each step's loss is models.objective on the
@@ -133,6 +134,8 @@ def train(spec, theta0, X, y, config, weights=None):
         raise TrainError("batch_size %d exceeds dataset size %d"
                          % (config.batch_size, n))
     if weights is not None:
+        if config.optimizer == DP_SGD:
+            raise TrainError("dp-sgd takes no weights")
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape[0] != n:
             raise TrainError("weights must cover every record in the view")

@@ -364,6 +364,50 @@ def test_config_file_section_given_a_value_exits_2(tmp_path, capsys):
     assert "config error: model is a section" in capsys.readouterr().err
 
 
+def _file_holding(directory, text):
+    path = directory / "file"
+    path.write_text(text)
+    return str(path)
+
+
+def _out_with_a_model_bin_directory(directory):
+    os.makedirs(directory / "o" / "model.bin")
+    return str(directory / "o")
+
+
+# Exit 2 is a ConfigError and nothing else, and it names the option, the
+# override or the setting; a data or I/O failure in a subcommand is exit 3
+# naming the subcommand.
+@pytest.mark.parametrize("args, code, message", [
+    (lambda d: ["--out", _file_holding(d, ""), "generate-data"],
+     cli.EXIT_CONFIG, "config error: --out: [Errno 17] File exists"),
+    (lambda d: ["--out", str(d / "o"), "--override", "seed=abc",
+                "generate-data"],
+     cli.EXIT_CONFIG, "config error: override 'seed=abc': Expecting value"),
+    (lambda d: ["--out", str(d / "o"), "--config",
+                _file_holding(d, '{"seed":'), "generate-data"],
+     cli.EXIT_CONFIG, "config error: --config: Expecting value"),
+    (lambda d: ["--out", str(d / "o"), "--config",
+                _file_holding(d, json.dumps(TINY)), "--override",
+                "phases.swag_epochs=0", "swag-ppm"],
+     cli.EXIT_CONFIG,
+     "config error: phases.swag_epochs must be an integer >= 1, got 0"),
+    (lambda d: ["--out", str(d / "o"), "--override",
+                "data.sampling_fraction=0.0005", "generate-data"],
+     cli.EXIT_PHASE, "phase failure: phase 'generate-data' failed: the cap "
+                     "sample keeps 0 classes; need at least 2"),
+    (lambda d: ["--out", _out_with_a_model_bin_directory(d), "--config",
+                _file_holding(d, json.dumps(TINY)), "train"],
+     cli.EXIT_PHASE, "phase failure: phase 'train' failed: [Errno 21] Is a "
+                     "directory"),
+], ids=["out-a-file", "override-not-json", "config-not-json",
+        "no-swag-epochs", "cap-sample-keeps-no-class",
+        "checkpoint-unwritable"])
+def test_exit_code_names_its_cause(tmp_path, capsys, args, code, message):
+    assert run(args(tmp_path)) == code
+    assert message in capsys.readouterr().err
+
+
 def test_manifests_rebuild_the_split_from_the_recorded_seed(
         tmp_path, tiny_config_file):
     out = tmp_path / "o"

@@ -118,11 +118,13 @@ def test_cap_sample_identity_when_loose():
     assert sorted(r.id for r in out.records) == sorted(r.id for r in ds.records)
 
 
-def test_cap_sample_all_singletons_warns():
-    ds = dataset_of([0, 1, 2], 3)
-    with pytest.warns(UserWarning):
-        out = data.stratified_cap_sample(ds, cap=5)
-    assert len(out) == 0
+def test_cap_sample_under_two_classes_raises():
+    # all singletons keep no class; one pair beside them keeps one
+    for labels, kept in (([0, 1, 2], 0), ([0, 0, 1, 2], 1)):
+        with pytest.raises(data.DataError,
+                           match="the cap sample keeps %d classes; need at "
+                                 "least 2" % kept):
+            data.stratified_cap_sample(dataset_of(labels, 3), cap=5)
 
 
 def test_cap_sample_never_increases_or_leaves_singletons():

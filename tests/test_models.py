@@ -275,6 +275,17 @@ def test_checkpoint_with_a_bad_dimension_raises_layout_error(
         load_checkpoint(path)
 
 
+def test_checkpoint_with_a_repeated_tensor_raises_layout_error(tmp_path):
+    # a repeated name would leave view reading only its first slot
+    with pytest.raises(LayoutError, match="tensor 'W' repeats"):
+        Layout([("W", (2,)), ("b", (1,)), ("W", (2,))])
+    head = {"layout": [["W", [2]], ["b", [1]], ["W", [2]]]}
+    path = tmp_path / "model.bin"
+    path.write_bytes(frozen_frame(b"SWPPMCK1", head, bytes(8 * 5)))
+    with pytest.raises(LayoutError, match="tensor 'W' repeats"):
+        load_checkpoint(path)
+
+
 @settings(max_examples=30, deadline=None)
 @given(extra=st.binary(min_size=1, max_size=16))
 def test_checkpoint_with_trailing_bytes_raises_layout_error(tmp_path_factory,

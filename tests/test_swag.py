@@ -380,6 +380,16 @@ def test_moments_bad_dimension_raises_swag_error(tmp_path_factory, bad,
         swag.load_moments(path)
 
 
+def test_moments_with_a_repeated_tensor_raise_swag_error(tmp_path):
+    # mean, sq_mean and one deviation column over a 2-value layout
+    head = {"layout": [["w", [1]], ["w", [1]]], "count": 1, "k_max": 2,
+            "k": 1}
+    path = tmp_path / "m.bin"
+    path.write_bytes(frozen_frame(b"SWPPMSW1", head, bytes(8 * 6)))
+    with pytest.raises(swag.SwagError, match="tensor 'w' repeats"):
+        swag.load_moments(path)
+
+
 @settings(max_examples=30, deadline=None)
 @given(extra=st.binary(min_size=1, max_size=16))
 def test_moments_trailing_bytes_raise_swag_error(tmp_path_factory, extra):
