@@ -26,14 +26,12 @@ theta = models.init_params(spec, seed=3)
 ft = trainer.TrainConfig(trainer.ADAPTIVE, 0.01, 32, 5, seed=4)
 theta, _ = trainer.train(spec, theta, X, y, ft)
 
+# each SWAG epoch's iterate is absorbed as the epoch ends
 sw = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.03, 32, 12, seed=5)
-_, snapshots = trainer.train(spec, theta, X, y, sw)
-
 moments = swag.SwagMoments(spec.layout(), k_max=10)
-for snap in snapshots:
-    moments.absorb(snap.theta)
+trainer.train(spec, theta, X, y, sw, on_epoch=moments.absorb)
 print("absorbed %d snapshots, rank %d, clamped entries %d"
-      % (len(snapshots), moments.k, moments.clamped_entries))
+      % (moments.count, moments.k, moments.clamped_entries))
 print("diagonal variance: mean %.2e, max %.2e"
       % (moments.sigma_diag().mean(), moments.sigma_diag().max()))
 

@@ -24,10 +24,8 @@ theta = models.init_params(spec, seed=1)
 cfg = trainer.TrainConfig(trainer.ADAPTIVE, 0.01, 32, 5, seed=2)
 theta, _ = trainer.train(spec, theta, X, y, cfg)
 sw = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.03, 32, 12, seed=3)
-_, snaps = trainer.train(spec, theta, X, y, sw)
 moments = swag.SwagMoments(spec.layout())
-for s in snaps:
-    moments.absorb(s.theta)
+trainer.train(spec, theta, X, y, sw, on_epoch=moments.absorb)
 
 abs_ll = ppm.abs_loglik_matrix(spec, moments.draws(200, seed=4), X, y)
 # a record's risk is its max |ll| over the draws: the sensitivity fold's

@@ -33,6 +33,6 @@ spec = models.ModelSpec(models.SOFTMAX_LINEAR, dataset.feature_dim,
                         dataset.num_classes)
 cfg = trainer.TrainConfig(trainer.DP_SGD, 0.001, 512, 30, seed=5,
                           clip_norm=1.0, noise_multiplier=sigma)
-theta, snaps = trainer.train(spec, models.init_params(spec, 0),
-                             dataset.feature_matrix(), dataset.labels, cfg)
-print("dp-sgd final mean train loss %.4f" % snaps[-1].mean_train_loss)
+theta, losses = trainer.train(spec, models.init_params(spec, 0),
+                              dataset.feature_matrix(), dataset.labels, cfg)
+print("dp-sgd final mean train loss %.4f" % losses[-1])

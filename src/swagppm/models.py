@@ -189,18 +189,28 @@ def _hidden_residual(spec, theta, H, D):
     return (D @ spec.layout().view(theta, "W2").T) * (1.0 - H * H)
 
 
-def _backprop(spec, X, H, D, D1):
-    """Flat gradient from output residuals D and, for the MLP (H given),
-    hidden residuals D1; each row of D and D1 is one record's residual."""
-    grad = np.empty(spec.num_params)
+def _matmul_into(A, B, out):
+    """out <- A @ B. A sparse A's product comes from scipy, which has no
+    out argument, and is copied in."""
+    if sp.issparse(A):
+        out[...] = A @ B
+    else:
+        np.matmul(A, B, out=out)
+
+
+def _backprop(spec, X, H, D, D1, out=None):
+    """Flat gradient, written into out or a fresh array, from output
+    residuals D and, for the MLP (H given), hidden residuals D1; each row of
+    D and D1 is one record's residual."""
+    grad = np.empty(spec.num_params) if out is None else out
     view = spec.layout().view
     if H is None:
-        view(grad, "W")[:] = np.asarray(X.T @ D)
+        _matmul_into(X.T, D, view(grad, "W"))
         view(grad, "b")[:] = D.sum(axis=0)
     else:
-        view(grad, "W2")[:] = H.T @ D
+        np.matmul(H.T, D, out=view(grad, "W2"))
         view(grad, "b2")[:] = D.sum(axis=0)
-        view(grad, "W1")[:] = np.asarray(X.T @ D1)
+        _matmul_into(X.T, D1, view(grad, "W1"))
         view(grad, "b1")[:] = D1.sum(axis=0)
     return grad
 
@@ -214,9 +224,11 @@ def _forward(spec, theta, X, y):
     return P, H, _log_floored(P[np.arange(P.shape[0]), np.asarray(y)])
 
 
-def weighted_gradient_loglik(spec, theta, X, y, weights=None):
+def weighted_gradient_loglik(spec, theta, X, y, weights=None, out=None):
     """(weighted_nll_gradient's values, log_likelihood_batch's values) from
-    one forward pass; the gradient is a fresh array the caller may reuse."""
+    one forward pass; the gradient is written into out, a flat array over
+    the layout, when it is given, else into a fresh array the caller may
+    reuse."""
     X = _as_matrix(X)
     n = X.shape[0]
     if n == 0:
@@ -232,7 +244,7 @@ def weighted_gradient_loglik(spec, theta, X, y, weights=None):
     P, H, loglik = _forward(spec, theta, X, y)
     D = _one_hot_residual(P, y) * (weights / n)[:, None]
     D1 = None if H is None else _hidden_residual(spec, theta, H, D)
-    grad = _backprop(spec, X, H, D, D1)
+    grad = _backprop(spec, X, H, D, D1, out)
     if spec.weight_decay:
         grad += spec.weight_decay * theta
     return grad, loglik
@@ -255,12 +267,14 @@ def row_sq_norms(X):
     return (X * X).sum(axis=1)
 
 
-def clipped_gradient_loglik(spec, theta, X, y, clip_norm, x_sq=None):
+def clipped_gradient_loglik(spec, theta, X, y, clip_norm, x_sq=None,
+                            out=None):
     """(clipped_gradient_sum's values, its pre-clip norms, the batch's
     log_likelihood_batch values) from one forward pass; the gradient sum is
-    a fresh array the caller may reuse. x_sq, when given, is row_sq_norms of
-    X's rows, so a caller that batches the rows of one matrix computes it
-    once and indexes it per batch."""
+    written into out when it is given, as in weighted_gradient_loglik, else
+    into a fresh array the caller may reuse. x_sq, when given, is
+    row_sq_norms of X's rows, so a caller that batches the rows of one
+    matrix computes it once and indexes it per batch."""
     X = _as_matrix(X)
     n = X.shape[0]
     if n == 0:
@@ -279,7 +293,7 @@ def clipped_gradient_loglik(spec, theta, X, y, clip_norm, x_sq=None):
                         + (x_sq + 1.0) * (D1 * D1).sum(axis=1))
     scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))[:, None]
     grad = _backprop(spec, X, H, D * scale,
-                     None if D1 is None else D1 * scale)
+                     None if D1 is None else D1 * scale, out)
     return grad, norms, loglik
 
 

@@ -243,16 +243,17 @@ def _check_settings(cfg):
 
 
 def _train_round(spec, theta0, X, y, weights, cfg, seed_tag):
-    """One fine-tune + constant-lr SWAG round; returns the moment accumulator."""
+    """One fine-tune + constant-lr SWAG round; returns the moment
+    accumulator, which absorbs each SWAG epoch's theta as the epoch ends."""
     theta, _ = trainer.train(spec, theta0, X, y,
                              _train_config(cfg, "finetune", seed_tag + "/ft"),
                              weights)
     moments = swag.SwagMoments(theta0.layout,
                                k_max=cfg["phases"]["swag_rank"])
-    _, snapshots = trainer.train(
-        spec, theta, X, y, _train_config(cfg, "swag", seed_tag + "/swag"),
-        weights)
-    return moments.absorb(*(snap.theta for snap in snapshots))
+    trainer.train(spec, theta, X, y,
+                  _train_config(cfg, "swag", seed_tag + "/swag"), weights,
+                  moments.absorb)
+    return moments
 
 
 @dataclass

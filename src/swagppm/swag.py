@@ -14,8 +14,9 @@ class SwagError(RuntimeError):
 
 def _columns(p, k):
     """A zeroed (p, k) float64 array in its own anonymous memory map, which
-    is returned whole when freed: a heap block grown after a round's
-    snapshots left a hole that raised bench-default's peak RSS by 4 MiB."""
+    is returned whole when freed, whatever glibc's mmap threshold has grown
+    to: a heap block of that size once left a hole that raised
+    bench-default's peak RSS by 4 MiB."""
     buffer = mmap.mmap(-1, max(1, 8 * p * k))
     return np.frombuffer(buffer, np.float64, p * k).reshape(p, k)
 
@@ -25,8 +26,9 @@ class SwagMoments:
 
     Tracks the running mean, the running mean of element-wise squares, and
     up to k_max deviation columns theta_t - mean_t, where mean_t is the
-    running mean right after absorbing snapshot t. The columns live in one
-    (p, k <= k_max) array, oldest first; a full array evicts its oldest column.
+    running mean right after absorbing snapshot t. The columns live in the
+    first k of a (p, k_max) buffer, oldest first; a full buffer evicts its
+    oldest column.
     """
 
     def __init__(self, layout, k_max=20):
@@ -40,32 +42,44 @@ class SwagMoments:
         self.sq_mean = np.zeros(layout.size)
         self._dev = np.empty((layout.size, 0))
 
+    def _values(self, theta):
+        """The flat values of a snapshot: a ParameterVector over the layout
+        or a float64 array of its size, as trainer.train passes each epoch's
+        theta to its sink."""
+        if isinstance(theta, ParameterVector):
+            if theta.layout != self.layout:
+                raise LayoutError("snapshot layout does not match accumulator")
+            return theta.values
+        if theta.shape != (self.layout.size,):
+            raise LayoutError("snapshot of shape %r; the accumulator's layout "
+                              "has %d values" % (theta.shape, self.layout.size))
+        return theta
+
     def absorb(self, *thetas):
-        """Absorb the snapshots in order; the deviation buffer grows once per
-        call, by the columns they add, up to k_max."""
-        if any(theta.layout != self.layout for theta in thetas):
-            raise LayoutError("snapshot layout does not match accumulator")
-        width = min(self.k_max, self.k + len(thetas))
-        if width > self.k:
-            grown = _columns(self.layout.size, width)
-            grown[:, :self.k] = self._dev
+        """Absorb the snapshots in order, after checking all of them. The
+        first absorb allocates the deviation buffer at k_max columns, so an
+        epoch at a time costs no more than a round in one call."""
+        values = [self._values(theta) for theta in thetas]
+        if values and self._dev.shape[1] < self.k_max:
+            grown = _columns(self.layout.size, self.k_max)
+            grown[:, :self.k] = self._dev[:, :self.k]
             self._dev = grown
-        for theta in thetas:
+        for theta in values:
             t = self.count + 1
-            self.mean += (theta.values - self.mean) / t
-            self.sq_mean += (theta.values ** 2 - self.sq_mean) / t
-            if self.k == width:  # full at k_max: evict the oldest column
+            self.mean += (theta - self.mean) / t
+            self.sq_mean += (theta ** 2 - self.sq_mean) / t
+            if self.k == self.k_max:  # full: evict the oldest column
                 self._dev[:, :-1] = self._dev[:, 1:]
             else:
                 self.k += 1
-            self._dev[:, self.k - 1] = theta.values - self.mean
+            self._dev[:, self.k - 1] = theta - self.mean
             self.count = t
         return self
 
     @property
     def dev_columns(self):
         """Read-only (k, p) view; iterating it yields the columns in order."""
-        cols = self._dev.T
+        cols = self._dev[:, :self.k].T
         cols.flags.writeable = False
         return cols
 
@@ -95,7 +109,7 @@ class SwagMoments:
                            np.sqrt(self.sigma_diag() / 2.0))
 
     def _draws(self, count, rng, diag_scale):
-        dev = self._dev
+        dev = self._dev[:, :self.k]
         z, low_rank = np.empty(self.layout.size), np.empty(self.layout.size)
         draw = z.view()
         draw.flags.writeable = False

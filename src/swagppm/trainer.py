@@ -3,13 +3,12 @@
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import models
-from .params import LayoutError, ParameterVector, is_integer, is_number
+from .params import ParameterVector, is_integer, is_number
 
 ADAPTIVE = "adaptive"
 SGD_CONSTANT = "sgd-constant"
@@ -52,13 +51,6 @@ class TrainConfig:
             if not (is_number(self.noise_multiplier)
                     and self.noise_multiplier >= 0):
                 raise TrainError("dp-sgd requires noise_multiplier >= 0")
-
-
-@dataclass
-class EpochSnapshot:
-    epoch: int
-    theta: ParameterVector
-    mean_train_loss: float
 
 
 def _dp_update(theta, grad_sum, noise, lr, denom):
@@ -111,8 +103,19 @@ class _Adam:
             theta -= grad
 
 
-def train(spec, theta0, X, y, config, weights=None):
-    """Run the configured optimizer; returns (theta_final, epoch snapshots).
+def _draw_noise(rng, scale, out):
+    """out <- rng.normal(0.0, scale, out.size), bit for bit, drawn in place:
+    numpy's normal computes loc + scale * z, so adding 0.0 after the
+    product keeps its bits, a -0.0 at scale 0 turning +0.0 included."""
+    rng.standard_normal(out=out)
+    out *= scale
+    out += 0.0
+    return out
+
+
+def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
+    """Run the configured optimizer; returns (theta_final, epoch losses),
+    the final theta as a ParameterVector and each epoch's mean train loss.
 
     weights, when given, is the per-record alpha vector aligned with X rows
     and is applied through the weighted NLL gradient. DP-SGD's clipped
@@ -125,9 +128,13 @@ def train(spec, theta0, X, y, config, weights=None):
     derived from config.seed. Each step's loss is models.objective on the
     log-likelihoods of the forward pass its gradient makes.
 
-    The steps update one array in place, and each epoch's snapshot is its
-    one ParameterVector. A non-finite theta raises TrainError naming the
-    epoch, from the next step's loss or from the epoch's snapshot.
+    The steps update one array in place, with the gradient, the noise and
+    the decay term in buffers allocated once per call. A non-finite theta
+    raises TrainError naming the epoch, from the next step's loss or from
+    the check at the epoch's end. After that check, on_epoch, when given,
+    is called with the epoch's theta as a read-only flat array, valid only
+    until the next step (copy it to keep it); a SWAG round passes
+    SwagMoments.absorb. Only the final theta becomes a ParameterVector.
     """
     n = X.shape[0]
     if config.batch_size > n:
@@ -143,25 +150,33 @@ def train(spec, theta0, X, y, config, weights=None):
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(2)]
     theta = theta0.values.copy()
-    snapshots = []
+    epoch_theta = theta.view()
+    epoch_theta.flags.writeable = False
+    losses = []
     dp = config.optimizer == DP_SGD
     adam = (_Adam(theta.size, config.learning_rate, spec.weight_decay)
             if config.optimizer == ADAPTIVE else None)
-    # the adaptive optimizer decays theta directly, so its gradient omits it
-    grad_spec = (replace(spec, weight_decay=0.0)
-                 if config.optimizer == ADAPTIVE else spec)
+    # the adaptive and SGD steps add their decay here, so their gradient
+    # omits it; DP-SGD's clipped gradient has none
+    grad_spec = replace(spec, weight_decay=0.0)
+    decay = (np.empty(theta.size)
+             if config.optimizer == SGD_CONSTANT and spec.weight_decay
+             else None)
+    grad = np.empty(theta.size)
     y = np.asarray(y)
     if dp:
         x_sq = models.row_sq_norms(X)  # indexed per Poisson batch
-        draw = partial(noise_rng.normal, 0.0,
-                       config.noise_multiplier * config.clip_norm, theta.size)
+        scale = config.noise_multiplier * config.clip_norm
+        # the step uses one buffer while the worker draws into the other
+        buffers = [np.empty(theta.size), np.empty(theta.size)]
     # DP-SGD draws its noise on one worker thread, one step ahead: the next
     # step's draw runs while this step's gradient does. The worker calls
     # only noise_rng and the draws are taken in order, so the noise is the
     # serial stream; a step that fails waits for the draw in flight.
     pool = ThreadPoolExecutor(max_workers=1) if dp else nullcontext()
     with pool:
-        pending = pool.submit(draw) if dp else None
+        if dp:
+            pending = pool.submit(_draw_noise, noise_rng, scale, buffers[0])
         for epoch in range(config.epochs):
             if dp:
                 # Poisson sampling: ceil(n / batch_size) batches, each taking
@@ -190,12 +205,15 @@ def train(spec, theta0, X, y, config, weights=None):
                 wb = None if we is None else we[idx]
                 if dp:
                     noise = pending.result()
-                    pending = pool.submit(draw)
-                    grad, _, loglik = models.clipped_gradient_loglik(
-                        spec, theta, Xb, yb, config.clip_norm, x_sq[idx])
+                    buffers.reverse()  # buffers[0] is now the free one
+                    pending = pool.submit(_draw_noise, noise_rng, scale,
+                                          buffers[0])
+                    _, _, loglik = models.clipped_gradient_loglik(
+                        spec, theta, Xb, yb, config.clip_norm, x_sq[idx],
+                        grad)
                 else:
-                    grad, loglik = models.weighted_gradient_loglik(
-                        grad_spec, theta, Xb, yb, wb)
+                    _, loglik = models.weighted_gradient_loglik(
+                        grad_spec, theta, Xb, yb, wb, grad)
                 loss = models.objective(spec, theta, loglik, wb)
                 if not np.isfinite(loss):
                     raise TrainError("non-finite loss %r at epoch %d batch %d"
@@ -206,16 +224,19 @@ def train(spec, theta0, X, y, config, weights=None):
                     _dp_update(theta, grad, noise, config.learning_rate,
                                config.batch_size)
                 elif config.optimizer == SGD_CONSTANT:
+                    if decay is not None:  # the penalty's gradient
+                        np.multiply(theta, spec.weight_decay, out=decay)
+                        grad += decay
                     grad *= config.learning_rate
                     theta -= grad
                 else:
                     adam.update(theta, grad)
-            mean_loss = loss_sum / count if count else float("nan")
-            try:
-                snapshot = ParameterVector(theta, theta0.layout)
-            except LayoutError as e:  # non-finite: the last step's update
-                raise TrainError("epoch %d: %s" % (epoch, e)) from None
-            snapshots.append(EpochSnapshot(epoch, snapshot, mean_loss))
+            losses.append(loss_sum / count if count else float("nan"))
+            if not np.isfinite(theta).all():  # the last step's update
+                raise TrainError("epoch %d: theta has non-finite entries"
+                                 % epoch)
+            if on_epoch is not None:
+                on_epoch(epoch_theta)
         if dp:
             pending.result()  # the draw made ahead for a step that never came
-    return (snapshots[-1].theta if snapshots else theta0), snapshots
+    return ParameterVector(theta, theta0.layout), losses

@@ -1,9 +1,11 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import settings, strategies as st
 
 from swagppm import models
@@ -27,6 +29,25 @@ def random_instance(rng, family, input_dim=5, num_classes=3, hidden_dim=4,
     X = rng.normal(0, 1.0, (n, input_dim))
     y = rng.integers(0, num_classes, n)
     return spec, theta, X, y
+
+
+def large_instance(n=64):
+    """A softmax-linear problem at p = 2499 * 20 + 20 = 50000 over a sparse
+    X of n records."""
+    spec = models.ModelSpec(models.SOFTMAX_LINEAR, 2499, 20, weight_decay=1e-4)
+    X = sp.random(n, 2499, density=0.01, format="csr", random_state=3)
+    y = np.random.default_rng(3).integers(0, 20, n)
+    return spec, models.init_params(spec, 0), X, y
+
+
+def traced_peak(fn):
+    """The peak of tracemalloc's traced bytes while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def finite_difference_gradient(f, values, h=1e-5):

@@ -8,8 +8,10 @@ import weakref
 import numpy as np
 import pytest
 
-from swagppm import models, pipeline, ppm, swag
+from swagppm import models, pipeline, ppm, swag, trainer
 from swagppm.params import ParameterVector
+
+from conftest import frozen_frame, large_instance, traced_peak
 
 
 def tiny_config(seed=7, **phase_overrides):
@@ -115,6 +117,69 @@ def test_swag_ppm_holds_no_draw_grid():
     finally:
         tracemalloc.stop()
     assert peak < grid_bytes / 2
+
+
+def test_swag_round_peak_memory_does_not_grow_with_epochs():
+    # the round holds one theta, whatever its fine-tune and SWAG epochs.
+    # At rank 2 both rounds evict, and each eviction's overlapping column
+    # shift makes a temporary of k - 1 columns, so that is in both peaks.
+    spec, theta0, X, y = large_instance()
+    peaks = []
+    for epochs in (3, 30):
+        cfg = tiny_config()
+        cfg["phases"].update(finetune_epochs=epochs, swag_epochs=epochs,
+                             batch_size=16, swag_rank=2)
+        peaks.append(traced_peak(lambda: pipeline._train_round(
+            spec, theta0, X, y, None, cfg, "round1")))
+    assert abs(peaks[1] - peaks[0]) <= 8 * spec.num_params
+
+
+def _frozen_moments_file(layout, k_max, snapshots):
+    # Reference: the moments file of all of a round's snapshots collected
+    # first, then absorbed in one call into a buffer of min(k_max, count)
+    # columns, as rounds were absorbed before each epoch went in as it ended
+    p = layout.size
+    mean, sq_mean = np.zeros(p), np.zeros(p)
+    dev = np.empty((p, min(k_max, len(snapshots))))
+    k = 0
+    for t, theta in enumerate(snapshots, start=1):
+        mean += (theta - mean) / t
+        sq_mean += (theta ** 2 - sq_mean) / t
+        if k == dev.shape[1]:
+            dev[:, :-1] = dev[:, 1:]
+        else:
+            k += 1
+        dev[:, k - 1] = theta - mean
+    head = {"layout": layout.to_json(), "count": len(snapshots),
+            "k_max": k_max, "k": k}
+    return frozen_frame(b"SWPPMSW1", head, b"".join(
+        a.astype("<f8").tobytes() for a in (mean, sq_mean, dev.T)))
+
+
+@pytest.mark.parametrize("swag_epochs", [3, 5, 8])
+def test_streamed_round_writes_the_collected_rounds_moments(tmp_path,
+                                                            swag_epochs):
+    # swag_rank 5: fewer, as many and more epochs than columns
+    cfg = tiny_config()
+    cfg["phases"].update(swag_epochs=swag_epochs, swag_rank=5)
+    train, _ = pipeline.prepare_data(cfg)
+    X, y = train.feature_matrix(), train.labels
+    spec = pipeline.model_spec(cfg, train.num_classes, train.feature_dim)
+    theta0 = models.init_params(spec, 1)
+    weights = np.random.default_rng(2).uniform(0, 1, len(train))
+    moments = pipeline._train_round(spec, theta0, X, y, weights, cfg, "r")
+    swag.save_moments(tmp_path / "moments.bin", moments)
+
+    theta, _ = trainer.train(
+        spec, theta0, X, y, pipeline._train_config(cfg, "finetune", "r/ft"),
+        weights)
+    snapshots = []
+    trainer.train(spec, theta, X, y,
+                  pipeline._train_config(cfg, "swag", "r/swag"), weights,
+                  lambda values: snapshots.append(values.copy()))
+    assert len(snapshots) == swag_epochs
+    assert (tmp_path / "moments.bin").read_bytes() == _frozen_moments_file(
+        spec.layout(), 5, snapshots)
 
 
 def test_release_path_contains_only_the_released_draw(tmp_path):

@@ -53,6 +53,8 @@ def test_absorb_layout_mismatch(p1):
     other = Layout([("w", (2,))])
     with pytest.raises(LayoutError):
         m.absorb(ParameterVector(np.zeros(2), other))
+    with pytest.raises(LayoutError):
+        m.absorb(np.zeros(2))
 
 
 def test_running_mean_exactness():
@@ -452,8 +454,22 @@ def test_moments_with_a_huge_k_max_load_and_save_the_same_bytes(tmp_path):
     assert m.dev_columns.shape == (0, 1)
     swag.save_moments(tmp_path / "again.bin", m)
     assert (tmp_path / "again.bin").read_bytes() == blob
-    m.absorb(vec(m.layout, 4.0))  # grows by the one column absorbed
-    assert m.k == 1 and m._dev.shape == (1, 1)
+
+
+@pytest.mark.parametrize("before, after", [(2, 1), (3, 4)])
+def test_absorbing_after_a_load_continues_the_saved_moments(tmp_path, before,
+                                                           after):
+    # k_max = 4: a load holds only the k columns saved, and the next absorb
+    # allocates the rest; 3 + 4 absorbs evict past k_max
+    m = _absorbed(6, 4, before, 8)
+    swag.save_moments(tmp_path / "m.bin", m)
+    loaded = swag.load_moments(tmp_path / "m.bin")
+    more = np.random.default_rng(9).normal(0, 1, (after, 6))
+    m.absorb(*more)
+    loaded.absorb(*more)
+    assert (loaded.count, loaded.k) == (m.count, m.k)
+    for name in ("mean", "sq_mean", "dev_columns"):
+        assert (getattr(loaded, name) == getattr(m, name)).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -469,14 +485,16 @@ def test_absorbing_in_one_call_equals_one_at_a_time(p, k_max, cuts, seed):
              for _ in range(sum(cuts))]
     one = swag.SwagMoments(layout, k_max=k_max)
     for theta in snaps:
-        one.absorb(theta)
+        one.absorb(theta.values)  # as flat arrays, as trainer.train passes
     grouped = swag.SwagMoments(layout, k_max=k_max)
     start = 0
     for size in cuts:
         grouped.absorb(*snaps[start:start + size])
         start += size
     assert (grouped.count, grouped.k) == (one.count, one.k)
-    assert grouped._dev.shape == (p, one.k)
+    # allocated once, at k_max columns, by the first absorb of a snapshot
+    assert grouped._dev.shape == one._dev.shape == (
+        p, k_max if one.count else 0)
     for name in ("mean", "sq_mean", "dev_columns"):
         assert (getattr(grouped, name) == getattr(one, name)).all()
     if one.count:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from swagppm import models, trainer
 from swagppm.params import ParameterVector
 
-from conftest import random_instance
+from conftest import large_instance, random_instance, traced_peak
 
 
 def separable_2class():
@@ -25,16 +25,15 @@ def separable_2class():
 def test_sgd_loss_non_increasing():
     spec, theta0, X, y = separable_2class()
     cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 4, 20, seed=0)
-    _, snaps = trainer.train(spec, theta0, X, y, cfg)
-    losses = [s.mean_train_loss for s in snaps]
+    _, losses = trainer.train(spec, theta0, X, y, cfg)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
 def test_zero_epochs_identity():
     spec, theta0, X, y = separable_2class()
     cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 4, 0, seed=0)
-    theta, snaps = trainer.train(spec, theta0, X, y, cfg)
-    assert snaps == []
+    theta, losses = trainer.train(spec, theta0, X, y, cfg)
+    assert losses == []
     np.testing.assert_array_equal(theta.values, theta0.values)
 
 
@@ -50,11 +49,19 @@ def test_train_deterministic(rng, optimizer):
 
 
 def test_snapshot_matches_live_parameters(rng):
+    # the sink sees the live array, read-only, once per epoch
     spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8)
-    cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 4, 1, seed=5)
-    theta, snaps = trainer.train(spec, theta0, X, y, cfg)
-    assert len(snaps) == 1
-    np.testing.assert_array_equal(snaps[0].theta.values, theta.values)
+    cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 4, 2, seed=5)
+    seen = []
+
+    def sink(values):
+        assert not values.flags.writeable
+        seen.append(values)
+
+    theta, losses = trainer.train(spec, theta0, X, y, cfg, on_epoch=sink)
+    assert len(seen) == len(losses) == 2
+    assert seen[0] is seen[1]
+    np.testing.assert_array_equal(seen[1], theta.values)
 
 
 def test_batch_size_exceeds_dataset(rng):
@@ -290,12 +297,21 @@ def test_train_matches_frozen_allocating_loop(rng, optimizer, family, sparse):
                               **OPTIMIZER_CONFIGS[optimizer])
     # DP-SGD takes no weights
     for w in (None,) if optimizer == trainer.DP_SGD else (None, weights):
-        _, snaps = trainer.train(spec, theta0, X, y, cfg, w)
-        want = _frozen_train(spec, theta0, X, y, cfg, w)
-        assert len(snaps) == len(want) == 10
-        for snap, (values, loss) in zip(snaps, want):
-            np.testing.assert_array_equal(snap.theta.values, values)
-            assert snap.mean_train_loss == loss
+        _assert_matches_frozen_loop(spec, theta0, X, y, cfg, w)
+
+
+def _assert_matches_frozen_loop(spec, theta0, X, y, cfg, weights=None):
+    # each epoch's theta, through the sink, and its mean loss equal the
+    # frozen loop's under ==, and the final theta is the last epoch's
+    seen = []
+    theta, losses = trainer.train(spec, theta0, X, y, cfg, weights,
+                                  lambda values: seen.append(values.copy()))
+    want = _frozen_train(spec, theta0, X, y, cfg, weights)
+    assert len(seen) == len(losses) == len(want) == cfg.epochs
+    for values, loss, (want_values, want_loss) in zip(seen, losses, want):
+        np.testing.assert_array_equal(values, want_values)
+        assert loss == want_loss
+    np.testing.assert_array_equal(theta.values, want[-1][0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -311,13 +327,40 @@ def test_all_ones_weights_train_like_no_weights(seed, optimizer, family, n,
     cfg = trainer.TrainConfig(optimizer, batch_size=min(batch_size, n),
                               epochs=3, seed=seed,
                               **OPTIMIZER_CONFIGS[optimizer])
-    a, snaps_a = trainer.train(spec, theta0, X, y, cfg, np.ones(n))
-    b, snaps_b = trainer.train(spec, theta0, X, y, cfg, None)
+    seen_a, seen_b = [], []
+    a, losses_a = trainer.train(spec, theta0, X, y, cfg, np.ones(n),
+                                lambda values: seen_a.append(values.copy()))
+    b, losses_b = trainer.train(spec, theta0, X, y, cfg, None,
+                                lambda values: seen_b.append(values.copy()))
     np.testing.assert_array_equal(a.values, b.values)
-    for sa, sb in zip(snaps_a, snaps_b):
-        np.testing.assert_array_equal(sa.theta.values, sb.theta.values)
-        assert sa.mean_train_loss == sb.mean_train_loss or (
-            np.isnan(sa.mean_train_loss) and np.isnan(sb.mean_train_loss))
+    np.testing.assert_array_equal(seen_a, seen_b)
+    np.testing.assert_array_equal(losses_a, losses_b)  # NaN equals NaN
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.7, 1.3])
+def test_noise_drawn_in_place_equals_generator_normal(scale):
+    # three draws in a row, into two alternating buffers as DP-SGD takes
+    # them; compared as bits, so the sign of a zero counts
+    p = 1001
+    want = np.random.default_rng(4)
+    got = np.random.default_rng(4)
+    buffers = [np.empty(p), np.empty(p)]
+    for step in range(3):
+        drawn = trainer._draw_noise(got, scale, buffers[step % 2])
+        assert drawn is buffers[step % 2]
+        assert (drawn.view(np.uint64)
+                == want.normal(0.0, scale, p).view(np.uint64)).all()
+
+
+def test_dp_sgd_peak_memory_does_not_grow_with_epochs():
+    # train holds one theta, whatever its epoch count
+    spec, theta0, X, y = large_instance()
+    peaks = [traced_peak(lambda: trainer.train(
+        spec, theta0, X, y,
+        trainer.TrainConfig(trainer.DP_SGD, 0.1, 16, epochs, seed=1,
+                            clip_norm=1.0, noise_multiplier=1.1)))
+             for epochs in (3, 30)]
+    assert abs(peaks[1] - peaks[0]) <= 8 * spec.num_params
 
 
 def count_vectors_built(monkeypatch):
@@ -334,15 +377,14 @@ def count_vectors_built(monkeypatch):
 
 
 @pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_CONFIGS))
-def test_train_builds_one_vector_per_epoch(rng, monkeypatch, optimizer):
+def test_train_builds_one_vector_per_call(rng, monkeypatch, optimizer):
     spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=24,
                                          weight_decay=0.01)
     cfg = trainer.TrainConfig(optimizer, batch_size=4, epochs=3, seed=2,
                               **OPTIMIZER_CONFIGS[optimizer])
     built = count_vectors_built(monkeypatch)
-    theta, snaps = trainer.train(spec, theta0, X, y, cfg)
-    assert len(built) == 3  # 18 steps (DP-SGD: 18 Poisson batches)
-    assert theta is snaps[-1].theta
+    trainer.train(spec, theta0, X, y, cfg, on_epoch=lambda values: None)
+    assert len(built) == 1  # 18 steps (DP-SGD: 18 Poisson batches)
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
@@ -355,7 +397,7 @@ def test_non_finite_theta_raises_train_error_naming_the_epoch(
     # record has, so the logits never read the entry and only the ||theta||^2
     # term of the loss sees it. Batches of 2 over 8 records: step 5 is in
     # the middle of epoch 1 and caught by the next step's loss, step 3 ends
-    # epoch 0 and is caught by its snapshot.
+    # epoch 0 and is caught by the check at its end, before the sink.
     spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8,
                                          weight_decay=weight_decay)
     X[:, 2] = 0.0
@@ -374,8 +416,13 @@ def test_non_finite_theta_raises_train_error_naming_the_epoch(
     monkeypatch.setattr(models, "weighted_gradient_loglik",
                         gradient_going_inf)
     cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 2, 3, seed=0)
+    seen = []
     with pytest.raises(trainer.TrainError, match=message):
-        trainer.train(spec, theta0, X, y, cfg)
+        trainer.train(spec, theta0, X, y, cfg,
+                      on_epoch=lambda values: seen.append(values.copy()))
+    # 4 steps an epoch: only the epochs before the failing one, all finite,
+    # reached the sink
+    assert len(seen) == bad_step // 4 and np.isfinite(seen).all()
 
 
 def test_dp_sgd_with_empty_batches_matches_frozen_loop(rng):
@@ -390,12 +437,7 @@ def test_dp_sgd_with_empty_batches_matches_frozen_loop(rng):
     sizes = [b.size for _ in range(cfg.epochs)
              for b in _poisson_batches(12, 1, shuffle_rng, 1 / 12)]
     assert 0 in sizes[:-1]  # a step follows an empty batch
-    _, snaps = trainer.train(spec, theta0, X, y, cfg)
-    want = _frozen_train(spec, theta0, X, y, cfg)
-    assert len(snaps) == len(want) == 4
-    for snap, (values, loss) in zip(snaps, want):
-        np.testing.assert_array_equal(snap.theta.values, values)
-        assert snap.mean_train_loss == loss
+    _assert_matches_frozen_loop(spec, theta0, X, y, cfg)
 
 
 class _FailingDraws:
@@ -408,7 +450,7 @@ class _FailingDraws:
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
-    def normal(self, *args, **kwargs):
+    def standard_normal(self, *args, **kwargs):
         self._threads.append(threading.current_thread())
         raise RuntimeError("noise draw failed")
 
@@ -490,8 +532,8 @@ X = sp.random(200, 4096, density=0.01, format="csr", random_state=5)
 y = rng.integers(0, 3, 200)
 cfg = trainer.TrainConfig(trainer.DP_SGD, 0.1, 20, 3, seed=1, clip_norm=0.5,
                           noise_multiplier=1.1)
-theta, snaps = trainer.train(spec, theta0, X, y, cfg)
-print(json.dumps([[repr(s.mean_train_loss) for s in snaps],
+theta, losses = trainer.train(spec, theta0, X, y, cfg)
+print(json.dumps([[repr(loss) for loss in losses],
                   hashlib.sha256(theta.values.tobytes()).hexdigest()]))
 """
 
