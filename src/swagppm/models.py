@@ -3,8 +3,9 @@
 Two families: a softmax-linear model and a one-hidden-layer tanh MLP.
 All batch operations accept either a dense (n, d) array or a scipy CSR
 matrix of features. The functions the training and draw loops call
-(log_likelihood_rows, the *_loglik gradients, objective) take theta as a
-flat float64 array over spec.layout(); the others take a ParameterVector.
+(log_likelihood_rows, gradient_into and the *_loglik gradients built on
+it, decay_penalty) take theta as a flat float64 array over spec.layout();
+the others take a ParameterVector.
 """
 
 from dataclasses import dataclass
@@ -178,12 +179,6 @@ def log_likelihood_batch(spec, theta, X, y):
     return next(log_likelihood_rows(spec, [theta.values], X, y))
 
 
-def _one_hot_residual(P, y):
-    D = P.copy()
-    D[np.arange(P.shape[0]), np.asarray(y)] -= 1.0
-    return D
-
-
 def _hidden_residual(spec, theta, H, D):
     """Residual at the MLP's hidden pre-activations."""
     return (D @ spec.layout().view(theta, "W2").T) * (1.0 - H * H)
@@ -198,30 +193,63 @@ def _matmul_into(A, B, out):
         np.matmul(A, B, out=out)
 
 
-def _backprop(spec, X, H, D, D1, out=None):
-    """Flat gradient, written into out or a fresh array, from output
-    residuals D and, for the MLP (H given), hidden residuals D1; each row of
-    D and D1 is one record's residual."""
-    grad = np.empty(spec.num_params) if out is None else out
+def _backprop(spec, XT, H, D, D1, out):
+    """The flat gradient, written into out, from the transposed features XT,
+    output residuals D and, for the MLP (H given), hidden residuals D1;
+    each row of D and D1 is one record's residual."""
     view = spec.layout().view
     if H is None:
-        _matmul_into(X.T, D, view(grad, "W"))
-        view(grad, "b")[:] = D.sum(axis=0)
+        _matmul_into(XT, D, view(out, "W"))
+        view(out, "b")[:] = D.sum(axis=0)
     else:
-        np.matmul(H.T, D, out=view(grad, "W2"))
-        view(grad, "b2")[:] = D.sum(axis=0)
-        _matmul_into(X.T, D1, view(grad, "W1"))
-        view(grad, "b1")[:] = D1.sum(axis=0)
-    return grad
+        np.matmul(H.T, D, out=view(out, "W2"))
+        view(out, "b2")[:] = D.sum(axis=0)
+        _matmul_into(XT, D1, view(out, "W1"))
+        view(out, "b1")[:] = D1.sum(axis=0)
 
 
-def _forward(spec, theta, X, y):
-    """One forward pass for the gradients: softmax probabilities P, the MLP's
-    hidden activations H (None for the linear model) and each record's
-    log-likelihood, as log_likelihood_rows computes it."""
+def gradient_into(spec, theta, X, XT, y, out, scale=None, clip_norm=None,
+                  x_sq=None):
+    """The one backprop: a forward and backward pass over a batch X, with
+    XT its transpose (for a CSR X, a CSC matrix on X's arrays), that writes
+    the NLL gradient into out, a flat array over the layout, with no weight
+    decay and no checks. Returns (the pre-clip norms or None, each record's
+    log-likelihood as log_likelihood_rows computes it).
+
+    Without clip_norm each record's residual is multiplied by scale, 1/n or
+    an (n, 1) column of weights / n, before the hidden residual is taken:
+    weighted_gradient_loglik's gradient. With clip_norm each record's
+    gradient is scaled by min(1, clip_norm / its norm), the norms taken with
+    x_sq, row_sq_norms of X: clipped_gradient_loglik's gradient sum."""
     Z, H = _logits(spec, theta, X)
-    P = _softmax(Z)
-    return P, H, _log_floored(P[np.arange(P.shape[0]), np.asarray(y)])
+    D = _softmax(Z)
+    cells = (np.arange(D.shape[0]), np.asarray(y))
+    loglik = _log_floored(D[cells])
+    D[cells] -= 1.0  # the residual P - onehot(y), in place
+    if clip_norm is None:
+        D *= scale
+    # a clipped D1 comes from the unscaled D: scaling first would round
+    # differently
+    D1 = None if H is None else _hidden_residual(spec, theta, H, D)
+    norms = None
+    if clip_norm is not None:
+        if H is None:
+            norms = np.sqrt((x_sq + 1.0) * (D * D).sum(axis=1))
+        else:
+            norms = np.sqrt((row_sq_norms(H) + 1.0) * (D * D).sum(axis=1)
+                            + (x_sq + 1.0) * (D1 * D1).sum(axis=1))
+        clip = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))[:, None]
+        D *= clip
+        if D1 is not None:
+            D1 *= clip
+    _backprop(spec, XT, H, D, D1, out)
+    return norms, loglik
+
+
+def check_weights(weights):
+    """Raise ModelError unless every weight lies in [0, 1]."""
+    if np.any(weights < 0) or np.any(weights > 1):
+        raise ModelError("weights must lie in [0, 1]")
 
 
 def weighted_gradient_loglik(spec, theta, X, y, weights=None, out=None):
@@ -234,17 +262,15 @@ def weighted_gradient_loglik(spec, theta, X, y, weights=None, out=None):
     if n == 0:
         raise ModelError("empty batch")
     if weights is None:
-        weights = np.ones(n)
+        scale = 1.0 / n
     else:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape[0] != n:
             raise ModelError("weights length does not match batch size")
-        if np.any(weights < 0) or np.any(weights > 1):
-            raise ModelError("weights must lie in [0, 1]")
-    P, H, loglik = _forward(spec, theta, X, y)
-    D = _one_hot_residual(P, y) * (weights / n)[:, None]
-    D1 = None if H is None else _hidden_residual(spec, theta, H, D)
-    grad = _backprop(spec, X, H, D, D1, out)
+        check_weights(weights)
+        scale = (weights / n)[:, None]
+    grad = np.empty(spec.num_params) if out is None else out
+    _, loglik = gradient_into(spec, theta, X, X.T, y, grad, scale)
     if spec.weight_decay:
         grad += spec.weight_decay * theta
     return grad, loglik
@@ -276,24 +302,12 @@ def clipped_gradient_loglik(spec, theta, X, y, clip_norm, x_sq=None,
     row_sq_norms of X's rows, so a caller that batches the rows of one
     matrix computes it once and indexes it per batch."""
     X = _as_matrix(X)
-    n = X.shape[0]
-    if n == 0:
+    if X.shape[0] == 0:
         raise ModelError("empty minibatch")
-    P, H, loglik = _forward(spec, theta, X, y)
-    D = _one_hot_residual(P, y)
-    if x_sq is None:
-        x_sq = row_sq_norms(X)
-    if H is None:
-        D1 = None
-        norms = np.sqrt((x_sq + 1.0) * (D * D).sum(axis=1))
-    else:
-        # D1 from the unscaled D: scaling first would round differently
-        D1 = _hidden_residual(spec, theta, H, D)
-        norms = np.sqrt((row_sq_norms(H) + 1.0) * (D * D).sum(axis=1)
-                        + (x_sq + 1.0) * (D1 * D1).sum(axis=1))
-    scale = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))[:, None]
-    grad = _backprop(spec, X, H, D * scale,
-                     None if D1 is None else D1 * scale, out)
+    grad = np.empty(spec.num_params) if out is None else out
+    norms, loglik = gradient_into(
+        spec, theta, X, X.T, y, grad, clip_norm=clip_norm,
+        x_sq=row_sq_norms(X) if x_sq is None else x_sq)
     return grad, norms, loglik
 
 
@@ -325,19 +339,21 @@ def _sq_norm(theta):
     return total
 
 
-def objective(spec, theta, loglik, weights=None):
-    """Mean weighted NLL plus the weight-decay penalty, from the batch's
-    per-record log-likelihoods: the training objective of mean_nll."""
+def nll_term(loglik, weights=None):
+    """A batch's mean weighted NLL from its per-record log-likelihoods: the
+    data term of the training objective, over the batch size."""
     if weights is None:
-        data_term = -loglik.mean()
-    else:
-        data_term = -(np.asarray(weights) * loglik).sum() / loglik.shape[0]
-    # ||theta||^2, taken even at zero decay (0 * inf is nan), lets the loss
-    # check catch a non-finite theta entry that the logits never read
-    return data_term + 0.5 * spec.weight_decay * _sq_norm(theta)
+        return -loglik.mean()
+    return -(np.asarray(weights) * loglik).sum() / loglik.shape[0]
+
+
+def decay_penalty(spec, theta):
+    """The objective's weight-decay term, 0.5 * weight_decay * ||theta||^2,
+    of a flat theta."""
+    return 0.5 * spec.weight_decay * _sq_norm(theta)
 
 
 def mean_nll(spec, theta, X, y, weights=None):
     """Mean weighted NLL plus the weight-decay penalty (training objective)."""
-    return objective(spec, theta.values,
-                     log_likelihood_batch(spec, theta, X, y), weights)
+    return (nll_term(log_likelihood_batch(spec, theta, X, y), weights)
+            + decay_penalty(spec, theta.values))

@@ -94,14 +94,17 @@ class ParameterVector:
 
 def write_file(path, magic, head, *arrays):
     """Binary file frame: magic, header length, sorted-key JSON header, then
-    each array's values as little-endian float64 in C order."""
+    each array's values as little-endian float64 in C order. A 1-D array is
+    written whole and a 2-D one a row at a time, so a transposed view is
+    never copied whole."""
     blob = json.dumps(head, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(magic)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
         for values in arrays:
-            f.write(values.astype("<f8").tobytes())
+            for row in np.atleast_2d(values):
+                f.write(np.ascontiguousarray(row, dtype="<f8").data)
 
 
 def read_file(path, magic, error):

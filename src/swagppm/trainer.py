@@ -2,10 +2,11 @@
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import models
 from .params import ParameterVector, is_integer, is_number
@@ -113,28 +114,70 @@ def _draw_noise(rng, scale, out):
     return out
 
 
+def _indexed_batch(X, idx):
+    """(idx, X[idx], its transpose); for a CSR X the transpose is a CSC
+    matrix on the batch's own arrays, as scipy's transpose builds it,
+    without its overhead."""
+    Xb = X[idx]
+    if not sp.issparse(Xb):
+        return idx, Xb, Xb.T
+    return idx, Xb, sp.csc_matrix((Xb.data, Xb.indices, Xb.indptr),
+                                  shape=Xb.shape[::-1], copy=False)
+
+
+def _row_batches(Xe, batch_size):
+    """(rows, batch, its transpose) for each run of batch_size consecutive
+    rows of Xe, the last one short. A CSR batch and its CSC transpose are
+    built on slices of Xe's arrays, the arrays Xe[a:b] and Xe[a:b].T would
+    hold, so every product keeps its bits without scipy's slicing; a dense
+    batch is a row view."""
+    n, d = Xe.shape
+    sparse = sp.issparse(Xe)
+    if sparse:
+        data, indices, indptr = Xe.data, Xe.indices, Xe.indptr
+    for a in range(0, n, batch_size):
+        b = min(a + batch_size, n)
+        if sparse:
+            s, e = indptr[a], indptr[b]
+            arrays = (data[s:e], indices[s:e], indptr[a:b + 1] - s)
+            Xb = sp.csr_matrix(arrays, shape=(b - a, d), copy=False)
+            XT = sp.csc_matrix(arrays, shape=(d, b - a), copy=False)
+        else:
+            Xb = Xe[a:b]
+            XT = Xb.T
+        yield slice(a, b), Xb, XT
+
+
 def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
     """Run the configured optimizer; returns (theta_final, epoch losses),
     the final theta as a ParameterVector and each epoch's mean train loss.
 
     weights, when given, is the per-record alpha vector aligned with X rows
-    and is applied through the weighted NLL gradient. DP-SGD's clipped
+    and is applied through the weighted NLL gradient; weights outside
+    [0, 1] raise ModelError before the first step. DP-SGD's clipped
     gradient has no weights, so it raises TrainError when given them. Weight
     decay is spec.weight_decay: the adaptive optimizer applies it decoupled
     from the gradient, as AdamW does, constant-lr SGD through the gradient of
     the penalty, and DP-SGD not at all, since its clipped gradients omit the
     penalty. Every optimizer's loss includes it. Deterministic for a fixed
     seed: shuffle order, Poisson inclusion, and noise all come from streams
-    derived from config.seed. Each step's loss is models.objective on the
-    log-likelihoods of the forward pass its gradient makes.
+    derived from config.seed.
+
+    Each step takes its gradient and its loss, the batch's mean weighted
+    NLL (models.nll_term), from one pass of models.gradient_into; a
+    non-finite step loss raises TrainError naming the epoch and batch. An
+    epoch's loss is the batch-size-weighted mean of its steps' losses plus
+    models.decay_penalty at the epoch's final theta, so ||theta||^2 is taken
+    once an epoch, not per step.
 
     The steps update one array in place, with the gradient, the noise and
     the decay term in buffers allocated once per call. A non-finite theta
-    raises TrainError naming the epoch, from the next step's loss or from
-    the check at the epoch's end. After that check, on_epoch, when given,
-    is called with the epoch's theta as a read-only flat array, valid only
-    until the next step (copy it to keep it); a SWAG round passes
-    SwagMoments.absorb. Only the final theta becomes a ParameterVector.
+    raises TrainError naming the epoch, from the check at the epoch's end,
+    which sees every entry, also one the logits never read. After that
+    check, on_epoch, when given, is called with the epoch's theta as a
+    read-only flat array, valid only until the next step (copy it to keep
+    it); a SWAG round passes SwagMoments.absorb. Only the final theta
+    becomes a ParameterVector.
     """
     n = X.shape[0]
     if config.batch_size > n:
@@ -146,6 +189,7 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape[0] != n:
             raise TrainError("weights must cover every record in the view")
+        models.check_weights(weights)
     shuffle_rng, noise_rng = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(2)]
@@ -156,9 +200,8 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
     dp = config.optimizer == DP_SGD
     adam = (_Adam(theta.size, config.learning_rate, spec.weight_decay)
             if config.optimizer == ADAPTIVE else None)
-    # the adaptive and SGD steps add their decay here, so their gradient
+    # the adaptive and SGD steps add their decay here, as gradient_into
     # omits it; DP-SGD's clipped gradient has none
-    grad_spec = replace(spec, weight_decay=0.0)
     decay = (np.empty(theta.size)
              if config.optimizer == SGD_CONSTANT and spec.weight_decay
              else None)
@@ -178,48 +221,55 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
         if dp:
             pending = pool.submit(_draw_noise, noise_rng, scale, buffers[0])
         for epoch in range(config.epochs):
+            # An epoch's batches, (rows, batch, its transpose), are all built
+            # before its first step: scipy's constructors run far slower
+            # between steps, whose p-sized passes evict the caches. The last
+            # epoch's batches and copy of X are dropped first, so only one
+            # epoch's are held at a time.
+            Xe = ye = we = batches = None
             if dp:
                 # Poisson sampling: ceil(n / batch_size) batches, each taking
                 # every record independently with probability batch_size / n
                 q = config.batch_size / n
-                batches = [np.nonzero(shuffle_rng.random(n) < q)[0]
-                           for _ in range(-(-n // config.batch_size))]
-                Xe, ye, we = X, y, weights
+                ye = y
+                batches = [
+                    _indexed_batch(X, np.nonzero(shuffle_rng.random(n) < q)[0])
+                    for _ in range(-(-n // config.batch_size))]
             else:
                 # a shuffle-partition epoch: permute the rows once, then take
                 # each batch as a row range, without fancy-indexing X per
-                # step. The last epoch's copy is dropped first, so only one
-                # copy is held at a time.
-                Xe = ye = we = None
+                # step
                 perm = shuffle_rng.permutation(n)
-                batches = [slice(i, min(i + config.batch_size, n))
-                           for i in range(0, n, config.batch_size)]
                 Xe, ye = X[perm], y[perm]
                 we = None if weights is None else weights[perm]
+                batches = list(_row_batches(Xe, config.batch_size))
             loss_sum = 0.0
             count = 0
-            for b, idx in enumerate(batches):
-                if dp and idx.size == 0:
-                    continue  # takes no draw
-                Xb, yb = Xe[idx], ye[idx]
-                wb = None if we is None else we[idx]
+            for b, (rows, Xb, XT) in enumerate(batches):
+                yb = ye[rows]
+                m = yb.shape[0]
                 if dp:
+                    if m == 0:
+                        continue  # takes no draw
                     noise = pending.result()
                     buffers.reverse()  # buffers[0] is now the free one
                     pending = pool.submit(_draw_noise, noise_rng, scale,
                                           buffers[0])
-                    _, _, loglik = models.clipped_gradient_loglik(
-                        spec, theta, Xb, yb, config.clip_norm, x_sq[idx],
-                        grad)
+                    wb = None
+                    _, loglik = models.gradient_into(
+                        spec, theta, Xb, XT, yb, grad,
+                        clip_norm=config.clip_norm, x_sq=x_sq[rows])
                 else:
-                    _, loglik = models.weighted_gradient_loglik(
-                        grad_spec, theta, Xb, yb, wb, grad)
-                loss = models.objective(spec, theta, loglik, wb)
+                    wb = None if we is None else we[rows]
+                    _, loglik = models.gradient_into(
+                        spec, theta, Xb, XT, yb, grad,
+                        1.0 / m if wb is None else (wb / m)[:, None])
+                loss = models.nll_term(loglik, wb)
                 if not np.isfinite(loss):
                     raise TrainError("non-finite loss %r at epoch %d batch %d"
                                      % (loss, epoch, b))
-                loss_sum += loss * yb.shape[0]
-                count += yb.shape[0]
+                loss_sum += loss * m
+                count += m
                 if dp:
                     _dp_update(theta, grad, noise, config.learning_rate,
                                config.batch_size)
@@ -231,10 +281,11 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
                     theta -= grad
                 else:
                     adam.update(theta, grad)
-            losses.append(loss_sum / count if count else float("nan"))
-            if not np.isfinite(theta).all():  # the last step's update
+            if not np.isfinite(theta).all():  # every entry, once an epoch
                 raise TrainError("epoch %d: theta has non-finite entries"
                                  % epoch)
+            losses.append((loss_sum / count if count else float("nan"))
+                          + models.decay_penalty(spec, theta))
             if on_epoch is not None:
                 on_epoch(epoch_theta)
         if dp:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from swagppm import models
 from swagppm.params import (Layout, LayoutError, ParameterVector,
-                            load_checkpoint, save_checkpoint)
+                            load_checkpoint, save_checkpoint, write_file)
 
 from conftest import (BAD_DIMS, finite_difference_gradient, frozen_frame,
                       random_instance)
@@ -262,6 +262,27 @@ def test_checkpoint_bytes_match_frozen_writer(tmp_path, rng):
         b"SWPPMCK1", head, theta.values.astype("<f8").tobytes())
 
 
+def _frozen_write_file(path, magic, head, *arrays):
+    # Reference: write_file as it was, one whole copy of each array
+    payload = b"".join(values.astype("<f8").tobytes() for values in arrays)
+    path.write_bytes(frozen_frame(magic, head, payload))
+
+
+@pytest.mark.parametrize("arrays", [
+    [np.arange(7.0)],
+    [np.arange(12.0).reshape(3, 4), np.arange(5.0)],
+    [np.arange(12.0).reshape(4, 3).T],  # a (k, p) view of a (p, k) buffer
+    [np.arange(6.0), np.empty((4, 0)).T, np.arange(3.0)],  # k = 0
+    [np.arange(10, dtype=np.float32).reshape(5, 2).T],
+    [np.empty(0)]])
+def test_write_file_bytes_match_frozen_writer(tmp_path, arrays):
+    head = {"layout": [["t", [1]]], "k": 2}
+    write_file(tmp_path / "got.bin", b"SWPPMTS1", head, *arrays)
+    _frozen_write_file(tmp_path / "want.bin", b"SWPPMTS1", head, *arrays)
+    assert (tmp_path / "got.bin").read_bytes() == \
+        (tmp_path / "want.bin").read_bytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(shapes=st.lists(st.lists(st.integers(1, 3), max_size=2), max_size=2),
        bad=BAD_DIMS, where=st.integers(0, 2), values=st.integers(0, 8))
@@ -356,15 +377,16 @@ def test_fused_gradient_and_loss_match_separate_passes(rng, family,
                                                weights).values)
         np.testing.assert_array_equal(
             loglik, models.log_likelihood_batch(spec, theta, X, y))
-        assert models.objective(spec, theta.values, loglik, weights) == \
-            models.mean_nll(spec, theta, X, y, weights)
+        assert models.nll_term(loglik, weights) \
+            + models.decay_penalty(spec, theta.values) \
+            == models.mean_nll(spec, theta, X, y, weights)
     grad, norms, loglik = models.clipped_gradient_loglik(spec, theta.values,
                                                          X, y, 0.05)
     ref, ref_norms = models.clipped_gradient_sum(spec, theta, X, y, 0.05)
     np.testing.assert_array_equal(grad, ref.values)
     np.testing.assert_array_equal(norms, ref_norms)
-    assert models.objective(spec, theta.values, loglik) == \
-        models.mean_nll(spec, theta, X, y)
+    assert models.nll_term(loglik) + models.decay_penalty(spec, theta.values) \
+        == models.mean_nll(spec, theta, X, y)
 
 
 @settings(max_examples=40, deadline=None)

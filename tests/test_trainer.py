@@ -191,6 +191,163 @@ def test_permuted_row_ranges_equal_fancy_indexed_batches(rng):
         assert got.shape == want.shape
 
 
+@st.composite
+def _csr_with_empty_rows_and_zeros(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n, d))
+    dense[rng.random((n, d)) < draw(st.sampled_from([0.3, 0.7, 1.0]))] = 0.0
+    dense[rng.random(n) < 0.3] = 0.0  # empty rows
+    X = sp.csr_matrix(dense)
+    # explicit zeros: stored entries whose value is 0.0
+    X.data[rng.random(X.nnz) < 0.2] = 0.0
+    return X, draw(st.integers(1, n)), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_csr_with_empty_rows_and_zeros())
+def test_row_batches_multiply_like_scipy_slices(case):
+    # each batch built on the permuted matrix's arrays, and its transpose,
+    # hold Xe[a:b]'s arrays and multiply to its bits; n need not divide by
+    # the batch size, so the last batch may be short
+    X, batch_size, seed = case
+    rng = np.random.default_rng(seed)
+    n, d = X.shape
+    Xe = X[rng.permutation(n)]
+    W = rng.normal(size=(d, 3))
+    starts = []
+    for rows, Xb, XT in trainer._row_batches(Xe, batch_size):
+        starts.append(rows.start)
+        want = Xe[rows]
+        assert Xb.shape == want.shape and XT.shape == want.T.shape
+        for attr in ("indptr", "indices", "data"):
+            assert (getattr(Xb, attr) == getattr(want, attr)).all()
+            assert getattr(Xb, attr).dtype == getattr(want, attr).dtype
+        D = rng.normal(size=(Xb.shape[0], 4))
+        assert (Xb @ W == want @ W).all()
+        assert (XT @ D == want.T @ D).all()
+    assert starts == list(range(0, n, batch_size))
+
+
+def _no_scipy_slice_or_transpose(monkeypatch, permutations):
+    # csr_matrix.__getitem__ raises unless it takes one index per row of X,
+    # a shuffle-partition epoch's one permutation, which it appends to
+    # permutations; transpose, which .T calls, always raises
+    getitem = sp.csr_matrix.__getitem__
+
+    def permutation_only(self, key):
+        if not (isinstance(key, np.ndarray)
+                and sorted(key.tolist()) == list(range(self.shape[0]))):
+            raise AssertionError("a CSR matrix indexed by %r" % (key,))
+        permutations.append(key)
+        return getitem(self, key)
+
+    def no_transpose(self, *args, **kwargs):
+        raise AssertionError("a CSR matrix transposed")
+
+    monkeypatch.setattr(sp.csr_matrix, "__getitem__", permutation_only)
+    monkeypatch.setattr(sp.csr_matrix, "transpose", no_transpose)
+
+
+@pytest.mark.parametrize("optimizer", [trainer.ADAPTIVE,
+                                       trainer.SGD_CONSTANT])
+@pytest.mark.parametrize("family",
+                         [models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN])
+def test_shuffle_partition_steps_neither_slice_nor_transpose_csr(
+        rng, monkeypatch, optimizer, family):
+    # 23 records in batches of 5: 5 steps an epoch, the last of 3 rows
+    spec, theta0, X, y = random_instance(rng, family, n=23,
+                                         weight_decay=0.01)
+    X[rng.random(X.shape) < 0.5] = 0.0
+    X = sp.csr_matrix(X)
+    weights = rng.uniform(0, 1, 23)
+    cfg = trainer.TrainConfig(optimizer, batch_size=5, epochs=3, seed=4,
+                              **OPTIMIZER_CONFIGS[optimizer])
+    want = trainer.train(spec, theta0, X, y, cfg, weights)
+    permutations = []
+    _no_scipy_slice_or_transpose(monkeypatch, permutations)
+    got = trainer.train(spec, theta0, X, y, cfg, weights)
+    assert len(permutations) == cfg.epochs
+    np.testing.assert_array_equal(got[0].values, want[0].values)
+    assert got[1] == want[1]
+
+
+def test_dp_sgd_steps_never_transpose_csr(rng, monkeypatch):
+    # each Poisson batch is X[idx]; its transpose is built on its arrays
+    spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=23)
+    X[rng.random(X.shape) < 0.5] = 0.0
+    X = sp.csr_matrix(X)
+    cfg = trainer.TrainConfig(trainer.DP_SGD, batch_size=5, epochs=2, seed=4,
+                              **OPTIMIZER_CONFIGS[trainer.DP_SGD])
+    want = trainer.train(spec, theta0, X, y, cfg)
+    monkeypatch.setattr(sp.csr_matrix, "transpose",
+                        lambda self, *args, **kwargs: pytest.fail(
+                            "a CSR matrix transposed"))
+    got = trainer.train(spec, theta0, X, y, cfg)
+    np.testing.assert_array_equal(got[0].values, want[0].values)
+    assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("optimizer", [trainer.ADAPTIVE,
+                                       trainer.SGD_CONSTANT])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_step_gradient_equals_weighted_gradient_loglik(rng, monkeypatch,
+                                                       optimizer, sparse):
+    # each step's gradient, as train's buffer holds it after the pass, has
+    # the bits of the public function on the same batch, theta and weights
+    # at zero decay (the step adds its decay in the update)
+    spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=23,
+                                         weight_decay=0.01)
+    if sparse:
+        X[rng.random(X.shape) < 0.5] = 0.0
+        X = sp.csr_matrix(X)
+    weights = rng.uniform(0, 1, 23)
+    cfg = trainer.TrainConfig(optimizer, batch_size=5, epochs=2, seed=6,
+                              **OPTIMIZER_CONFIGS[optimizer])
+    gradient = models.gradient_into
+    steps = []
+
+    def recording(spec, theta, *args, **kwargs):
+        before = theta.copy()
+        result = gradient(spec, theta, *args, **kwargs)
+        steps.append((before, args[3].copy()))  # args[3] is out
+        return result
+
+    monkeypatch.setattr(models, "gradient_into", recording)
+    for w in (None, weights):
+        steps.clear()
+        trainer.train(spec, theta0, X, y, cfg, w)
+        shuffle_rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed).spawn(2)[0])
+        batches = [idx for _ in range(cfg.epochs)
+                   for idx in _shuffle_batches(23, 5, shuffle_rng)]
+        assert len(steps) == len(batches) == 10
+        no_decay = models.ModelSpec(spec.family, spec.input_dim,
+                                    spec.num_classes, spec.hidden_dim)
+        for (theta, got), idx in zip(steps, batches):
+            want, _ = models.weighted_gradient_loglik(
+                no_decay, theta, X[idx], y[idx],
+                None if w is None else w[idx])
+            assert got.tobytes() == want.tobytes()
+
+
+def test_train_checks_weights_once_before_the_first_step(rng, monkeypatch):
+    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8)
+    cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 2, 1, seed=0)
+    steps = []
+    monkeypatch.setattr(models, "gradient_into",
+                        lambda *args, **kwargs: steps.append(1))
+    for bad in (-0.1, 1.5):
+        weights = np.full(8, 0.5)
+        weights[6] = bad
+        with pytest.raises(models.ModelError,
+                           match=r"weights must lie in \[0, 1\]"):
+            trainer.train(spec, theta0, X, y, cfg, weights)
+    assert not steps
+
+
 def test_dp_sgd_config_validation():
     with pytest.raises(trainer.TrainError):
         trainer.TrainConfig(trainer.DP_SGD, 0.1, 4, 1, seed=0)
@@ -215,10 +372,13 @@ def test_config_of_a_wrong_type_raises_train_error(fields):
 
 
 def _frozen_train(spec, theta0, X, y, config, weights=None):
-    # Reference: train as it was before its steps reused buffers: the loss
-    # from a separate mean_nll pass, then allocating AdamW, SGD and DP-SGD
-    # updates, with weight decay spec.weight_decay and no decay in DP-SGD.
-    # Returns the parameters and the mean loss after each epoch.
+    # Reference: train as it was before its steps reused buffers: each
+    # step's data term from a separate mean_nll pass without decay, then
+    # allocating AdamW, SGD and DP-SGD updates, with weight decay
+    # spec.weight_decay and no decay in DP-SGD. Returns the parameters after
+    # each epoch and the epoch's loss: the batch-size-weighted mean of the
+    # data terms plus 0.5 * weight_decay * ||theta||^2 at the epoch's end
+    # (one dot: the test instances hold under DOT_SLICE entries).
     shuffle_rng, noise_rng = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(2)]
@@ -243,7 +403,7 @@ def _frozen_train(spec, theta0, X, y, config, weights=None):
             Xb, yb = X[idx], y[idx]
             wb = None if weights is None else weights[idx]
             cur = ParameterVector(theta, theta0.layout)
-            loss_sum += models.mean_nll(spec, cur, Xb, yb, wb) * idx.size
+            loss_sum += models.mean_nll(no_decay, cur, Xb, yb, wb) * idx.size
             count += idx.size
             if c.optimizer == trainer.DP_SGD:
                 g, _ = models.clipped_gradient_sum(spec, cur, Xb, yb,
@@ -268,7 +428,8 @@ def _frozen_train(spec, theta0, X, y, config, weights=None):
                 if spec.weight_decay:
                     new = new - c.learning_rate * spec.weight_decay * theta
                 theta = new
-        out.append((theta, loss_sum / count))
+        out.append((theta, loss_sum / count
+                    + 0.5 * spec.weight_decay * float(theta @ theta)))
     return out
 
 
@@ -389,35 +550,37 @@ def test_train_builds_one_vector_per_call(rng, monkeypatch, optimizer):
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 @pytest.mark.parametrize("bad_step, message", [
-    (5, "non-finite loss .* at epoch 1 batch 2"),
+    (5, "epoch 1: .*non-finite"),
     (3, "epoch 0: .*non-finite")])
 def test_non_finite_theta_raises_train_error_naming_the_epoch(
         rng, monkeypatch, weight_decay, bad_step, message):
     # One gradient entry turns inf at bad_step: a W row whose feature no
-    # record has, so the logits never read the entry and only the ||theta||^2
-    # term of the loss sees it. Batches of 2 over 8 records: step 5 is in
-    # the middle of epoch 1 and caught by the next step's loss, step 3 ends
-    # epoch 0 and is caught by the check at its end, before the sink.
+    # record has, so the logits never read the entry and no step's loss
+    # sees it. Batches of 2 over 8 records: step 5 is in the middle of
+    # epoch 1 and step 3 ends epoch 0; each is caught by the check at its
+    # epoch's end, before the sink.
     spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8,
                                          weight_decay=weight_decay)
     X[:, 2] = 0.0
     X = sp.csr_matrix(X)
     unused = spec.layout().view(np.arange(spec.num_params), "W")[2, 0]
-    gradient = models.weighted_gradient_loglik
+    gradient = models.gradient_into
     steps = []
 
-    def gradient_going_inf(*args):
-        grad, loglik = gradient(*args)
+    def gradient_going_inf(*args, **kwargs):
+        norms, loglik = gradient(*args, **kwargs)
         steps.append(1)
         if len(steps) == bad_step + 1:
-            grad[unused] = np.inf
-        return grad, loglik
+            args[5][unused] = np.inf  # the gradient, written into out
+        return norms, loglik
 
-    monkeypatch.setattr(models, "weighted_gradient_loglik",
-                        gradient_going_inf)
+    monkeypatch.setattr(models, "gradient_into", gradient_going_inf)
     cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 2, 3, seed=0)
     seen = []
-    with pytest.raises(trainer.TrainError, match=message):
+    # with decay, a step after the inf one updates that entry by inf - inf
+    # (numpy warns of the NaN) until the epoch's check
+    with pytest.raises(trainer.TrainError, match=message), \
+            np.errstate(invalid="ignore"):
         trainer.train(spec, theta0, X, y, cfg,
                       on_epoch=lambda values: seen.append(values.copy()))
     # 4 steps an epoch: only the epochs before the failing one, all finite,
@@ -459,17 +622,17 @@ def _inf_at_first_step(monkeypatch, spec):
     # the non-finite setup of the test below: the first step's gradient
     # turns inf at a W entry whose feature no record has
     unused = spec.layout().view(np.arange(spec.num_params), "W")[2, 0]
-    gradient = models.clipped_gradient_loglik
+    gradient = models.gradient_into
     steps = []
 
-    def gradient_going_inf(*args):
-        grad, norms, loglik = gradient(*args)
+    def gradient_going_inf(*args, **kwargs):
+        norms, loglik = gradient(*args, **kwargs)
         steps.append(1)
         if len(steps) == 1:
-            grad[unused] = np.inf
-        return grad, norms, loglik
+            args[5][unused] = np.inf  # the gradient, written into out
+        return norms, loglik
 
-    monkeypatch.setattr(models, "clipped_gradient_loglik", gradient_going_inf)
+    monkeypatch.setattr(models, "gradient_into", gradient_going_inf)
 
 
 def test_no_thread_outlives_dp_sgd_train(rng, monkeypatch):
@@ -485,7 +648,7 @@ def test_no_thread_outlives_dp_sgd_train(rng, monkeypatch):
     with monkeypatch.context() as m:
         _inf_at_first_step(m, spec)
         with pytest.raises(trainer.TrainError,
-                           match="non-finite loss .* at epoch 0 batch"):
+                           match="epoch 0: theta has non-finite"):
             trainer.train(spec, theta0, X, y, cfg)
     assert threading.enumerate() == before
 
