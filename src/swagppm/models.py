@@ -3,9 +3,8 @@
 Two families: a softmax-linear model and a one-hidden-layer tanh MLP.
 All batch operations accept either a dense (n, d) array or a scipy CSR
 matrix of features. The functions the training and draw loops call
-(log_likelihood_rows, gradient_into and the *_loglik gradients built on
-it, decay_penalty) take theta as a flat float64 array over spec.layout();
-the others take a ParameterVector.
+(log_likelihood_rows, gradient_into, decay_penalty) take theta as a flat
+float64 array over spec.layout(); the others take a ParameterVector.
 """
 
 from dataclasses import dataclass
@@ -148,29 +147,77 @@ def forward_batch(spec, theta, X):
     return _softmax(Z)
 
 
+# log_likelihood_rows scores a sparse X in blocks of at least this many rows.
+ROW_BLOCK = 2048
+
+
+def _row_blocks(spec, X):
+    """(start, stop, rows) blocks covering X for log_likelihood_rows: as
+    many blocks of at least ROW_BLOCK rows (more for a narrow MLP) as X has
+    room for, of near equal length. A CSR block is a matrix on slices of
+    X's arrays, which X @ W multiplies row by row, as it does X. For the
+    MLP every block keeps H @ W2 on the OpenBLAS kernel of the whole
+    product: one of at most 10**6 multiply-adds (rows * hidden * classes)
+    takes the small-matrix kernel, whose bits differ, so a block has more
+    rows than that whenever X does. A dense X is one block."""
+    n, d = X.shape
+    if not sp.issparse(X):
+        return [(0, n, X)]
+    size = ROW_BLOCK
+    if spec.family == MLP_1_HIDDEN:
+        size = max(size, 10 ** 6 // (spec.hidden_dim * spec.num_classes) + 1)
+    # q blocks of base or base + 1 rows: the longest block, whose hidden
+    # activations scipy allocates, is as short as the rule allows
+    q = max(1, n // size)
+    base, extra = divmod(n, q)
+    bounds = [i * base + min(i, extra) for i in range(q + 1)]
+    blocks = []
+    for a, b in zip(bounds, bounds[1:]):
+        s, e = X.indptr[a], X.indptr[b]
+        blocks.append((a, b, sp.csr_matrix(
+            (X.data[s:e], X.indices[s:e], X.indptr[a:b + 1] - s),
+            shape=(b - a, d), copy=False)))
+    return blocks
+
+
 def log_likelihood_rows(spec, thetas, X, y):
     """Per-record log p(label | features) under each theta in turn, one
     length-n row per theta; probabilities floored at PROB_FLOOR.
 
-    Every row is computed in the same buffers, allocated once per call, so
-    a row is valid only until the next one is made: copy it to keep it.
+    Each row is scored in row blocks (_row_blocks) that give it the bits
+    of the whole batch. Every row is computed in the same buffers, made by
+    this call on the calling thread, so a row is valid only until the next
+    one is made: copy it to keep it. A row allocates nothing but scipy's
+    sparse product, which takes no out.
     """
     X = _as_matrix(X)
     n, num_classes = X.shape[0], spec.num_classes
-    # flat index of each record's label cell in the (n, num_classes) logits
-    picked = np.ravel_multi_index((np.arange(n), np.asarray(y)),
-                                  (n, num_classes))
-    Z = np.empty((n, num_classes)) if spec.family == MLP_1_HIDDEN else None
-    sums = np.empty(n)
-    out = np.empty(n)
+    y = np.asarray(y)
+    blocks = _row_blocks(spec, X)
+    # flat index of each record's label cell in its block's logits
+    picked = [np.ravel_multi_index((np.arange(b - a), y[a:b]),
+                                   (b - a, num_classes))
+              for a, b, _ in blocks]
+    size = max(b - a for a, b, _ in blocks)
+    Z = (np.empty((size, num_classes)) if spec.family == MLP_1_HIDDEN
+         else None)
+    return _scored_rows(spec, thetas, blocks, picked, Z, np.empty(size),
+                        np.empty(n))
+
+
+def _scored_rows(spec, thetas, blocks, picked, Z, sums, out):
     for theta in thetas:
-        E, _ = _logits(spec, theta, X, Z)
-        _running_row_max(E, sums)
-        _exp_shifted(E, sums)
-        # E[i, y_i] / sums[i]: division rounds correctly, so these are the
-        # bits of the softmax's picked entries
-        np.take(E, picked, out=out, mode="clip")  # picked is in range
-        out /= sums
+        for (a, b, Xb), cells in zip(blocks, picked):
+            # [0]: the MLP's hidden activations are freed before the next
+            # block's are made
+            E = _logits(spec, theta, Xb, None if Z is None else Z[:b - a])[0]
+            block_sums, row = sums[:b - a], out[a:b]
+            _running_row_max(E, block_sums)
+            _exp_shifted(E, block_sums)
+            # E[i, y_i] / sums[i]: division rounds correctly, so these are
+            # the bits of the softmax's picked entries
+            np.take(E, cells, out=row, mode="clip")  # cells is in range
+            row /= block_sums
         yield _log_floored(out)
 
 
@@ -218,9 +265,10 @@ def gradient_into(spec, theta, X, XT, y, out, scale=None, clip_norm=None,
 
     Without clip_norm each record's residual is multiplied by scale, 1/n or
     an (n, 1) column of weights / n, before the hidden residual is taken:
-    weighted_gradient_loglik's gradient. With clip_norm each record's
-    gradient is scaled by min(1, clip_norm / its norm), the norms taken with
-    x_sq, row_sq_norms of X: clipped_gradient_loglik's gradient sum."""
+    weighted_nll_gradient's gradient before its decay term. With clip_norm
+    each record's gradient is scaled by min(1, clip_norm / its norm), the
+    norms taken with x_sq, row_sq_norms of X: clipped_gradient_sum's
+    gradient sum."""
     Z, H = _logits(spec, theta, X)
     D = _softmax(Z)
     cells = (np.arange(D.shape[0]), np.asarray(y))
@@ -252,11 +300,12 @@ def check_weights(weights):
         raise ModelError("weights must lie in [0, 1]")
 
 
-def weighted_gradient_loglik(spec, theta, X, y, weights=None, out=None):
-    """(weighted_nll_gradient's values, log_likelihood_batch's values) from
-    one forward pass; the gradient is written into out, a flat array over
-    the layout, when it is given, else into a fresh array the caller may
-    reuse."""
+def weighted_nll_gradient(spec, theta, X, y, weights=None):
+    """Gradient of mean weighted NLL plus (weight_decay/2)*||theta||^2.
+
+    The mean is over batch size, not over the weight total, so a small
+    weight shrinks that record's pull without renormalizing the others.
+    """
     X = _as_matrix(X)
     n = X.shape[0]
     if n == 0:
@@ -269,20 +318,10 @@ def weighted_gradient_loglik(spec, theta, X, y, weights=None, out=None):
             raise ModelError("weights length does not match batch size")
         check_weights(weights)
         scale = (weights / n)[:, None]
-    grad = np.empty(spec.num_params) if out is None else out
-    _, loglik = gradient_into(spec, theta, X, X.T, y, grad, scale)
+    grad = np.empty(spec.num_params)
+    gradient_into(spec, theta.values, X, X.T, y, grad, scale)
     if spec.weight_decay:
-        grad += spec.weight_decay * theta
-    return grad, loglik
-
-
-def weighted_nll_gradient(spec, theta, X, y, weights=None):
-    """Gradient of mean weighted NLL plus (weight_decay/2)*||theta||^2.
-
-    The mean is over batch size, not over the weight total, so a small
-    weight shrinks that record's pull without renormalizing the others.
-    """
-    grad, _ = weighted_gradient_loglik(spec, theta.values, X, y, weights)
+        grad += spec.weight_decay * theta.values
     return ParameterVector(grad, theta.layout)
 
 
@@ -293,24 +332,6 @@ def row_sq_norms(X):
     return (X * X).sum(axis=1)
 
 
-def clipped_gradient_loglik(spec, theta, X, y, clip_norm, x_sq=None,
-                            out=None):
-    """(clipped_gradient_sum's values, its pre-clip norms, the batch's
-    log_likelihood_batch values) from one forward pass; the gradient sum is
-    written into out when it is given, as in weighted_gradient_loglik, else
-    into a fresh array the caller may reuse. x_sq, when given, is
-    row_sq_norms of X's rows, so a caller that batches the rows of one
-    matrix computes it once and indexes it per batch."""
-    X = _as_matrix(X)
-    if X.shape[0] == 0:
-        raise ModelError("empty minibatch")
-    grad = np.empty(spec.num_params) if out is None else out
-    norms, loglik = gradient_into(
-        spec, theta, X, X.T, y, grad, clip_norm=clip_norm,
-        x_sq=row_sq_norms(X) if x_sq is None else x_sq)
-    return grad, norms, loglik
-
-
 def clipped_gradient_sum(spec, theta, X, y, clip_norm):
     """Sum of per-example NLL gradients, each scaled by min(1, C/||g_i||).
 
@@ -318,8 +339,12 @@ def clipped_gradient_sum(spec, theta, X, y, clip_norm):
     norms come from row norms without materializing n full gradients.
     Returns (gradient_sum as ParameterVector, per-example pre-clip norms).
     """
-    grad, norms, _ = clipped_gradient_loglik(spec, theta.values, X, y,
-                                             clip_norm)
+    X = _as_matrix(X)
+    if X.shape[0] == 0:
+        raise ModelError("empty minibatch")
+    grad = np.empty(spec.num_params)
+    norms, _ = gradient_into(spec, theta.values, X, X.T, y, grad,
+                             clip_norm=clip_norm, x_sq=row_sq_norms(X))
     return ParameterVector(grad, theta.layout), norms
 
 

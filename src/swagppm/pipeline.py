@@ -1,19 +1,24 @@
 """End-to-end orchestration: data prep, the three-round weighted training
 flow, the DP-SGD and non-private baselines, and benchmark report emission."""
 
+import collections
+import contextvars
 import copy
 import csv
 import hashlib
+import itertools
 import json
 import os
 import shutil
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import accountant, data, metrics, models, ppm, swag, trainer
+from . import accountant, blas, data, metrics, models, ppm, swag, trainer
 from .params import is_integer, is_number, save_checkpoint
 
 
@@ -281,30 +286,64 @@ def _phase(name, fn, *args):
         raise PhaseError(name, e) from e
 
 
+def _lane_rows(spec, draws, X, y, lanes):
+    """The |ll| rows of the draws, in draw order. Draw s is copied into
+    lane s % lanes's theta and scored on the pool while this thread makes
+    the next draws. A lane's buffers are made here, once, and each lane
+    scores one draw at a time: it is given its next draw only once its last
+    row has been taken. A lane's draw is scored in a copy of this thread's
+    context, so numpy's errstate holds there too, and an exception it
+    raises is raised here. Closing the generator stops the pool before it
+    returns."""
+    thetas = [np.empty(spec.num_params) for _ in range(lanes)]
+    rows = [ppm.abs_loglik_rows(spec, itertools.repeat(theta), X, y)
+            for theta in thetas]
+    pending = collections.deque()
+    with ThreadPoolExecutor(lanes) as pool:
+        try:
+            for s, draw in enumerate(draws):
+                if len(pending) == lanes:
+                    yield pending.popleft().result()
+                np.copyto(thetas[s % lanes], draw)
+                pending.append(pool.submit(contextvars.copy_context().run,
+                                           next, rows[s % lanes]))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def _score_draws(spec, draws, count, X, y, alpha, ids, abs_ll_path=None):
     """Score each of the count draws as it is made and fold it into the
-    weighted sensitivity; no draw outlives its row. With a path, each |ll|
-    row is also written, as it is scored, into a (count, n) .npy file,
-    which a failure removes rather than leave it partly written."""
-    rows = ppm.abs_loglik_rows(spec, draws, X, y)
-    if not abs_ll_path:
-        return ppm.sensitivity(rows, alpha, ids)
-    sink = np.lib.format.open_memmap(abs_ll_path, mode="w+",
-                                     dtype=np.float64,
-                                     shape=(count, len(ids)))
+    weighted sensitivity; no draw outlives its row. The fold runs at one
+    OpenBLAS thread. Its draws are scored on as many lanes as OpenBLAS had
+    threads (_lane_rows), or on this thread when that is one, and their
+    rows are folded here in draw order. With a path, each |ll| row is also
+    written, as it is folded, into a (count, n) .npy file, which a failure
+    removes rather than leave it partly written."""
+    lanes = blas.threads()
+    with blas.one_thread(), closing(
+            _lane_rows(spec, draws, X, y, lanes) if lanes > 1
+            else ppm.abs_loglik_rows(spec, draws, X, y)) as rows:
+        if not abs_ll_path:
+            return ppm.sensitivity(rows, alpha, ids)
+        sink = np.lib.format.open_memmap(abs_ll_path, mode="w+",
+                                         dtype=np.float64,
+                                         shape=(count, len(ids)))
 
-    def written():
-        for s, row in enumerate(rows):
-            sink[s] = row
-            yield row
+        def written():
+            for s, row in enumerate(rows):
+                sink[s] = row
+                yield row
 
-    try:
-        report = ppm.sensitivity(written(), alpha, ids)
-        sink.flush()
-    except BaseException:
-        os.remove(abs_ll_path)
-        raise
-    return report
+        try:
+            report = ppm.sensitivity(written(), alpha, ids)
+            sink.flush()
+        except BaseException:
+            os.remove(abs_ll_path)
+            raise
+        return report
 
 
 def _swag_rounds(cfg, train_view, out_dir=None):

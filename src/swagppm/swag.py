@@ -2,9 +2,11 @@
 a diagonal second-moment term and a low-rank deviation term."""
 
 import mmap
+from contextlib import nullcontext
 
 import numpy as np
 
+from . import blas
 from .params import LayoutError, ParameterVector, read_file, write_file
 
 
@@ -19,6 +21,28 @@ def _columns(p, k):
     bench-default's peak RSS by 4 MiB."""
     buffer = mmap.mmap(-1, max(1, 8 * p * k))
     return np.frombuffer(buffer, np.float64, p * k).reshape(p, k)
+
+
+# OpenBLAS takes a (rows, k) @ (k,) gemv on the calling thread when rows * k
+# is below this; above it, it splits the rows over its threads.
+GEMV_THREADED = 460800
+
+
+def _gemv_parts(rows, k, threads):
+    """The row ranges OpenBLAS splits a (rows, k) @ (k,) gemv into at the
+    given thread count, one per thread: each of width ceil(rest / (threads
+    - c)), but at least 4, for the rows not yet given out before range c.
+    One range when the gemv runs on the calling thread. Each range taken on
+    its own at one thread gives the bits of the whole gemv."""
+    if threads == 1 or rows * k < GEMV_THREADED:
+        return [(0, rows)]
+    parts, start = [], 0
+    while start < rows:
+        rest = rows - start
+        width = min(rest, max(4, -(-rest // (threads - len(parts)))))
+        parts.append((start, start + width))
+        start += width
+    return parts
 
 
 class SwagMoments:
@@ -96,21 +120,32 @@ class SwagMoments:
         """Lazy iterator over count posterior draws, each
         mean + sqrt(sigma_diag/2) * z1 + D z2 / sqrt(2 (k-1)) with z1 ~ N(0,
         I_p) and, when k >= 2, z2 ~ N(0, I_k); with k < 2 the low-rank term
-        is dropped. Deterministic per (seed, count). The arguments are
+        is dropped. Deterministic per (seed, count) and per the OpenBLAS
+        thread count t in effect when draws is called. The arguments are
         checked here, before the first draw, and sigma_diag is computed once
         for all draws. Each draw is a read-only view of one buffer, valid
         until the next draw (copy it to keep it); a draw that is not finite
-        raises SwagError."""
+        raises SwagError.
+
+        D z2 is taken in the parts fixed here from t (_gemv_parts): one
+        part when t = 1 or p k < GEMV_THREADED, else the t row ranges
+        OpenBLAS's own t-thread gemv uses, each computed at one thread as
+        np.matmul(D[a:b], z2, out=low_rank[a:b]). Each draw thus has the
+        bits of the whole gemv at t threads, also when it is made inside a
+        one-thread window (blas.one_thread), as the posterior fold's are."""
         if count < 1:
             raise SwagError("need at least one draw")
         if self.count < 1:
             raise SwagError("no snapshots absorbed")
         return self._draws(count, np.random.default_rng(seed),
-                           np.sqrt(self.sigma_diag() / 2.0))
+                           np.sqrt(self.sigma_diag() / 2.0),
+                           _gemv_parts(self.layout.size, self.k,
+                                       blas.threads()))
 
-    def _draws(self, count, rng, diag_scale):
+    def _draws(self, count, rng, diag_scale, parts):
         dev = self._dev[:, :self.k]
         z, low_rank = np.empty(self.layout.size), np.empty(self.layout.size)
+        pieces = [(dev[a:b], low_rank[a:b]) for a, b in parts]
         draw = z.view()
         draw.flags.writeable = False
         for s in range(count):
@@ -118,7 +153,10 @@ class SwagMoments:
             z *= diag_scale
             z += self.mean
             if self.k >= 2:
-                np.matmul(dev, rng.standard_normal(self.k), out=low_rank)
+                z2 = rng.standard_normal(self.k)
+                with blas.one_thread() if len(parts) > 1 else nullcontext():
+                    for part, out in pieces:
+                        np.matmul(part, z2, out=out)
                 low_rank /= np.sqrt(2.0 * (self.k - 1))
                 z += low_rank
             if not np.isfinite(z).all():

@@ -8,12 +8,25 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import settings, strategies as st
 
-from swagppm import models
+from swagppm import blas, models
 
 # CI selects this profile (HYPOTHESIS_PROFILE=ci) so that a failing property
 # replays the same examples on every run and prints its reproduction blob.
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture
+def set_blas_threads():
+    """OpenBLAS's thread-count setter; the count the process had is
+    restored after the test."""
+    controls = blas._controls()
+    if not controls:
+        pytest.skip("numpy's OpenBLAS thread controls were not found")
+    get, set_ = controls
+    before = get()
+    yield set_
+    set_(before)
 
 
 def random_instance(rng, family, input_dim=5, num_classes=3, hidden_dim=4,

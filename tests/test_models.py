@@ -362,6 +362,31 @@ def test_buffered_scorer_matches_frozen_log_likelihood(rng, family, sparse):
     assert floored > 0
 
 
+@pytest.mark.parametrize("family, hidden_dim, num_classes, n", [
+    # n * hidden * classes above 10**6, so H @ W2 takes OpenBLAS's large
+    # kernel, in blocks of ROW_BLOCK rows and, for a narrow MLP, of more
+    (models.MLP_1_HIDDEN, 32, 20, 4500),
+    (models.MLP_1_HIDDEN, 8, 5, 60000),
+    (models.SOFTMAX_LINEAR, 0, 20, 6200),
+])
+def test_scorer_blocks_keep_the_whole_batch_bits(rng, family, hidden_dim,
+                                                 num_classes, n):
+    spec = models.ModelSpec(family, 40, num_classes, hidden_dim)
+    theta = models.init_params(spec, 0).replace(
+        rng.normal(0, 0.5, spec.num_params))
+    X = sp.random(n, 40, density=0.2, format="csr", random_state=1)
+    y = rng.integers(0, num_classes, n)
+    blocks = models._row_blocks(spec, X)
+    assert len(blocks) > 1
+    assert [b for _, b, _ in blocks[:-1]] == [a for a, _, _ in blocks[1:]]
+    shortest = min(b - a for a, b, _ in blocks)
+    assert shortest >= models.ROW_BLOCK
+    assert shortest * hidden_dim * num_classes > 10 ** 6 or not hidden_dim
+    row = next(models.log_likelihood_rows(spec, [theta.values], X, y))
+    assert row.tobytes() == _frozen_log_likelihood(spec, theta, X,
+                                                   y).tobytes()
+
+
 @pytest.mark.parametrize("family",
                          [models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN])
 @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
@@ -369,9 +394,15 @@ def test_fused_gradient_and_loss_match_separate_passes(rng, family,
                                                        weight_decay):
     spec, theta, X, y = random_instance(rng, family, n=30,
                                         weight_decay=weight_decay)
+    # gradient_into is the one forward and backward pass under both public
+    # gradients; its log-likelihoods give the loss the trainer reports
     for weights in (None, rng.uniform(0, 1, X.shape[0])):
-        grad, loglik = models.weighted_gradient_loglik(spec, theta.values, X,
-                                                       y, weights)
+        grad = np.empty(spec.num_params)
+        scale = 1.0 / 30 if weights is None else (weights / 30)[:, None]
+        _, loglik = models.gradient_into(spec, theta.values, X, X.T, y, grad,
+                                         scale)
+        if weight_decay:
+            grad += weight_decay * theta.values
         np.testing.assert_array_equal(
             grad, models.weighted_nll_gradient(spec, theta, X, y,
                                                weights).values)
@@ -380,8 +411,10 @@ def test_fused_gradient_and_loss_match_separate_passes(rng, family,
         assert models.nll_term(loglik, weights) \
             + models.decay_penalty(spec, theta.values) \
             == models.mean_nll(spec, theta, X, y, weights)
-    grad, norms, loglik = models.clipped_gradient_loglik(spec, theta.values,
-                                                         X, y, 0.05)
+    grad = np.empty(spec.num_params)
+    norms, loglik = models.gradient_into(spec, theta.values, X, X.T, y, grad,
+                                         clip_norm=0.05,
+                                         x_sq=models.row_sq_norms(X))
     ref, ref_norms = models.clipped_gradient_sum(spec, theta, X, y, 0.05)
     np.testing.assert_array_equal(grad, ref.values)
     np.testing.assert_array_equal(norms, ref_norms)
@@ -405,12 +438,14 @@ def test_clipped_gradient_with_indexed_row_norms_equals_without(
         X = sp.csr_matrix(X)
     idx = np.nonzero(rng.random(n) < 0.5)[0]
     assume(idx.size)
-    want = models.clipped_gradient_loglik(spec, theta.values, X[idx], y[idx],
-                                          0.05)
-    got = models.clipped_gradient_loglik(spec, theta.values, X[idx], y[idx],
-                                         0.05, models.row_sq_norms(X)[idx])
-    for a, b in zip(got, want):
-        assert (a == b).all()
+    want, want_norms = models.clipped_gradient_sum(spec, theta, X[idx],
+                                                   y[idx], 0.05)
+    got = np.empty(spec.num_params)
+    got_norms, _ = models.gradient_into(
+        spec, theta.values, X[idx], X[idx].T, y[idx], got, clip_norm=0.05,
+        x_sq=models.row_sq_norms(X)[idx])
+    assert (got == want.values).all()
+    assert (got_norms == want_norms).all()
 
 
 @pytest.mark.parametrize("size", [1, 100, models.DOT_SLICE])

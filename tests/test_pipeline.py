@@ -1,14 +1,19 @@
+import ctypes.util
+import functools
 import gc
 import json
 import os
 import shutil
+import subprocess
+import sys
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from swagppm import models, pipeline, ppm, swag, trainer
+from swagppm import blas, models, pipeline, ppm, swag, trainer
 from swagppm.params import ParameterVector
 
 from conftest import frozen_frame, large_instance, traced_peak
@@ -309,6 +314,255 @@ def test_a_draw_that_scores_nan_fails_the_scoring_phase(monkeypatch):
     assert err.value.phase == "risks"
     assert isinstance(err.value.cause, ppm.PpmError)
     assert "draw 2 " in str(err.value.cause)
+
+
+@pytest.fixture
+def two_blas_threads(set_blas_threads):
+    """OpenBLAS at two threads, so the fold scores on two lanes."""
+    set_blas_threads(2)
+
+
+def _scoring_threads(monkeypatch):
+    """For each call of abs_loglik_rows, one per lane, the thread that
+    scored each of its rows."""
+    calls = []
+    rows = ppm.abs_loglik_rows
+
+    def recording(*args):
+        threads = []
+        calls.append(threads)
+        for row in rows(*args):
+            threads.append(threading.current_thread())
+            yield row
+
+    monkeypatch.setattr(ppm, "abs_loglik_rows", recording)
+    return calls
+
+
+_train_round = pipeline._train_round
+
+
+def _with_inf_mean(*args):
+    moments = _train_round(*args)
+    moments.mean[3] = np.inf
+    return moments
+
+
+def _overflowing_third_draw(monkeypatch):
+    overflowing = np.full(pipeline.model_spec(
+        tiny_config(), 6, 256).num_params, 1e308)
+    draws = swag.SwagMoments.draws
+
+    def one_overflowing(self, count, seed):
+        for s, draw in enumerate(draws(self, count, seed)):
+            yield overflowing if s == 2 else draw
+
+    monkeypatch.setattr(swag.SwagMoments, "draws", one_overflowing)
+
+
+def _raise_in_a_lane(monkeypatch):
+    # each lane's scoring raises at its second row
+    raised = []
+    rows = ppm.abs_loglik_rows
+
+    def failing(*args):
+        for s, row in enumerate(rows(*args)):
+            if s == 1:
+                error = RuntimeError("lane failed")
+                raised.append((error, threading.current_thread()))
+                raise error
+            yield row
+
+    monkeypatch.setattr(ppm, "abs_loglik_rows", failing)
+    return raised
+
+
+@pytest.mark.parametrize("path", ["normal", "non-finite draw", "nan row",
+                                  "lane raises"])
+def test_fold_lanes_keep_the_thread_rules(monkeypatch, two_blas_threads,
+                                          tmp_path, path):
+    # on every path no lane outlives run_swag_ppm, the BLAS thread count is
+    # the one the process had, and a lane's exception is the phase's cause
+    cfg = tiny_config()
+    train, _ = pipeline.prepare_data(cfg)
+    before = threading.enumerate()
+    raised = []
+    if path == "normal":
+        calls = _scoring_threads(monkeypatch)
+        pipeline.run_swag_ppm(cfg, train, str(tmp_path / "run"))
+        # each round's 40 draws, 20 on each of two lanes, scored on at most
+        # two threads other than this one
+        assert [len(threads) for threads in calls] == [20] * 4
+        for lanes in (calls[:2], calls[2:]):
+            threads = set(lanes[0] + lanes[1])
+            assert len(threads) <= 2
+            assert threading.main_thread() not in threads
+    else:
+        if path == "non-finite draw":
+            monkeypatch.setattr(pipeline, "_train_round", _with_inf_mean)
+            cause, message = swag.SwagError, "draw 0 is not finite"
+        elif path == "nan row":
+            _overflowing_third_draw(monkeypatch)
+            cause, message = ppm.PpmError, "draw 2 "
+        else:
+            raised = _raise_in_a_lane(monkeypatch)
+            cause, message = RuntimeError, "lane failed"
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(pipeline.PhaseError) as err:
+            pipeline.run_swag_ppm(cfg, train, str(tmp_path / "run"))
+        assert err.value.phase == "risks"
+        assert isinstance(err.value.cause, cause)
+        assert message in str(err.value.cause)
+        assert os.listdir(tmp_path / "run" / "internal") == []
+    if raised:  # both lanes raise; the first in draw order is the cause
+        assert any(err.value.cause is e for e, _ in raised)
+        assert threading.main_thread() not in [t for _, t in raised]
+    assert threading.enumerate() == before
+    assert blas.threads() == 2
+
+
+@pytest.fixture(scope="module")
+def round1():
+    """(spec, X, y, round 1's moments) at the tiny config."""
+    cfg = tiny_config()
+    train, _ = pipeline.prepare_data(cfg)
+    X, y = train.feature_matrix(), train.labels
+    spec = pipeline.model_spec(cfg, train.num_classes, train.feature_dim)
+    return spec, X, y, pipeline._train_round(
+        spec, models.init_params(spec, 0), X, y, None, cfg, "round1")
+
+
+def test_closing_the_lanes_early_stops_them(round1):
+    spec, X, y, moments = round1
+    want = [row.copy() for row in ppm.abs_loglik_rows(
+        spec, moments.draws(10, 3), X, y)]
+    before = threading.enumerate()
+    rows = pipeline._lane_rows(spec, moments.draws(10, 3), X, y, 2)
+    for s in range(3):
+        assert next(rows).tobytes() == want[s].tobytes()
+    assert len(before) < len(threading.enumerate()) <= len(before) + 2
+    rows.close()
+    assert threading.enumerate() == before
+
+
+def test_more_lanes_than_cores_hand_on_every_row_in_draw_order(round1):
+    # a lane that overwrote its row or theta before this thread was done
+    # with it would change a row; a thread switch every microsecond makes
+    # such an interleaving likely
+    spec, X, y, moments = round1
+    lanes = len(os.sched_getaffinity(0)) + 1
+    want = [row.copy() for row in ppm.abs_loglik_rows(
+        spec, moments.draws(8 * lanes, 5), X, y)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [row.tobytes() for row in pipeline._lane_rows(
+            spec, moments.draws(8 * lanes, 5), X, y, lanes)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [row.tobytes() for row in want]
+
+
+def _missing_symbol(monkeypatch):
+    # the lookup finds a library without OpenBLAS's thread controls
+    monkeypatch.setattr(blas, "_controls",
+                        functools.cache(blas._controls.__wrapped__))
+    monkeypatch.setattr(blas.glob, "glob",
+                        lambda pattern: [ctypes.util.find_library("c")])
+
+
+def _wide_config():
+    # p = 16384 * 6 + 6 = 98310 and k = 6: p * k is above
+    # swag.GEMV_THREADED, so at two BLAS threads each draw's gemv comes in
+    # two parts
+    cfg = tiny_config()
+    cfg["data"]["synthetic"]["feature_dim"] = 16384
+    return cfg
+
+
+def test_without_blas_controls_the_fold_runs_on_one_lane_with_the_same_bits(
+        monkeypatch, two_blas_threads):
+    cfg = _wide_config()
+    train, _ = pipeline.prepare_data(cfg)
+    want = pipeline.run_swag_ppm(cfg, train, reweighted=True)
+    _missing_symbol(monkeypatch)
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    assert blas.threads() == 1
+    assert blas._controls() == ()
+    got = pipeline.run_swag_ppm(cfg, train, reweighted=True)
+    assert started == []
+    monkeypatch.undo()
+    assert blas.threads() == 2
+    assert got.report.delta == want.report.delta
+    assert got.report.per_record.tobytes() == want.report.per_record.tobytes()
+    assert (got.report.argmax_draw, got.report.argmax_record_id) \
+        == (want.report.argmax_draw, want.report.argmax_record_id)
+    assert got.released_theta.values.tobytes() \
+        == want.released_theta.values.tobytes()
+
+
+# At the BLAS thread count the environment sets, prints whether (a) a
+# moments' draws equal the draws with one whole np.matmul for the low-rank
+# term, for p * k on both sides of swag.GEMV_THREADED, an odd p and k <
+# k_max, and (b) a reweighted MLP release at n * hidden * classes > 10**6
+# gives the same Delta, per_record, argmax and released theta on the lanes
+# as on one lane without the BLAS controls.
+_THREAD_COUNT_FOLD = """
+import json
+import numpy as np
+from swagppm import blas, pipeline, swag
+from swagppm.params import Layout, ParameterVector
+gemv = []
+for p in (65828, 65829, 66229):
+    layout = Layout([("w", (p,))])
+    m = swag.SwagMoments(layout, k_max=20)
+    rng = np.random.default_rng(p)
+    for _ in range(7):
+        m.absorb(ParameterVector(rng.normal(0, 1, p), layout))
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(p) * np.sqrt(m.sigma_diag() / 2.0) + m.mean
+    z += np.matmul(m._dev[:, :7], rng.standard_normal(7)) / np.sqrt(12.0)
+    draws = m.draws(1, 0)
+    with blas.one_thread():
+        gemv.append(next(draws).tobytes() == z.tobytes())
+cfg = pipeline.load_config({"seed": 5})
+cfg["data"].update(cap=2000)
+cfg["data"]["synthetic"].update(feature_dim=1024)
+cfg["model"].update(family="mlp-1-hidden", hidden_dim=32)
+cfg["phases"].update(finetune_epochs=2, swag_epochs=14, draws=12)
+train, _ = pipeline.prepare_data(cfg)
+assert len(train) * 32 * 20 > 10 ** 6
+results = [pipeline.run_swag_ppm(cfg, train, reweighted=True)]
+blas._controls = lambda: ()
+results.append(pipeline.run_swag_ppm(cfg, train, reweighted=True))
+a, b = (r.report for r in results)
+print(json.dumps({"gemv": gemv, "fold": [
+    a.delta == b.delta, a.per_record.tobytes() == b.per_record.tobytes(),
+    (a.argmax_draw, a.argmax_record_id) == (b.argmax_draw,
+                                            b.argmax_record_id),
+    results[0].released_theta.values.tobytes()
+    == results[1].released_theta.values.tobytes()]}))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_lane_fold_equals_one_lane_fold_at_each_blas_thread_count(threads):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(
+                       os.pathsep)))
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", _THREAD_COUNT_FOLD], env=env, check=True,
+        capture_output=True, text=True).stdout)
+    assert out == {"gemv": [True] * 3, "fold": [True] * 4}
 
 
 def _files(root):

@@ -327,10 +327,10 @@ def test_step_gradient_equals_weighted_gradient_loglik(rng, monkeypatch,
         no_decay = models.ModelSpec(spec.family, spec.input_dim,
                                     spec.num_classes, spec.hidden_dim)
         for (theta, got), idx in zip(steps, batches):
-            want, _ = models.weighted_gradient_loglik(
-                no_decay, theta, X[idx], y[idx],
-                None if w is None else w[idx])
-            assert got.tobytes() == want.tobytes()
+            want = models.weighted_nll_gradient(
+                no_decay, ParameterVector(theta, spec.layout()), X[idx],
+                y[idx], None if w is None else w[idx])
+            assert got.tobytes() == want.values.tobytes()
 
 
 def test_train_checks_weights_once_before_the_first_step(rng, monkeypatch):
