@@ -1,8 +1,8 @@
 """Small multiclass classifiers with hand-derived gradients.
 
-Two families: a softmax-linear model and a one-hidden-layer tanh MLP.
-All batch operations accept either a dense (n, d) array or a scipy CSR
-matrix of features. The functions the training and draw loops call
+Two families, a softmax-linear model and a one-hidden-layer tanh MLP, on
+CSR features; the public batch functions convert a dense (n, d) array
+once, on entry (as_csr). The functions the training and draw loops call
 (log_likelihood_rows, gradient_into, decay_penalty) take theta as a flat
 float64 array over spec.layout(); the others take a ParameterVector.
 """
@@ -77,29 +77,44 @@ def init_params(spec, seed):
     return ParameterVector(values, layout)
 
 
-def _check_features(spec, X):
+def as_csr(spec, features):
+    """features as a CSR matrix, converted unless it is one; a width other
+    than spec's input dim raises ModelError."""
+    X = (features if sp.issparse(features) and features.format == "csr"
+         else sp.csr_matrix(features, dtype=np.float64))
     if X.shape[1] != spec.input_dim:
         raise ModelError(
             "feature dim %d does not match input tensor dim %d (W)"
             % (X.shape[1], spec.input_dim))
+    return X
 
 
-def _as_matrix(features):
-    if sp.issparse(features):
-        return features
-    return np.asarray(features, dtype=np.float64)
+def csr_transpose(X):
+    """X.T of a CSR X, a CSC matrix on X's arrays as scipy's transpose
+    builds it, without its overhead."""
+    return sp.csc_matrix((X.data, X.indices, X.indptr), shape=X.shape[::-1],
+                         copy=False)
+
+
+def csr_rows(X, a, b):
+    """Rows a:b of a CSR X and their csr_transpose, on slices of X's arrays:
+    X[a:b]'s arrays, so every product keeps its bits, without scipy's
+    slicing."""
+    s, e = X.indptr[a], X.indptr[b]
+    rows = sp.csr_matrix((X.data[s:e], X.indices[s:e], X.indptr[a:b + 1] - s),
+                         shape=(b - a, X.shape[1]), copy=False)
+    return rows, csr_transpose(rows)
 
 
 def _logits(spec, theta, X, Z=None):
     """Logits (n, num_classes) and, for the MLP, its hidden activations H;
     the MLP's logits are written into Z when it is given."""
-    _check_features(spec, X)
     view = spec.layout().view
     if spec.family == SOFTMAX_LINEAR:
-        Z = np.asarray(X @ view(theta, "W"))
+        Z = X @ view(theta, "W")
         Z += view(theta, "b")
         return Z, None
-    H = np.asarray(X @ view(theta, "W1"))
+    H = X @ view(theta, "W1")
     H += view(theta, "b1")
     np.tanh(H, out=H)
     Z = np.matmul(H, view(theta, "W2"), out=Z)
@@ -143,26 +158,24 @@ def _log_floored(picked):
 
 def forward_batch(spec, theta, X):
     """Softmax class probabilities for a batch, shape (n, num_classes)."""
-    Z, _ = _logits(spec, theta.values, _as_matrix(X))
+    Z, _ = _logits(spec, theta.values, as_csr(spec, X))
     return _softmax(Z)
 
 
-# log_likelihood_rows scores a sparse X in blocks of at least this many rows.
+# log_likelihood_rows scores X in blocks of at least this many rows.
 ROW_BLOCK = 2048
 
 
 def _row_blocks(spec, X):
-    """(start, stop, rows) blocks covering X for log_likelihood_rows: as
-    many blocks of at least ROW_BLOCK rows (more for a narrow MLP) as X has
-    room for, of near equal length. A CSR block is a matrix on slices of
-    X's arrays, which X @ W multiplies row by row, as it does X. For the
+    """(start, stop, rows) blocks covering the CSR X for
+    log_likelihood_rows: as many blocks of at least ROW_BLOCK rows (more for
+    a narrow MLP) as X has room for, of near equal length. A block is
+    csr_rows of X, which X @ W multiplies row by row, as it does X. For the
     MLP every block keeps H @ W2 on the OpenBLAS kernel of the whole
     product: one of at most 10**6 multiply-adds (rows * hidden * classes)
     takes the small-matrix kernel, whose bits differ, so a block has more
-    rows than that whenever X does. A dense X is one block."""
-    n, d = X.shape
-    if not sp.issparse(X):
-        return [(0, n, X)]
+    rows than that whenever X does."""
+    n = X.shape[0]
     size = ROW_BLOCK
     if spec.family == MLP_1_HIDDEN:
         size = max(size, 10 ** 6 // (spec.hidden_dim * spec.num_classes) + 1)
@@ -171,13 +184,8 @@ def _row_blocks(spec, X):
     q = max(1, n // size)
     base, extra = divmod(n, q)
     bounds = [i * base + min(i, extra) for i in range(q + 1)]
-    blocks = []
-    for a, b in zip(bounds, bounds[1:]):
-        s, e = X.indptr[a], X.indptr[b]
-        blocks.append((a, b, sp.csr_matrix(
-            (X.data[s:e], X.indices[s:e], X.indptr[a:b + 1] - s),
-            shape=(b - a, d), copy=False)))
-    return blocks
+    return [(a, b, csr_rows(X, a, b)[0])
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def log_likelihood_rows(spec, thetas, X, y):
@@ -190,7 +198,7 @@ def log_likelihood_rows(spec, thetas, X, y):
     one is made: copy it to keep it. A row allocates nothing but scipy's
     sparse product, which takes no out.
     """
-    X = _as_matrix(X)
+    X = as_csr(spec, X)
     n, num_classes = X.shape[0], spec.num_classes
     y = np.asarray(y)
     blocks = _row_blocks(spec, X)
@@ -231,34 +239,25 @@ def _hidden_residual(spec, theta, H, D):
     return (D @ spec.layout().view(theta, "W2").T) * (1.0 - H * H)
 
 
-def _matmul_into(A, B, out):
-    """out <- A @ B. A sparse A's product comes from scipy, which has no
-    out argument, and is copied in."""
-    if sp.issparse(A):
-        out[...] = A @ B
-    else:
-        np.matmul(A, B, out=out)
-
-
 def _backprop(spec, XT, H, D, D1, out):
     """The flat gradient, written into out, from the transposed features XT,
     output residuals D and, for the MLP (H given), hidden residuals D1;
-    each row of D and D1 is one record's residual."""
+    each row of D and D1 is one record's residual. XT @ D has no out."""
     view = spec.layout().view
     if H is None:
-        _matmul_into(XT, D, view(out, "W"))
+        view(out, "W")[...] = XT @ D
         view(out, "b")[:] = D.sum(axis=0)
     else:
         np.matmul(H.T, D, out=view(out, "W2"))
         view(out, "b2")[:] = D.sum(axis=0)
-        _matmul_into(XT, D1, view(out, "W1"))
+        view(out, "W1")[...] = XT @ D1
         view(out, "b1")[:] = D1.sum(axis=0)
 
 
 def gradient_into(spec, theta, X, XT, y, out, scale=None, clip_norm=None,
                   x_sq=None):
-    """The one backprop: a forward and backward pass over a batch X, with
-    XT its transpose (for a CSR X, a CSC matrix on X's arrays), that writes
+    """The one backprop: a forward and backward pass over a CSR batch X,
+    with XT its transpose (csr_transpose or csr_rows), that writes
     the NLL gradient into out, a flat array over the layout, with no weight
     decay and no checks. Returns (the pre-clip norms or None, each record's
     log-likelihood as log_likelihood_rows computes it).
@@ -306,7 +305,7 @@ def weighted_nll_gradient(spec, theta, X, y, weights=None):
     The mean is over batch size, not over the weight total, so a small
     weight shrinks that record's pull without renormalizing the others.
     """
-    X = _as_matrix(X)
+    X = as_csr(spec, X)
     n = X.shape[0]
     if n == 0:
         raise ModelError("empty batch")
@@ -326,7 +325,8 @@ def weighted_nll_gradient(spec, theta, X, y, weights=None):
 
 
 def row_sq_norms(X):
-    """Each row's squared L2 norm, dense or CSR."""
+    """Each row's squared L2 norm, of a CSR X or of the MLP's dense hidden
+    activations."""
     if sp.issparse(X):
         return np.asarray(X.multiply(X).sum(axis=1)).ravel()
     return (X * X).sum(axis=1)
@@ -339,7 +339,7 @@ def clipped_gradient_sum(spec, theta, X, y, clip_norm):
     norms come from row norms without materializing n full gradients.
     Returns (gradient_sum as ParameterVector, per-example pre-clip norms).
     """
-    X = _as_matrix(X)
+    X = as_csr(spec, X)
     if X.shape[0] == 0:
         raise ModelError("empty minibatch")
     grad = np.empty(spec.num_params)

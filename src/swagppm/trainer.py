@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import models
 from .params import ParameterVector, is_integer, is_number
@@ -115,36 +114,19 @@ def _draw_noise(rng, scale, out):
 
 
 def _indexed_batch(X, idx):
-    """(idx, X[idx], its transpose); for a CSR X the transpose is a CSC
-    matrix on the batch's own arrays, as scipy's transpose builds it,
-    without its overhead."""
+    """(idx, X[idx], its csr_transpose) of the CSR X."""
     Xb = X[idx]
-    if not sp.issparse(Xb):
-        return idx, Xb, Xb.T
-    return idx, Xb, sp.csc_matrix((Xb.data, Xb.indices, Xb.indptr),
-                                  shape=Xb.shape[::-1], copy=False)
+    return idx, Xb, models.csr_transpose(Xb)
 
 
 def _row_batches(Xe, batch_size):
     """(rows, batch, its transpose) for each run of batch_size consecutive
-    rows of Xe, the last one short. A CSR batch and its CSC transpose are
-    built on slices of Xe's arrays, the arrays Xe[a:b] and Xe[a:b].T would
-    hold, so every product keeps its bits without scipy's slicing; a dense
-    batch is a row view."""
-    n, d = Xe.shape
-    sparse = sp.issparse(Xe)
-    if sparse:
-        data, indices, indptr = Xe.data, Xe.indices, Xe.indptr
+    rows of the CSR Xe, the last one short: models.csr_rows, so every
+    product keeps the bits of Xe[a:b] and Xe[a:b].T."""
+    n = Xe.shape[0]
     for a in range(0, n, batch_size):
         b = min(a + batch_size, n)
-        if sparse:
-            s, e = indptr[a], indptr[b]
-            arrays = (data[s:e], indices[s:e], indptr[a:b + 1] - s)
-            Xb = sp.csr_matrix(arrays, shape=(b - a, d), copy=False)
-            XT = sp.csc_matrix(arrays, shape=(d, b - a), copy=False)
-        else:
-            Xb = Xe[a:b]
-            XT = Xb.T
+        Xb, XT = models.csr_rows(Xe, a, b)
         yield slice(a, b), Xb, XT
 
 
@@ -177,8 +159,9 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
     check, on_epoch, when given, is called with the epoch's theta as a
     read-only flat array, valid only until the next step (copy it to keep
     it); a SWAG round passes SwagMoments.absorb. Only the final theta
-    becomes a ParameterVector.
+    becomes a ParameterVector. A dense X is converted to CSR once, on entry.
     """
+    X = models.as_csr(spec, X)
     n = X.shape[0]
     if config.batch_size > n:
         raise TrainError("batch_size %d exceeds dataset size %d"
@@ -215,9 +198,11 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
     # DP-SGD draws its noise on one worker thread, one step ahead: the next
     # step's draw runs while this step's gradient does. The worker calls
     # only noise_rng and the draws are taken in order, so the noise is the
-    # serial stream; a step that fails waits for the draw in flight.
+    # serial stream; a step that fails waits for the draw in flight. A theta
+    # entry gone non-finite mid-epoch may take inf - inf until the epoch's
+    # check, so its TrainError, not numpy's warning, reports it.
     pool = ThreadPoolExecutor(max_workers=1) if dp else nullcontext()
-    with pool:
+    with pool, np.errstate(invalid="ignore"):
         if dp:
             pending = pool.submit(_draw_noise, noise_rng, scale, buffers[0])
         for epoch in range(config.epochs):

@@ -339,13 +339,11 @@ def _frozen_log_likelihood(spec, theta, X, y):
 
 @pytest.mark.parametrize("family",
                          [models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN])
-@pytest.mark.parametrize("sparse", [False, True])
-def test_buffered_scorer_matches_frozen_log_likelihood(rng, family, sparse):
+def test_buffered_scorer_matches_frozen_log_likelihood(rng, family):
     spec, theta, X, y = random_instance(rng, family, input_dim=40,
                                         num_classes=9, hidden_dim=6, n=257)
     X[rng.random(X.shape) < 0.8] = 0.0
-    if sparse:
-        X = sp.csr_matrix(X)
+    X = sp.csr_matrix(X)
     # the last theta drives some picked probabilities below PROB_FLOOR
     thetas = [theta.replace(theta.values * c) for c in (1.0, 0.3, 4.0)]
     thetas.append(theta.replace(theta.values * 400.0))
@@ -394,6 +392,8 @@ def test_fused_gradient_and_loss_match_separate_passes(rng, family,
                                                        weight_decay):
     spec, theta, X, y = random_instance(rng, family, n=30,
                                         weight_decay=weight_decay)
+    X[rng.random(X.shape) < 0.5] = 0.0
+    X = sp.csr_matrix(X)
     # gradient_into is the one forward and backward pass under both public
     # gradients; its log-likelihoods give the loss the trainer reports
     for weights in (None, rng.uniform(0, 1, X.shape[0])):
@@ -425,17 +425,15 @@ def test_fused_gradient_and_loss_match_separate_passes(rng, family,
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        family=st.sampled_from([models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN]),
-       sparse=st.booleans(), n=st.integers(1, 40),
-       input_dim=st.integers(1, 100))
+       n=st.integers(1, 40), input_dim=st.integers(1, 100))
 def test_clipped_gradient_with_indexed_row_norms_equals_without(
-        seed, family, sparse, n, input_dim):
+        seed, family, n, input_dim):
     # the trainer takes row_sq_norms of all of X once and indexes it by each
     # Poisson batch's rows
     rng = np.random.default_rng(seed)
     spec, theta, X, y = random_instance(rng, family, input_dim=input_dim, n=n)
-    if sparse:
-        X[rng.random(X.shape) < 0.5] = 0.0
-        X = sp.csr_matrix(X)
+    X[rng.random(X.shape) < 0.5] = 0.0
+    X = sp.csr_matrix(X)
     idx = np.nonzero(rng.random(n) < 0.5)[0]
     assume(idx.size)
     want, want_norms = models.clipped_gradient_sum(spec, theta, X[idx],
@@ -446,6 +444,31 @@ def test_clipped_gradient_with_indexed_row_norms_equals_without(
         x_sq=models.row_sq_norms(X)[idx])
     assert (got == want.values).all()
     assert (got_norms == want_norms).all()
+
+
+@pytest.mark.parametrize("family",
+                         [models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN])
+def test_a_dense_x_gives_the_bits_of_its_csr_matrix(rng, family):
+    # every public batch function converts a dense X to CSR on entry, so
+    # the two give the same result under ==
+    spec, theta, X, y = random_instance(rng, family, input_dim=40,
+                                        num_classes=9, hidden_dim=6, n=257,
+                                        weight_decay=0.1)
+    X[rng.random(X.shape) < 0.8] = 0.0
+    w = rng.uniform(0, 1, X.shape[0])
+    calls = [
+        lambda X: models.forward_batch(spec, theta, X),
+        lambda X: next(models.log_likelihood_rows(spec, [theta.values], X,
+                                                  y)).copy(),
+        lambda X: models.log_likelihood_batch(spec, theta, X, y),
+        lambda X: models.mean_nll(spec, theta, X, y, w),
+        lambda X: models.weighted_nll_gradient(spec, theta, X, y, w).values,
+        lambda X: models.clipped_gradient_sum(spec, theta, X, y,
+                                              0.05)[0].values,
+        lambda X: models.clipped_gradient_sum(spec, theta, X, y, 0.05)[1],
+    ]
+    for call in calls:
+        np.testing.assert_array_equal(call(X), call(sp.csr_matrix(X)))
 
 
 @pytest.mark.parametrize("size", [1, 100, models.DOT_SLICE])

@@ -71,6 +71,15 @@ def test_batch_size_exceeds_dataset(rng):
         trainer.train(spec, theta0, X, y, cfg)
 
 
+def test_train_checks_the_feature_width_on_entry(rng):
+    # X is converted and checked once, before any step: also at 0 epochs
+    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=4)
+    cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 2, 0, seed=5)
+    for features in (X[:, :-1], sp.csr_matrix(X[:, :-1])):
+        with pytest.raises(models.ModelError, match=r"feature dim 4 .*\(W\)"):
+            trainer.train(spec, theta0, features, y, cfg)
+
+
 def test_dp_sgd_with_weights_raises(rng):
     # the clipped gradient has no weights, so DP-SGD refuses them
     spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8)
@@ -461,6 +470,27 @@ def test_train_matches_frozen_allocating_loop(rng, optimizer, family, sparse):
         _assert_matches_frozen_loop(spec, theta0, X, y, cfg, w)
 
 
+@pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_CONFIGS))
+def test_a_dense_x_trains_like_its_csr_matrix(rng, optimizer):
+    # train converts a dense X to CSR on entry: the same epochs' thetas and
+    # losses under ==
+    spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=40,
+                                         weight_decay=0.01)
+    X[rng.random(X.shape) < 0.5] = 0.0
+    weights = None if optimizer == trainer.DP_SGD else rng.uniform(0, 1, 40)
+    cfg = trainer.TrainConfig(optimizer, batch_size=8, epochs=3, seed=3,
+                              **OPTIMIZER_CONFIGS[optimizer])
+    runs = []
+    for features in (X, sp.csr_matrix(X)):
+        seen = []
+        _, losses = trainer.train(spec, theta0, features, y, cfg, weights,
+                                  lambda values: seen.append(values.copy()))
+        runs.append((seen, losses))
+    (dense_seen, dense_losses), (seen, losses) = runs
+    np.testing.assert_array_equal(dense_seen, seen)
+    assert dense_losses == losses
+
+
 def _assert_matches_frozen_loop(spec, theta0, X, y, cfg, weights=None):
     # each epoch's theta, through the sink, and its mean loss equal the
     # frozen loop's under ==, and the final theta is the last epoch's
@@ -578,9 +608,8 @@ def test_non_finite_theta_raises_train_error_naming_the_epoch(
     cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 2, 3, seed=0)
     seen = []
     # with decay, a step after the inf one updates that entry by inf - inf
-    # (numpy warns of the NaN) until the epoch's check
-    with pytest.raises(trainer.TrainError, match=message), \
-            np.errstate(invalid="ignore"):
+    # until the epoch's check, which train raises from without a warning
+    with pytest.raises(trainer.TrainError, match=message):
         trainer.train(spec, theta0, X, y, cfg,
                       on_epoch=lambda values: seen.append(values.copy()))
     # 4 steps an epoch: only the epochs before the failing one, all finite,
