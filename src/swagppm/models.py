@@ -2,7 +2,10 @@
 
 Two families, a softmax-linear model and a one-hidden-layer tanh MLP, on
 CSR features; the public batch functions convert a dense (n, d) array
-once, on entry (as_csr). The functions the training and draw loops call
+once, on entry (as_csr). Every sparse product reads a row range (a, b) of
+a CSR matrix's arrays in place, through scipy's own kernels, and writes
+into a given array (_csr_matmul, _csr_t_matmul): no sparse matrix is built
+and no product allocated. The functions the training and draw loops call
 (log_likelihood_rows, gradient_into, decay_penalty) take theta as a flat
 float64 array over spec.layout(); the others take a ParameterVector.
 """
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .params import Layout, ParameterVector, is_integer, is_number
 
@@ -89,35 +93,68 @@ def as_csr(spec, features):
     return X
 
 
-def csr_transpose(X):
-    """X.T of a CSR X, a CSC matrix on X's arrays as scipy's transpose
-    builds it, without its overhead."""
-    return sp.csc_matrix((X.data, X.indices, X.indptr), shape=X.shape[::-1],
-                         copy=False)
+def _check_out(X, a, b, out, shape, fits):
+    """Raise ModelError unless rows a:b lie in X, fits holds and out is a
+    C-contiguous float64 array of the given shape: the kernels write
+    through out.ravel(), which would be a copy of any other out, and read
+    past the end of a row range or operand of the wrong size."""
+    if not (0 <= a <= b <= X.shape[0] and fits and out.shape == shape
+            and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ModelError("a sparse product needs a C-contiguous float64 out "
+                         "of shape %r, and rows and operands that fit X"
+                         % (shape,))
 
 
-def csr_rows(X, a, b):
-    """Rows a:b of a CSR X and their csr_transpose, on slices of X's arrays:
-    X[a:b]'s arrays, so every product keeps its bits, without scipy's
-    slicing."""
-    s, e = X.indptr[a], X.indptr[b]
-    rows = sp.csr_matrix((X.data[s:e], X.indices[s:e], X.indptr[a:b + 1] - s),
-                         shape=(b - a, X.shape[1]), copy=False)
-    return rows, csr_transpose(rows)
+# The two products below call the kernels scipy's own X @ W and X.T @ D run
+# (_sparsetools.csr_matvecs and csc_matvecs, as _matmul_multivector calls
+# them) on X's arrays, with indptr[a:b+1] over the whole indices and data:
+# the kernels read global offsets, so nothing is rebased. A kernel adds into
+# out, which is zero-filled first, as scipy's np.zeros result is, so out
+# gets the bits of X[a:b] @ W or X[a:b].T @ D without a sparse matrix being
+# built or a product allocated.
+
+def _csr_matmul(X, rows, W, out):
+    """out <- X[a:b] @ W for rows (a, b) of the CSR X."""
+    a, b = rows
+    _check_out(X, a, b, out, (b - a, W.shape[1]), W.shape[0] == X.shape[1])
+    out.fill(0.0)
+    _sparsetools.csr_matvecs(b - a, X.shape[1], W.shape[1],
+                             X.indptr[a:b + 1], X.indices, X.data,
+                             W.ravel(), out.ravel())
+    return out
 
 
-def _logits(spec, theta, X, Z=None):
-    """Logits (n, num_classes) and, for the MLP, its hidden activations H;
-    the MLP's logits are written into Z when it is given."""
+def _csr_t_matmul(X, rows, D, out):
+    """out <- X[a:b].T @ D for rows (a, b) of the CSR X, whose arrays are
+    read as those of its CSC transpose."""
+    a, b = rows
+    _check_out(X, a, b, out, (X.shape[1], D.shape[1]), D.shape[0] == b - a)
+    out.fill(0.0)
+    _sparsetools.csc_matvecs(X.shape[1], b - a, D.shape[1],
+                             X.indptr[a:b + 1], X.indices, X.data,
+                             D.ravel(), out.ravel())
+    return out
+
+
+def _hidden_buffer(spec, m):
+    """A buffer for m rows of hidden activations, None for softmax-linear."""
+    return (np.empty((m, spec.hidden_dim)) if spec.family == MLP_1_HIDDEN
+            else None)
+
+
+def _logits(spec, theta, X, rows, Z, H):
+    """Logits of rows (a, b) of the CSR X, written into Z, and for the MLP
+    its hidden activations, written into H (None for softmax-linear);
+    returns (Z, H)."""
     view = spec.layout().view
     if spec.family == SOFTMAX_LINEAR:
-        Z = X @ view(theta, "W")
+        _csr_matmul(X, rows, view(theta, "W"), Z)
         Z += view(theta, "b")
         return Z, None
-    H = X @ view(theta, "W1")
+    _csr_matmul(X, rows, view(theta, "W1"), H)
     H += view(theta, "b1")
     np.tanh(H, out=H)
-    Z = np.matmul(H, view(theta, "W2"), out=Z)
+    np.matmul(H, view(theta, "W2"), out=Z)
     Z += view(theta, "b2")
     return Z, H
 
@@ -157,35 +194,43 @@ def _log_floored(picked):
 
 
 def forward_batch(spec, theta, X):
-    """Softmax class probabilities for a batch, shape (n, num_classes)."""
-    Z, _ = _logits(spec, theta.values, as_csr(spec, X))
-    return _softmax(Z)
+    """Softmax class probabilities for a batch, shape (n, num_classes),
+    computed in row blocks (_row_blocks) that give it the bits of the whole
+    batch, into the output and one block's hidden activations."""
+    X = as_csr(spec, X)
+    P = np.empty((X.shape[0], spec.num_classes))
+    blocks = _row_blocks(spec, X)
+    H = _hidden_buffer(spec, max(b - a for a, b in blocks))
+    for a, b in blocks:
+        _softmax(_logits(spec, theta.values, X, (a, b), P[a:b],
+                         None if H is None else H[:b - a])[0])
+    return P
 
 
-# log_likelihood_rows scores X in blocks of at least this many rows.
+# forward_batch and log_likelihood_rows score X in blocks of at least this
+# many rows.
 ROW_BLOCK = 2048
 
 
 def _row_blocks(spec, X):
-    """(start, stop, rows) blocks covering the CSR X for
+    """Row ranges (start, stop) covering the CSR X for forward_batch and
     log_likelihood_rows: as many blocks of at least ROW_BLOCK rows (more for
-    a narrow MLP) as X has room for, of near equal length. A block is
-    csr_rows of X, which X @ W multiplies row by row, as it does X. For the
-    MLP every block keeps H @ W2 on the OpenBLAS kernel of the whole
-    product: one of at most 10**6 multiply-adds (rows * hidden * classes)
-    takes the small-matrix kernel, whose bits differ, so a block has more
-    rows than that whenever X does."""
+    a narrow MLP) as X has room for, of near equal length. The sparse
+    product takes X row by row, so a block's rows get the bits they get in
+    X @ W. For the MLP every block keeps H @ W2 on the OpenBLAS kernel of
+    the whole product: one of at most 10**6 multiply-adds (rows * hidden *
+    classes) takes the small-matrix kernel, whose bits differ, so a block
+    has more rows than that whenever X does."""
     n = X.shape[0]
     size = ROW_BLOCK
     if spec.family == MLP_1_HIDDEN:
         size = max(size, 10 ** 6 // (spec.hidden_dim * spec.num_classes) + 1)
-    # q blocks of base or base + 1 rows: the longest block, whose hidden
-    # activations scipy allocates, is as short as the rule allows
+    # q blocks of base or base + 1 rows: the longest block, which sizes the
+    # buffers, is as short as the rule allows
     q = max(1, n // size)
     base, extra = divmod(n, q)
     bounds = [i * base + min(i, extra) for i in range(q + 1)]
-    return [(a, b, csr_rows(X, a, b)[0])
-            for a, b in zip(bounds, bounds[1:])]
+    return list(zip(bounds, bounds[1:]))
 
 
 def log_likelihood_rows(spec, thetas, X, y):
@@ -193,10 +238,10 @@ def log_likelihood_rows(spec, thetas, X, y):
     length-n row per theta; probabilities floored at PROB_FLOOR.
 
     Each row is scored in row blocks (_row_blocks) that give it the bits
-    of the whole batch. Every row is computed in the same buffers, made by
-    this call on the calling thread, so a row is valid only until the next
-    one is made: copy it to keep it. A row allocates nothing but scipy's
-    sparse product, which takes no out.
+    of the whole batch. Every row is computed in the same buffers (a
+    block's logits, hidden activations and row sums, and the output row),
+    made by this call on the calling thread, so a row is valid only until
+    the next one is made: copy it to keep it. A row allocates nothing.
     """
     X = as_csr(spec, X)
     n, num_classes = X.shape[0], spec.num_classes
@@ -205,20 +250,19 @@ def log_likelihood_rows(spec, thetas, X, y):
     # flat index of each record's label cell in its block's logits
     picked = [np.ravel_multi_index((np.arange(b - a), y[a:b]),
                                    (b - a, num_classes))
-              for a, b, _ in blocks]
-    size = max(b - a for a, b, _ in blocks)
-    Z = (np.empty((size, num_classes)) if spec.family == MLP_1_HIDDEN
-         else None)
-    return _scored_rows(spec, thetas, blocks, picked, Z, np.empty(size),
+              for a, b in blocks]
+    size = max(b - a for a, b in blocks)
+    return _scored_rows(spec, thetas, X, blocks, picked,
+                        np.empty((size, num_classes)),
+                        _hidden_buffer(spec, size), np.empty(size),
                         np.empty(n))
 
 
-def _scored_rows(spec, thetas, blocks, picked, Z, sums, out):
+def _scored_rows(spec, thetas, X, blocks, picked, Z, H, sums, out):
     for theta in thetas:
-        for (a, b, Xb), cells in zip(blocks, picked):
-            # [0]: the MLP's hidden activations are freed before the next
-            # block's are made
-            E = _logits(spec, theta, Xb, None if Z is None else Z[:b - a])[0]
+        for (a, b), cells in zip(blocks, picked):
+            E = _logits(spec, theta, X, (a, b), Z[:b - a],
+                        None if H is None else H[:b - a])[0]
             block_sums, row = sums[:b - a], out[a:b]
             _running_row_max(E, block_sums)
             _exp_shifted(E, block_sums)
@@ -239,28 +283,30 @@ def _hidden_residual(spec, theta, H, D):
     return (D @ spec.layout().view(theta, "W2").T) * (1.0 - H * H)
 
 
-def _backprop(spec, XT, H, D, D1, out):
-    """The flat gradient, written into out, from the transposed features XT,
+def _backprop(spec, X, rows, H, D, D1, out):
+    """The flat gradient, written into out, from rows (a, b) of the CSR X,
     output residuals D and, for the MLP (H given), hidden residuals D1;
-    each row of D and D1 is one record's residual. XT @ D has no out."""
+    each row of D and D1 is one record's residual."""
     view = spec.layout().view
     if H is None:
-        view(out, "W")[...] = XT @ D
+        _csr_t_matmul(X, rows, D, view(out, "W"))
         view(out, "b")[:] = D.sum(axis=0)
     else:
         np.matmul(H.T, D, out=view(out, "W2"))
         view(out, "b2")[:] = D.sum(axis=0)
-        view(out, "W1")[...] = XT @ D1
+        _csr_t_matmul(X, rows, D1, view(out, "W1"))
         view(out, "b1")[:] = D1.sum(axis=0)
 
 
-def gradient_into(spec, theta, X, XT, y, out, scale=None, clip_norm=None,
+def gradient_into(spec, theta, X, rows, y, out, scale=None, clip_norm=None,
                   x_sq=None):
-    """The one backprop: a forward and backward pass over a CSR batch X,
-    with XT its transpose (csr_transpose or csr_rows), that writes
-    the NLL gradient into out, a flat array over the layout, with no weight
-    decay and no checks. Returns (the pre-clip norms or None, each record's
-    log-likelihood as log_likelihood_rows computes it).
+    """The one backprop: a forward and backward pass over the batch of rows
+    (a, b) of the CSR X, read in place from X's arrays, that writes the NLL
+    gradient into out, a C-contiguous flat array over the layout, with no
+    weight decay and no checks; y, x_sq and a scale column are the batch's,
+    of length b - a. X[a:b].T @ D is written straight into out's W (or W1).
+    Returns (the pre-clip norms or None, each record's log-likelihood as
+    log_likelihood_rows computes it).
 
     Without clip_norm each record's residual is multiplied by scale, 1/n or
     an (n, 1) column of weights / n, before the hidden residual is taken:
@@ -268,7 +314,9 @@ def gradient_into(spec, theta, X, XT, y, out, scale=None, clip_norm=None,
     each record's gradient is scaled by min(1, clip_norm / its norm), the
     norms taken with x_sq, row_sq_norms of X: clipped_gradient_sum's
     gradient sum."""
-    Z, H = _logits(spec, theta, X)
+    m = rows[1] - rows[0]
+    Z, H = _logits(spec, theta, X, rows, np.empty((m, spec.num_classes)),
+                   _hidden_buffer(spec, m))
     D = _softmax(Z)
     cells = (np.arange(D.shape[0]), np.asarray(y))
     loglik = _log_floored(D[cells])
@@ -289,7 +337,7 @@ def gradient_into(spec, theta, X, XT, y, out, scale=None, clip_norm=None,
         D *= clip
         if D1 is not None:
             D1 *= clip
-    _backprop(spec, XT, H, D, D1, out)
+    _backprop(spec, X, rows, H, D, D1, out)
     return norms, loglik
 
 
@@ -318,7 +366,7 @@ def weighted_nll_gradient(spec, theta, X, y, weights=None):
         check_weights(weights)
         scale = (weights / n)[:, None]
     grad = np.empty(spec.num_params)
-    gradient_into(spec, theta.values, X, X.T, y, grad, scale)
+    gradient_into(spec, theta.values, X, (0, n), y, grad, scale)
     if spec.weight_decay:
         grad += spec.weight_decay * theta.values
     return ParameterVector(grad, theta.layout)
@@ -340,10 +388,11 @@ def clipped_gradient_sum(spec, theta, X, y, clip_norm):
     Returns (gradient_sum as ParameterVector, per-example pre-clip norms).
     """
     X = as_csr(spec, X)
-    if X.shape[0] == 0:
+    n = X.shape[0]
+    if n == 0:
         raise ModelError("empty minibatch")
     grad = np.empty(spec.num_params)
-    norms, _ = gradient_into(spec, theta.values, X, X.T, y, grad,
+    norms, _ = gradient_into(spec, theta.values, X, (0, n), y, grad,
                              clip_norm=clip_norm, x_sq=row_sq_norms(X))
     return ParameterVector(grad, theta.layout), norms
 

@@ -113,23 +113,6 @@ def _draw_noise(rng, scale, out):
     return out
 
 
-def _indexed_batch(X, idx):
-    """(idx, X[idx], its csr_transpose) of the CSR X."""
-    Xb = X[idx]
-    return idx, Xb, models.csr_transpose(Xb)
-
-
-def _row_batches(Xe, batch_size):
-    """(rows, batch, its transpose) for each run of batch_size consecutive
-    rows of the CSR Xe, the last one short: models.csr_rows, so every
-    product keeps the bits of Xe[a:b] and Xe[a:b].T."""
-    n = Xe.shape[0]
-    for a in range(0, n, batch_size):
-        b = min(a + batch_size, n)
-        Xb, XT = models.csr_rows(Xe, a, b)
-        yield slice(a, b), Xb, XT
-
-
 def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
     """Run the configured optimizer; returns (theta_final, epoch losses),
     the final theta as a ParameterVector and each epoch's mean train loss.
@@ -206,48 +189,44 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
         if dp:
             pending = pool.submit(_draw_noise, noise_rng, scale, buffers[0])
         for epoch in range(config.epochs):
-            # An epoch's batches, (rows, batch, its transpose), are all built
-            # before its first step: scipy's constructors run far slower
-            # between steps, whose p-sized passes evict the caches. The last
-            # epoch's batches and copy of X are dropped first, so only one
-            # epoch's are held at a time.
-            Xe = ye = we = batches = None
+            Xe = None  # the last epoch's copy of X is dropped first
             if dp:
                 # Poisson sampling: ceil(n / batch_size) batches, each taking
                 # every record independently with probability batch_size / n
                 q = config.batch_size / n
-                ye = y
-                batches = [
-                    _indexed_batch(X, np.nonzero(shuffle_rng.random(n) < q)[0])
-                    for _ in range(-(-n // config.batch_size))]
+                batches = (np.nonzero(shuffle_rng.random(n) < q)[0]
+                           for _ in range(-(-n // config.batch_size)))
             else:
                 # a shuffle-partition epoch: permute the rows once, then take
-                # each batch as a row range, without fancy-indexing X per
-                # step
+                # each batch as a row range (a, b) of the permuted arrays,
+                # which gradient_into reads in place
                 perm = shuffle_rng.permutation(n)
                 Xe, ye = X[perm], y[perm]
                 we = None if weights is None else weights[perm]
-                batches = list(_row_batches(Xe, config.batch_size))
+                batches = [(a, min(a + config.batch_size, n))
+                           for a in range(0, n, config.batch_size)]
             loss_sum = 0.0
             count = 0
-            for b, (rows, Xb, XT) in enumerate(batches):
-                yb = ye[rows]
-                m = yb.shape[0]
+            for b, batch in enumerate(batches):
                 if dp:
+                    m = batch.size
                     if m == 0:
                         continue  # takes no draw
                     noise = pending.result()
                     buffers.reverse()  # buffers[0] is now the free one
                     pending = pool.submit(_draw_noise, noise_rng, scale,
                                           buffers[0])
-                    wb = None
+                    yb, wb = y[batch], None
                     _, loglik = models.gradient_into(
-                        spec, theta, Xb, XT, yb, grad,
-                        clip_norm=config.clip_norm, x_sq=x_sq[rows])
+                        spec, theta, X[batch], (0, m), yb, grad,
+                        clip_norm=config.clip_norm, x_sq=x_sq[batch])
                 else:
-                    wb = None if we is None else we[rows]
+                    lo, hi = batch
+                    m = hi - lo
+                    yb = ye[lo:hi]
+                    wb = None if we is None else we[lo:hi]
                     _, loglik = models.gradient_into(
-                        spec, theta, Xb, XT, yb, grad,
+                        spec, theta, Xe, batch, yb, grad,
                         1.0 / m if wb is None else (wb / m)[:, None])
                 loss = models.nll_term(loglik, wb)
                 if not np.isfinite(loss):

@@ -11,7 +11,7 @@ from swagppm.params import (Layout, LayoutError, ParameterVector,
                             load_checkpoint, save_checkpoint, write_file)
 
 from conftest import (BAD_DIMS, finite_difference_gradient, frozen_frame,
-                      random_instance)
+                      random_instance, traced_peak)
 
 
 def linear_theta(input_dim, num_classes, W=None, b=None):
@@ -319,9 +319,9 @@ def test_checkpoint_with_trailing_bytes_raises_layout_error(tmp_path_factory,
         load_checkpoint(path)
 
 
-def _frozen_log_likelihood(spec, theta, X, y):
-    # Reference: log_likelihood_batch as it was before rows were scored in
-    # reused buffers, every step allocating its own array.
+def _frozen_probabilities(spec, theta, X):
+    # Reference: forward_batch as it was before it scored in row blocks,
+    # the whole batch at once, every step allocating its own array.
     def tensor(name):
         return theta.layout.view(theta.values, name)
 
@@ -332,7 +332,13 @@ def _frozen_log_likelihood(spec, theta, X, y):
         Z = H @ tensor("W2") + tensor("b2")
     Z = Z - Z.max(axis=1, keepdims=True)
     E = np.exp(Z)
-    P = E / E.sum(axis=1, keepdims=True)
+    return E / E.sum(axis=1, keepdims=True)
+
+
+def _frozen_log_likelihood(spec, theta, X, y):
+    # Reference: log_likelihood_batch as it was before rows were scored in
+    # reused buffers, every step allocating its own array.
+    P = _frozen_probabilities(spec, theta, X)
     picked = P[np.arange(P.shape[0]), np.asarray(y)]
     return np.log(np.maximum(picked, models.PROB_FLOOR))
 
@@ -376,13 +382,93 @@ def test_scorer_blocks_keep_the_whole_batch_bits(rng, family, hidden_dim,
     y = rng.integers(0, num_classes, n)
     blocks = models._row_blocks(spec, X)
     assert len(blocks) > 1
-    assert [b for _, b, _ in blocks[:-1]] == [a for a, _, _ in blocks[1:]]
-    shortest = min(b - a for a, b, _ in blocks)
+    assert [b for _, b in blocks[:-1]] == [a for a, _ in blocks[1:]]
+    shortest = min(b - a for a, b in blocks)
     assert shortest >= models.ROW_BLOCK
     assert shortest * hidden_dim * num_classes > 10 ** 6 or not hidden_dim
     row = next(models.log_likelihood_rows(spec, [theta.values], X, y))
     assert row.tobytes() == _frozen_log_likelihood(spec, theta, X,
                                                    y).tobytes()
+    # forward_batch takes the same blocks
+    P = models.forward_batch(spec, theta, X)
+    assert P.tobytes() == _frozen_probabilities(spec, theta, X).tobytes()
+
+
+def test_forward_batch_holds_one_blocks_hidden_activations():
+    # the whole batch's hidden activations (n x hidden) are never held:
+    # the peak beyond the output is below half of them at three blocks
+    spec = models.ModelSpec(models.MLP_1_HIDDEN, 40, 5, 32)
+    theta = models.init_params(spec, 0)
+    X = sp.random(20000, 40, density=0.2, format="csr", random_state=1)
+    assert len(models._row_blocks(spec, X)) == 3
+    peak = traced_peak(lambda: models.forward_batch(spec, theta, X))
+    assert peak - 20000 * 5 * 8 < 20000 * 32 * 8 // 2
+
+
+@st.composite
+def _csr_rows_and_operand(draw):
+    # a CSR matrix with empty rows and explicit stored zeros, int32 or int64
+    # index arrays, a row range (possibly empty, possibly not at row 0) and
+    # dense operands holding negatives and zeros of either sign
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dense = rng.normal(size=(n, d))
+    dense[rng.random((n, d)) < draw(st.sampled_from([0.3, 0.7, 1.0]))] = 0.0
+    dense[rng.random(n) < 0.3] = 0.0  # empty rows
+    X = sp.csr_matrix(dense)
+    X.data[rng.random(X.nnz) < 0.2] = 0.0  # stored zeros
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    X.indices = X.indices.astype(index)
+    X.indptr = X.indptr.astype(index)
+    assert X.indices.dtype == X.indptr.dtype == index
+    a = draw(st.integers(0, n))
+    b = draw(st.integers(a, n))
+
+    def operand(rows):
+        values = rng.choice([0.0, -0.0, 1.5, -2.25], size=(rows, k))
+        return np.where(rng.random((rows, k)) < 0.5, values,
+                        rng.normal(size=(rows, k)))
+
+    return X, (a, b), operand(d), operand(b - a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_csr_rows_and_operand())
+def test_sparse_products_equal_scipy_on_the_row_slice(case):
+    # the in-place kernels give the bits of scipy's products on X[a:b],
+    # whatever out held before
+    X, (a, b), W, D = case
+    rows = X[a:b]
+    out = np.full((b - a, W.shape[1]), np.nan)
+    assert models._csr_matmul(X, (a, b), W, out) is out
+    assert out.tobytes() == (rows @ W).tobytes()
+    out = np.full((X.shape[1], D.shape[1]), -0.0)
+    assert models._csr_t_matmul(X, (a, b), D, out) is out
+    assert out.tobytes() == (rows.T @ D).tobytes()
+
+
+def test_sparse_products_refuse_an_out_they_cannot_write_in_place():
+    X = sp.random(6, 4, density=0.5, format="csr", random_state=0)
+    W, D = np.ones((4, 3)), np.ones((6, 3))
+    for out in (np.zeros((6, 6))[:, ::2], np.zeros((6, 3), order="F"),
+                np.zeros((6, 3), dtype=np.float32), np.zeros((5, 3))):
+        with pytest.raises(models.ModelError, match="C-contiguous"):
+            models._csr_matmul(X, (0, 6), W, out)
+    for out in (np.zeros((4, 6))[:, ::2], np.zeros((4, 3), order="F")):
+        with pytest.raises(models.ModelError, match="C-contiguous"):
+            models._csr_t_matmul(X, (0, 6), D, out)
+    # an operand of the wrong size would be read past its end
+    with pytest.raises(models.ModelError, match="operands"):
+        models._csr_matmul(X, (0, 6), np.ones((5, 3)), np.zeros((6, 3)))
+    with pytest.raises(models.ModelError, match="operands"):
+        models._csr_t_matmul(X, (1, 6), D, np.zeros((4, 3)))
+    # so would a row range past X's end
+    with pytest.raises(models.ModelError, match="rows"):
+        models._csr_matmul(X, (4, 7), W, np.zeros((3, 3)))
+    with pytest.raises(models.ModelError, match="rows"):
+        models._csr_t_matmul(X, (2, 8), D, np.zeros((4, 3)))
 
 
 @pytest.mark.parametrize("family",
@@ -399,8 +485,8 @@ def test_fused_gradient_and_loss_match_separate_passes(rng, family,
     for weights in (None, rng.uniform(0, 1, X.shape[0])):
         grad = np.empty(spec.num_params)
         scale = 1.0 / 30 if weights is None else (weights / 30)[:, None]
-        _, loglik = models.gradient_into(spec, theta.values, X, X.T, y, grad,
-                                         scale)
+        _, loglik = models.gradient_into(spec, theta.values, X, (0, 30), y,
+                                         grad, scale)
         if weight_decay:
             grad += weight_decay * theta.values
         np.testing.assert_array_equal(
@@ -412,8 +498,8 @@ def test_fused_gradient_and_loss_match_separate_passes(rng, family,
             + models.decay_penalty(spec, theta.values) \
             == models.mean_nll(spec, theta, X, y, weights)
     grad = np.empty(spec.num_params)
-    norms, loglik = models.gradient_into(spec, theta.values, X, X.T, y, grad,
-                                         clip_norm=0.05,
+    norms, loglik = models.gradient_into(spec, theta.values, X, (0, 30), y,
+                                         grad, clip_norm=0.05,
                                          x_sq=models.row_sq_norms(X))
     ref, ref_norms = models.clipped_gradient_sum(spec, theta, X, y, 0.05)
     np.testing.assert_array_equal(grad, ref.values)
@@ -440,8 +526,8 @@ def test_clipped_gradient_with_indexed_row_norms_equals_without(
                                                    y[idx], 0.05)
     got = np.empty(spec.num_params)
     got_norms, _ = models.gradient_into(
-        spec, theta.values, X[idx], X[idx].T, y[idx], got, clip_norm=0.05,
-        x_sq=models.row_sq_norms(X)[idx])
+        spec, theta.values, X[idx], (0, idx.size), y[idx], got,
+        clip_norm=0.05, x_sq=models.row_sq_norms(X)[idx])
     assert (got == want.values).all()
     assert (got_norms == want_norms).all()
 
@@ -502,7 +588,7 @@ def test_scored_rows_match_frozen_on_special_logits(n, num_classes, seed):
     spec = models.ModelSpec(models.SOFTMAX_LINEAR, 3, num_classes)
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(models, "_logits",
-                   lambda spec, theta, X, Z: (theta.copy(), None))
+                   lambda spec, theta, X, rows, Z, H: (theta.copy(), None))
         got = next(models.log_likelihood_rows(spec, [logits],
                                               np.zeros((n, 3)), y))
         Z = logits - logits.max(axis=1, keepdims=True)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,26 +219,22 @@ def _csr_with_empty_rows_and_zeros(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_csr_with_empty_rows_and_zeros())
 def test_row_batches_multiply_like_scipy_slices(case):
-    # each batch built on the permuted matrix's arrays, and its transpose,
-    # hold Xe[a:b]'s arrays and multiply to its bits; n need not divide by
-    # the batch size, so the last batch may be short
+    # each batch's products, read in place from the permuted matrix's arrays
+    # over its row range, have the bits of Xe[a:b] @ W and Xe[a:b].T @ D; n
+    # need not divide by the batch size, so the last batch may be short
     X, batch_size, seed = case
     rng = np.random.default_rng(seed)
     n, d = X.shape
     Xe = X[rng.permutation(n)]
     W = rng.normal(size=(d, 3))
-    starts = []
-    for rows, Xb, XT in trainer._row_batches(Xe, batch_size):
-        starts.append(rows.start)
-        want = Xe[rows]
-        assert Xb.shape == want.shape and XT.shape == want.T.shape
-        for attr in ("indptr", "indices", "data"):
-            assert (getattr(Xb, attr) == getattr(want, attr)).all()
-            assert getattr(Xb, attr).dtype == getattr(want, attr).dtype
-        D = rng.normal(size=(Xb.shape[0], 4))
-        assert (Xb @ W == want @ W).all()
-        assert (XT @ D == want.T @ D).all()
-    assert starts == list(range(0, n, batch_size))
+    for a in range(0, n, batch_size):
+        b = min(a + batch_size, n)
+        want = Xe[a:b]
+        D = rng.normal(size=(b - a, 4))
+        got = models._csr_matmul(Xe, (a, b), W, np.empty((b - a, 3)))
+        assert got.tobytes() == (want @ W).tobytes()
+        got = models._csr_t_matmul(Xe, (a, b), D, np.empty((d, 4)))
+        assert got.tobytes() == (want.T @ D).tobytes()
 
 
 def _no_scipy_slice_or_transpose(monkeypatch, permutations):
@@ -552,6 +549,35 @@ def test_dp_sgd_peak_memory_does_not_grow_with_epochs():
                             clip_norm=1.0, noise_multiplier=1.1)))
              for epochs in (3, 30)]
     assert abs(peaks[1] - peaks[0]) <= 8 * spec.num_params
+
+
+@pytest.mark.parametrize("optimizer", [trainer.ADAPTIVE,
+                                       trainer.SGD_CONSTANT])
+def test_shuffle_partition_epoch_allocates_less_than_one_w1_block(optimizer):
+    # A second epoch permutes X and takes its steps. Its peak beyond what
+    # the first left held stays below one W1-sized array: no step allocates
+    # a p-sized product, so none depends on glibc's mmap threshold.
+    spec = models.ModelSpec(models.MLP_1_HIDDEN, 2048, 5, 32, 0.01)
+    X = sp.random(600, 2048, density=0.01, format="csr", random_state=2)
+    y = np.random.default_rng(2).integers(0, 5, 600)
+    weights = np.random.default_rng(3).uniform(0, 1, 600)
+    cfg = trainer.TrainConfig(optimizer, batch_size=64, epochs=2, seed=1,
+                              **OPTIMIZER_CONFIGS[optimizer])
+    marks = []
+
+    def sink(values):
+        current, peak = tracemalloc.get_traced_memory()
+        marks.append((current, peak))
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        trainer.train(spec, models.init_params(spec, 0), X, y, cfg, weights,
+                      on_epoch=sink)
+    finally:
+        tracemalloc.stop()
+    (held, _), (_, peak) = marks
+    assert peak - held < 2048 * 32 * 8
 
 
 def count_vectors_built(monkeypatch):
