@@ -1,7 +1,6 @@
 """End-to-end orchestration: data prep, the three-round weighted training
 flow, the DP-SGD and non-private baselines, and benchmark report emission."""
 
-import collections
 import contextvars
 import copy
 import csv
@@ -10,6 +9,7 @@ import itertools
 import json
 import os
 import shutil
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -286,46 +286,152 @@ def _phase(name, fn, *args):
         raise PhaseError(name, e) from e
 
 
-def _lane_rows(spec, draws, X, y, lanes):
-    """The |ll| rows of the draws, in draw order. Draw s is copied into
-    lane s % lanes's theta and scored on the pool while this thread makes
-    the next draws. A lane's buffers are made here, once, and each lane
-    scores one draw at a time: it is given its next draw only once its last
-    row has been taken. A lane's draw is scored in a copy of this thread's
-    context, so numpy's errstate holds there too, and an exception it
-    raises is raised here. Closing the generator stops the pool before it
-    returns."""
-    thetas = [np.empty(spec.num_params) for _ in range(lanes)]
-    rows = [ppm.abs_loglik_rows(spec, itertools.repeat(theta), X, y)
-            for theta in thetas]
-    pending = collections.deque()
-    with ThreadPoolExecutor(lanes) as pool:
+class _Fold:
+    """What the calling thread and the lanes of one fold share, under one
+    condition: whose turn it is on the draw stream, the rows made and not
+    yet taken, how many rows the calling thread is done with, and whether
+    the fold stopped."""
+
+    def __init__(self):
+        self._changed = threading.Condition()
+        self._turn = 0
+        self._rows = {}
+        self._taken = 0
+        self._stopped = False
+
+    def _until(self, ready):
+        """Wait until ready(); False when the fold stopped first."""
+        with self._changed:
+            self._changed.wait_for(lambda: self._stopped or ready())
+            return not self._stopped
+
+    def wait_turn(self, s):
+        """Wait until draws 0 to s - 1 have taken their normals; False when
+        the fold stopped first."""
+        return self._until(lambda: self._turn == s)
+
+    def hand_on(self, s):
+        """Pass the turn from draw s, which has taken its normals, to s + 1."""
+        with self._changed:
+            self._turn = s + 1
+            self._changed.notify_all()
+
+    def wait_taken(self, s):
+        """Wait until the calling thread is done with row s; False when the
+        fold stopped first."""
+        return self._until(lambda: self._taken > s)
+
+    def put(self, s, result):
+        """Hand the calling thread draw s's row, or the exception it raised."""
+        with self._changed:
+            self._rows[s] = result
+            self._changed.notify_all()
+
+    def get(self, s):
+        """Draw s's row, once a lane has put it; its exception is raised."""
+        with self._changed:
+            self._changed.wait_for(lambda: s in self._rows)
+            result = self._rows.pop(s)
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    def took(self, s):
+        """The calling thread is done with row s."""
+        with self._changed:
+            self._taken = s + 1
+            self._changed.notify_all()
+
+    def stop(self):
+        """Wake every lane that waits, and let it do no more."""
+        with self._changed:
+            self._stopped = True
+            self._changed.notify_all()
+
+
+def _draw_row(maker, fold, s, lane, lanes):
+    """Make draw s in a lane's buffers and score it: take the draw's normals
+    in its turn on the stream, hand the turn on, do the draw's arithmetic
+    in place, and score it once the calling thread is done with the lane's
+    last row, draw s - lanes, whose buffer the scorer reuses. The draw's
+    |ll| row; None when the fold stopped first."""
+    z, low_rank, z2, finite, scorer = lane
+    if not fold.wait_turn(s):
+        return None
+    maker.take(z, z2)
+    fold.hand_on(s)
+    maker.finish(z, z2, low_rank, finite, s)
+    if not fold.wait_taken(s - lanes):
+        return None
+    return next(scorer)
+
+
+def _lane(maker, fold, lane, first, count, lanes):
+    """Make and score draws first, first + lanes, ... on one lane, putting
+    each row, or the exception that ends the lane, for the calling thread."""
+    for s in range(first, count, lanes):
         try:
-            for s, draw in enumerate(draws):
-                if len(pending) == lanes:
-                    yield pending.popleft().result()
-                np.copyto(thetas[s % lanes], draw)
-                pending.append(pool.submit(contextvars.copy_context().run,
-                                           next, rows[s % lanes]))
-            while pending:
-                yield pending.popleft().result()
+            row = _draw_row(maker, fold, s, lane, lanes)
+        except BaseException as e:  # noqa: BLE001 - raised by fold.get
+            fold.put(s, e)
+            return
+        if row is None:
+            return
+        fold.put(s, row)
+
+
+def _lane_rows(spec, maker, count, X, y, lanes):
+    """The |ll| rows of the maker's first count draws, in draw order. Draw s
+    is made and scored by lane s % lanes, in buffers and a scorer made
+    here, on the calling thread, once per lane; this thread makes no draw
+    and copies no theta. With one lane the draws are made on this thread.
+    With more, each lane runs on a lanes-worker pool, in a copy of this
+    thread's context, so numpy's errstate holds there too. The lanes take
+    the draw stream in turn (_draw_row), so one lane's normals run beside
+    another's arithmetic and scoring, and a lane makes its next draw while
+    this thread folds its last row. An exception a lane raises is raised
+    here, the first in draw order. Closing the generator, or an exception,
+    stops the fold, so no lane is left waiting, and stops the pool before
+    it returns."""
+    fold = _Fold()
+    lane_state = []
+    for _ in range(lanes):
+        buffers = maker.buffers()  # (z, low_rank, z2, finite)
+        scorer = ppm.abs_loglik_rows(spec, itertools.repeat(buffers[0]), X, y)
+        lane_state.append(buffers + (scorer,))
+    if lanes == 1:
+        for s in range(count):
+            yield _draw_row(maker, fold, s, lane_state[0], 1)
+            fold.took(s)
+        return
+    with ThreadPoolExecutor(lanes) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _lane, maker,
+                               fold, lane_state[first], first, count, lanes)
+                   for first in range(lanes)]
+        try:
+            for s in range(count):
+                yield fold.get(s)
+                fold.took(s)
         finally:
-            for future in pending:
-                future.cancel()
+            fold.stop()
+    for future in futures:
+        future.result()
 
 
-def _score_draws(spec, draws, count, X, y, alpha, ids, abs_ll_path=None):
-    """Score each of the count draws as it is made and fold it into the
-    weighted sensitivity; no draw outlives its row. The fold runs at one
-    OpenBLAS thread. Its draws are scored on as many lanes as OpenBLAS had
-    threads (_lane_rows), or on this thread when that is one, and their
-    rows are folded here in draw order. With a path, each |ll| row is also
-    written, as it is folded, into a (count, n) .npy file, which a failure
-    removes rather than leave it partly written."""
+def _score_draws(spec, moments, seed, count, X, y, alpha, ids,
+                 abs_ll_path=None):
+    """Make and score count draws of the moments at seed, folding each into
+    the weighted sensitivity as it is made; no draw outlives its row. The
+    draws' gemv parts are fixed from the OpenBLAS thread count t in effect
+    when this is called (SwagMoments.draw_maker), and the fold then runs at
+    one OpenBLAS thread, on t lanes (_lane_rows), which make and score the
+    draws; their rows are folded here in draw order. With a path, each |ll|
+    row is also written, as it is folded, into a (count, n) .npy file, which
+    a failure removes rather than leave it partly written."""
     lanes = blas.threads()
+    maker = moments.draw_maker(seed)
     with blas.one_thread(), closing(
-            _lane_rows(spec, draws, X, y, lanes) if lanes > 1
-            else ppm.abs_loglik_rows(spec, draws, X, y)) as rows:
+            _lane_rows(spec, maker, count, X, y, lanes)) as rows:
         if not abs_ll_path:
             return ppm.sensitivity(rows, alpha, ids)
         sink = np.lib.format.open_memmap(abs_ll_path, mode="w+",
@@ -374,12 +480,12 @@ def _swag_rounds(cfg, train_view, out_dir=None):
         moments = _phase("swag-round-%d" % r, _train_round, spec, theta0, X,
                          y, None if weights is None else weights.alpha,
                          cfg, tag)
-        draws = moments.draws(ph["draws"], derive_seed(master, "draws%d" % r))
         # round 1 scores unweighted: its per-record maxima are the risks
         alpha = np.ones(len(ids)) if weights is None else weights.alpha
         abs_ll = internal and os.path.join(internal, tag + "_abs_ll.npy")
-        scores = _phase(score_phase, _score_draws, spec, draws, ph["draws"],
-                        X, y, alpha, ids, abs_ll)
+        scores = _phase(score_phase, _score_draws, spec, moments,
+                        derive_seed(master, "draws%d" % r), ph["draws"], X, y,
+                        alpha, ids, abs_ll)
         if weights is None:
             weights = ppm.map_weights(ids, scores.per_record, ph["c"],
                                       ph["g"])

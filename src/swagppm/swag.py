@@ -127,46 +127,85 @@ class SwagMoments:
         until the next draw (copy it to keep it); a draw that is not finite
         raises SwagError.
 
-        D z2 is taken in the parts fixed here from t (_gemv_parts): one
-        part when t = 1 or p k < GEMV_THREADED, else the t row ranges
-        OpenBLAS's own t-thread gemv uses, each computed at one thread as
-        np.matmul(D[a:b], z2, out=low_rank[a:b]). Each draw thus has the
-        bits of the whole gemv at t threads, also when it is made inside a
-        one-thread window (blas.one_thread), as the posterior fold's are."""
+        The draws are made by a DrawMaker, fixed here, one draw at a time in
+        one set of its buffers: the posterior fold's lanes make theirs with
+        the same two steps, so each draw has the same bits either way."""
         if count < 1:
             raise SwagError("need at least one draw")
+        return self._draws(count, self.draw_maker(seed))
+
+    def draw_maker(self, seed):
+        """The DrawMaker of the draws at seed, with its gemv parts fixed
+        from the OpenBLAS thread count in effect now."""
         if self.count < 1:
             raise SwagError("no snapshots absorbed")
-        return self._draws(count, np.random.default_rng(seed),
-                           np.sqrt(self.sigma_diag() / 2.0),
-                           _gemv_parts(self.layout.size, self.k,
-                                       blas.threads()))
+        return DrawMaker(self, seed, blas.threads())
 
-    def _draws(self, count, rng, diag_scale, parts):
-        dev = self._dev[:, :self.k]
-        z, low_rank = np.empty(self.layout.size), np.empty(self.layout.size)
-        pieces = [(dev[a:b], low_rank[a:b]) for a, b in parts]
+    def _draws(self, count, maker):
+        z, low_rank, z2, finite = maker.buffers()
         draw = z.view()
         draw.flags.writeable = False
+        window = blas.one_thread if len(maker.parts) > 1 else nullcontext
         for s in range(count):
-            rng.standard_normal(out=z)
-            z *= diag_scale
-            z += self.mean
-            if self.k >= 2:
-                z2 = rng.standard_normal(self.k)
-                with blas.one_thread() if len(parts) > 1 else nullcontext():
-                    for part, out in pieces:
-                        np.matmul(part, z2, out=out)
-                low_rank /= np.sqrt(2.0 * (self.k - 1))
-                z += low_rank
-            if not np.isfinite(z).all():
-                raise SwagError("draw %d is not finite" % s)
+            maker.take(z, z2)
+            with window():
+                maker.finish(z, z2, low_rank, finite, s)
             yield draw
 
     def sample(self, count, seed):
         """count posterior draws as a list of ParameterVectors; see draws."""
         return [ParameterVector(d, self.layout)
                 for d in self.draws(count, seed)]
+
+
+class DrawMaker:
+    """Makes the posterior draws of a SwagMoments at one seed (see
+    SwagMoments.draws) in two steps, into buffers the caller owns:
+
+    - take(z, z2) takes the next draw's normals from the seed's stream,
+      z1 into z and, when k >= 2, z2 into z2. Draws must take them in draw
+      order; this is the only step that must.
+    - finish(z, z2, low_rank, finite, s) turns them into draw s in z, in
+      place, and raises SwagError when it is not finite.
+
+    Neither step allocates: z2 is filled through standard_normal's out, and
+    the finite check goes through the bool buffer finite. D z2 is taken in
+    the parts fixed here from the thread count t (_gemv_parts): one part
+    when t = 1 or p k < GEMV_THREADED, else the t row ranges OpenBLAS's own
+    t-thread gemv uses, each computed as np.matmul(D[a:b], z2,
+    out=low_rank[a:b]). Taken at one thread, as inside a one-thread window
+    (blas.one_thread), each part has the bits of its rows in the whole gemv
+    at t threads. The moments must not change while the maker is used."""
+
+    def __init__(self, moments, seed, threads):
+        p, self.k = moments.layout.size, moments.k
+        self.rng = np.random.default_rng(seed)
+        self.mean = moments.mean
+        self.diag_scale = np.sqrt(moments.sigma_diag() / 2.0)
+        self.dev = moments._dev[:, :self.k]
+        self.parts = _gemv_parts(p, self.k, threads)
+
+    def buffers(self):
+        """A draw's buffers (z, low_rank, z2, finite)."""
+        p = self.mean.size
+        return (np.empty(p), np.empty(p), np.empty(self.k),
+                np.empty(p, dtype=bool))
+
+    def take(self, z, z2):
+        self.rng.standard_normal(out=z)
+        if self.k >= 2:
+            self.rng.standard_normal(out=z2)
+
+    def finish(self, z, z2, low_rank, finite, s):
+        z *= self.diag_scale
+        z += self.mean
+        if self.k >= 2:
+            for a, b in self.parts:
+                np.matmul(self.dev[a:b], z2, out=low_rank[a:b])
+            low_rank /= np.sqrt(2.0 * (self.k - 1))
+            z += low_rank
+        if not np.isfinite(z, out=finite).all():
+            raise SwagError("draw %d is not finite" % s)
 
 
 _MAGIC = b"SWPPMSW1"

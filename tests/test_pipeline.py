@@ -12,6 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from swagppm import blas, models, pipeline, ppm, swag, trainer
 from swagppm.params import ParameterVector
@@ -298,13 +299,7 @@ def test_a_draw_that_scores_nan_fails_the_scoring_phase(monkeypatch):
     train, _ = pipeline.prepare_data(cfg)
     spec = pipeline.model_spec(cfg, train.num_classes, train.feature_dim)
     overflowing = np.full(spec.num_params, 1e308)
-    draws = swag.SwagMoments.draws
-
-    def one_overflowing(self, count, seed):
-        for s, draw in enumerate(draws(self, count, seed)):
-            yield overflowing if s == 2 else draw
-
-    monkeypatch.setattr(swag.SwagMoments, "draws", one_overflowing)
+    _overflowing_third_draw(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(models.log_likelihood_batch(
             spec, ParameterVector(overflowing, spec.layout()),
@@ -349,15 +344,15 @@ def _with_inf_mean(*args):
 
 
 def _overflowing_third_draw(monkeypatch):
-    overflowing = np.full(pipeline.model_spec(
-        tiny_config(), 6, 256).num_params, 1e308)
-    draws = swag.SwagMoments.draws
+    # every entry of draw 2 is 1e308, made in place by the draw's own step
+    finish = swag.DrawMaker.finish
 
-    def one_overflowing(self, count, seed):
-        for s, draw in enumerate(draws(self, count, seed)):
-            yield overflowing if s == 2 else draw
+    def one_overflowing(self, z, *buffers_and_s):
+        finish(self, z, *buffers_and_s)
+        if buffers_and_s[-1] == 2:
+            z.fill(1e308)
 
-    monkeypatch.setattr(swag.SwagMoments, "draws", one_overflowing)
+    monkeypatch.setattr(swag.DrawMaker, "finish", one_overflowing)
 
 
 def _raise_in_a_lane(monkeypatch):
@@ -437,7 +432,7 @@ def test_closing_the_lanes_early_stops_them(round1):
     want = [row.copy() for row in ppm.abs_loglik_rows(
         spec, moments.draws(10, 3), X, y)]
     before = threading.enumerate()
-    rows = pipeline._lane_rows(spec, moments.draws(10, 3), X, y, 2)
+    rows = pipeline._lane_rows(spec, moments.draw_maker(3), 10, X, y, 2)
     for s in range(3):
         assert next(rows).tobytes() == want[s].tobytes()
     assert len(before) < len(threading.enumerate()) <= len(before) + 2
@@ -446,9 +441,9 @@ def test_closing_the_lanes_early_stops_them(round1):
 
 
 def test_more_lanes_than_cores_hand_on_every_row_in_draw_order(round1):
-    # a lane that overwrote its row or theta before this thread was done
-    # with it would change a row; a thread switch every microsecond makes
-    # such an interleaving likely
+    # a lane that took the stream out of turn, or overwrote its buffers
+    # before this thread was done with its row, would change a row; a
+    # thread switch every microsecond makes such an interleaving likely
     spec, X, y, moments = round1
     lanes = len(os.sched_getaffinity(0)) + 1
     want = [row.copy() for row in ppm.abs_loglik_rows(
@@ -457,10 +452,151 @@ def test_more_lanes_than_cores_hand_on_every_row_in_draw_order(round1):
     sys.setswitchinterval(1e-6)
     try:
         got = [row.tobytes() for row in pipeline._lane_rows(
-            spec, moments.draws(8 * lanes, 5), X, y, lanes)]
+            spec, moments.draw_maker(5), 8 * lanes, X, y, lanes)]
     finally:
         sys.setswitchinterval(interval)
     assert got == [row.tobytes() for row in want]
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_fold_draws_allocate_nothing_per_draw(lanes):
+    # p = 9999 * 20 + 20 = 200000. Once the fold's buffers exist, neither a
+    # fold of 20 draws nor one of 40 peaks as high as one p-sized bool
+    # array (a finite check through np.isfinite(z).all() would make one per
+    # draw) above what it held then, and 40 draws peak no higher than 20
+    # but for the lanes' own objects, which move the peaks by up to some
+    # 2 KB from run to run.
+    spec = models.ModelSpec(models.SOFTMAX_LINEAR, 9999, 20)
+    p = spec.num_params
+    X = sp.random(64, 9999, density=0.01, format="csr", random_state=3)
+    y = np.random.default_rng(3).integers(0, 20, 64)
+    moments = swag.SwagMoments(spec.layout(), k_max=4)
+    rng = np.random.default_rng(0)
+    moments.absorb(*(rng.normal(0, 0.1, p) for _ in range(4)))
+
+    def fold_peak(count):
+        rows = pipeline._lane_rows(spec, moments.draw_maker(0), count, X, y,
+                                   lanes)
+        next(rows)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        for _ in rows:
+            pass
+        return tracemalloc.get_traced_memory()[1] - held
+
+    tracemalloc.start()
+    try:
+        peaks = [fold_peak(20), fold_peak(40)]
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < p
+    assert peaks[1] - peaks[0] < p // 32
+
+
+def _within_a_minute(fn):
+    """Run fn on a thread of its own, which must end within a minute (a
+    lane left waiting for its turn would hang the fold's pool join); the
+    exception fn raised, or None."""
+    caught = []
+
+    def run():
+        try:
+            fn()
+        except Exception as e:  # noqa: BLE001 - handed to the test
+            caught.append(e)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    return caught[0] if caught else None
+
+
+@pytest.mark.parametrize("when", ["before its turn", "holding its turn",
+                                  "after its turn"])
+def test_a_lane_that_raises_releases_the_lanes_waiting_for_a_turn(
+        round1, monkeypatch, when):
+    # draw 3 raises before it takes the stream, while it holds it, or after
+    # it handed it on, each once draw 4's lane is running; in the first two
+    # cases draw 4 waits for a turn that draw 3 never hands on
+    spec, X, y, moments = round1
+    want = [row.tobytes() for row in ppm.abs_loglik_rows(
+        spec, moments.draws(3, 3), X, y)]
+    error = RuntimeError("lane failed")
+    draw_4_runs = threading.Event()
+    wait, take, finish = (pipeline._Fold.wait_turn, swag.DrawMaker.take,
+                          swag.DrawMaker.finish)
+    taken = []
+
+    def fail_at_draw_3(s, step):
+        if s == 3 and when == step:
+            assert draw_4_runs.wait(60)
+            raise error
+
+    def signalling_wait(self, s):
+        if s == 4:
+            draw_4_runs.set()
+        fail_at_draw_3(s, "before its turn")
+        return wait(self, s)
+
+    def counting_take(self, z, z2):
+        taken.append(len(taken))  # the draws take the stream in draw order
+        fail_at_draw_3(taken[-1], "holding its turn")
+        take(self, z, z2)
+
+    def failing_finish(self, *args):
+        fail_at_draw_3(args[-1], "after its turn")
+        finish(self, *args)
+
+    monkeypatch.setattr(pipeline._Fold, "wait_turn", signalling_wait)
+    monkeypatch.setattr(swag.DrawMaker, "take", counting_take)
+    monkeypatch.setattr(swag.DrawMaker, "finish", failing_finish)
+    got = []
+
+    def fold():
+        for row in pipeline._lane_rows(spec, moments.draw_maker(3), 10, X,
+                                       y, 2):
+            got.append(row.tobytes())
+
+    before = threading.enumerate()
+    assert _within_a_minute(fold) is error
+    assert got == want
+    assert threading.enumerate() == before
+
+
+def test_closing_the_fold_while_a_lane_waits_for_its_turn_releases_it(
+        round1, monkeypatch):
+    # draw 1 holds the stream until the fold has stopped, so draw 2's lane
+    # is still waiting for its turn when row 0 is taken and the fold closed
+    spec, X, y, moments = round1
+    (want,) = [row.tobytes() for row in ppm.abs_loglik_rows(
+        spec, moments.draws(1, 3), X, y)]
+    stopped = threading.Event()
+    stop, take = pipeline._Fold.stop, swag.DrawMaker.take
+    taken = []
+
+    def stop_then_release(self):
+        stop(self)
+        stopped.set()
+
+    def second_take_after_the_stop(self, z, z2):
+        taken.append(len(taken))
+        if len(taken) == 2:
+            assert stopped.wait(60)
+        take(self, z, z2)
+
+    monkeypatch.setattr(pipeline._Fold, "stop", stop_then_release)
+    monkeypatch.setattr(swag.DrawMaker, "take", second_take_after_the_stop)
+
+    def fold():
+        rows = pipeline._lane_rows(spec, moments.draw_maker(3), 10, X, y, 3)
+        assert next(rows).tobytes() == want
+        rows.close()
+
+    before = threading.enumerate()
+    assert _within_a_minute(fold) is None
+    assert taken == [0, 1]
+    assert threading.enumerate() == before
 
 
 def _missing_symbol(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 
@@ -71,15 +72,14 @@ def test_running_mean_exactness():
 
 class _FixedNormals:
     """Stands in for the draw generator: every draw gets the normals z1
-    (length p) and z2 (length k)."""
+    (length p) and z2 (length k), which a draw takes in that order, each
+    through standard_normal's out."""
 
     def __init__(self, z1, z2):
-        self.z1, self.z2 = z1, z2
+        self.normals = itertools.cycle([z1, z2])
 
-    def standard_normal(self, size=None, out=None):
-        if out is None:
-            return np.array(self.z2, dtype=float)
-        out[:] = self.z1
+    def standard_normal(self, out):
+        out[:] = next(self.normals)
         return out
 
 
@@ -240,6 +240,17 @@ def test_draws_match_per_draw_loop(absorbed):
         assert len(got) == 9
         for draw, values in zip(got, want):
             np.testing.assert_array_equal(draw, values)
+
+
+@pytest.mark.parametrize("k", [2, 7, 20])
+def test_normals_drawn_into_a_buffer_have_the_bits_of_a_new_array(k):
+    # a draw takes z2 into a k-buffer; the stream and its bits are those of
+    # standard_normal(k)
+    buffer = np.empty(k)
+    a, b = np.random.default_rng(k), np.random.default_rng(k)
+    for _ in range(3):
+        a.standard_normal(out=buffer)
+        assert (buffer == b.standard_normal(k)).all()
 
 
 def test_draws_compute_sigma_diag_once():
