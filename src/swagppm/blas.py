@@ -4,7 +4,7 @@ set through ctypes.
 The library and its two symbols are looked up once, on first use, so
 importing the package costs nothing. When they are not found, threads()
 reads 1 and one_thread() does nothing: the posterior fold then runs on one
-lane with a whole gemv, at whatever thread count the process has.
+lane, the calling thread, with a whole gemv at the process's thread count.
 """
 
 import contextlib

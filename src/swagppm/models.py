@@ -342,8 +342,8 @@ def gradient_into(spec, theta, X, rows, y, out, scale=None, clip_norm=None,
 
 
 def check_weights(weights):
-    """Raise ModelError unless every weight lies in [0, 1]."""
-    if np.any(weights < 0) or np.any(weights > 1):
+    """Raise ModelError unless every weight lies in [0, 1]; NaN does not."""
+    if not (np.all(weights >= 0) and np.all(weights <= 1)):
         raise ModelError("weights must lie in [0, 1]")
 
 

@@ -4,15 +4,16 @@ flow, the DP-SGD and non-private baselines, and benchmark report emission."""
 import contextvars
 import copy
 import csv
+import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import shutil
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -213,6 +214,8 @@ def _check_settings(cfg):
             ("phases.k", ph["k"]) + unit,
             ("phases.c", ph["c"], lambda v: is_number(v) and v >= 0, ">= 0"),
             ("phases.g", ph["g"], is_number, "a number"),
+            ("phases.c", ph["c"], math.isfinite, "finite"),
+            ("phases.g", ph["g"], math.isfinite, "finite"),
             ("phases.draws", ph["draws"]) + count,
             ("phases.swag_rank", ph["swag_rank"]) + count,
             ("phases.swag_epochs", ph["swag_epochs"]) + count,
@@ -224,7 +227,7 @@ def _check_settings(cfg):
              "a list of deltas in (0, 1)")]:
         try:
             good = ok(value)
-        except TypeError:
+        except (TypeError, OverflowError):  # not a number, or past a float
             good = False
         if not good:
             raise ConfigError("%s must be %s, got %r" % (key, want, value))
@@ -286,136 +289,31 @@ def _phase(name, fn, *args):
         raise PhaseError(name, e) from e
 
 
-class _Fold:
-    """What the calling thread and the lanes of one fold share, under one
-    condition: whose turn it is on the draw stream, the rows made and not
-    yet taken, how many rows the calling thread is done with, and whether
-    the fold stopped."""
-
-    def __init__(self):
-        self._changed = threading.Condition()
-        self._turn = 0
-        self._rows = {}
-        self._taken = 0
-        self._stopped = False
-
-    def _until(self, ready):
-        """Wait until ready(); False when the fold stopped first."""
-        with self._changed:
-            self._changed.wait_for(lambda: self._stopped or ready())
-            return not self._stopped
-
-    def wait_turn(self, s):
-        """Wait until draws 0 to s - 1 have taken their normals; False when
-        the fold stopped first."""
-        return self._until(lambda: self._turn == s)
-
-    def hand_on(self, s):
-        """Pass the turn from draw s, which has taken its normals, to s + 1."""
-        with self._changed:
-            self._turn = s + 1
-            self._changed.notify_all()
-
-    def wait_taken(self, s):
-        """Wait until the calling thread is done with row s; False when the
-        fold stopped first."""
-        return self._until(lambda: self._taken > s)
-
-    def put(self, s, result):
-        """Hand the calling thread draw s's row, or the exception it raised."""
-        with self._changed:
-            self._rows[s] = result
-            self._changed.notify_all()
-
-    def get(self, s):
-        """Draw s's row, once a lane has put it; its exception is raised."""
-        with self._changed:
-            self._changed.wait_for(lambda: s in self._rows)
-            result = self._rows.pop(s)
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
-    def took(self, s):
-        """The calling thread is done with row s."""
-        with self._changed:
-            self._taken = s + 1
-            self._changed.notify_all()
-
-    def stop(self):
-        """Wake every lane that waits, and let it do no more."""
-        with self._changed:
-            self._stopped = True
-            self._changed.notify_all()
-
-
-def _draw_row(maker, fold, s, lane, lanes):
-    """Make draw s in a lane's buffers and score it: take the draw's normals
-    in its turn on the stream, hand the turn on, do the draw's arithmetic
-    in place, and score it once the calling thread is done with the lane's
-    last row, draw s - lanes, whose buffer the scorer reuses. The draw's
-    |ll| row; None when the fold stopped first."""
-    z, low_rank, z2, finite, scorer = lane
-    if not fold.wait_turn(s):
-        return None
-    maker.take(z, z2)
-    fold.hand_on(s)
-    maker.finish(z, z2, low_rank, finite, s)
-    if not fold.wait_taken(s - lanes):
-        return None
-    return next(scorer)
-
-
-def _lane(maker, fold, lane, first, count, lanes):
-    """Make and score draws first, first + lanes, ... on one lane, putting
-    each row, or the exception that ends the lane, for the calling thread."""
-    for s in range(first, count, lanes):
+def _lane(maker, lock, numbers, count, sink, failures, lane):
+    """Make, score and fold draws until count are taken or a lane failed:
+    the next draw's number and normals under the stream's lock, then the
+    draw's arithmetic, its |ll| row, the row's fold into the lane's Fold and
+    its write into the sink. An exception goes into failures with its draw,
+    or count when it came before the lane took one."""
+    z, low_rank, z2, finite, scorer, fold = lane
+    while True:
+        s = count
         try:
-            row = _draw_row(maker, fold, s, lane, lanes)
-        except BaseException as e:  # noqa: BLE001 - raised by fold.get
-            fold.put(s, e)
+            with lock:
+                if failures:
+                    return
+                s = next(numbers)
+                if s >= count:
+                    return
+                maker.take(z, z2)
+            maker.finish(z, z2, low_rank, finite, s)
+            row = next(scorer)
+            fold.add(s, row)
+            if sink is not None:
+                sink[s] = row
+        except BaseException as e:  # noqa: BLE001 - raised by _score_draws
+            failures.append((s, e))
             return
-        if row is None:
-            return
-        fold.put(s, row)
-
-
-def _lane_rows(spec, maker, count, X, y, lanes):
-    """The |ll| rows of the maker's first count draws, in draw order. Draw s
-    is made and scored by lane s % lanes, in buffers and a scorer made
-    here, on the calling thread, once per lane; this thread makes no draw
-    and copies no theta. With one lane the draws are made on this thread.
-    With more, each lane runs on a lanes-worker pool, in a copy of this
-    thread's context, so numpy's errstate holds there too. The lanes take
-    the draw stream in turn (_draw_row), so one lane's normals run beside
-    another's arithmetic and scoring, and a lane makes its next draw while
-    this thread folds its last row. An exception a lane raises is raised
-    here, the first in draw order. Closing the generator, or an exception,
-    stops the fold, so no lane is left waiting, and stops the pool before
-    it returns."""
-    fold = _Fold()
-    lane_state = []
-    for _ in range(lanes):
-        buffers = maker.buffers()  # (z, low_rank, z2, finite)
-        scorer = ppm.abs_loglik_rows(spec, itertools.repeat(buffers[0]), X, y)
-        lane_state.append(buffers + (scorer,))
-    if lanes == 1:
-        for s in range(count):
-            yield _draw_row(maker, fold, s, lane_state[0], 1)
-            fold.took(s)
-        return
-    with ThreadPoolExecutor(lanes) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, _lane, maker,
-                               fold, lane_state[first], first, count, lanes)
-                   for first in range(lanes)]
-        try:
-            for s in range(count):
-                yield fold.get(s)
-                fold.took(s)
-        finally:
-            fold.stop()
-    for future in futures:
-        future.result()
 
 
 def _score_draws(spec, moments, seed, count, X, y, alpha, ids,
@@ -423,33 +321,49 @@ def _score_draws(spec, moments, seed, count, X, y, alpha, ids,
     """Make and score count draws of the moments at seed, folding each into
     the weighted sensitivity as it is made; no draw outlives its row. The
     draws' gemv parts are fixed from the OpenBLAS thread count t in effect
-    when this is called (SwagMoments.draw_maker), and the fold then runs at
-    one OpenBLAS thread, on t lanes (_lane_rows), which make and score the
-    draws; their rows are folded here in draw order. With a path, each |ll|
-    row is also written, as it is folded, into a (count, n) .npy file, which
-    a failure removes rather than leave it partly written."""
-    lanes = blas.threads()
+    now (SwagMoments.draw_maker); the fold then runs at one OpenBLAS thread
+    on t lanes (_lane), whose buffers, scorers and ppm.Folds are made here.
+    One lane runs on this thread; more run on a t-worker pool, each in a
+    copy of this thread's context, so numpy's errstate holds there too.
+    Merged, the lanes' folds give the bits of ppm.sensitivity over the rows
+    in draw order. Every draw below one that raised is finished before the
+    lanes stop, so the lowest draw's exception is raised. With a path, each
+    row is also written into a (count, n) .npy file, which a failure
+    removes rather than leave it partly written."""
     maker = moments.draw_maker(seed)
-    with blas.one_thread(), closing(
-            _lane_rows(spec, maker, count, X, y, lanes)) as rows:
-        if not abs_ll_path:
-            return ppm.sensitivity(rows, alpha, ids)
-        sink = np.lib.format.open_memmap(abs_ll_path, mode="w+",
-                                         dtype=np.float64,
-                                         shape=(count, len(ids)))
-
-        def written():
-            for s, row in enumerate(rows):
-                sink[s] = row
-                yield row
-
-        try:
-            report = ppm.sensitivity(written(), alpha, ids)
+    sink = np.lib.format.open_memmap(
+        abs_ll_path, mode="w+", dtype=np.float64,
+        shape=(count, len(ids))) if abs_ll_path else None
+    lanes = []
+    for _ in range(blas.threads()):
+        buffers = maker.buffers()  # (z, low_rank, z2, finite)
+        scorer = ppm.abs_loglik_rows(spec, itertools.repeat(buffers[0]), X, y)
+        lanes.append(buffers + (scorer, ppm.Fold(alpha)))
+    failures = []
+    run = functools.partial(_lane, maker, threading.Lock(), itertools.count(),
+                            count, sink, failures)
+    try:
+        with blas.one_thread():
+            if len(lanes) == 1:
+                run(lanes[0])
+            else:
+                with ThreadPoolExecutor(len(lanes)) as pool:
+                    futures = [pool.submit(contextvars.copy_context().run,
+                                           run, lane) for lane in lanes]
+                for future in futures:
+                    future.result()
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        report = functools.reduce(ppm.Fold.merge,
+                                  [lane[-1] for lane in lanes]).report(ids)
+        if sink is not None:
             sink.flush()
-        except BaseException:
+    except BaseException:
+        failures.append((count, None))  # a lane still running stops
+        if sink is not None:
             os.remove(abs_ll_path)
-            raise
-        return report
+        raise
+    return report
 
 
 def _swag_rounds(cfg, train_view, out_dir=None):

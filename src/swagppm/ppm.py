@@ -78,47 +78,74 @@ def map_weights(record_ids, risks, c, g):
     return RiskWeights(record_ids, risks, normalized, alpha, c, g)
 
 
+class Fold:
+    """For each record i the running max of alpha_i |ll_si|, from -inf,
+    over the draws s folded in so far, and the lowest draw that attains it.
+    A max is exact in any order, so folds of disjoint sets of draws merge
+    into the fold of all of them. A NaN alpha_i |ll_si| is never a max."""
+
+    def __init__(self, alpha):
+        self.alpha = alpha = np.asarray(alpha, dtype=np.float64)
+        self.per_record = np.full(alpha.shape, -np.inf)
+        self.argmax_draw = np.zeros(alpha.shape, dtype=np.intp)
+        self.num_draws = 0
+        self._weighted = np.empty(alpha.shape)
+        self._greater = np.empty(alpha.shape, dtype=bool)
+
+    def add(self, s, row):
+        """Fold in draw s's |log-likelihood| row, s above every draw folded
+        in before, so a tie keeps the earlier draw. A row that holds a NaN
+        raises PpmError naming its draw: the maxima would skip it."""
+        if np.shape(row) != self.alpha.shape:
+            raise PpmError("alpha length does not match the record axis")
+        if np.isnan(row).any():
+            raise PpmError("draw %d scores a NaN |log-likelihood|" % s)
+        np.multiply(row, self.alpha, out=self._weighted)
+        np.greater(self._weighted, self.per_record, out=self._greater)
+        np.copyto(self.per_record, self._weighted, where=self._greater)
+        np.copyto(self.argmax_draw, s, where=self._greater)
+        self.num_draws += 1
+
+    def merge(self, other):
+        """Fold in another fold's draws, none of them this fold's; of two
+        equal maxima the lower draw's is kept. Returns this fold."""
+        take = (other.per_record > self.per_record) | (
+            (other.per_record == self.per_record)
+            & (other.argmax_draw < self.argmax_draw))
+        np.copyto(self.per_record, other.per_record, where=take)
+        np.copyto(self.argmax_draw, other.argmax_draw, where=take)
+        self.num_draws += other.num_draws
+        return self
+
+    def report(self, record_ids=None):
+        """The SensitivityReport of the draws folded in."""
+        if not self.num_draws:
+            raise PpmError("need at least one posterior draw")
+        record_ids = np.asarray(np.arange(self.alpha.shape[0])
+                                if record_ids is None else record_ids)
+        i = int(self.per_record.argmax())
+        return SensitivityReport(
+            delta=float(self.per_record[i]),
+            per_record=self.per_record,
+            record_ids=record_ids,
+            argmax_draw=int(self.argmax_draw[i]),
+            argmax_record_id=int(record_ids[i]),
+            num_draws=self.num_draws,
+        )
+
+
 def sensitivity(rows, alpha, record_ids=None):
     """Weighted local sensitivity over the draw grid and its 2*Delta bound:
     Delta = max over draws s and records i of alpha_i |ll_si|. rows is any
     iterable of |log-likelihood| rows, one per draw, such as an (S, n) array
-    or abs_loglik_rows; each row is folded in as it arrives, and only the
-    running per-record max and the draw that first attains it are kept, so
+    or abs_loglik_rows; each row is folded into one Fold as it arrives, so
     ties go to the lowest draw and record index. With alpha all ones,
     per_record is each record's risk, its max |ll| over the draws. A row
-    that holds a NaN raises PpmError naming its draw: the maxima would skip
-    it."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    per_record = None
+    that holds a NaN raises PpmError naming its draw."""
+    fold = Fold(alpha)
     for s, row in enumerate(rows):
-        if np.shape(row) != alpha.shape:
-            raise PpmError("alpha length does not match the record axis")
-        if np.isnan(row).any():
-            raise PpmError("draw %d scores a NaN |log-likelihood|" % s)
-        if per_record is None:
-            per_record = row * alpha
-            argmax_draw = np.zeros(alpha.shape[0], dtype=np.intp)
-            weighted = np.empty_like(per_record)
-            greater = np.empty(alpha.shape[0], dtype=bool)
-        else:
-            np.multiply(row, alpha, out=weighted)
-            np.greater(weighted, per_record, out=greater)
-            np.copyto(per_record, weighted, where=greater)
-            np.copyto(argmax_draw, s, where=greater)
-    if per_record is None:
-        raise PpmError("need at least one posterior draw")
-    if record_ids is None:
-        record_ids = np.arange(alpha.shape[0])
-    record_ids = np.asarray(record_ids)
-    i = int(per_record.argmax())
-    return SensitivityReport(
-        delta=float(per_record[i]),
-        per_record=per_record,
-        record_ids=record_ids,
-        argmax_draw=int(argmax_draw[i]),
-        argmax_record_id=int(record_ids[i]),
-        num_draws=s + 1,
-    )
+        fold.add(s, row)
+    return fold.report(record_ids)
 
 
 def reweight(weights, report, k):

@@ -127,9 +127,10 @@ class SwagMoments:
         until the next draw (copy it to keep it); a draw that is not finite
         raises SwagError.
 
-        The draws are made by a DrawMaker, fixed here, one draw at a time in
-        one set of its buffers: the posterior fold's lanes make theirs with
-        the same two steps, so each draw has the same bits either way."""
+        The draws are made by a DrawMaker, fixed here, in one set of its
+        buffers; each of the posterior fold's lanes makes its draws in its
+        own, with the same two steps, so a draw has the same bits either
+        way."""
         if count < 1:
             raise SwagError("need at least one draw")
         return self._draws(count, self.draw_maker(seed))

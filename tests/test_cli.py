@@ -312,6 +312,9 @@ def test_bad_model_config_exits_2_before_any_data(tmp_path, capsys,
      "finetune training: bad learning_rate True"),
     ("generate-data", "phases.c=true", "phases.c must be >= 0, got True"),
     ("generate-data", "phases.g=true", "phases.g must be a number"),
+    # JSON's NaN and Infinity parse to floats, which would make NaN weights
+    ("swag-ppm", "phases.g=NaN", "phases.g must be finite, got nan"),
+    ("swag-ppm", "phases.c=Infinity", "phases.c must be finite, got inf"),
     ("generate-data", "dp_sgd.target_epsilon=true",
      "dp_sgd.target_epsilon must be > 0, got True"),
     ("generate-data", "dp_sgd.clip_norm=true",

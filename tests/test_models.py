@@ -122,10 +122,14 @@ def test_gradient_linearity_in_weights(rng):
 
 
 def test_gradient_rejects_bad_weights(rng):
+    # NaN < 0 and NaN > 1 are both False, so a range check by those two
+    # comparisons lets a NaN weight through
     spec, theta, X, y = random_instance(rng, models.SOFTMAX_LINEAR)
-    with pytest.raises(models.ModelError):
-        models.weighted_nll_gradient(spec, theta, X, y,
-                                     np.full(X.shape[0], 1.5))
+    for bad in (1.5, np.nan):
+        weights = np.full(X.shape[0], 0.5)
+        weights[2] = bad
+        with pytest.raises(models.ModelError, match=r"weights must lie in"):
+            models.weighted_nll_gradient(spec, theta, X, y, weights)
 
 
 def test_sparse_dense_agreement(rng):

@@ -7,7 +7,9 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -326,9 +328,13 @@ def _scoring_threads(monkeypatch):
     def recording(*args):
         threads = []
         calls.append(threads)
-        for row in rows(*args):
-            threads.append(threading.current_thread())
-            yield row
+
+        def recorded(scored):
+            for row in scored:
+                threads.append(threading.current_thread())
+                yield row
+
+        return recorded(rows(*args))
 
     monkeypatch.setattr(ppm, "abs_loglik_rows", recording)
     return calls
@@ -385,9 +391,11 @@ def test_fold_lanes_keep_the_thread_rules(monkeypatch, two_blas_threads,
     if path == "normal":
         calls = _scoring_threads(monkeypatch)
         pipeline.run_swag_ppm(cfg, train, str(tmp_path / "run"))
-        # each round's 40 draws, 20 on each of two lanes, scored on at most
-        # two threads other than this one
-        assert [len(threads) for threads in calls] == [20] * 4
+        # each round's 40 draws, taken by two lanes as they come, scored on
+        # at most two threads other than this one
+        assert len(calls) == 4
+        assert [len(calls[0] + calls[1]), len(calls[2] + calls[3])] \
+            == [40, 40]
         for lanes in (calls[:2], calls[2:]):
             threads = set(lanes[0] + lanes[1])
             assert len(threads) <= 2
@@ -427,45 +435,58 @@ def round1():
         spec, models.init_params(spec, 0), X, y, None, cfg, "round1")
 
 
-def test_closing_the_lanes_early_stops_them(round1):
-    spec, X, y, moments = round1
-    want = [row.copy() for row in ppm.abs_loglik_rows(
-        spec, moments.draws(10, 3), X, y)]
-    before = threading.enumerate()
-    rows = pipeline._lane_rows(spec, moments.draw_maker(3), 10, X, y, 2)
-    for s in range(3):
-        assert next(rows).tobytes() == want[s].tobytes()
-    assert len(before) < len(threading.enumerate()) <= len(before) + 2
-    rows.close()
-    assert threading.enumerate() == before
+def _alpha(n):
+    return np.linspace(0.1, 1.0, n)
 
 
-def test_more_lanes_than_cores_hand_on_every_row_in_draw_order(round1):
-    # a lane that took the stream out of turn, or overwrote its buffers
-    # before this thread was done with its row, would change a row; a
-    # thread switch every microsecond makes such an interleaving likely
+def _fold(spec, moments, seed, count, X, y, path=None):
+    """_score_draws's report of count draws at seed, and with a path its
+    .npy rows."""
+    return pipeline._score_draws(spec, moments, seed, count, X, y,
+                                 _alpha(len(y)), np.arange(len(y)), path)
+
+
+def test_more_lanes_than_cores_hand_on_every_row_in_draw_order(
+        round1, monkeypatch, tmp_path):
+    # a lane that took a number or the stream outside the lock, or wrote a
+    # row into another draw's slot, would change the report or the file; a
+    # take that sleeps first and a thread switch every microsecond make
+    # such an interleaving likely
     spec, X, y, moments = round1
     lanes = len(os.sched_getaffinity(0)) + 1
-    want = [row.copy() for row in ppm.abs_loglik_rows(
-        spec, moments.draws(8 * lanes, 5), X, y)]
+    count = 8 * lanes
+    want_rows = ppm.abs_loglik_matrix(
+        spec, [d.values for d in moments.sample(count, 5)], X, y)
+    want = ppm.sensitivity(want_rows, _alpha(len(y)))
+    monkeypatch.setattr(blas, "threads", lambda: lanes)
+    take = swag.DrawMaker.take
+
+    def yielding_take(self, z, z2):
+        time.sleep(1e-5)  # another lane runs between a number and its normals
+        take(self, z, z2)
+
+    monkeypatch.setattr(swag.DrawMaker, "take", yielding_take)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = [row.tobytes() for row in pipeline._lane_rows(
-            spec, moments.draw_maker(5), 8 * lanes, X, y, lanes)]
+        got = _fold(spec, moments, 5, count, X, y, str(tmp_path / "ll.npy"))
     finally:
         sys.setswitchinterval(interval)
-    assert got == [row.tobytes() for row in want]
+    assert (got.delta, got.argmax_draw, got.argmax_record_id,
+            got.num_draws) == (want.delta, want.argmax_draw,
+                               want.argmax_record_id, want.num_draws)
+    assert got.per_record.tobytes() == want.per_record.tobytes()
+    assert np.load(tmp_path / "ll.npy").tobytes() == want_rows.tobytes()
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
-def test_fold_draws_allocate_nothing_per_draw(lanes):
-    # p = 9999 * 20 + 20 = 200000. Once the fold's buffers exist, neither a
-    # fold of 20 draws nor one of 40 peaks as high as one p-sized bool
-    # array (a finite check through np.isfinite(z).all() would make one per
-    # draw) above what it held then, and 40 draws peak no higher than 20
-    # but for the lanes' own objects, which move the peaks by up to some
-    # 2 KB from run to run.
+def test_fold_draws_allocate_nothing_per_draw(monkeypatch, lanes):
+    # p = 9999 * 20 + 20 = 200000. Once the fold's buffers exist (from the
+    # first draw's normals on), neither a fold of 20 draws nor one of 40
+    # peaks as high as one p-sized bool array (a finite check through
+    # np.isfinite(z).all() would make one per draw) above what it held
+    # then, and 40 draws peak no higher than 20 but for the lanes' own
+    # objects, which move the peaks by up to some 2 KB from run to run.
     spec = models.ModelSpec(models.SOFTMAX_LINEAR, 9999, 20)
     p = spec.num_params
     X = sp.random(64, 9999, density=0.01, format="csr", random_state=3)
@@ -473,16 +494,22 @@ def test_fold_draws_allocate_nothing_per_draw(lanes):
     moments = swag.SwagMoments(spec.layout(), k_max=4)
     rng = np.random.default_rng(0)
     moments.absorb(*(rng.normal(0, 0.1, p) for _ in range(4)))
+    monkeypatch.setattr(blas, "threads", lambda: lanes)
+    take = swag.DrawMaker.take
+    held = []
+
+    def measured_from_the_first_take(self, z, z2):
+        if not held:
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+        take(self, z, z2)
+
+    monkeypatch.setattr(swag.DrawMaker, "take", measured_from_the_first_take)
 
     def fold_peak(count):
-        rows = pipeline._lane_rows(spec, moments.draw_maker(0), count, X, y,
-                                   lanes)
-        next(rows)
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        for _ in rows:
-            pass
-        return tracemalloc.get_traced_memory()[1] - held
+        held.clear()
+        _fold(spec, moments, 0, count, X, y)
+        return tracemalloc.get_traced_memory()[1] - held[0]
 
     tracemalloc.start()
     try:
@@ -495,7 +522,7 @@ def test_fold_draws_allocate_nothing_per_draw(lanes):
 
 def _within_a_minute(fn):
     """Run fn on a thread of its own, which must end within a minute (a
-    lane left waiting for its turn would hang the fold's pool join); the
+    lane left waiting for the stream would hang the fold's pool join); the
     exception fn raised, or None."""
     caught = []
 
@@ -512,32 +539,58 @@ def _within_a_minute(fn):
     return caught[0] if caught else None
 
 
+class _CountedLock:
+    """The fold's stream lock, counting the requests for it; the request
+    numbered fail_before raises error before it holds the lock, once a
+    later request came."""
+
+    def __init__(self, fail_before=None, error=None):
+        self._lock = threading.Lock()
+        self._requested = threading.Condition()
+        self.requests = 0
+        self.fail_before, self.error = fail_before, error
+
+    def __enter__(self):
+        with self._requested:
+            self.requests += 1
+            request = self.requests
+            self._requested.notify_all()
+        if request == self.fail_before:
+            self.wait_for(request + 1)
+            raise self.error
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+    def wait_for(self, request):
+        """Wait until the lock has been requested that many times."""
+        with self._requested:
+            assert self._requested.wait_for(
+                lambda: self.requests >= request, 60)
+
+
 @pytest.mark.parametrize("when", ["before its turn", "holding its turn",
                                   "after its turn"])
 def test_a_lane_that_raises_releases_the_lanes_waiting_for_a_turn(
-        round1, monkeypatch, when):
-    # draw 3 raises before it takes the stream, while it holds it, or after
-    # it handed it on, each once draw 4's lane is running; in the first two
-    # cases draw 4 waits for a turn that draw 3 never hands on
+        round1, monkeypatch, tmp_path, when):
+    # the lane that comes for draw 3 (the lock's fourth request) raises
+    # before it holds the stream's lock, while it holds it (taking draw 3's
+    # normals) or after it let it go (in draw 3's arithmetic), each once
+    # the other lane has come for the lock again
     spec, X, y, moments = round1
-    want = [row.tobytes() for row in ppm.abs_loglik_rows(
-        spec, moments.draws(3, 3), X, y)]
     error = RuntimeError("lane failed")
-    draw_4_runs = threading.Event()
-    wait, take, finish = (pipeline._Fold.wait_turn, swag.DrawMaker.take,
-                          swag.DrawMaker.finish)
+    lock = _CountedLock(4 if when == "before its turn" else None, error)
+    monkeypatch.setattr(pipeline, "threading",
+                        types.SimpleNamespace(Lock=lambda: lock))
+    monkeypatch.setattr(blas, "threads", lambda: 2)
+    take, finish = swag.DrawMaker.take, swag.DrawMaker.finish
     taken = []
 
     def fail_at_draw_3(s, step):
         if s == 3 and when == step:
-            assert draw_4_runs.wait(60)
+            lock.wait_for(5)
             raise error
-
-    def signalling_wait(self, s):
-        if s == 4:
-            draw_4_runs.set()
-        fail_at_draw_3(s, "before its turn")
-        return wait(self, s)
 
     def counting_take(self, z, z2):
         taken.append(len(taken))  # the draws take the stream in draw order
@@ -548,55 +601,86 @@ def test_a_lane_that_raises_releases_the_lanes_waiting_for_a_turn(
         fail_at_draw_3(args[-1], "after its turn")
         finish(self, *args)
 
-    monkeypatch.setattr(pipeline._Fold, "wait_turn", signalling_wait)
     monkeypatch.setattr(swag.DrawMaker, "take", counting_take)
     monkeypatch.setattr(swag.DrawMaker, "finish", failing_finish)
-    got = []
-
-    def fold():
-        for row in pipeline._lane_rows(spec, moments.draw_maker(3), 10, X,
-                                       y, 2):
-            got.append(row.tobytes())
-
+    path = tmp_path / "ll.npy"
     before = threading.enumerate()
-    assert _within_a_minute(fold) is error
-    assert got == want
+    assert _within_a_minute(
+        lambda: _fold(spec, moments, 3, 10, X, y, str(path))) is error
+    assert not path.exists()
     assert threading.enumerate() == before
 
 
-def test_closing_the_fold_while_a_lane_waits_for_its_turn_releases_it(
-        round1, monkeypatch):
-    # draw 1 holds the stream until the fold has stopped, so draw 2's lane
-    # is still waiting for its turn when row 0 is taken and the fold closed
+def test_the_lowest_failed_draw_on_the_lanes_is_the_phase_cause(
+        monkeypatch, two_blas_threads):
+    # draw 2 raises only once draw 3, which the other lane takes while
+    # draw 2's lane waits, has raised
+    cfg = tiny_config()
+    train, _ = pipeline.prepare_data(cfg)
+    errors = {}
+    draw_3_raised = threading.Event()
+    finish = swag.DrawMaker.finish
+
+    def failing_finish(self, *args):
+        s = args[-1]
+        if s == 2:
+            assert draw_3_raised.wait(60)
+        if s >= 2:
+            errors[s] = RuntimeError("draw %d failed" % s)
+            if s == 3:
+                draw_3_raised.set()
+            raise errors[s]
+        finish(self, *args)
+
+    monkeypatch.setattr(swag.DrawMaker, "finish", failing_finish)
+    before = threading.enumerate()
+    err = _within_a_minute(lambda: pipeline.run_swag_ppm(cfg, train))
+    assert isinstance(err, pipeline.PhaseError)
+    assert err.phase == "risks"
+    assert sorted(errors) == [2, 3]
+    assert err.cause is errors[2]
+    assert threading.enumerate() == before
+    assert blas.threads() == 2
+
+
+def test_an_interrupted_fold_stops_its_lanes(round1, monkeypatch, tmp_path):
+    # Ctrl-C while this thread waits for the lanes ends the pool's join
+    # early; draws 2 and 3, taken by then, wait until the fold has removed
+    # its file, and then each lane stops before it takes another draw
     spec, X, y, moments = round1
-    (want,) = [row.tobytes() for row in ppm.abs_loglik_rows(
-        spec, moments.draws(1, 3), X, y)]
-    stopped = threading.Event()
-    stop, take = pipeline._Fold.stop, swag.DrawMaker.take
-    taken = []
+    path = tmp_path / "ll.npy"
+    take, finish = swag.DrawMaker.take, swag.DrawMaker.finish
+    taken, four_taken, pools = [], threading.Event(), []
 
-    def stop_then_release(self):
-        stop(self)
-        stopped.set()
+    class InterruptedJoin(pipeline.ThreadPoolExecutor):
+        def __exit__(self, *exc_info):
+            pools.append(self)
+            assert four_taken.wait(60)
+            raise KeyboardInterrupt
 
-    def second_take_after_the_stop(self, z, z2):
+    def counting_take(self, z, z2):
         taken.append(len(taken))
-        if len(taken) == 2:
-            assert stopped.wait(60)
+        if len(taken) == 4:
+            four_taken.set()
         take(self, z, z2)
 
-    monkeypatch.setattr(pipeline._Fold, "stop", stop_then_release)
-    monkeypatch.setattr(swag.DrawMaker, "take", second_take_after_the_stop)
+    def finish_once_the_file_is_gone(self, *args):
+        deadline = time.monotonic() + 60
+        while args[-1] >= 2 and path.exists():
+            assert time.monotonic() < deadline
+            time.sleep(1e-3)
+        finish(self, *args)
 
-    def fold():
-        rows = pipeline._lane_rows(spec, moments.draw_maker(3), 10, X, y, 3)
-        assert next(rows).tobytes() == want
-        rows.close()
-
-    before = threading.enumerate()
-    assert _within_a_minute(fold) is None
-    assert taken == [0, 1]
-    assert threading.enumerate() == before
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", InterruptedJoin)
+    monkeypatch.setattr(blas, "threads", lambda: 2)
+    monkeypatch.setattr(swag.DrawMaker, "take", counting_take)
+    monkeypatch.setattr(swag.DrawMaker, "finish",
+                        finish_once_the_file_is_gone)
+    with pytest.raises(KeyboardInterrupt):
+        _fold(spec, moments, 3, 10, X, y, str(path))
+    assert not path.exists()
+    assert _within_a_minute(pools[0].shutdown) is None
+    assert taken == [0, 1, 2, 3]
 
 
 def _missing_symbol(monkeypatch):

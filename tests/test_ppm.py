@@ -297,6 +297,38 @@ def test_stream_delta_scales_exactly_with_alpha(grid):
         np.testing.assert_array_equal(scaled.per_record, c * base.per_record)
 
 
+@settings(max_examples=200, deadline=None)
+@given(grid=score_grids(cells=st.integers(0, 3).map(float)),
+       data=st.data())
+def test_merged_folds_equal_the_in_order_fold(grid, data):
+    # the rows are split over 1-4 folds in any assignment, each fold taking
+    # its rows in draw order as a lane does; merging the folds in any order
+    # gives the in-order fold's bits, ties between folds going to the lower
+    # draw
+    abs_ll, alpha, ids = grid
+    S = abs_ll.shape[0]
+    lanes = data.draw(st.integers(1, 4))
+    lane_of = data.draw(st.lists(st.integers(0, lanes - 1), min_size=S,
+                                 max_size=S))
+    folds = [ppm.Fold(alpha) for _ in range(lanes)]
+    for s in range(S):
+        folds[lane_of[s]].add(s, abs_ll[s])
+    merged = folds[0]
+    for i in data.draw(st.permutations(range(1, lanes))):
+        merged = merged.merge(folds[i])
+    got, want = merged.report(ids), ppm.sensitivity(abs_ll, alpha, ids)
+    assert (got.delta, got.argmax_draw, got.argmax_record_id,
+            got.num_draws) == (want.delta, want.argmax_draw,
+                               want.argmax_record_id, want.num_draws)
+    assert got.per_record.tobytes() == want.per_record.tobytes()
+    np.testing.assert_array_equal(merged.argmax_draw, [
+        int(np.argmax(abs_ll[:, i] * alpha[i])) for i in range(len(alpha))])
+    delta, per_record, draw, record = _matrix_sensitivity(abs_ll, alpha, ids)
+    assert (got.delta, got.argmax_draw, got.argmax_record_id) \
+        == (delta, draw, record)
+    assert got.per_record.tobytes() == per_record.tobytes()
+
+
 @pytest.mark.parametrize("rows, draw", [([[1.0, 1.0], [np.nan, 5.0]], 1),
                                         ([[np.nan, 5.0], [1.0, 1.0]], 0)])
 def test_sensitivity_nan_row_raises_naming_its_draw(rows, draw):

@@ -345,7 +345,7 @@ def test_train_checks_weights_once_before_the_first_step(rng, monkeypatch):
     steps = []
     monkeypatch.setattr(models, "gradient_into",
                         lambda *args, **kwargs: steps.append(1))
-    for bad in (-0.1, 1.5):
+    for bad in (-0.1, 1.5, np.nan):
         weights = np.full(8, 0.5)
         weights[6] = bad
         with pytest.raises(models.ModelError,
