@@ -2,12 +2,13 @@
 orders, additive composition, conversion to (epsilon, delta), and noise
 calibration by bisection."""
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
+
+from .params import is_integer
 
 DEFAULT_ORDERS = tuple(range(2, 65))
 
@@ -34,21 +35,29 @@ class RdpLedger:
     def __post_init__(self):
         if not (0 <= self.q <= 1):
             raise AccountantError("sampling rate q must lie in [0, 1]")
-        if self.sigma <= 0:
+        if not (self.sigma > 0):
             raise AccountantError("noise multiplier must be positive")
         if self.eps_rdp is None:
             self.eps_rdp = np.zeros(len(self.orders))
 
 
-def sgm_rdp(q, sigma, order):
-    """RDP of one subsampled Gaussian step at an integer order alpha >= 2.
+def _logsumexp(terms):
+    """log(sum(exp(terms))) by scipy 1.17.1's logsumexp steps, so with its
+    bits: the m maxima count as m, the rest as sum(exp(t - max)) / m."""
+    top = terms.max()
+    ties = terms == top
+    m = np.count_nonzero(ties)
+    rest = np.exp(np.where(ties, -np.inf, terms) - top).sum()
+    return np.log1p(rest / m) + np.log(m) + top
 
-    Binomial expansion over the mixture, evaluated in log space:
-    (1/(a-1)) log sum_k C(a,k) (1-q)^(a-k) q^k exp(k(k-1)/(2 sigma^2)).
-    """
+
+def sgm_rdp(q, sigma, order):
+    """RDP of one subsampled Gaussian step at an integer order a >= 2, the
+    binomial expansion over the mixture with _logsumexp taking its log:
+    (1/(a-1)) log sum_k C(a,k) (1-q)^(a-k) q^k exp(k(k-1)/(2 sigma^2))."""
     if not (0 <= q <= 1):
         raise AccountantError("q must lie in [0, 1]")
-    if sigma <= 0:
+    if not (sigma > 0):
         raise AccountantError("sigma must be positive")
     a = int(order)
     if a < 2 or a != order:
@@ -63,9 +72,8 @@ def sgm_rdp(q, sigma, order):
     else:  # q == 1: only the k == a term survives
         k = np.array([a])
         log_terms = np.zeros(1)
-    log_terms = (log_terms + k * math.log(q)
-                 + k * (k - 1) / (2.0 * sigma * sigma))
-    total = logsumexp(log_terms)
+    total = _logsumexp(log_terms + k * math.log(q)
+                       + k * (k - 1) / (2.0 * sigma * sigma))
     if not np.isfinite(total):
         raise AccountantError(
             "overflow in subsampled-Gaussian RDP at order %d" % a)
@@ -73,22 +81,13 @@ def sgm_rdp(q, sigma, order):
 
 
 def compose(ledger, steps):
-    """Ledger after `steps` additive compositions of the per-step RDP."""
-    if steps < 0:
-        raise AccountantError("steps must be nonnegative")
-    per_step = _per_step_rdp(ledger.q, ledger.sigma, tuple(ledger.orders))
-    return RdpLedger(ledger.q, ledger.sigma, steps, ledger.orders,
-                     steps * per_step)
-
-
-@functools.lru_cache(maxsize=1024)
-def _per_step_rdp(q, sigma, orders):
-    """sgm_rdp at every order, memoized: the bisections of calibrate_noise
-    for several deltas at one schedule revisit the same sigmas. Read-only,
-    since every caller shares the cached array."""
+    """Ledger after `steps` additive compositions of the per-step RDP: sgm_rdp
+    at each of the ledger's orders, computed anew on every call."""
+    if not (is_integer(steps) and steps >= 0):
+        raise AccountantError("steps must be a nonnegative integer")
+    q, sigma, orders = ledger.q, ledger.sigma, ledger.orders
     per_step = np.array([sgm_rdp(q, sigma, a) for a in orders])
-    per_step.setflags(write=False)
-    return per_step
+    return RdpLedger(q, sigma, steps, orders, steps * per_step)
 
 
 def to_dp(ledger, delta):
@@ -109,7 +108,7 @@ SIGMA_TOL = 1e-3
 def calibrate_noise(target_eps, delta, q, steps):
     """Smallest sigma in SIGMA_BRACKET, to within SIGMA_TOL, whose composed
     budget at DEFAULT_ORDERS meets target_eps."""
-    if target_eps <= 0:
+    if not (target_eps > 0):
         raise AccountantError("target epsilon must be positive")
     lo, hi = SIGMA_BRACKET
 

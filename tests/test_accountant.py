@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln, logsumexp
 
 from swagppm import accountant
@@ -64,14 +64,32 @@ def _sgm_rdp_loop(q, sigma, a):
     return float(logsumexp(log_terms)) / (a - 1)
 
 
-def test_sgm_rdp_matches_per_k_loop():
-    sigmas = list(np.geomspace(0.3, 100.0, 12)) + [0.3 + 1e-3 * 7 / 9, 1.1,
-                                                    2.0, 99.9]
-    for q in (1e-3, 0.05, 512 / 10751, 512 / 1079, 0.5, 1.0):
-        for sigma in sigmas:
-            for a in range(2, 65):
-                assert accountant.sgm_rdp(q, sigma, a) == \
-                    _sgm_rdp_loop(q, sigma, a), (q, sigma, a)
+@settings(max_examples=500, deadline=None)
+@given(q=st.floats(0.0, 1.0),
+       sigma=st.floats(*accountant.SIGMA_BRACKET),
+       a=st.sampled_from(accountant.DEFAULT_ORDERS))
+@example(q=0.0, sigma=1.0, a=2)
+@example(q=1.0, sigma=0.3, a=64)
+@example(q=512 / 10751, sigma=1.6334205627441407, a=64)
+@example(q=512 / 1079, sigma=5.436673736572265, a=2)
+def test_sgm_rdp_matches_per_k_loop(q, sigma, a):
+    # the loop takes scipy's logsumexp, so this pins sgm_rdp's bits to it
+    assert accountant.sgm_rdp(q, sigma, a) == _sgm_rdp_loop(q, sigma, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=70)
+       .flatmap(lambda xs: st.lists(st.sampled_from(xs), min_size=1,
+                                    max_size=70)))
+@example([0.0, 0.0, -1.0])
+@example([-2.0, 5.0, 5.0, 5.0, 4.999])
+@example([3.0])
+@example([1e-300, -1e300])
+@example([-745.0, 0.0, -0.5, 0.0, 1e-9])
+def test_logsumexp_has_scipys_bits(terms):
+    # terms drawn from a short list of values, so maxima are often tied
+    terms = np.array(terms)
+    assert accountant._logsumexp(terms) == logsumexp(terms)
 
 
 def test_sgm_rdp_rejects_bad_order():
@@ -171,31 +189,108 @@ def test_calibrate_noise_unattainable():
         accountant.calibrate_noise(1e-9, 1e-12, 1.0, 10**6)
 
 
-def test_memoized_per_step_rdp_matches_uncached(monkeypatch):
-    # the deltas of a sweep share their bisections' first sigmas
+def test_accountant_keeps_no_process_state(monkeypatch):
+    # the same sweep twice in one process does the same accounting twice
+    calls = []
+    sgm_rdp = accountant.sgm_rdp
+
+    def counted(*args):
+        calls.append(args)
+        return sgm_rdp(*args)
+
+    monkeypatch.setattr(accountant, "sgm_rdp", counted)
     q, steps = 64 / 1000, 300
     deltas = [1e-4, 1e-3, 1e-2]
-    accountant._per_step_rdp.cache_clear()
-    cached = [accountant.calibrate_noise(4.0, d, q, steps) for d in deltas]
-    assert accountant._per_step_rdp.cache_info().hits > 0
-    ledgers = [accountant.compose(accountant.RdpLedger(q, s), steps)
-               for s in cached]
-    monkeypatch.setattr(accountant, "_per_step_rdp",
-                        accountant._per_step_rdp.__wrapped__)
-    assert [accountant.calibrate_noise(4.0, d, q, steps)
-            for d in deltas] == cached
-    for sigma, ledger in zip(cached, ledgers):
-        want = steps * np.array([accountant.sgm_rdp(q, sigma, a)
-                                 for a in accountant.DEFAULT_ORDERS])
-        assert (ledger.eps_rdp == want).all()
-
-
-def test_memoized_per_step_rdp_is_not_shared_with_callers():
-    q, sigma, steps = 0.01, 1.3, 100
-    first = accountant.compose(accountant.RdpLedger(q, sigma), steps)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        runs.append(([accountant.calibrate_noise(4.0, d, q, steps)
+                      for d in deltas], len(calls)))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 0
+    # a caller that writes to a returned ledger changes no later ledger
+    first = accountant.compose(accountant.RdpLedger(q, 1.3), steps)
     want = first.eps_rdp.copy()
     first.eps_rdp[:] = -1.0
-    again = accountant.compose(accountant.RdpLedger(q, sigma), steps)
+    again = accountant.compose(accountant.RdpLedger(q, 1.3), steps)
     assert (again.eps_rdp == want).all()
-    per_step = accountant._per_step_rdp(q, sigma, accountant.DEFAULT_ORDERS)
-    assert not per_step.flags.writeable
+
+
+NAN = float("nan")
+LEDGER = accountant.RdpLedger(0.1, 1.0)
+
+
+@pytest.mark.parametrize("call, names", [
+    pytest.param(lambda: accountant.calibrate_noise(NAN, 1e-4, 0.05, 100),
+                 "target epsilon", id="nan-target"),
+    pytest.param(lambda: accountant.RdpLedger(0.1, NAN),
+                 "noise multiplier", id="nan-ledger-sigma"),
+    pytest.param(lambda: accountant.RdpLedger(NAN, 1.0),
+                 "sampling rate q", id="nan-ledger-q"),
+    pytest.param(lambda: accountant.sgm_rdp(0.1, NAN, 3),
+                 "sigma", id="nan-sigma"),
+    pytest.param(lambda: accountant.compose(LEDGER, 2.5),
+                 "steps", id="fractional-compose-steps"),
+    pytest.param(lambda: accountant.compose(LEDGER, True),
+                 "steps", id="bool-compose-steps"),
+    pytest.param(lambda: accountant.compose(LEDGER, -1),
+                 "steps", id="negative-compose-steps"),
+    pytest.param(lambda: accountant.calibrate_noise(4.0, 1e-4, 0.05, 2.5),
+                 "steps", id="fractional-calibrate-steps"),
+    pytest.param(lambda: accountant.calibrate_noise(4.0, NAN, 0.05, 100),
+                 "delta", id="nan-delta"),
+])
+def test_accountant_rejects_nan_and_fractional_arguments(call, names):
+    with pytest.raises(accountant.AccountantError, match=names):
+        call()
+
+
+# Bits recorded at numpy 2.4.6 and scipy 1.17.1; the floor-versions CI job
+# checks that the oldest numpy and scipy the package allows give the same.
+GOLDEN_SGM_RDP = [
+    (512 / 1079, 0.3, 2, "0x1.33d8f07c24badp+3"),
+    (512 / 1079, 1.1, 7, "0x1.041e71aecc6fap+1"),
+    (512 / 1079, 4.0, 64, "0x1.43f210523d892p+0"),
+    (512 / 10751, 0.75, 3, "0x1.afcc8a94e674cp-6"),
+    (512 / 10751, 2.5, 32, "0x1.2049490d30453p-7"),
+    (512 / 10751, 99.9, 64, "0x1.e82f951b9e79ep-18"),
+    (0.001, 0.3, 64, "0x1.5c89c46b4924bp+8"),
+    (0.05, 1.3, 40, "0x1.1860730b10e01p+3"),
+    (0.5, 10.0, 17, "0x1.6b1b6b45f0b90p-6"),
+    (1.0, 0.3, 2, "0x1.638e38e38e38ep+3"),
+    (1.0, 3.0, 64, "0x1.c71c71c71c71cp+1"),
+    (0.999, 0.5, 11, "0x1.5ffb7dfd42a98p+4"),
+]
+
+# (q, steps) of the DP-SGD schedules of perfbench's bench-default (1079
+# train records) and dp-sweep-large (10751), target epsilon 4, and per
+# delta the calibrated sigma and the epsilon it realizes
+GOLDEN_CALIBRATIONS = {
+    (512 / 1079, 90): [
+        (1e-4, "0x1.5bf2766666666p+2", "0x1.ffedb73655272p+1"),
+        (1e-3, "0x1.35bb666666666p+2", "0x1.ffecb6dcfe314p+1"),
+        (1e-2, "0x1.0a5b500000000p+2", "0x1.fffac40516822p+1"),
+        (0.1, "0x1.ae49866666667p+1", "0x1.ffe06793bf00fp+1"),
+        (0.99, "0x1.2af1b33333332p+1", "0x1.ffbbaafde262bp+1"),
+    ],
+    (512 / 10751, 630): [
+        (1e-4, "0x1.a227d9999999ap+0", "0x1.ffc36288b969cp+1"),
+        (1e-3, "0x1.7b67b33333333p+0", "0x1.ffe2262b4d319p+1"),
+        (1e-2, "0x1.502cffffffffep+0", "0x1.ffa256d9593f2p+1"),
+        (0.1, "0x1.1dbdd9999999ap+0", "0x1.ff8054b59e17ap+1"),
+        (0.99, "0x1.bb5a666666666p-1", "0x1.fed3b340f88b4p+1"),
+    ],
+}
+
+
+def test_accountant_golden_bits():
+    for q, sigma, a, want in GOLDEN_SGM_RDP:
+        assert accountant.sgm_rdp(q, sigma, a).hex() == want, (q, sigma, a)
+    for (q, steps), rows in GOLDEN_CALIBRATIONS.items():
+        for delta, want_sigma, want_eps in rows:
+            sigma = accountant.calibrate_noise(4.0, delta, q, steps)
+            eps = accountant.to_dp(
+                accountant.compose(accountant.RdpLedger(q, sigma), steps),
+                delta).epsilon
+            assert (sigma.hex(), eps.hex()) == (want_sigma, want_eps), \
+                (q, steps, delta)
