@@ -3,6 +3,7 @@ orders, additive composition, conversion to (epsilon, delta), and noise
 calibration by bisection."""
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,10 @@ def _logsumexp(terms):
 def sgm_rdp(q, sigma, order):
     """RDP of one subsampled Gaussian step at an integer order a >= 2, the
     binomial expansion over the mixture with _logsumexp taking its log:
-    (1/(a-1)) log sum_k C(a,k) (1-q)^(a-k) q^k exp(k(k-1)/(2 sigma^2))."""
+    (1/(a-1)) log sum_k C(a,k) (1-q)^(a-k) q^k exp(k(k-1)/(2 sigma^2)).
+    A sigma whose 2 sigma^2 is not a normal float (an infinite sigma, or one
+    so small that it underflows), or whose a(a-1)/(2 sigma^2) overflows,
+    raises AccountantError naming it, as no term can be taken there."""
     if not (0 <= q <= 1):
         raise AccountantError("q must lie in [0, 1]")
     if not (sigma > 0):
@@ -62,18 +66,26 @@ def sgm_rdp(q, sigma, order):
     a = int(order)
     if a < 2 or a != order:
         raise AccountantError("order must be an integer >= 2")
+    two_var = 2.0 * sigma * sigma
+    if not (sys.float_info.min <= two_var < math.inf
+            and a * (a - 1) / two_var < math.inf):
+        raise AccountantError(
+            "sigma %r out of range at order %d: 2 sigma^2 over- or "
+            "underflows, or a(a-1)/(2 sigma^2) overflows" % (sigma, a))
     if q == 0:
         return 0.0
-    # the terms of all k at once, each summed in the order of the formula
+    # the terms of all k at once, each summed in the order of the formula;
+    # log C(a, k) = gammaln(a+1) - gammaln(k+1) - gammaln(a-k+1) reads all
+    # three from one gammaln over k + 1 = 1..a+1
     if q < 1:
         k = np.arange(a + 1)
-        log_terms = (gammaln(a + 1) - gammaln(k + 1) - gammaln(a - k + 1)
-                     + (a - k) * math.log1p(-q))
+        g = gammaln(k + 1)
+        log_terms = g[a] - g - g[::-1] + (a - k) * math.log1p(-q)
     else:  # q == 1: only the k == a term survives
         k = np.array([a])
         log_terms = np.zeros(1)
     total = _logsumexp(log_terms + k * math.log(q)
-                       + k * (k - 1) / (2.0 * sigma * sigma))
+                       + k * (k - 1) / two_var)
     if not np.isfinite(total):
         raise AccountantError(
             "overflow in subsampled-Gaussian RDP at order %d" % a)
@@ -105,15 +117,15 @@ SIGMA_BRACKET = (0.3, 100.0)
 SIGMA_TOL = 1e-3
 
 
-def calibrate_noise(target_eps, delta, q, steps):
-    """Smallest sigma in SIGMA_BRACKET, to within SIGMA_TOL, whose composed
-    budget at DEFAULT_ORDERS meets target_eps."""
+def _calibrate(target_eps, delta, ledger_at):
+    """calibrate_noise's bisection, reading each sigma's ledger from
+    ledger_at(sigma)."""
     if not (target_eps > 0):
         raise AccountantError("target epsilon must be positive")
     lo, hi = SIGMA_BRACKET
 
     def eps_at(sigma):
-        return to_dp(compose(RdpLedger(q, sigma), steps), delta).epsilon
+        return to_dp(ledger_at(sigma), delta).epsilon
 
     if eps_at(lo) <= target_eps:
         return lo
@@ -128,6 +140,38 @@ def calibrate_noise(target_eps, delta, q, steps):
         else:
             lo = mid
     return hi
+
+
+def calibrate_noises(target_eps, deltas, q, steps):
+    """calibrate_noise at each delta of deltas: for each, (sigma, the
+    DpBudget it realizes at delta) or the AccountantError its calibration
+    raised. The bisections share one composed ledger per sigma, kept in a
+    map that lives only for this call, so a sigma two deltas try is composed
+    once, and each budget reads its sigma's ledger from the map."""
+    ledgers = {}
+
+    def ledger_at(sigma):
+        if sigma not in ledgers:
+            ledgers[sigma] = compose(RdpLedger(q, sigma), steps)
+        return ledgers[sigma]
+
+    results = []
+    for delta in deltas:
+        try:
+            sigma = _calibrate(target_eps, delta, ledger_at)
+            results.append((sigma, to_dp(ledger_at(sigma), delta)))
+        except AccountantError as e:
+            results.append(e)
+    return results
+
+
+def calibrate_noise(target_eps, delta, q, steps):
+    """Smallest sigma in SIGMA_BRACKET, to within SIGMA_TOL, whose composed
+    budget at DEFAULT_ORDERS meets target_eps."""
+    (result,) = calibrate_noises(target_eps, [delta], q, steps)
+    if isinstance(result, AccountantError):
+        raise result
+    return result[0]
 
 
 def ledger_to_dict(ledger):

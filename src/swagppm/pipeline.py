@@ -446,29 +446,60 @@ def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
                     out_dir)
 
 
+def _dp_steps(cfg, n):
+    """DP-SGD (batch size, sampling rate q, step count) for n train
+    records."""
+    dp = cfg["dp_sgd"]
+    batch = min(dp["batch_size"], n)
+    return batch, batch / n, dp["epochs"] * (-(-n // batch))
+
+
 def dp_schedule(cfg, n, delta=None):
     """DP-SGD (batch size, sampling rate q, step count, sigma) for n train
     records; sigma meets the target epsilon at delta, the config's if None."""
     dp = cfg["dp_sgd"]
-    batch = min(dp["batch_size"], n)
-    q, steps = batch / n, dp["epochs"] * (-(-n // batch))
+    batch, q, steps = _dp_steps(cfg, n)
     delta = dp["delta"] if delta is None else delta
     return batch, q, steps, accountant.calibrate_noise(
         dp["target_epsilon"], delta, q, steps)
 
 
-def run_dp_sgd(cfg, train_view, delta=None):
-    """DP-SGD baseline with sigma calibrated to the target epsilon."""
-    delta = cfg["dp_sgd"]["delta"] if delta is None else delta
-    batch, q, steps, sigma = dp_schedule(cfg, len(train_view), delta)
+def run_dp_sweep(cfg, train_view, deltas):
+    """The DP-SGD baseline at each delta of deltas, sigma calibrated to the
+    target epsilon there: for each delta, (theta, sigma, budget) or the
+    exception that failed it. The calibrations share their ledgers
+    (accountant.calibrate_noises), and the models train in lockstep
+    (trainer.train_dp_sweep), all from one seed and theta0, so they take
+    the same Poisson batches and the same standard normals, drawn once per
+    step; only sigma differs. A delta whose calibration raises, or whose
+    model hits a non-finite loss or theta, fails alone, and every other
+    delta's outputs keep the bits that its own training would give."""
+    batch, q, steps = _dp_steps(cfg, len(train_view))
+    calibrated = accountant.calibrate_noises(
+        cfg["dp_sgd"]["target_epsilon"], deltas, q, steps)
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
     theta0 = models.init_params(spec, derive_seed(cfg["seed"], "init"))
-    theta, _ = trainer.train(
+    trained = iter(trainer.train_dp_sweep(
         spec, theta0, train_view.feature_matrix(), train_view.labels,
-        _train_config(cfg, "dp-sgd", "dp-sgd", batch, sigma))
-    budget = accountant.to_dp(
-        accountant.compose(accountant.RdpLedger(q, sigma), steps), delta)
-    return theta, sigma, budget
+        _train_config(cfg, "dp-sgd", "dp-sgd", batch, 0.0),
+        [c[0] for c in calibrated if not isinstance(c, Exception)]))
+    results = []
+    for c in calibrated:
+        model = c if isinstance(c, Exception) else next(trained)
+        results.append(model if isinstance(model, Exception)
+                       else (model[0], *c))
+    return results
+
+
+def run_dp_sgd(cfg, train_view, delta=None):
+    """DP-SGD baseline with sigma calibrated to the target epsilon at delta,
+    the config's if None: run_dp_sweep at that one delta, whose exception
+    it raises; returns (theta, sigma, budget)."""
+    delta = cfg["dp_sgd"]["delta"] if delta is None else delta
+    (result,) = run_dp_sweep(cfg, train_view, [delta])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_nonprivate(cfg, train_view):
@@ -507,15 +538,22 @@ class BenchmarkRow:
 
 def run_benchmark(cfg, out_dir=None):
     """Train the four comparators on a shared split, plus the DP-SGD delta
-    sweep, and emit the summary / per-class / sweep tables."""
+    sweep, and emit the summary / per-class / sweep tables. The DP-SGD row
+    at the config's delta and the sweep's rows come from one run_dp_sweep,
+    which trains every delta's model in lockstep; a delta that fails there
+    fails only its own row, and an exception from the sweep as a whole
+    fails every DP row. Each DP row's wall_clock is the whole sweep's time
+    (every calibration and the lockstep training) plus that row's
+    evaluation."""
     train_view, test_view = prepare_data(cfg)
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
     aux = {"train_view": train_view, "test_view": test_view,
            "dp_budgets": {}}
 
-    def bench(name, delta, fn):
-        """fn returns (theta, epsilon); a failure becomes an error row."""
-        start = time.time()
+    def bench(name, delta, fn, shared_s=0.0):
+        """fn returns (theta, epsilon); a failure becomes an error row. The
+        row's wall_clock is fn's and evaluate's time plus shared_s."""
+        start = time.time() - shared_s
         try:
             theta, epsilon = fn()
             ev = evaluate(spec, theta, test_view)
@@ -556,22 +594,31 @@ def run_benchmark(cfg, out_dir=None):
         aux[key] = res
         return res.released_theta, res.epsilon
 
-    def dp_run(delta):
-        theta, sigma, budget = run_dp_sgd(cfg, train_view, delta)
+    def dp_run(delta, result):
+        if isinstance(result, Exception):
+            raise result
+        theta, sigma, budget = result
         aux["dp_budgets"][delta] = (sigma, budget)
         return theta, cfg["dp_sgd"]["target_epsilon"]
 
-    base_delta = cfg["dp_sgd"]["delta"]
     rows = [
         bench("non-private", "-",
               lambda: (run_nonprivate(cfg, train_view), None)),
         bench("swag-ppm", "O(n^-1/2)", lambda: swag_run("swag_ppm", 2)),
         bench("swag-ppm-reweighted", "O(n^-1/2)",
               lambda: swag_run("swag_ppm_rw", 3)),
-        bench("dp-sgd", repr(base_delta), lambda: dp_run(base_delta)),
     ]
-    sweep_rows = [bench("dp-sgd", repr(delta), lambda: dp_run(delta))
-                  for delta in cfg["delta_sweep"]]
+    deltas = [cfg["dp_sgd"]["delta"]] + list(cfg["delta_sweep"])
+    start = time.time()
+    try:
+        results = run_dp_sweep(cfg, train_view, deltas)
+    except Exception as e:  # noqa: BLE001 - fails every DP row
+        results = [e] * len(deltas)
+    sweep_s = time.time() - start
+    base_row, *sweep_rows = [
+        bench("dp-sgd", repr(delta), functools.partial(dp_run, delta, result),
+              sweep_s) for delta, result in zip(deltas, results)]
+    rows.append(base_row)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_reports(out_dir, cfg, rows, sweep_rows, aux)

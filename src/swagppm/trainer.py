@@ -1,8 +1,7 @@
 """Training loops: adaptive (AdamW-style), constant-lr SGD, and DP-SGD."""
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -103,14 +102,36 @@ class _Adam:
             theta -= grad
 
 
-def _draw_noise(rng, scale, out):
-    """out <- rng.normal(0.0, scale, out.size), bit for bit, drawn in place:
-    numpy's normal computes loc + scale * z, so adding 0.0 after the
-    product keeps its bits, a -0.0 at scale 0 turning +0.0 included."""
-    rng.standard_normal(out=out)
-    out *= scale
-    out += 0.0
-    return out
+def _draw_noise(rng, scales, outs):
+    """outs[j] <- rng.normal(0.0, scales[j], outs[j].size) for every j, bit
+    for bit, from one standard-normal draw into outs[0], made in place:
+    numpy's normal computes loc + scale * z, so adding 0.0 after the product
+    keeps its bits, a -0.0 at scale 0 turning +0.0 included. outs[0] holds z
+    until it is scaled, last."""
+    z = outs[0]
+    rng.standard_normal(out=z)
+    for scale, out in reversed(list(zip(scales, outs))):
+        np.multiply(z, scale, out=out)
+        out += 0.0
+    return outs
+
+
+def _check_batch_size(config, n):
+    if config.batch_size > n:
+        raise TrainError("batch_size %d exceeds dataset size %d"
+                         % (config.batch_size, n))
+
+
+def _rngs(config):
+    """The shuffle (or Poisson inclusion) stream and the noise stream."""
+    return [np.random.default_rng(s)
+            for s in np.random.SeedSequence(config.seed).spawn(2)]
+
+
+def _read_only(theta):
+    view = theta.view()
+    view.flags.writeable = False
+    return view
 
 
 def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
@@ -126,7 +147,8 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
     the penalty, and DP-SGD not at all, since its clipped gradients omit the
     penalty. Every optimizer's loss includes it. Deterministic for a fixed
     seed: shuffle order, Poisson inclusion, and noise all come from streams
-    derived from config.seed.
+    derived from config.seed. DP-SGD is train_dp_sweep at the one noise
+    multiplier config.noise_multiplier, whose TrainError train raises.
 
     Each step takes its gradient and its loss, the batch's mean weighted
     NLL (models.nll_term), from one pass of models.gradient_into; a
@@ -146,98 +168,62 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
     """
     X = models.as_csr(spec, X)
     n = X.shape[0]
-    if config.batch_size > n:
-        raise TrainError("batch_size %d exceeds dataset size %d"
-                         % (config.batch_size, n))
-    if weights is not None:
-        if config.optimizer == DP_SGD:
+    _check_batch_size(config, n)
+    if config.optimizer == DP_SGD:
+        if weights is not None:
             raise TrainError("dp-sgd takes no weights")
+        (result,) = train_dp_sweep(
+            spec, theta0, X, y, config, [config.noise_multiplier],
+            on_epoch and (lambda j, values: on_epoch(values)))
+        if isinstance(result, TrainError):
+            raise result
+        return result
+    if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape[0] != n:
             raise TrainError("weights must cover every record in the view")
         models.check_weights(weights)
-    shuffle_rng, noise_rng = [
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(config.seed).spawn(2)]
+    shuffle_rng, _ = _rngs(config)
     theta = theta0.values.copy()
-    epoch_theta = theta.view()
-    epoch_theta.flags.writeable = False
+    epoch_theta = _read_only(theta)
     losses = []
-    dp = config.optimizer == DP_SGD
     adam = (_Adam(theta.size, config.learning_rate, spec.weight_decay)
             if config.optimizer == ADAPTIVE else None)
     # the adaptive and SGD steps add their decay here, as gradient_into
-    # omits it; DP-SGD's clipped gradient has none
+    # omits it
     decay = (np.empty(theta.size)
              if config.optimizer == SGD_CONSTANT and spec.weight_decay
              else None)
     grad = np.empty(theta.size)
     y = np.asarray(y)
-    if dp:
-        x_sq = models.row_sq_norms(X)  # indexed per Poisson batch
-        scale = config.noise_multiplier * config.clip_norm
-        # the step uses one buffer while the worker draws into the other
-        buffers = [np.empty(theta.size), np.empty(theta.size)]
-    # DP-SGD draws its noise on one worker thread, one step ahead: the next
-    # step's draw runs while this step's gradient does. The worker calls
-    # only noise_rng and the draws are taken in order, so the noise is the
-    # serial stream; a step that fails waits for the draw in flight. A theta
-    # entry gone non-finite mid-epoch may take inf - inf until the epoch's
-    # check, so its TrainError, not numpy's warning, reports it.
-    pool = ThreadPoolExecutor(max_workers=1) if dp else nullcontext()
-    with pool, np.errstate(invalid="ignore"):
-        if dp:
-            pending = pool.submit(_draw_noise, noise_rng, scale, buffers[0])
+    # a theta entry gone non-finite mid-epoch may take inf - inf until the
+    # epoch's check, so its TrainError, not numpy's warning, reports it
+    with np.errstate(invalid="ignore"):
         for epoch in range(config.epochs):
             Xe = None  # the last epoch's copy of X is dropped first
-            if dp:
-                # Poisson sampling: ceil(n / batch_size) batches, each taking
-                # every record independently with probability batch_size / n
-                q = config.batch_size / n
-                batches = (np.nonzero(shuffle_rng.random(n) < q)[0]
-                           for _ in range(-(-n // config.batch_size)))
-            else:
-                # a shuffle-partition epoch: permute the rows once, then take
-                # each batch as a row range (a, b) of the permuted arrays,
-                # which gradient_into reads in place
-                perm = shuffle_rng.permutation(n)
-                Xe, ye = X[perm], y[perm]
-                we = None if weights is None else weights[perm]
-                batches = [(a, min(a + config.batch_size, n))
-                           for a in range(0, n, config.batch_size)]
+            # a shuffle-partition epoch: permute the rows once, then take
+            # each batch as a row range (a, b) of the permuted arrays, which
+            # gradient_into reads in place
+            perm = shuffle_rng.permutation(n)
+            Xe, ye = X[perm], y[perm]
+            we = None if weights is None else weights[perm]
+            batches = [(a, min(a + config.batch_size, n))
+                       for a in range(0, n, config.batch_size)]
             loss_sum = 0.0
-            count = 0
             for b, batch in enumerate(batches):
-                if dp:
-                    m = batch.size
-                    if m == 0:
-                        continue  # takes no draw
-                    noise = pending.result()
-                    buffers.reverse()  # buffers[0] is now the free one
-                    pending = pool.submit(_draw_noise, noise_rng, scale,
-                                          buffers[0])
-                    yb, wb = y[batch], None
-                    _, loglik = models.gradient_into(
-                        spec, theta, X[batch], (0, m), yb, grad,
-                        clip_norm=config.clip_norm, x_sq=x_sq[batch])
-                else:
-                    lo, hi = batch
-                    m = hi - lo
-                    yb = ye[lo:hi]
-                    wb = None if we is None else we[lo:hi]
-                    _, loglik = models.gradient_into(
-                        spec, theta, Xe, batch, yb, grad,
-                        1.0 / m if wb is None else (wb / m)[:, None])
+                lo, hi = batch
+                m = hi - lo
+                yb = ye[lo:hi]
+                wb = None if we is None else we[lo:hi]
+                _, loglik = models.gradient_into(
+                    spec, theta, Xe, batch, yb, grad,
+                    1.0 / m if wb is None else (wb / m)[:, None])
                 loss = models.nll_term(loglik, wb)
                 if not np.isfinite(loss):
                     raise TrainError("non-finite loss %r at epoch %d batch %d"
                                      % (loss, epoch, b))
                 loss_sum += loss * m
-                count += m
-                if dp:
-                    _dp_update(theta, grad, noise, config.learning_rate,
-                               config.batch_size)
-                elif config.optimizer == SGD_CONSTANT:
+                if config.optimizer == SGD_CONSTANT:
                     if decay is not None:  # the penalty's gradient
                         np.multiply(theta, spec.weight_decay, out=decay)
                         grad += decay
@@ -248,10 +234,114 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
             if not np.isfinite(theta).all():  # every entry, once an epoch
                 raise TrainError("epoch %d: theta has non-finite entries"
                                  % epoch)
-            losses.append((loss_sum / count if count else float("nan"))
-                          + models.decay_penalty(spec, theta))
+            losses.append(loss_sum / n + models.decay_penalty(spec, theta))
             if on_epoch is not None:
                 on_epoch(epoch_theta)
-        if dp:
-            pending.result()  # the draw made ahead for a step that never came
     return ParameterVector(theta, theta0.layout), losses
+
+
+def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers,
+                   on_epoch=None):
+    """DP-SGD from theta0 at each sigma of noise_multipliers, trained in
+    lockstep: for each sigma, the (theta_final, epoch losses) train returns
+    for config with that noise_multiplier, or the TrainError that stopped
+    that sigma alone (a non-finite step loss or epoch-end theta, with
+    train's message); the others keep their bits. config's own
+    noise_multiplier is not read; a sigma it would reject raises TrainError.
+
+    The models share config.seed's streams, so each step makes the Poisson
+    batch, X[idx], its ||x_i||^2 and one standard-normal draw once; each
+    sigma's noise is that draw times sigma * clip_norm with the bits of
+    Generator.normal (_draw_noise), and each model takes its own
+    gradient_into and _dp_update. An empty batch takes no draw. on_epoch,
+    when given, is called as on_epoch(j, theta) for each sigma j still
+    training, theta read-only as in train.
+
+    One worker thread (a one-worker ThreadPoolExecutor in a with block, so
+    none outlives the call) makes and scales the next step's draw while this
+    step's gradients run. It calls only the noise stream and the draws are
+    taken in order, so the noise is the serial stream; a step that fails
+    waits for the draw in flight. Each sigma holds its theta and two noise
+    buffers; the gradient buffer is shared.
+    """
+    if config.optimizer != DP_SGD:
+        raise TrainError("train_dp_sweep takes a dp-sgd config")
+    for sigma in noise_multipliers:  # a bad sigma raises TrainError
+        replace(config, noise_multiplier=sigma)
+    X = models.as_csr(spec, X)
+    n = X.shape[0]
+    _check_batch_size(config, n)
+    k = len(noise_multipliers)
+    if not k:
+        return []
+    shuffle_rng, noise_rng = _rngs(config)
+    thetas = [theta0.values.copy() for _ in range(k)]
+    results = [[] for _ in range(k)]  # the losses, or the TrainError
+    live = list(range(k))
+    scales = [sigma * config.clip_norm for sigma in noise_multipliers]
+    # each step reads its noise from buffers[1] while the worker draws the
+    # next step's into buffers[0]
+    buffers = [[np.empty(theta0.values.size) for _ in range(k)]
+               for _ in range(2)]
+    grad = np.empty(theta0.values.size)
+    y = np.asarray(y)
+    x_sq = models.row_sq_norms(X)  # indexed per Poisson batch
+    q = config.batch_size / n
+
+    def fail(j, message):
+        live.remove(j)
+        results[j] = TrainError(message)
+
+    def draw_ahead():
+        return pool.submit(_draw_noise, noise_rng, [scales[j] for j in live],
+                           [buffers[0][j] for j in live])
+
+    # a theta entry gone non-finite mid-epoch may take inf - inf until the
+    # epoch's check, so its TrainError, not numpy's warning, reports it
+    with ThreadPoolExecutor(max_workers=1) as pool, \
+            np.errstate(invalid="ignore"):
+        pending = draw_ahead()
+        for epoch in range(config.epochs):
+            # Poisson sampling: ceil(n / batch_size) batches, each taking
+            # every record independently with probability batch_size / n
+            batches = (np.nonzero(shuffle_rng.random(n) < q)[0]
+                       for _ in range(-(-n // config.batch_size)))
+            loss_sums = [0.0] * k
+            count = 0
+            for b, batch in enumerate(batches):
+                m = batch.size
+                if m == 0:
+                    continue  # takes no draw
+                pending.result()
+                buffers.reverse()
+                pending = draw_ahead()
+                Xb, yb, xb_sq = X[batch], y[batch], x_sq[batch]
+                count += m
+                for j in list(live):
+                    _, loglik = models.gradient_into(
+                        spec, thetas[j], Xb, (0, m), yb, grad,
+                        clip_norm=config.clip_norm, x_sq=xb_sq)
+                    loss = models.nll_term(loglik)
+                    if not np.isfinite(loss):
+                        fail(j, "non-finite loss %r at epoch %d batch %d"
+                             % (loss, epoch, b))
+                        continue
+                    loss_sums[j] += loss * m
+                    _dp_update(thetas[j], grad, buffers[1][j],
+                               config.learning_rate, config.batch_size)
+                if not live:
+                    break
+            for j in list(live):
+                if not np.isfinite(thetas[j]).all():  # every entry
+                    fail(j, "epoch %d: theta has non-finite entries" % epoch)
+                    continue
+                results[j].append(
+                    (loss_sums[j] / count if count else float("nan"))
+                    + models.decay_penalty(spec, thetas[j]))
+                if on_epoch is not None:
+                    on_epoch(j, _read_only(thetas[j]))
+            if not live:
+                break
+        pending.result()  # the draw made ahead for a step that never came
+    return [(ParameterVector(thetas[j], theta0.layout), results[j])
+            if j in live else results[j] for j in range(k)]

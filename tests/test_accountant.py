@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -294,3 +296,57 @@ def test_accountant_golden_bits():
                 delta).epsilon
             assert (sigma.hex(), eps.hex()) == (want_sigma, want_eps), \
                 (q, steps, delta)
+
+
+def test_calibrate_noises_composes_each_sigma_once(monkeypatch):
+    # bench-default's schedule: the five deltas' bisections try 62 distinct
+    # sigmas, which one calibrate_noise per delta composes 95 times, and the
+    # budgets and a delta no sigma can meet try only sigmas composed already
+    q, steps = 512 / 1079, 90
+    deltas = [1e-4, 1e-3, 1e-2, 0.1, 0.99]
+    composed = []
+    compose = accountant.compose
+
+    def counted(ledger, steps):
+        composed.append(ledger.sigma)
+        return compose(ledger, steps)
+
+    monkeypatch.setattr(accountant, "compose", counted)
+    got = accountant.calibrate_noises(4.0, deltas + [1e-300], q, steps)
+    assert len(composed) == len(set(composed)) == 62
+    monkeypatch.undo()
+    for delta, (sigma, budget) in zip(deltas, got):
+        assert sigma == accountant.calibrate_noise(4.0, delta, q, steps)
+        assert budget == accountant.to_dp(
+            accountant.compose(accountant.RdpLedger(q, sigma), steps), delta)
+    assert isinstance(got[-1], accountant.AccountantError)
+    with pytest.raises(accountant.AccountantError,
+                       match=re.escape(str(got[-1]))):
+        accountant.calibrate_noise(4.0, 1e-300, q, steps)
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1.2e-154, math.inf,
+                                   1e155])
+def test_sgm_rdp_names_a_sigma_whose_two_sigma_squared_leaves_range(sigma):
+    # 2 sigma^2 under- or overflows, or 6 / (2 sigma^2) overflows: an
+    # AccountantError naming sigma, and no numpy warning, whatever q
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (0.0, 0.1, 1.0):
+            with pytest.raises(accountant.AccountantError,
+                               match=re.escape("sigma %r" % sigma)):
+                accountant.sgm_rdp(q, sigma, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.floats(0.0, 1.0),
+       sigma=st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
+       order=st.integers(2, 64))
+def test_sgm_rdp_is_finite_or_raises_accountant_error(q, sigma, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rdp = accountant.sgm_rdp(q, sigma, order)
+        except accountant.AccountantError:
+            return
+    assert math.isfinite(rdp)

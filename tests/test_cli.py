@@ -157,14 +157,14 @@ def test_benchmark_exits_3_on_a_failed_row(tmp_path, tiny_config_file,
 
 def test_benchmark_exits_3_on_a_failed_sweep_row(tmp_path, tiny_config_file,
                                                  capsys, monkeypatch):
-    run_dp_sgd = pipeline.run_dp_sgd
+    run_dp_sweep = pipeline.run_dp_sweep
 
-    def fail_at_sweep_end(cfg, train_view, delta=None):
-        if delta == 0.99:
-            raise RuntimeError()
-        return run_dp_sgd(cfg, train_view, delta)
+    def fail_at_sweep_end(cfg, train_view, deltas):
+        return [RuntimeError() if delta == 0.99 else result
+                for delta, result in zip(deltas, run_dp_sweep(cfg, train_view,
+                                                              deltas))]
 
-    monkeypatch.setattr(pipeline, "run_dp_sgd", fail_at_sweep_end)
+    monkeypatch.setattr(pipeline, "run_dp_sweep", fail_at_sweep_end)
     code = run(["--config", tiny_config_file, "--out", str(tmp_path / "o"),
                 "benchmark"])
     assert code == cli.EXIT_PHASE

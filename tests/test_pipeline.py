@@ -962,3 +962,46 @@ def test_empty_error_message_keeps_the_row_failed(monkeypatch):
     rows, _, _ = pipeline.run_benchmark(cfg)
     assert rows[0].name == "non-private"
     assert rows[0].error == "RuntimeError"
+
+
+def test_benchmark_draws_each_dp_step_once(monkeypatch):
+    # the default DP-SGD schedule (30 epochs of ceil(n / 512) = 3 Poisson
+    # batches) at the base delta and the sweep's four: the five models take
+    # one fill of normals per step, scaled for all five, plus the one made
+    # ahead for a step that never comes, where one train call per delta
+    # made five fills a step; the swag phases are cut short, which leaves
+    # the DP-SGD schedule as it is
+    cfg = pipeline.load_config(None, [
+        "phases.finetune_epochs=1", "phases.swag_epochs=2", "phases.draws=4",
+        "nonprivate.epochs=1"])
+    fills = []
+    draw = trainer._draw_noise
+
+    def counted(rng, scales, outs):
+        fills.append(len(scales))
+        return draw(rng, scales, outs)
+
+    monkeypatch.setattr(trainer, "_draw_noise", counted)
+    rows, sweep_rows, aux = pipeline.run_benchmark(cfg)
+    assert not [row.error for row in rows + sweep_rows if row.error]
+    steps = 30 * -(-len(aux["train_view"]) // 512)
+    assert steps == 90
+    assert fills == [5] * (steps + 1)
+
+
+def test_dp_sweep_fails_a_delta_alone():
+    # no sigma meets epsilon 4 at delta 1e-300 (log(1e300) / 63 > 4): that
+    # delta fails with run_dp_sgd's error, and the other two keep the theta,
+    # sigma and budget run_dp_sgd gives them alone
+    cfg = tiny_config()
+    train, _ = pipeline.prepare_data(cfg)
+    deltas = [1e-4, 1e-300, 0.1]
+    got = pipeline.run_dp_sweep(cfg, train, deltas)
+    with pytest.raises(type(got[1]), match="unattainable") as raised:
+        pipeline.run_dp_sgd(cfg, train, deltas[1])
+    assert str(got[1]) == str(raised.value)
+    for delta, (theta, sigma, budget) in zip(deltas[::2], got[::2]):
+        want_theta, want_sigma, want_budget = pipeline.run_dp_sgd(
+            cfg, train, delta)
+        assert theta.values.tobytes() == want_theta.values.tobytes()
+        assert (sigma, budget) == (want_sigma, want_budget)

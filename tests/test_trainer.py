@@ -1,13 +1,15 @@
 import os
+import re
 import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swagppm import models, trainer
 from swagppm.params import ParameterVector
@@ -527,17 +529,24 @@ def test_all_ones_weights_train_like_no_weights(seed, optimizer, family, n,
 
 @pytest.mark.parametrize("scale", [0.0, 0.7, 1.3])
 def test_noise_drawn_in_place_equals_generator_normal(scale):
-    # three draws in a row, into two alternating buffers as DP-SGD takes
-    # them; compared as bits, so the sign of a zero counts
+    # three draws in a row, into two alternating buffer sets as DP-SGD takes
+    # them: alone, and among other scales, a duplicate and 0 included, each
+    # scale's noise equal to Generator.normal from the same state, which
+    # one draw advances; compared as bits, so the sign of a zero counts
     p = 1001
-    want = np.random.default_rng(4)
-    got = np.random.default_rng(4)
-    buffers = [np.empty(p), np.empty(p)]
-    for step in range(3):
-        drawn = trainer._draw_noise(got, scale, buffers[step % 2])
-        assert drawn is buffers[step % 2]
-        assert (drawn.view(np.uint64)
-                == want.normal(0.0, scale, p).view(np.uint64)).all()
+    for scales in ([scale], [0.7, scale, 0.0, scale]):
+        got = np.random.default_rng(4)
+        buffers = [[np.empty(p) for _ in scales] for _ in range(2)]
+        for step in range(3):
+            state = got.bit_generator.state
+            drawn = trainer._draw_noise(got, scales, buffers[step % 2])
+            assert drawn is buffers[step % 2]
+            for s, noise in zip(scales, drawn):
+                want = np.random.default_rng()
+                want.bit_generator.state = state
+                assert (noise.view(np.uint64)
+                        == want.normal(0.0, s, p).view(np.uint64)).all()
+            assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_dp_sgd_peak_memory_does_not_grow_with_epochs():
@@ -673,49 +682,147 @@ class _FailingDraws:
         raise RuntimeError("noise draw failed")
 
 
-def _inf_at_first_step(monkeypatch, spec):
-    # the non-finite setup of the test below: the first step's gradient
-    # turns inf at a W entry whose feature no record has
+def _non_finite_at(monkeypatch, spec, calls, kind="theta"):
+    # the given gradient_into calls (0-based) go non-finite: with kind
+    # "theta" the gradient turns inf at a W entry whose feature no record
+    # has, so only the epoch's theta check sees it; with "loss" the batch's
+    # log-likelihoods turn NaN, and so does the step's loss
     unused = spec.layout().view(np.arange(spec.num_params), "W")[2, 0]
     gradient = models.gradient_into
     steps = []
 
-    def gradient_going_inf(*args, **kwargs):
+    def gradient_going_non_finite(*args, **kwargs):
         norms, loglik = gradient(*args, **kwargs)
         steps.append(1)
-        if len(steps) == 1:
-            args[5][unused] = np.inf  # the gradient, written into out
+        if len(steps) - 1 in calls:
+            if kind == "theta":
+                args[5][unused] = np.inf  # the gradient, written into out
+            else:
+                loglik = np.full_like(loglik, np.nan)
         return norms, loglik
 
-    monkeypatch.setattr(models, "gradient_into", gradient_going_inf)
+    monkeypatch.setattr(models, "gradient_into", gradient_going_non_finite)
+
+
+def _dp_instance(rng):
+    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8)
+    X[:, 2] = 0.0
+    cfg = trainer.TrainConfig(trainer.DP_SGD, batch_size=2, epochs=3, seed=0,
+                              **OPTIMIZER_CONFIGS[trainer.DP_SGD])
+    return spec, theta0, sp.csr_matrix(X), y, cfg
 
 
 def test_no_thread_outlives_dp_sgd_train(rng, monkeypatch):
-    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8)
-    X[:, 2] = 0.0
-    X = sp.csr_matrix(X)
-    cfg = trainer.TrainConfig(trainer.DP_SGD, batch_size=2, epochs=3, seed=0,
-                              **OPTIMIZER_CONFIGS[trainer.DP_SGD])
+    # each case in train and in a sweep of three sigmas, whose models all
+    # fail in the second case, so the sweep ends early
+    spec, theta0, X, y, cfg = _dp_instance(rng)
+    sigmas = [1.1, 0.0, 1.1]
     before = threading.enumerate()
     trainer.train(spec, theta0, X, y, cfg)
     assert threading.enumerate() == before
+    results = trainer.train_dp_sweep(spec, theta0, X, y, cfg, sigmas)
+    assert not any(isinstance(r, trainer.TrainError) for r in results)
+    assert threading.enumerate() == before
 
     with monkeypatch.context() as m:
-        _inf_at_first_step(m, spec)
+        _non_finite_at(m, spec, {0})
         with pytest.raises(trainer.TrainError,
                            match="epoch 0: theta has non-finite"):
             trainer.train(spec, theta0, X, y, cfg)
     assert threading.enumerate() == before
-
-    threads = []
-    default_rng = np.random.default_rng
     with monkeypatch.context() as m:
-        m.setattr(np.random, "default_rng",
-                  lambda seed: _FailingDraws(default_rng(seed), threads))
-        with pytest.raises(RuntimeError, match="noise draw failed"):
-            trainer.train(spec, theta0, X, y, cfg)
-    assert threads and threading.main_thread() not in threads
+        _non_finite_at(m, spec, {0, 1, 2})  # each sigma's first step
+        results = trainer.train_dp_sweep(spec, theta0, X, y, cfg, sigmas)
+    assert all(isinstance(r, trainer.TrainError)
+               and str(r) == "epoch 0: theta has non-finite entries"
+               for r in results)
     assert threading.enumerate() == before
+
+    for run in (lambda: trainer.train(spec, theta0, X, y, cfg),
+                lambda: trainer.train_dp_sweep(spec, theta0, X, y, cfg,
+                                               sigmas)):
+        threads = []
+        default_rng = np.random.default_rng
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng",
+                      lambda seed: _FailingDraws(default_rng(seed), threads))
+            with pytest.raises(RuntimeError, match="noise draw failed"):
+                run()
+        assert threads and threading.main_thread() not in threads
+        assert threading.enumerate() == before
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigmas=st.lists(st.sampled_from([0.0, 0.4, 1.1, 3.0]), min_size=1,
+                       max_size=4),
+       n=st.integers(4, 12), batch_size=st.integers(1, 4),
+       epochs=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(sigmas=[1.1, 0.0, 1.1], n=12, batch_size=1, epochs=3, seed=8)
+def test_dp_sweep_equals_separate_train_calls(sigmas, n, batch_size, epochs,
+                                              seed):
+    # the lockstep sweep against one train call per sigma: each epoch's
+    # theta, the final theta and each epoch's loss as bits (NaN for an epoch
+    # whose Poisson batches were all empty); sigma 0 and duplicates drawn,
+    # and batches of 1 leave about a third of the batches empty
+    spec, theta0, X, y = random_instance(np.random.default_rng(seed),
+                                         models.MLP_1_HIDDEN, n=n)
+    cfg = trainer.TrainConfig(trainer.DP_SGD, 0.1, batch_size, epochs, seed,
+                              clip_norm=0.5, noise_multiplier=0.0)
+    seen = [[] for _ in sigmas]
+    swept = trainer.train_dp_sweep(
+        spec, theta0, X, y, cfg, sigmas,
+        lambda j, values: seen[j].append(values.copy()))
+    for (theta, losses), sigma, epoch_thetas in zip(swept, sigmas, seen):
+        alone = []
+        want_theta, want_losses = trainer.train(
+            spec, theta0, X, y, replace(cfg, noise_multiplier=sigma),
+            on_epoch=lambda values: alone.append(values.copy()))
+        assert _bits(theta.values) == _bits(want_theta.values)
+        assert _bits(losses) == _bits(want_losses)
+        assert _bits(epoch_thetas) == _bits(alone)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("theta", r"epoch 0: theta has non-finite entries$"),
+    ("loss", r"non-finite loss \S*nan\S* at epoch 0 batch \d+$")])
+def test_a_sigma_gone_non_finite_fails_alone(rng, monkeypatch, kind,
+                                             message):
+    # the middle sigma's first gradient goes non-finite: it fails with the
+    # message train raises for it alone, and the others keep their bits
+    spec, theta0, X, y, cfg = _dp_instance(rng)
+    sigmas = [1.1, 0.5, 0.0]
+    want = [trainer.train(spec, theta0, X, y,
+                          replace(cfg, noise_multiplier=sigma))
+            for sigma in sigmas]
+    with monkeypatch.context() as m:
+        _non_finite_at(m, spec, {1}, kind)
+        got = trainer.train_dp_sweep(spec, theta0, X, y, cfg, sigmas)
+    with monkeypatch.context() as m:
+        _non_finite_at(m, spec, {0}, kind)
+        with pytest.raises(trainer.TrainError, match=message):
+            trainer.train(spec, theta0, X, y,
+                          replace(cfg, noise_multiplier=sigmas[1]))
+    assert isinstance(got[1], trainer.TrainError)
+    assert re.match(message, str(got[1]))
+    for j in (0, 2):
+        assert _bits(got[j][0].values) == _bits(want[j][0].values)
+        assert _bits(got[j][1]) == _bits(want[j][1])
+
+
+def test_dp_sweep_rejects_a_bad_sigma_or_optimizer(rng):
+    spec, theta0, X, y, cfg = _dp_instance(rng)
+    with pytest.raises(trainer.TrainError, match="noise_multiplier >= 0"):
+        trainer.train_dp_sweep(spec, theta0, X, y, cfg, [1.1, -0.5])
+    with pytest.raises(trainer.TrainError, match="dp-sgd config"):
+        trainer.train_dp_sweep(
+            spec, theta0, X, y,
+            trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 2, 1, seed=0),
+            [1.1])
+    assert trainer.train_dp_sweep(spec, theta0, X, y, cfg, []) == []
 
 
 @pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_CONFIGS))
