@@ -31,8 +31,10 @@ spec_d = data.SyntheticSpec(num_classes=6, zipf_exponent=1.2,
 dataset = data.generate(spec_d)
 spec = models.ModelSpec(models.SOFTMAX_LINEAR, dataset.feature_dim,
                         dataset.num_classes)
+# the noise multiplier is the sweep's: one sigma here, one model back
 cfg = trainer.TrainConfig(trainer.DP_SGD, 0.001, 512, 30, seed=5,
-                          clip_norm=1.0, noise_multiplier=sigma)
-theta, losses = trainer.train(spec, models.init_params(spec, 0),
-                              dataset.feature_matrix(), dataset.labels, cfg)
+                          clip_norm=1.0)
+((theta, losses),) = trainer.train_dp_sweep(
+    spec, models.init_params(spec, 0), dataset.feature_matrix(),
+    dataset.labels, cfg, [sigma])
 print("dp-sgd final mean train loss %.4f" % losses[-1])

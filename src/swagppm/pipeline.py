@@ -180,24 +180,24 @@ _RECIPES = {
 }
 
 
-def _train_config(cfg, recipe, seed_tag, batch_size=None, sigma=None):
+def _train_config(cfg, recipe, seed_tag, batch_size=None):
     """The TrainConfig of a recipe, seeded from seed_tag. DP-SGD takes the
-    batch size it trains with (default: the section's) and sigma."""
+    batch size it trains with (default: the section's)."""
     optimizer, section, lr, epochs = _RECIPES[recipe]
     sc = cfg[section]
     return trainer.TrainConfig(
         optimizer, sc[lr], batch_size or sc["batch_size"], sc[epochs],
-        derive_seed(cfg["seed"], seed_tag), sc.get("clip_norm"), sigma)
+        derive_seed(cfg["seed"], seed_tag), sc.get("clip_norm"))
 
 
 def _check_settings(cfg):
     """The one judge of a config, run before any record is built: the table
     below, the model section, the data.synthetic section as the
     data.SyntheticSpec it returns, and each recipe's TrainConfig (DP-SGD's
-    at the configured batch size and sigma 0). A CSV run reads only
-    feature_dim, the width it hashes into, so its spec takes the default
-    section with that value. A bad value or type raises ConfigError naming
-    its key or section."""
+    at the configured batch size). A CSV run reads only feature_dim, the
+    width it hashes into, so its spec takes the default section with that
+    value. A bad value or type raises ConfigError naming its key or
+    section."""
     dc, ph, dp = cfg["data"], cfg["phases"], cfg["dp_sgd"]
     unit = (lambda v: is_number(v) and 0 < v < 1, "in (0, 1)")
     count = (lambda v: is_integer(v) and v >= 1, "an integer >= 1")
@@ -244,7 +244,7 @@ def _check_settings(cfg):
         raise ConfigError("data.synthetic: %s" % e) from None
     for recipe in _RECIPES:
         try:
-            _train_config(cfg, recipe, recipe, sigma=0.0)
+            _train_config(cfg, recipe, recipe)
         except trainer.TrainError as e:
             raise ConfigError("%s training: %s" % (recipe, e)) from None
     return spec
@@ -454,16 +454,6 @@ def _dp_steps(cfg, n):
     return batch, batch / n, dp["epochs"] * (-(-n // batch))
 
 
-def dp_schedule(cfg, n, delta=None):
-    """DP-SGD (batch size, sampling rate q, step count, sigma) for n train
-    records; sigma meets the target epsilon at delta, the config's if None."""
-    dp = cfg["dp_sgd"]
-    batch, q, steps = _dp_steps(cfg, n)
-    delta = dp["delta"] if delta is None else delta
-    return batch, q, steps, accountant.calibrate_noise(
-        dp["target_epsilon"], delta, q, steps)
-
-
 def run_dp_sweep(cfg, train_view, deltas):
     """The DP-SGD baseline at each delta of deltas, sigma calibrated to the
     target epsilon there: for each delta, (theta, sigma, budget) or the
@@ -481,7 +471,7 @@ def run_dp_sweep(cfg, train_view, deltas):
     theta0 = models.init_params(spec, derive_seed(cfg["seed"], "init"))
     trained = iter(trainer.train_dp_sweep(
         spec, theta0, train_view.feature_matrix(), train_view.labels,
-        _train_config(cfg, "dp-sgd", "dp-sgd", batch, 0.0),
+        _train_config(cfg, "dp-sgd", "dp-sgd", batch),
         [c[0] for c in calibrated if not isinstance(c, Exception)]))
     results = []
     for c in calibrated:

@@ -1,7 +1,7 @@
 """Training loops: adaptive (AdamW-style), constant-lr SGD, and DP-SGD."""
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ class TrainConfig:
     epochs: int
     seed: int
     clip_norm: Optional[float] = None
-    noise_multiplier: Optional[float] = None
 
     def __post_init__(self):
         """A field of the wrong type or out of range raises TrainError."""
@@ -44,12 +43,9 @@ class TrainConfig:
                 "bad learning_rate %r, batch_size %r or epochs %r: need a "
                 "rate > 0, an integer batch size > 0 and integer epochs >= 0"
                 % (self.learning_rate, self.batch_size, self.epochs))
-        if self.optimizer == DP_SGD:
-            if not (is_number(self.clip_norm) and self.clip_norm > 0):
-                raise TrainError("dp-sgd requires clip_norm > 0")
-            if not (is_number(self.noise_multiplier)
-                    and self.noise_multiplier >= 0):
-                raise TrainError("dp-sgd requires noise_multiplier >= 0")
+        if self.optimizer == DP_SGD and not (is_number(self.clip_norm)
+                                             and self.clip_norm > 0):
+            raise TrainError("dp-sgd requires clip_norm > 0")
 
 
 def _dp_update(theta, grad_sum, noise, lr, denom):
@@ -135,20 +131,18 @@ def _read_only(theta):
 
 
 def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
-    """Run the configured optimizer; returns (theta_final, epoch losses),
-    the final theta as a ParameterVector and each epoch's mean train loss.
+    """Run the adaptive or constant-lr SGD optimizer; returns (theta_final,
+    epoch losses), the final theta as a ParameterVector and each epoch's
+    mean train loss. A DP-SGD config raises TrainError: DP-SGD trains
+    through train_dp_sweep, which takes its noise multipliers.
 
     weights, when given, is the per-record alpha vector aligned with X rows
     and is applied through the weighted NLL gradient; weights outside
-    [0, 1] raise ModelError before the first step. DP-SGD's clipped
-    gradient has no weights, so it raises TrainError when given them. Weight
-    decay is spec.weight_decay: the adaptive optimizer applies it decoupled
-    from the gradient, as AdamW does, constant-lr SGD through the gradient of
-    the penalty, and DP-SGD not at all, since its clipped gradients omit the
-    penalty. Every optimizer's loss includes it. Deterministic for a fixed
-    seed: shuffle order, Poisson inclusion, and noise all come from streams
-    derived from config.seed. DP-SGD is train_dp_sweep at the one noise
-    multiplier config.noise_multiplier, whose TrainError train raises.
+    [0, 1] raise ModelError before the first step. Weight decay is
+    spec.weight_decay: the adaptive optimizer applies it decoupled from the
+    gradient, as AdamW does, and constant-lr SGD through the gradient of the
+    penalty; the loss includes it. Deterministic for a fixed seed: each
+    epoch's shuffle comes from a stream derived from config.seed.
 
     Each step takes its gradient and its loss, the batch's mean weighted
     NLL (models.nll_term), from one pass of models.gradient_into; a
@@ -157,27 +151,22 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
     models.decay_penalty at the epoch's final theta, so ||theta||^2 is taken
     once an epoch, not per step.
 
-    The steps update one array in place, with the gradient, the noise and
-    the decay term in buffers allocated once per call. A non-finite theta
-    raises TrainError naming the epoch, from the check at the epoch's end,
-    which sees every entry, also one the logits never read. After that
-    check, on_epoch, when given, is called with the epoch's theta as a
-    read-only flat array, valid only until the next step (copy it to keep
-    it); a SWAG round passes SwagMoments.absorb. Only the final theta
-    becomes a ParameterVector. A dense X is converted to CSR once, on entry.
+    The steps update one array in place, with the gradient, the optimizer
+    state and the decay term in buffers allocated once per call. A
+    non-finite theta raises TrainError naming the epoch, from the check at
+    the epoch's end, which sees every entry, also one the logits never
+    read. After that check, on_epoch, when given, is called with the
+    epoch's theta as a read-only flat array, valid only until the next step
+    (copy it to keep it); a SWAG round passes SwagMoments.absorb. Only the
+    final theta becomes a ParameterVector. A dense X is converted to CSR
+    once, on entry. No thread is started.
     """
+    if config.optimizer == DP_SGD:
+        raise TrainError("train takes no dp-sgd config; DP-SGD trains "
+                         "through train_dp_sweep")
     X = models.as_csr(spec, X)
     n = X.shape[0]
     _check_batch_size(config, n)
-    if config.optimizer == DP_SGD:
-        if weights is not None:
-            raise TrainError("dp-sgd takes no weights")
-        (result,) = train_dp_sweep(
-            spec, theta0, X, y, config, [config.noise_multiplier],
-            on_epoch and (lambda j, values: on_epoch(values)))
-        if isinstance(result, TrainError):
-            raise result
-        return result
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape[0] != n:
@@ -243,16 +232,22 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
 def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers,
                    on_epoch=None):
     """DP-SGD from theta0 at each sigma of noise_multipliers, trained in
-    lockstep: for each sigma, the (theta_final, epoch losses) train returns
-    for config with that noise_multiplier, or the TrainError that stopped
-    that sigma alone (a non-finite step loss or epoch-end theta, with
-    train's message); the others keep their bits. config's own
-    noise_multiplier is not read; a sigma it would reject raises TrainError.
+    lockstep: for each sigma, (theta_final, epoch losses) as train returns
+    them, or the TrainError that stopped that sigma alone (a non-finite
+    step loss or epoch-end theta, with train's messages); the others keep
+    the bits they have when trained alone. A sigma that is not a number
+    >= 0, or a config whose optimizer is not DP-SGD, raises TrainError.
+    DP-SGD takes no weights, as its clipped gradient has none, and no
+    weight decay in its update, as that gradient omits the penalty; each
+    epoch's loss includes it, as in train.
 
-    The models share config.seed's streams, so each step makes the Poisson
-    batch, X[idx], its ||x_i||^2 and one standard-normal draw once; each
-    sigma's noise is that draw times sigma * clip_norm with the bits of
-    Generator.normal (_draw_noise), and each model takes its own
+    The models share config.seed's streams. An epoch takes ceil(n /
+    batch_size) Poisson batches, each holding every record with probability
+    batch_size / n. Each step makes its batch's rows X[idx] (a new CSR
+    matrix, whose rows (0, m) gradient_into reads), their ||x_i||^2 (from
+    one row_sq_norms per call) and one standard-normal fill of p entries
+    once; each sigma's noise is that draw times sigma * clip_norm, with the
+    bits of Generator.normal (_draw_noise), and each model takes its own
     gradient_into and _dp_update. An empty batch takes no draw. on_epoch,
     when given, is called as on_epoch(j, theta) for each sigma j still
     training, theta read-only as in train.
@@ -266,8 +261,10 @@ def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers,
     """
     if config.optimizer != DP_SGD:
         raise TrainError("train_dp_sweep takes a dp-sgd config")
-    for sigma in noise_multipliers:  # a bad sigma raises TrainError
-        replace(config, noise_multiplier=sigma)
+    for sigma in noise_multipliers:
+        if not (is_number(sigma) and sigma >= 0):
+            raise TrainError("dp-sgd requires noise multipliers >= 0, got %r"
+                             % (sigma,))
     X = models.as_csr(spec, X)
     n = X.shape[0]
     _check_batch_size(config, n)

@@ -74,9 +74,12 @@ def _sgm_rdp_loop(q, sigma, a):
 @example(q=1.0, sigma=0.3, a=64)
 @example(q=512 / 10751, sigma=1.6334205627441407, a=64)
 @example(q=512 / 1079, sigma=5.436673736572265, a=2)
+@example(q=2.040669660301145e-282, sigma=1.0, a=2)  # the loop's is < 0
 def test_sgm_rdp_matches_per_k_loop(q, sigma, a):
-    # the loop takes scipy's logsumexp, so this pins sgm_rdp's bits to it
-    assert accountant.sgm_rdp(q, sigma, a) == _sgm_rdp_loop(q, sigma, a)
+    # the loop takes scipy's logsumexp, so this pins sgm_rdp's bits to it;
+    # sgm_rdp clamps the loop's rounding below 0 at 0
+    assert accountant.sgm_rdp(q, sigma, a) == max(0.0,
+                                                  _sgm_rdp_loop(q, sigma, a))
 
 
 @settings(max_examples=200, deadline=None)
@@ -342,6 +345,7 @@ def test_sgm_rdp_names_a_sigma_whose_two_sigma_squared_leaves_range(sigma):
 @given(q=st.floats(0.0, 1.0),
        sigma=st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
        order=st.integers(2, 64))
+@example(q=3.3403794540821996e-274, sigma=1.0, order=2)  # once -6.26e-287
 def test_sgm_rdp_is_finite_or_raises_accountant_error(q, sigma, order):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -349,4 +353,4 @@ def test_sgm_rdp_is_finite_or_raises_accountant_error(q, sigma, order):
             rdp = accountant.sgm_rdp(q, sigma, order)
         except accountant.AccountantError:
             return
-    assert math.isfinite(rdp)
+    assert math.isfinite(rdp) and rdp >= 0

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from swagppm import cli, data, pipeline
+from swagppm import accountant, cli, data, models, params, pipeline, trainer
 
 
 TINY = {
@@ -122,6 +122,45 @@ def test_account_sigma_is_the_dp_sgd_sigma(tmp_path, tiny_config_file):
     train, _ = pipeline.prepare_data(cfg)
     _, sigma, _ = pipeline.run_dp_sgd(cfg, train)
     assert ledger["sigma"] == sigma
+
+
+def test_the_reported_sigma_is_the_trained_sigma(tmp_path, tiny_config_file):
+    # the dp-sgd checkpoint's header names the sigma its theta trained at:
+    # the sweep at that sigma gives the checkpoint's bytes, and the header's
+    # epsilon is that sigma's budget at its delta; each budget a benchmark
+    # keeps recomputes from its sigma in the same way
+    out = tmp_path / "o"
+    assert run(["--config", tiny_config_file, "--out", str(out),
+                "dp-sgd"]) == cli.EXIT_OK
+    theta, head = params.load_checkpoint(str(out / "dp_sgd_model.bin"))
+    cfg = pipeline.load_config(TINY)
+    dp = cfg["dp_sgd"]
+    train, _ = pipeline.prepare_data(cfg)
+    spec = pipeline.model_spec(cfg, train.num_classes, train.feature_dim)
+    batch, q, steps = pipeline._dp_steps(cfg, len(train))
+    ((retrained, _),) = trainer.train_dp_sweep(
+        spec, models.init_params(spec, pipeline.derive_seed(cfg["seed"],
+                                                            "init")),
+        train.feature_matrix(), train.labels,
+        trainer.TrainConfig(trainer.DP_SGD, dp["learning_rate"], batch,
+                            dp["epochs"],
+                            pipeline.derive_seed(cfg["seed"], "dp-sgd"),
+                            dp["clip_norm"]),
+        [head["sigma"]])
+    assert retrained.values.tobytes() == theta.values.tobytes()
+
+    def epsilon(sigma, delta):
+        ledger = accountant.compose(accountant.RdpLedger(q, sigma), steps)
+        return accountant.to_dp(ledger, delta).epsilon
+
+    assert head["delta"] == dp["delta"]
+    assert head["epsilon"] == epsilon(head["sigma"], head["delta"])
+    _, _, aux = pipeline.run_benchmark(cfg)
+    assert sorted(aux["dp_budgets"]) == sorted([dp["delta"]]
+                                               + cfg["delta_sweep"])
+    for delta, (sigma, budget) in aux["dp_budgets"].items():
+        assert budget.delta == delta
+        assert budget.epsilon == epsilon(sigma, delta)
 
 
 @pytest.mark.parametrize("command", ["dp-sgd", "account"])

@@ -482,11 +482,14 @@ def test_more_lanes_than_cores_hand_on_every_row_in_draw_order(
 @pytest.mark.parametrize("lanes", [1, 2])
 def test_fold_draws_allocate_nothing_per_draw(monkeypatch, lanes):
     # p = 9999 * 20 + 20 = 200000. Once the fold's buffers exist (from the
-    # first draw's normals on), neither a fold of 20 draws nor one of 40
+    # first draw's normals on), neither a fold of 20 draws nor one of 220
     # peaks as high as one p-sized bool array (a finite check through
     # np.isfinite(z).all() would make one per draw) above what it held
-    # then, and 40 draws peak no higher than 20 but for the lanes' own
-    # objects, which move the peaks by up to some 2 KB from run to run.
+    # then, and the 200 more draws raise the peak by less than p // 4 bytes,
+    # which 200 draws keeping 250 bytes each would reach. Scoring a draw makes
+    # short-lived numpy temporaries (the logits' bias add alone takes 11 KB
+    # on numpy 2.4), so at two lanes a peak moves by up to one lane's
+    # temporaries, about 12 KB, as the lanes' steps happen to overlap or not.
     spec = models.ModelSpec(models.SOFTMAX_LINEAR, 9999, 20)
     p = spec.num_params
     X = sp.random(64, 9999, density=0.01, format="csr", random_state=3)
@@ -513,11 +516,11 @@ def test_fold_draws_allocate_nothing_per_draw(monkeypatch, lanes):
 
     tracemalloc.start()
     try:
-        peaks = [fold_peak(20), fold_peak(40)]
+        peaks = [fold_peak(20), fold_peak(220)]
     finally:
         tracemalloc.stop()
     assert max(peaks) < p
-    assert peaks[1] - peaks[0] < p // 32
+    assert peaks[1] - peaks[0] < p // 4
 
 
 def _within_a_minute(fn):

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,13 +82,19 @@ def test_train_checks_the_feature_width_on_entry(rng):
             trainer.train(spec, theta0, features, y, cfg)
 
 
-def test_dp_sgd_with_weights_raises(rng):
-    # the clipped gradient has no weights, so DP-SGD refuses them
+def test_train_refuses_a_dp_sgd_config(rng, monkeypatch):
+    # DP-SGD trains only through train_dp_sweep, which takes its sigmas;
+    # train refuses the config, with weights or without, before any step
     spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=8)
     cfg = trainer.TrainConfig(trainer.DP_SGD, 0.1, 4, 1, seed=5,
-                              clip_norm=1.0, noise_multiplier=1.0)
-    with pytest.raises(trainer.TrainError, match="dp-sgd takes no weights"):
-        trainer.train(spec, theta0, X, y, cfg, np.ones(8))
+                              clip_norm=1.0)
+    steps = []
+    monkeypatch.setattr(models, "gradient_into",
+                        lambda *args, **kwargs: steps.append(1))
+    for weights in (None, np.ones(8)):
+        with pytest.raises(trainer.TrainError, match="train_dp_sweep"):
+            trainer.train(spec, theta0, X, y, cfg, weights)
+    assert not steps
 
 
 def _shuffle_batches(n, batch_size, rng):
@@ -132,20 +137,18 @@ def test_poisson_inclusion_rate():
     assert abs(batch.size - 5000) < 3 * sd
 
 
-def _one_full_batch_dp_step(spec, theta0, X, y, clip_norm, noise_multiplier,
-                            lr, seed):
+def _one_full_batch_dp_step(spec, theta0, X, y, clip_norm, sigma, lr, seed):
     # batch_size n makes q = 1: one epoch is one step on every record
     cfg = trainer.TrainConfig(trainer.DP_SGD, lr, X.shape[0], 1, seed=seed,
-                              clip_norm=clip_norm,
-                              noise_multiplier=noise_multiplier)
-    theta, _ = trainer.train(spec, theta0, X, y, cfg)
+                              clip_norm=clip_norm)
+    theta, _ = _fit(spec, theta0, X, y, cfg, sigma=sigma)
     return theta
 
 
 def test_dp_sgd_step_degenerates_to_sgd(rng):
     spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=6)
     stepped = _one_full_batch_dp_step(spec, theta0, X, y, clip_norm=1e9,
-                                      noise_multiplier=0.0, lr=0.1, seed=1)
+                                      sigma=0.0, lr=0.1, seed=1)
     grad = models.weighted_nll_gradient(spec, theta0, X, y)
     plain = theta0.values - 0.1 * grad.values
     np.testing.assert_allclose(stepped.values, plain, rtol=1e-12, atol=1e-16)
@@ -182,9 +185,9 @@ def test_dp_sgd_sigma_zero_infinite_clip_matches_sgd(rng):
     spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=6)
     n = X.shape[0]
     dp_cfg = trainer.TrainConfig(trainer.DP_SGD, 0.1, n, 3, seed=11,
-                                 clip_norm=1e12, noise_multiplier=0.0)
+                                 clip_norm=1e12)
     sgd_cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, n, 3, seed=11)
-    a, _ = trainer.train(spec, theta0, X, y, dp_cfg)
+    a, _ = _fit(spec, theta0, X, y, dp_cfg, sigma=0.0)
     b, _ = trainer.train(spec, theta0, X, y, sgd_cfg)
     np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-15)
 
@@ -289,11 +292,11 @@ def test_dp_sgd_steps_never_transpose_csr(rng, monkeypatch):
     X = sp.csr_matrix(X)
     cfg = trainer.TrainConfig(trainer.DP_SGD, batch_size=5, epochs=2, seed=4,
                               **OPTIMIZER_CONFIGS[trainer.DP_SGD])
-    want = trainer.train(spec, theta0, X, y, cfg)
+    want = _fit(spec, theta0, X, y, cfg)
     monkeypatch.setattr(sp.csr_matrix, "transpose",
                         lambda self, *args, **kwargs: pytest.fail(
                             "a CSR matrix transposed"))
-    got = trainer.train(spec, theta0, X, y, cfg)
+    got = _fit(spec, theta0, X, y, cfg)
     np.testing.assert_array_equal(got[0].values, want[0].values)
     assert got[1] == want[1]
 
@@ -366,27 +369,29 @@ def test_dp_sgd_config_validation():
     {"learning_rate": float("nan")}, {"batch_size": 3.5},
     {"batch_size": "4"}, {"batch_size": None}, {"epochs": 2.0},
     {"epochs": None}, {"optimizer": trainer.DP_SGD, "clip_norm": "1"},
-    {"optimizer": trainer.DP_SGD, "noise_multiplier": "0"},
+    {"optimizer": trainer.DP_SGD, "clip_norm": [1.0]},
     {"batch_size": True}, {"epochs": True}, {"learning_rate": True},
     {"optimizer": trainer.DP_SGD, "clip_norm": True},
-    {"optimizer": trainer.DP_SGD, "noise_multiplier": True},
+    {"optimizer": None},
 ])
 def test_config_of_a_wrong_type_raises_train_error(fields):
     args = dict(optimizer=trainer.DP_SGD, learning_rate=0.1, batch_size=4,
-                epochs=1, seed=0, clip_norm=1.0, noise_multiplier=0.0)
+                epochs=1, seed=0, clip_norm=1.0)
     trainer.TrainConfig(**args)
     with pytest.raises(trainer.TrainError):
         trainer.TrainConfig(**dict(args, **fields))
 
 
-def _frozen_train(spec, theta0, X, y, config, weights=None):
-    # Reference: train as it was before its steps reused buffers: each
+def _frozen_train(spec, theta0, X, y, config, weights=None, sigma=None):
+    # Reference: training as it was before its steps reused buffers: each
     # step's data term from a separate mean_nll pass without decay, then
-    # allocating AdamW, SGD and DP-SGD updates, with weight decay
-    # spec.weight_decay and no decay in DP-SGD. Returns the parameters after
-    # each epoch and the epoch's loss: the batch-size-weighted mean of the
-    # data terms plus 0.5 * weight_decay * ||theta||^2 at the epoch's end
-    # (one dot: the test instances hold under DOT_SLICE entries).
+    # allocating AdamW, SGD and DP-SGD updates (DP-SGD at noise multiplier
+    # sigma), with weight decay spec.weight_decay and no decay in DP-SGD.
+    # Returns the parameters after each epoch and the epoch's loss: the
+    # batch-size-weighted mean of the data terms (NaN for an epoch whose
+    # Poisson batches were all empty) plus 0.5 * weight_decay * ||theta||^2
+    # at the epoch's end (one dot: the test instances hold under DOT_SLICE
+    # entries).
     shuffle_rng, noise_rng = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(2)]
@@ -416,7 +421,7 @@ def _frozen_train(spec, theta0, X, y, config, weights=None):
             if c.optimizer == trainer.DP_SGD:
                 g, _ = models.clipped_gradient_sum(spec, cur, Xb, yb,
                                                    c.clip_norm)
-                noise = noise_rng.normal(0.0, c.noise_multiplier * c.clip_norm,
+                noise = noise_rng.normal(0.0, sigma * c.clip_norm,
                                          size=theta.size)
                 theta = theta - c.learning_rate * (g.values + noise) \
                     / c.batch_size
@@ -436,7 +441,7 @@ def _frozen_train(spec, theta0, X, y, config, weights=None):
                 if spec.weight_decay:
                     new = new - c.learning_rate * spec.weight_decay * theta
                 theta = new
-        out.append((theta, loss_sum / count
+        out.append((theta, (loss_sum / count if count else float("nan"))
                     + 0.5 * spec.weight_decay * float(theta @ theta)))
     return out
 
@@ -444,9 +449,24 @@ def _frozen_train(spec, theta0, X, y, config, weights=None):
 OPTIMIZER_CONFIGS = {
     trainer.ADAPTIVE: dict(learning_rate=0.05),
     trainer.SGD_CONSTANT: dict(learning_rate=0.1),
-    trainer.DP_SGD: dict(learning_rate=0.1, clip_norm=0.5,
-                         noise_multiplier=1.1),
+    trainer.DP_SGD: dict(learning_rate=0.1, clip_norm=0.5),
 }
+DP_SIGMA = 1.1  # the noise multiplier a DP-SGD case trains at
+
+
+def _fit(spec, theta0, X, y, cfg, weights=None, on_epoch=None,
+         sigma=DP_SIGMA):
+    # train, or for a DP-SGD config train_dp_sweep at the one sigma, whose
+    # TrainError it raises; on_epoch(theta) as train calls it
+    if cfg.optimizer != trainer.DP_SGD:
+        return trainer.train(spec, theta0, X, y, cfg, weights, on_epoch)
+    assert weights is None  # DP-SGD takes none
+    (result,) = trainer.train_dp_sweep(
+        spec, theta0, X, y, cfg, [sigma],
+        on_epoch and (lambda j, values: on_epoch(values)))
+    if isinstance(result, trainer.TrainError):
+        raise result
+    return result
 
 
 @pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_CONFIGS))
@@ -482,26 +502,40 @@ def test_a_dense_x_trains_like_its_csr_matrix(rng, optimizer):
     runs = []
     for features in (X, sp.csr_matrix(X)):
         seen = []
-        _, losses = trainer.train(spec, theta0, features, y, cfg, weights,
-                                  lambda values: seen.append(values.copy()))
+        _, losses = _fit(spec, theta0, features, y, cfg, weights,
+                         lambda values: seen.append(values.copy()))
         runs.append((seen, losses))
     (dense_seen, dense_losses), (seen, losses) = runs
     np.testing.assert_array_equal(dense_seen, seen)
     assert dense_losses == losses
 
 
-def _assert_matches_frozen_loop(spec, theta0, X, y, cfg, weights=None):
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_matches_frozen_loop(spec, theta0, X, y, cfg, weights=None,
+                                sigmas=(DP_SIGMA, 0.0)):
     # each epoch's theta, through the sink, and its mean loss equal the
-    # frozen loop's under ==, and the final theta is the last epoch's
-    seen = []
-    theta, losses = trainer.train(spec, theta0, X, y, cfg, weights,
-                                  lambda values: seen.append(values.copy()))
-    want = _frozen_train(spec, theta0, X, y, cfg, weights)
-    assert len(seen) == len(losses) == len(want) == cfg.epochs
-    for values, loss, (want_values, want_loss) in zip(seen, losses, want):
-        np.testing.assert_array_equal(values, want_values)
-        assert loss == want_loss
-    np.testing.assert_array_equal(theta.values, want[-1][0])
+    # frozen loop's as bits (NaN equals NaN), and the final theta is the
+    # last epoch's; a DP-SGD config trains one sweep of sigmas, each sigma
+    # j's epochs seen through on_epoch(j, theta) and held to its own loop
+    if cfg.optimizer == trainer.DP_SGD:
+        seen = [[] for _ in sigmas]
+        results = trainer.train_dp_sweep(
+            spec, theta0, X, y, cfg, sigmas,
+            lambda j, values: seen[j].append(values.copy()))
+    else:
+        sigmas, seen = [None], [[]]
+        results = [trainer.train(
+            spec, theta0, X, y, cfg, weights,
+            lambda values: seen[0].append(values.copy()))]
+    for (theta, losses), sigma, epochs in zip(results, sigmas, seen):
+        want = _frozen_train(spec, theta0, X, y, cfg, weights, sigma)
+        assert len(epochs) == len(losses) == len(want) == cfg.epochs
+        assert _bits(epochs) == _bits([values for values, _ in want])
+        assert _bits(losses) == _bits([loss for _, loss in want])
+        assert _bits(theta.values) == _bits(want[-1][0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -550,12 +584,12 @@ def test_noise_drawn_in_place_equals_generator_normal(scale):
 
 
 def test_dp_sgd_peak_memory_does_not_grow_with_epochs():
-    # train holds one theta, whatever its epoch count
+    # the sweep of one sigma holds one theta, whatever its epoch count
     spec, theta0, X, y = large_instance()
-    peaks = [traced_peak(lambda: trainer.train(
+    peaks = [traced_peak(lambda: trainer.train_dp_sweep(
         spec, theta0, X, y,
         trainer.TrainConfig(trainer.DP_SGD, 0.1, 16, epochs, seed=1,
-                            clip_norm=1.0, noise_multiplier=1.1)))
+                            clip_norm=1.0), [1.1]))
              for epochs in (3, 30)]
     assert abs(peaks[1] - peaks[0]) <= 8 * spec.num_params
 
@@ -609,7 +643,7 @@ def test_train_builds_one_vector_per_call(rng, monkeypatch, optimizer):
     cfg = trainer.TrainConfig(optimizer, batch_size=4, epochs=3, seed=2,
                               **OPTIMIZER_CONFIGS[optimizer])
     built = count_vectors_built(monkeypatch)
-    trainer.train(spec, theta0, X, y, cfg, on_epoch=lambda values: None)
+    _fit(spec, theta0, X, y, cfg, on_epoch=lambda values: None)
     assert len(built) == 1  # 18 steps (DP-SGD: 18 Poisson batches)
 
 
@@ -713,47 +747,33 @@ def _dp_instance(rng):
 
 
 def test_no_thread_outlives_dp_sgd_train(rng, monkeypatch):
-    # each case in train and in a sweep of three sigmas, whose models all
-    # fail in the second case, so the sweep ends early
+    # each case in a sweep of one sigma and in one of three: trained to the
+    # end; every model failing at its first step, so the sweep ends early;
+    # and a noise draw raising on the worker
     spec, theta0, X, y, cfg = _dp_instance(rng)
-    sigmas = [1.1, 0.0, 1.1]
     before = threading.enumerate()
-    trainer.train(spec, theta0, X, y, cfg)
-    assert threading.enumerate() == before
-    results = trainer.train_dp_sweep(spec, theta0, X, y, cfg, sigmas)
-    assert not any(isinstance(r, trainer.TrainError) for r in results)
-    assert threading.enumerate() == before
-
-    with monkeypatch.context() as m:
-        _non_finite_at(m, spec, {0})
-        with pytest.raises(trainer.TrainError,
-                           match="epoch 0: theta has non-finite"):
-            trainer.train(spec, theta0, X, y, cfg)
-    assert threading.enumerate() == before
-    with monkeypatch.context() as m:
-        _non_finite_at(m, spec, {0, 1, 2})  # each sigma's first step
+    for sigmas in ([1.1], [1.1, 0.0, 1.1]):
         results = trainer.train_dp_sweep(spec, theta0, X, y, cfg, sigmas)
-    assert all(isinstance(r, trainer.TrainError)
-               and str(r) == "epoch 0: theta has non-finite entries"
-               for r in results)
-    assert threading.enumerate() == before
+        assert not any(isinstance(r, trainer.TrainError) for r in results)
+        assert threading.enumerate() == before
 
-    for run in (lambda: trainer.train(spec, theta0, X, y, cfg),
-                lambda: trainer.train_dp_sweep(spec, theta0, X, y, cfg,
-                                               sigmas)):
+        with monkeypatch.context() as m:
+            _non_finite_at(m, spec, set(range(len(sigmas))))  # first steps
+            results = trainer.train_dp_sweep(spec, theta0, X, y, cfg, sigmas)
+        assert all(isinstance(r, trainer.TrainError)
+                   and str(r) == "epoch 0: theta has non-finite entries"
+                   for r in results)
+        assert threading.enumerate() == before
+
         threads = []
         default_rng = np.random.default_rng
         with monkeypatch.context() as m:
             m.setattr(np.random, "default_rng",
                       lambda seed: _FailingDraws(default_rng(seed), threads))
             with pytest.raises(RuntimeError, match="noise draw failed"):
-                run()
+                trainer.train_dp_sweep(spec, theta0, X, y, cfg, sigmas)
         assert threads and threading.main_thread() not in threads
         assert threading.enumerate() == before
-
-
-def _bits(values):
-    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -762,28 +782,18 @@ def _bits(values):
        n=st.integers(4, 12), batch_size=st.integers(1, 4),
        epochs=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 @example(sigmas=[1.1, 0.0, 1.1], n=12, batch_size=1, epochs=3, seed=8)
-def test_dp_sweep_equals_separate_train_calls(sigmas, n, batch_size, epochs,
-                                              seed):
-    # the lockstep sweep against one train call per sigma: each epoch's
-    # theta, the final theta and each epoch's loss as bits (NaN for an epoch
-    # whose Poisson batches were all empty); sigma 0 and duplicates drawn,
-    # and batches of 1 leave about a third of the batches empty
+def test_dp_sweep_matches_frozen_loop_per_sigma(sigmas, n, batch_size,
+                                                epochs, seed):
+    # the lockstep sweep against the frozen loop run alone at each sigma:
+    # each epoch's theta, the final theta and each epoch's loss as bits (NaN
+    # for an epoch whose Poisson batches were all empty); sigma 0 and
+    # duplicates drawn, and batches of 1 leave about a third of the batches
+    # empty
     spec, theta0, X, y = random_instance(np.random.default_rng(seed),
                                          models.MLP_1_HIDDEN, n=n)
     cfg = trainer.TrainConfig(trainer.DP_SGD, 0.1, batch_size, epochs, seed,
-                              clip_norm=0.5, noise_multiplier=0.0)
-    seen = [[] for _ in sigmas]
-    swept = trainer.train_dp_sweep(
-        spec, theta0, X, y, cfg, sigmas,
-        lambda j, values: seen[j].append(values.copy()))
-    for (theta, losses), sigma, epoch_thetas in zip(swept, sigmas, seen):
-        alone = []
-        want_theta, want_losses = trainer.train(
-            spec, theta0, X, y, replace(cfg, noise_multiplier=sigma),
-            on_epoch=lambda values: alone.append(values.copy()))
-        assert _bits(theta.values) == _bits(want_theta.values)
-        assert _bits(losses) == _bits(want_losses)
-        assert _bits(epoch_thetas) == _bits(alone)
+                              clip_norm=0.5)
+    _assert_matches_frozen_loop(spec, theta0, X, y, cfg, sigmas=sigmas)
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -792,22 +802,22 @@ def test_dp_sweep_equals_separate_train_calls(sigmas, n, batch_size, epochs,
 def test_a_sigma_gone_non_finite_fails_alone(rng, monkeypatch, kind,
                                              message):
     # the middle sigma's first gradient goes non-finite: it fails with the
-    # message train raises for it alone, and the others keep their bits
+    # message its one-sigma sweep gives, and the others keep the bits of
+    # theirs
     spec, theta0, X, y, cfg = _dp_instance(rng)
     sigmas = [1.1, 0.5, 0.0]
-    want = [trainer.train(spec, theta0, X, y,
-                          replace(cfg, noise_multiplier=sigma))
+    want = [trainer.train_dp_sweep(spec, theta0, X, y, cfg, [sigma])[0]
             for sigma in sigmas]
     with monkeypatch.context() as m:
         _non_finite_at(m, spec, {1}, kind)
         got = trainer.train_dp_sweep(spec, theta0, X, y, cfg, sigmas)
     with monkeypatch.context() as m:
         _non_finite_at(m, spec, {0}, kind)
-        with pytest.raises(trainer.TrainError, match=message):
-            trainer.train(spec, theta0, X, y,
-                          replace(cfg, noise_multiplier=sigmas[1]))
-    assert isinstance(got[1], trainer.TrainError)
-    assert re.match(message, str(got[1]))
+        (alone,) = trainer.train_dp_sweep(spec, theta0, X, y, cfg,
+                                          [sigmas[1]])
+    for failed in (got[1], alone):
+        assert isinstance(failed, trainer.TrainError)
+        assert re.match(message, str(failed))
     for j in (0, 2):
         assert _bits(got[j][0].values) == _bits(want[j][0].values)
         assert _bits(got[j][1]) == _bits(want[j][1])
@@ -815,8 +825,11 @@ def test_a_sigma_gone_non_finite_fails_alone(rng, monkeypatch, kind,
 
 def test_dp_sweep_rejects_a_bad_sigma_or_optimizer(rng):
     spec, theta0, X, y, cfg = _dp_instance(rng)
-    with pytest.raises(trainer.TrainError, match="noise_multiplier >= 0"):
-        trainer.train_dp_sweep(spec, theta0, X, y, cfg, [1.1, -0.5])
+    for bad in (-0.5, float("nan"), "1", True, None):
+        with pytest.raises(trainer.TrainError,
+                           match="noise multipliers >= 0, got %s"
+                           % re.escape(repr(bad))):
+            trainer.train_dp_sweep(spec, theta0, X, y, cfg, [1.1, bad])
     with pytest.raises(trainer.TrainError, match="dp-sgd config"):
         trainer.train_dp_sweep(
             spec, theta0, X, y,
@@ -838,7 +851,7 @@ def test_only_dp_sgd_starts_a_thread(rng, monkeypatch, optimizer):
     monkeypatch.setattr(threading.Thread, "start", counting_start)
     cfg = trainer.TrainConfig(optimizer, batch_size=2, epochs=2, seed=0,
                               **OPTIMIZER_CONFIGS[optimizer])
-    trainer.train(spec, theta0, X, y, cfg)
+    _fit(spec, theta0, X, y, cfg)
     assert len(started) == (optimizer == trainer.DP_SGD)
 
 
@@ -855,9 +868,8 @@ spec = models.ModelSpec(models.SOFTMAX_LINEAR, 4096, 3, weight_decay=0.01)
 theta0 = models.init_params(spec, 0).replace(rng.normal(0, 1, spec.num_params))
 X = sp.random(200, 4096, density=0.01, format="csr", random_state=5)
 y = rng.integers(0, 3, 200)
-cfg = trainer.TrainConfig(trainer.DP_SGD, 0.1, 20, 3, seed=1, clip_norm=0.5,
-                          noise_multiplier=1.1)
-theta, losses = trainer.train(spec, theta0, X, y, cfg)
+cfg = trainer.TrainConfig(trainer.DP_SGD, 0.1, 20, 3, seed=1, clip_norm=0.5)
+((theta, losses),) = trainer.train_dp_sweep(spec, theta0, X, y, cfg, [1.1])
 print(json.dumps([[repr(loss) for loss in losses],
                   hashlib.sha256(theta.values.tobytes()).hexdigest()]))
 """
