@@ -7,7 +7,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .params import is_integer
 
@@ -42,10 +41,47 @@ class RdpLedger:
             self.eps_rdp = np.zeros(len(self.orders))
 
 
+# cephes' Stirling series coefficients for log Gamma and its log(sqrt(2 pi))
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+             7.93650340457716943945E-4, -2.77777777730099687205E-3,
+             8.33333333333331927722E-2)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _log_gamma(x):
+    """log Gamma(x) at a positive integer x, with the bits of cephes' lgam,
+    which scipy.special.gammaln calls: below 13 the log of the exact product
+    (x-1)!, above it the Stirling series, in its short form from 1000 and
+    without it past 1e8. math.log is libm's log, as cephes calls it."""
+    if x < 13:
+        return math.log(float(math.factorial(x - 1)))
+    x = float(x)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a0, a1, a2, a3, a4 = _STIRLING
+    return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
+
+
+def _log_factorials(n):
+    """log k! for k = 0..n."""
+    return np.array([_log_gamma(k + 1) for k in range(n + 1)])
+
+
+# log k! up to the largest default order; sgm_rdp computes a larger order's
+# in the call
+_LOG_FACTORIALS = _log_factorials(max(DEFAULT_ORDERS))
+
+
 def _logsumexp(terms):
     """log(sum(exp(terms))) by scipy 1.17.1's logsumexp steps, so with its
     bits: the m maxima count as m, the rest as sum(exp(t - max)) / m. With
-    it, sgm_rdp's bits rest on numpy's ufuncs and scipy's gammaln only."""
+    it, sgm_rdp's bits rest on numpy's ufuncs and libm's log only."""
     top = terms.max()
     ties = terms == top
     m = np.count_nonzero(ties)
@@ -77,11 +113,12 @@ def sgm_rdp(q, sigma, order):
     if q == 0:
         return 0.0
     # the terms of all k at once, each summed in the order of the formula;
-    # log C(a, k) = gammaln(a+1) - gammaln(k+1) - gammaln(a-k+1) reads all
-    # three from one gammaln over k + 1 = 1..a+1
+    # log C(a, k) = log a! - log k! - log (a-k)! reads all three from log k!
+    # over k = 0..a
     if q < 1:
         k = np.arange(a + 1)
-        g = gammaln(k + 1)
+        g = (_LOG_FACTORIALS[:a + 1] if a < _LOG_FACTORIALS.size
+             else _log_factorials(a))
         log_terms = g[a] - g - g[::-1] + (a - k) * math.log1p(-q)
     else:  # q == 1: only the k == a term survives
         k = np.array([a])

@@ -31,6 +31,14 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _INT64_MAX = np.iinfo(np.int64).max
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _index_dtype(rows, dim, nnz):
+    """The index dtype scipy.sparse gives a CSR matrix of this shape and
+    nnz, int32 unless a count or an index needs int64; a block hashed in it
+    becomes the matrix's arrays with no copy."""
+    return np.int32 if max(rows, dim, nnz) <= _INT32_MAX else np.int64
 
 
 def fnv1a_64(token):
@@ -73,12 +81,13 @@ def _hash_block(lengths, index, sign, dim):
     keys, inverse = np.unique(owner * dim + index, return_inverse=True)
     sums = np.bincount(inverse, weights=sign, minlength=keys.size)
     owner = keys // dim
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    dtype = _index_dtype(n, dim, keys.size)
+    indptr = np.zeros(n + 1, dtype=dtype)
+    indptr[1:] = np.cumsum(np.bincount(owner, minlength=n))
     # bincount makes an empty record's segment 0, where reduceat would not
     norms = np.sqrt(np.bincount(owner, weights=sums * sums, minlength=n))
     norms[norms == 0] = 1.0
-    return indptr, keys - owner * dim, sums / norms[owner]
+    return indptr, (keys - owner * dim).astype(dtype), sums / norms[owner]
 
 
 def _hash_documents(documents, dim):
@@ -94,9 +103,9 @@ def _hash_documents(documents, dim):
 
 def hash_features(tokens, dim):
     """Signed hashed bag-of-words of one token list, L2-normalized, as
-    (indices, values). Empty input gives the zero vector."""
+    (int64 indices, values). Empty input gives the zero vector."""
     _, indices, values = _hash_documents([tokens], dim)
-    return indices, values
+    return indices.astype(np.int64), values
 
 
 def _csr(indptr, indices, values, dim):
@@ -298,7 +307,7 @@ def _zipf_counts(num_classes, exponent, total):
 
 
 _MASK32 = 0xFFFFFFFF
-_CHUNK = 4096  # records per vectorized token pass
+_CHUNK = 1024  # records per vectorized token pass
 
 
 class _RawStream:
@@ -448,13 +457,25 @@ def _draw_tokens(rng, labels, spec):
         r += i + 1
 
 
-def _stack_blocks(blocks):
-    """One hashed block of consecutive hashed blocks of records."""
-    indptr, indices, values = zip(*blocks)
-    offsets = np.cumsum([0] + [p[-1] for p in indptr[:-1]])
-    return (np.concatenate([[0]] + [p[1:] + o
-                                    for p, o in zip(indptr, offsets)]),
-            np.concatenate(indices), np.concatenate(values))
+def _stack_blocks(blocks, dim):
+    """One hashed block of consecutive hashed blocks of records, copied into
+    arrays allocated once, in the index dtype of the whole."""
+    blocks = list(blocks)
+    rows = sum(p.size - 1 for p, _, _ in blocks)
+    nnz = sum(v.size for _, _, v in blocks)
+    dtype = _index_dtype(rows, dim, nnz)
+    indptr = np.zeros(rows + 1, dtype=dtype)
+    indices = np.empty(nnz, dtype=dtype)
+    values = np.empty(nnz)
+    r = k = 0
+    for p, i, v in blocks:
+        ptr = indptr[r + 1:r + p.size]
+        ptr[:] = p[1:]
+        ptr += k
+        indices[k:k + v.size] = i
+        values[k:k + v.size] = v
+        r, k = r + p.size - 1, k + v.size
+    return indptr, indices, values
 
 
 def generate(spec):
@@ -476,9 +497,9 @@ def generate(spec):
            for j in range(class_vocab)], dim)
     labels = np.repeat(np.arange(spec.num_classes), counts)
     matrix = _csr(*_stack_blocks(
-        _hash_block(lengths, index[tokens], sign[tokens], dim)
-        for lengths, tokens in _draw_tokens(np.random.default_rng(spec.seed),
-                                            labels, spec)), dim)
+        (_hash_block(lengths, index[tokens], sign[tokens], dim)
+         for lengths, tokens in _draw_tokens(np.random.default_rng(spec.seed),
+                                             labels, spec)), dim), dim)
     provenance = {"kind": "synthetic", "seed": spec.seed,
                   "params": {k: getattr(spec, k) for k in
                              ("num_classes", "zipf_exponent", "total_records",
@@ -510,15 +531,39 @@ def _csv_rows(path, reader):
     return rows
 
 
+def _non_utf8_line(path):
+    """The line, counted by newlines, of the first byte of the file at path
+    that does not decode as UTF-8."""
+    with open(path, "rb") as f:
+        content = f.read()
+    try:
+        content.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return content.count(b"\n", 0, e.start) + 1
+    raise DataError("%s changed while it was read" % path)
+
+
 def load_csv(path, feature_dim=4096):
-    """Ingest `id,text,label` rows (header required) into hashed features."""
+    """Ingest `id,text,label` rows (header required) into hashed features.
+    Bytes that are not UTF-8, and a row the csv module cannot parse (such as
+    a field past its size limit), raise DataError naming the path and line."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames is None or \
-                [c.strip() for c in reader.fieldnames[:3]] != ["id", "text", "label"]:
-            raise DataError("CSV must start with header id,text,label")
-        reader.fieldnames = [c.strip() for c in reader.fieldnames]
-        raw = _csv_rows(path, reader)
+        try:
+            if reader.fieldnames is None or \
+                    [c.strip() for c in reader.fieldnames[:3]] != ["id", "text", "label"]:
+                raise DataError("CSV must start with header id,text,label")
+            reader.fieldnames = [c.strip() for c in reader.fieldnames]
+            raw = _csv_rows(path, reader)
+        except csv.Error as e:
+            # DictReader's line_num moves only past a row it returns
+            raise DataError("%s line %d: %s"
+                            % (path, reader.reader.line_num, e)) from None
+        except UnicodeDecodeError:
+            # the text layer decodes ahead of the csv reader, so the line is
+            # found in the bytes
+            raise DataError("%s line %d: not UTF-8" % (path, _non_utf8_line(
+                path))) from None
     labels = sorted({label for _, _, label in raw})
     label_index = {name: i for i, name in enumerate(labels)}
     matrix = _csr(*_hash_documents([tokenize(text) for _, text, _ in raw],

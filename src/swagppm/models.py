@@ -241,7 +241,10 @@ def log_likelihood_rows(spec, thetas, X, y):
     of the whole batch. Every row is computed in the same buffers (a
     block's logits, hidden activations and row sums, and the output row),
     made by this call on the calling thread, so a row is valid only until
-    the next one is made: copy it to keep it. A row allocates nothing.
+    the next one is made: copy it to keep it. A row keeps nothing; while a
+    block is scored, each bias add broadcasts through numpy's iterator
+    buffer, a temporary of at most 8192 floats (11344 B for a (64, 20)
+    block, 66544 B for a (2150, 20) one, traced on numpy 2.4.6).
     """
     X = as_csr(spec, X)
     n, num_classes = X.shape[0], spec.num_classes

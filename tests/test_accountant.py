@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -75,11 +78,45 @@ def _sgm_rdp_loop(q, sigma, a):
 @example(q=512 / 10751, sigma=1.6334205627441407, a=64)
 @example(q=512 / 1079, sigma=5.436673736572265, a=2)
 @example(q=2.040669660301145e-282, sigma=1.0, a=2)  # the loop's is < 0
+@example(q=0.01, sigma=2.0, a=1200)  # past the log k! table and 1000
 def test_sgm_rdp_matches_per_k_loop(q, sigma, a):
     # the loop takes scipy's logsumexp, so this pins sgm_rdp's bits to it;
     # sgm_rdp clamps the loop's rounding below 0 at 0
     assert accountant.sgm_rdp(q, sigma, a) == max(0.0,
                                                   _sgm_rdp_loop(q, sigma, a))
+
+
+def test_log_factorials_equal_scipy_gammaln():
+    # the port of cephes' lgam takes the product branch below 13, the
+    # Stirling series up to 1000 and its short form past it
+    k = np.arange(3000)
+    assert np.array_equal(accountant._log_factorials(2999), gammaln(k + 1))
+    top = max(accountant.DEFAULT_ORDERS)
+    assert np.array_equal(accountant._LOG_FACTORIALS, gammaln(k[:top + 1] + 1))
+
+
+# Imports the package and its CLI, calibrates sigma at bench-default's DP-SGD
+# schedule and generates a small corpus, then prints whether scipy.special
+# was imported.
+_NO_SCIPY_SPECIAL_RUN = """
+import sys
+import swagppm, swagppm.cli
+from swagppm import accountant, data
+accountant.calibrate_noise(4.0, 1e-4, 512 / 1079, 90)
+data.generate(data.SyntheticSpec(5, 1.0, 300, 200, (5, 12), 0.8, 11, 256))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_no_package_module_imports_scipy_special():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        accountant.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SPECIAL_RUN],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out == "False\n"
 
 
 @settings(max_examples=200, deadline=None)

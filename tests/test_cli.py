@@ -223,6 +223,16 @@ def test_generate_data_exits_3_on_a_bad_csv(tmp_path, capsys):
     assert "%s line 3: id 1 repeats line 2" % path in err
 
 
+def test_generate_data_exits_3_on_a_csv_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("id,text,label\n1,café,fracture\n".encode("latin-1"))
+    code = run(["--out", str(tmp_path / "o"), "--override",
+                "data.csv_path=%s" % json.dumps(str(path)), "generate-data"])
+    assert code == cli.EXIT_PHASE
+    assert ("phase failure: phase 'generate-data' failed: %s line 2: "
+            "not UTF-8" % path) in capsys.readouterr().err
+
+
 def test_csv_path_a_directory_exits_2_naming_the_key(tmp_path, capsys):
     code = run(["--out", str(tmp_path / "o"), "--override",
                 "data.csv_path=%s" % json.dumps(str(tmp_path)),

@@ -264,6 +264,32 @@ def test_csv_bad_rows_raise_data_error(tmp_path, row, message):
     assert str(path) in str(info.value) and message in str(info.value)
 
 
+@pytest.mark.parametrize("rows_before", [1, 2000])
+def test_csv_that_is_not_utf8_raises_data_error_naming_the_line(tmp_path,
+                                                               rows_before):
+    # past 8192 bytes the text layer decodes ahead of the csv reader, so the
+    # line the reader is on is not the line of the bad byte
+    path = tmp_path / "bad.csv"
+    good = "".join("%d,fell off ladder,fracture\n" % i
+                   for i in range(rows_before))
+    path.write_bytes(b"id,text,label\n" + good.encode()
+                     + b"%d,caf\xe9,laceration\n" % rows_before)
+    with pytest.raises(data.DataError) as info:
+        data.load_csv(path)
+    assert "%s line %d: not UTF-8" % (path, rows_before + 2) in \
+        str(info.value)
+
+
+def test_csv_field_past_the_size_limit_raises_data_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,text,label\n1,fell,fracture\n2,%s,laceration\n"
+                    % ("x" * (csv.field_size_limit() + 1)))
+    with pytest.raises(data.DataError) as info:
+        data.load_csv(path)
+    assert "%s line 3: field larger than field limit" % path in \
+        str(info.value)
+
+
 def test_feature_matrix_is_the_stored_read_only_matrix():
     ds = data.generate(small_spec())
     first = ds.feature_matrix()

@@ -7,9 +7,11 @@ the package must reproduce them bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swagppm import data, pipeline
+
+from conftest import traced_peak
 
 
 # --- frozen per-record definition -------------------------------------------
@@ -57,6 +59,16 @@ def _frozen_generate(spec):
             records.append((rid, indices, values, c))
             rid += 1
     return records
+
+
+def _frozen_stack_blocks(blocks):
+    """Reference: hashed blocks stacked by one concatenation per array, in
+    int64, before the stack was written into arrays allocated once."""
+    indptr, indices, values = zip(*blocks)
+    offsets = np.cumsum([0] + [p[-1] for p in indptr[:-1]])
+    return (np.concatenate([[0]] + [p[1:] + o
+                                    for p, o in zip(indptr, offsets)]),
+            np.concatenate(indices), np.concatenate(values))
 
 
 def _frozen_compact_labels(records, num_classes):
@@ -287,6 +299,63 @@ def test_generate_large_corpus_matches_frozen(seed):
                  (got.data, matrix.data)]:
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert got.data.tobytes() == matrix.data.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([2, 8, 4096]),
+       blocks=st.lists(st.lists(st.integers(0, 6), max_size=5), min_size=1,
+                       max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=8, blocks=[[], [3, 0], [], [0, 0], [2], []], seed=1)
+def test_stack_blocks_matches_frozen_concatenation(dim, blocks, seed):
+    # a block of no records comes from a chunk whose first record has a
+    # rejected word; a record of no tokens holds no entries
+    rng = np.random.default_rng(seed)
+    hashed = [data._hash_block(lengths, rng.integers(0, dim, sum(lengths)),
+                               rng.choice([-1.0, 1.0], sum(lengths)), dim)
+              for lengths in blocks]
+    got = data._stack_blocks(iter(hashed), dim)
+    want = _frozen_stack_blocks(hashed)
+    assert got[0].dtype == got[1].dtype == np.int32
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2].dtype == want[2].dtype
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+def test_generate_holds_the_stacked_int32_arrays_uncopied(monkeypatch):
+    stacked = []
+
+    def keep(blocks, dim):
+        stacked.append(stack_blocks(blocks, dim))
+        return stacked[-1]
+
+    stack_blocks = data._stack_blocks
+    monkeypatch.setattr(data, "_stack_blocks", keep)
+    matrix = data.generate(data.SyntheticSpec(
+        5, 1.0, 3000, 200, (0, 12), 0.8, 11, 256)).feature_matrix()
+    (arrays,) = stacked
+    for held, made in zip((matrix.indptr, matrix.indices, matrix.data),
+                          arrays):
+        assert held.dtype == made.dtype and np.shares_memory(held, made)
+    assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
+
+
+def test_generate_peaks_under_two_and_a_half_times_what_it_returns():
+    # the default corpus at 16000 records, four times the default size; the
+    # stacked blocks and the arrays they are copied into are alive together,
+    # so the bound leaves half the corpus for the token passes' temporaries
+    cfg = pipeline.load_config(None, ["data.synthetic.total_records=16000"])
+    cfg["seed"] = 3
+    spec = pipeline._check_settings(cfg)
+    data.generate(data.SyntheticSpec(5, 1.0, 300, 200, (5, 12), 0.8, 11, 256))
+    made = []
+    peak = traced_peak(lambda: made.append(data.generate(spec)))
+    (ds,) = made
+    matrix = ds.feature_matrix()
+    held = sum(a.nbytes for a in (ds.ids, ds.labels, matrix.indptr,
+                                  matrix.indices, matrix.data))
+    assert peak < 2.5 * held
 
 
 # --- golden digests -----------------------------------------------------------
