@@ -4,7 +4,8 @@ set through ctypes.
 The library and its two symbols are looked up once, on first use, so
 importing the package costs nothing. When they are not found, threads()
 reads 1 and one_thread() does nothing: the posterior fold then runs on one
-lane, the calling thread, with a whole gemv at the process's thread count.
+lane, the calling thread, at the process's thread count, so a draw keeps its
+bits only at one thread or with its gemv parts below swag.GEMV_THREADED.
 """
 
 import contextlib

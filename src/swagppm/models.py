@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .params import Layout, ParameterVector, is_integer, is_number
+from .params import Layout, ParameterVector, is_finite, is_integer
 
 SOFTMAX_LINEAR = "softmax-linear"
 MLP_1_HIDDEN = "mlp-1-hidden"
@@ -49,8 +49,8 @@ class ModelSpec:
             raise ModelError("softmax-linear requires hidden_dim == 0")
         if self.num_classes < 2:
             raise ModelError("need at least 2 classes")
-        if not (is_number(self.weight_decay) and self.weight_decay >= 0):
-            raise ModelError("weight_decay must be nonnegative")
+        if not (is_finite(self.weight_decay) and self.weight_decay >= 0):
+            raise ModelError("weight_decay must be finite and >= 0")
         # built once; a non-integer dimension raises LayoutError
         object.__setattr__(self, "_layout", Layout(
             [("W", (self.input_dim, self.num_classes)),

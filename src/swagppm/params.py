@@ -6,6 +6,7 @@ import math
 import numbers
 import operator
 import struct
+import sys
 
 import numpy as np
 
@@ -23,6 +24,11 @@ def is_integer(value):
 def is_number(value):
     """Whether value is a real number; a bool is not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite(value):
+    """Whether value is a real number a float holds finitely; a bool is not."""
+    return is_number(value) and abs(value) <= sys.float_info.max
 
 
 class Layout:

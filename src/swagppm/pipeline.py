@@ -8,7 +8,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import os
 import shutil
 import threading
@@ -20,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import accountant, blas, data, metrics, models, ppm, swag, trainer
-from .params import is_integer, is_number, save_checkpoint
+from .params import is_finite, is_integer, is_number, save_checkpoint
 
 
 class ConfigError(ValueError):
@@ -214,20 +213,22 @@ def _check_settings(cfg):
             ("phases.k", ph["k"]) + unit,
             ("phases.c", ph["c"], lambda v: is_number(v) and v >= 0, ">= 0"),
             ("phases.g", ph["g"], is_number, "a number"),
-            ("phases.c", ph["c"], math.isfinite, "finite"),
-            ("phases.g", ph["g"], math.isfinite, "finite"),
+            ("phases.c", ph["c"], is_finite, "finite"),
+            ("phases.g", ph["g"], is_finite, "finite"),
             ("phases.draws", ph["draws"]) + count,
             ("phases.swag_rank", ph["swag_rank"]) + count,
             ("phases.swag_epochs", ph["swag_epochs"]) + count,
             ("dp_sgd.target_epsilon", dp["target_epsilon"],
              lambda v: is_number(v) and v > 0, "> 0"),
+            ("dp_sgd.target_epsilon", dp["target_epsilon"], is_finite,
+             "finite"),
             ("dp_sgd.delta", dp["delta"]) + unit,
             ("delta_sweep", cfg["delta_sweep"],
              lambda v: all(unit[0](d) for d in v),
              "a list of deltas in (0, 1)")]:
         try:
             good = ok(value)
-        except (TypeError, OverflowError):  # not a number, or past a float
+        except TypeError:  # a delta_sweep that is not a list
             good = False
         if not good:
             raise ConfigError("%s must be %s, got %r" % (key, want, value))
@@ -319,18 +320,20 @@ def _lane(maker, lock, numbers, count, sink, failures, lane):
 def _score_draws(spec, moments, seed, count, X, y, alpha, ids,
                  abs_ll_path=None):
     """Make and score count draws of the moments at seed, folding each into
-    the weighted sensitivity as it is made; no draw outlives its row. The
-    draws' gemv parts are fixed from the OpenBLAS thread count t in effect
-    now (SwagMoments.draw_maker); the fold then runs at one OpenBLAS thread
-    on t lanes (_lane), whose buffers, scorers and ppm.Folds are made here.
-    One lane runs on this thread; more run on a t-worker pool, each in a
-    copy of this thread's context, so numpy's errstate holds there too.
-    Merged, the lanes' folds give the bits of ppm.sensitivity over the rows
-    in draw order. Every draw below one that raised is finished before the
-    lanes stop, so the lowest draw's exception is raised. With a path, each
-    row is also written into a (count, n) .npy file, which a failure
-    removes rather than leave it partly written."""
-    maker = moments.draw_maker(seed)
+    the weighted sensitivity as it is made; no draw outlives its row. Any
+    thread count t and lane count give the same bits: swag.DrawMaker fixes
+    a draw's, and a max is exact in any order, so only the normals must
+    come off the stream in draw order. The fold runs at one OpenBLAS thread
+    on t lanes (_lane), whose buffers, scorers and ppm.Folds (0.26 MiB each
+    at n = 10751) are made here, once. One lane runs on this thread; more
+    run on a t-worker pool in a with block, each in a copy of this thread's
+    context, so numpy's errstate holds there too. Merged, the lanes' folds
+    give the bits of ppm.sensitivity over the rows in draw order. Every
+    draw below one that raised is finished before the lanes stop, so the
+    lowest draw's exception is raised. With a path, each row is also
+    written into a (count, n) .npy file, which a failure removes rather
+    than leave it partly written."""
+    maker = swag.DrawMaker(moments, seed)
     sink = np.lib.format.open_memmap(
         abs_ll_path, mode="w+", dtype=np.float64,
         shape=(count, len(ids))) if abs_ll_path else None

@@ -28,21 +28,16 @@ def _columns(p, k):
 GEMV_THREADED = 460800
 
 
-def _gemv_parts(rows, k, threads):
-    """The row ranges OpenBLAS splits a (rows, k) @ (k,) gemv into at the
-    given thread count, one per thread: each of width ceil(rest / (threads
-    - c)), but at least 4, for the rows not yet given out before range c.
-    One range when the gemv runs on the calling thread. Each range taken on
-    its own at one thread gives the bits of the whole gemv."""
-    if threads == 1 or rows * k < GEMV_THREADED:
+def _gemv_parts(rows, k):
+    """The row ranges a draw takes its (rows, k) @ (k,) gemv in, whatever
+    the thread count: one when rows * k < GEMV_THREADED, else the two
+    halves of OpenBLAS's own two-thread gemv, the first ceil(rows / 2)
+    rows and the rest. Each half taken on its own at one thread has the
+    bits of its rows in the whole gemv at two threads."""
+    if rows * k < GEMV_THREADED:
         return [(0, rows)]
-    parts, start = [], 0
-    while start < rows:
-        rest = rows - start
-        width = min(rest, max(4, -(-rest // (threads - len(parts)))))
-        parts.append((start, start + width))
-        start += width
-    return parts
+    half = -(-rows // 2)
+    return [(0, half), (half, rows)]
 
 
 class SwagMoments:
@@ -120,27 +115,17 @@ class SwagMoments:
         """Lazy iterator over count posterior draws, each
         mean + sqrt(sigma_diag/2) * z1 + D z2 / sqrt(2 (k-1)) with z1 ~ N(0,
         I_p) and, when k >= 2, z2 ~ N(0, I_k); with k < 2 the low-rank term
-        is dropped. Deterministic per (seed, count) and per the OpenBLAS
-        thread count t in effect when draws is called. The arguments are
-        checked here, before the first draw, and sigma_diag is computed once
-        for all draws. Each draw is a read-only view of one buffer, valid
-        until the next draw (copy it to keep it); a draw that is not finite
-        raises SwagError.
-
-        The draws are made by a DrawMaker, fixed here, in one set of its
-        buffers; each of the posterior fold's lanes makes its draws in its
-        own, with the same two steps, so a draw has the same bits either
-        way."""
+        is dropped. Deterministic per (seed, count), whatever the OpenBLAS
+        thread count: a DrawMaker makes the draws in one set of its buffers,
+        as it does in each of the posterior fold's lanes' own, so a draw has
+        the same bits either way. The arguments are checked here,
+        before the first draw, and sigma_diag is computed once for all draws.
+        Each draw is a read-only view of one buffer, valid until the next
+        draw (copy it to keep it); a draw that is not finite raises
+        SwagError."""
         if count < 1:
             raise SwagError("need at least one draw")
-        return self._draws(count, self.draw_maker(seed))
-
-    def draw_maker(self, seed):
-        """The DrawMaker of the draws at seed, with its gemv parts fixed
-        from the OpenBLAS thread count in effect now."""
-        if self.count < 1:
-            raise SwagError("no snapshots absorbed")
-        return DrawMaker(self, seed, blas.threads())
+        return self._draws(count, DrawMaker(self, seed))
 
     def _draws(self, count, maker):
         z, low_rank, z2, finite = maker.buffers()
@@ -171,20 +156,23 @@ class DrawMaker:
 
     Neither step allocates: z2 is filled through standard_normal's out, and
     the finite check goes through the bool buffer finite. D z2 is taken in
-    the parts fixed here from the thread count t (_gemv_parts): one part
-    when t = 1 or p k < GEMV_THREADED, else the t row ranges OpenBLAS's own
-    t-thread gemv uses, each computed as np.matmul(D[a:b], z2,
-    out=low_rank[a:b]). Taken at one thread, as inside a one-thread window
-    (blas.one_thread), each part has the bits of its rows in the whole gemv
-    at t threads. The moments must not change while the maker is used."""
+    the row ranges of _gemv_parts, which depend on p and k alone, each as
+    np.matmul(D[a:b], z2, out=low_rank[a:b]) inside a one-thread window
+    (blas.one_thread; the fold holds one for all its draws). So a draw has
+    the bits of the whole gemv at two threads, the count the stored
+    benchmark references were recorded at, whatever the process's count.
+    The moments must have a snapshot absorbed and must not change while
+    the maker is used."""
 
-    def __init__(self, moments, seed, threads):
+    def __init__(self, moments, seed):
+        if moments.count < 1:
+            raise SwagError("no snapshots absorbed")
         p, self.k = moments.layout.size, moments.k
         self.rng = np.random.default_rng(seed)
         self.mean = moments.mean
         self.diag_scale = np.sqrt(moments.sigma_diag() / 2.0)
         self.dev = moments._dev[:, :self.k]
-        self.parts = _gemv_parts(p, self.k, threads)
+        self.parts = _gemv_parts(p, self.k)
 
     def buffers(self):
         """A draw's buffers (z, low_rank, z2, finite)."""

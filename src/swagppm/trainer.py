@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from . import models
-from .params import ParameterVector, is_integer, is_number
+from .params import ParameterVector, is_finite, is_integer, is_number
 
 ADAPTIVE = "adaptive"
 SGD_CONSTANT = "sgd-constant"
@@ -36,16 +36,16 @@ class TrainConfig:
         """A field of the wrong type or out of range raises TrainError."""
         if self.optimizer not in (ADAPTIVE, SGD_CONSTANT, DP_SGD):
             raise TrainError("unknown optimizer %r" % self.optimizer)
-        if not (is_number(self.learning_rate) and self.learning_rate > 0
+        if not (is_finite(self.learning_rate) and self.learning_rate > 0
                 and is_integer(self.batch_size) and self.batch_size > 0
                 and is_integer(self.epochs) and self.epochs >= 0):
             raise TrainError(
                 "bad learning_rate %r, batch_size %r or epochs %r: need a "
-                "rate > 0, an integer batch size > 0 and integer epochs >= 0"
+                "finite rate > 0, integer batch size > 0 and epochs >= 0"
                 % (self.learning_rate, self.batch_size, self.epochs))
-        if self.optimizer == DP_SGD and not (is_number(self.clip_norm)
+        if self.optimizer == DP_SGD and not (is_finite(self.clip_norm)
                                              and self.clip_norm > 0):
-            raise TrainError("dp-sgd requires clip_norm > 0")
+            raise TrainError("dp-sgd requires clip_norm > 0 and finite")
 
 
 def _dp_update(theta, grad_sum, noise, lr, denom):

@@ -368,6 +368,23 @@ def test_bad_model_config_exits_2_before_any_data(tmp_path, capsys,
      "dp_sgd.target_epsilon must be > 0, got True"),
     ("generate-data", "dp_sgd.clip_norm=true",
      "dp-sgd training: dp-sgd requires clip_norm > 0"),
+    # infinite training settings, which would train to a non-finite theta
+    # or, for target_epsilon, calibrate to the bracket's floor sigma; JSON's
+    # 1e400 parses to inf
+    ("benchmark", "dp_sgd.clip_norm=Infinity",
+     "dp-sgd training: dp-sgd requires clip_norm > 0 and finite"),
+    ("train", "model.weight_decay=Infinity",
+     "model: weight_decay must be finite and >= 0"),
+    ("train", "nonprivate.learning_rate=Infinity",
+     "nonprivate training: bad learning_rate inf"),
+    ("swag-ppm", "phases.finetune_lr=Infinity",
+     "finetune training: bad learning_rate inf"),
+    ("swag-ppm", "phases.swag_lr=Infinity",
+     "swag training: bad learning_rate inf"),
+    ("benchmark", "dp_sgd.learning_rate=1e400",
+     "dp-sgd training: bad learning_rate inf"),
+    ("benchmark", "dp_sgd.target_epsilon=Infinity",
+     "dp_sgd.target_epsilon must be finite, got inf"),
 ])
 def test_bad_training_config_exits_2_before_any_data(
         tmp_path, capsys, monkeypatch, command, override, message):

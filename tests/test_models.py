@@ -231,6 +231,15 @@ def test_model_spec_rejects_a_bad_dimension(dims):
         models.ModelSpec(family, input_dim, num_classes, hidden_dim)
 
 
+@pytest.mark.parametrize("weight_decay", [float("inf"), 10 ** 400,
+                                          float("nan"), -0.1])
+def test_model_spec_rejects_a_bad_weight_decay(weight_decay):
+    with pytest.raises(models.ModelError,
+                       match="weight_decay must be finite and >= 0"):
+        models.ModelSpec(models.SOFTMAX_LINEAR, 5, 3,
+                         weight_decay=weight_decay)
+
+
 def _frozen_init_params(spec, seed):
     # Reference: init_params as it was when it did its own offset arithmetic
     layout = spec.layout()

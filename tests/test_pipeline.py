@@ -4,7 +4,6 @@ import gc
 import json
 import os
 import shutil
-import subprocess
 import sys
 import threading
 import time
@@ -317,6 +316,7 @@ def test_a_draw_that_scores_nan_fails_the_scoring_phase(monkeypatch):
 def two_blas_threads(set_blas_threads):
     """OpenBLAS at two threads, so the fold scores on two lanes."""
     set_blas_threads(2)
+    assert blas.threads() == 2
 
 
 def _scoring_threads(monkeypatch):
@@ -696,8 +696,8 @@ def _missing_symbol(monkeypatch):
 
 def _wide_config():
     # p = 16384 * 6 + 6 = 98310 and k = 6: p * k is above
-    # swag.GEMV_THREADED, so at two BLAS threads each draw's gemv comes in
-    # two parts
+    # swag.GEMV_THREADED, so each draw's gemv comes in two halves, each
+    # below it
     cfg = tiny_config()
     cfg["data"]["synthetic"]["feature_dim"] = 16384
     return cfg
@@ -731,61 +731,37 @@ def test_without_blas_controls_the_fold_runs_on_one_lane_with_the_same_bits(
         == want.released_theta.values.tobytes()
 
 
-# At the BLAS thread count the environment sets, prints whether (a) a
-# moments' draws equal the draws with one whole np.matmul for the low-rank
-# term, for p * k on both sides of swag.GEMV_THREADED, an odd p and k <
-# k_max, and (b) a reweighted MLP release at n * hidden * classes > 10**6
-# gives the same Delta, per_record, argmax and released theta on the lanes
-# as on one lane without the BLAS controls.
-_THREAD_COUNT_FOLD = """
-import json
-import numpy as np
-from swagppm import blas, pipeline, swag
-from swagppm.params import Layout, ParameterVector
-gemv = []
-for p in (65828, 65829, 66229):
-    layout = Layout([("w", (p,))])
-    m = swag.SwagMoments(layout, k_max=20)
-    rng = np.random.default_rng(p)
-    for _ in range(7):
-        m.absorb(ParameterVector(rng.normal(0, 1, p), layout))
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(p) * np.sqrt(m.sigma_diag() / 2.0) + m.mean
-    z += np.matmul(m._dev[:, :7], rng.standard_normal(7)) / np.sqrt(12.0)
-    draws = m.draws(1, 0)
-    with blas.one_thread():
-        gemv.append(next(draws).tobytes() == z.tobytes())
-cfg = pipeline.load_config({"seed": 5})
-cfg["data"].update(cap=2000)
-cfg["data"]["synthetic"].update(feature_dim=1024)
-cfg["model"].update(family="mlp-1-hidden", hidden_dim=32)
-cfg["phases"].update(finetune_epochs=2, swag_epochs=14, draws=12)
-train, _ = pipeline.prepare_data(cfg)
-assert len(train) * 32 * 20 > 10 ** 6
-results = [pipeline.run_swag_ppm(cfg, train, reweighted=True)]
-blas._controls = lambda: ()
-results.append(pipeline.run_swag_ppm(cfg, train, reweighted=True))
-a, b = (r.report for r in results)
-print(json.dumps({"gemv": gemv, "fold": [
-    a.delta == b.delta, a.per_record.tobytes() == b.per_record.tobytes(),
-    (a.argmax_draw, a.argmax_record_id) == (b.argmax_draw,
-                                            b.argmax_record_id),
-    results[0].released_theta.values.tobytes()
-    == results[1].released_theta.values.tobytes()]}))
-"""
-
-
-@pytest.mark.parametrize("threads", ["1", "2", "3"])
-def test_lane_fold_equals_one_lane_fold_at_each_blas_thread_count(threads):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(
-                   [src] + os.environ.get("PYTHONPATH", "").split(
-                       os.pathsep)))
-    out = json.loads(subprocess.run(
-        [sys.executable, "-c", _THREAD_COUNT_FOLD], env=env, check=True,
-        capture_output=True, text=True).stdout)
-    assert out == {"gemv": [True] * 3, "fold": [True] * 4}
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_lane_fold_equals_one_lane_fold_at_each_blas_thread_count(
+        monkeypatch, set_blas_threads, threads):
+    # a reweighted MLP release trained at t threads and folded on t lanes
+    # has the bits of the release made on one lane without the BLAS
+    # controls at two threads. n * hidden * classes > 10**6, so a block's
+    # H @ W2 is on OpenBLAS's kernel of the whole product, and p * k =
+    # 33460 * 14 is above swag.GEMV_THREADED, so each draw's gemv comes in
+    # two halves, each below it; at seed 9 the whole gemv at one thread
+    # moves the release
+    cfg = pipeline.load_config({"seed": 9})
+    cfg["data"].update(cap=2000)
+    cfg["data"]["synthetic"].update(feature_dim=1024)
+    cfg["model"].update(family="mlp-1-hidden", hidden_dim=32)
+    cfg["phases"].update(finetune_epochs=2, swag_epochs=14, draws=12)
+    train, _ = pipeline.prepare_data(cfg)
+    set_blas_threads(threads)
+    assert blas.threads() == threads
+    got = pipeline.run_swag_ppm(cfg, train, reweighted=True)
+    assert blas.threads() == threads
+    set_blas_threads(2)
+    _missing_symbol(monkeypatch)
+    want = pipeline.run_swag_ppm(cfg, train, reweighted=True)
+    assert len(train) * 32 * 20 > 10 ** 6
+    assert want.moments.layout.size * want.moments.k > swag.GEMV_THREADED
+    assert got.report.delta == want.report.delta
+    assert got.report.per_record.tobytes() == want.report.per_record.tobytes()
+    assert (got.report.argmax_draw, got.report.argmax_record_id) \
+        == (want.report.argmax_draw, want.report.argmax_record_id)
+    assert got.released_theta.values.tobytes() \
+        == want.released_theta.values.tobytes()
 
 
 def _files(root):

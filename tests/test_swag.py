@@ -521,48 +521,60 @@ def test_absorb_checks_every_layout_before_absorbing_any(p1):
     assert (m.count, m.k) == (0, 0)
 
 
-@pytest.mark.parametrize("rows, k, threads, want", [
-    (66228, 20, 1, [(0, 66228)]),
-    (23039, 20, 4, [(0, 23039)]),  # 23039 * 20 < GEMV_THREADED
-    (23040, 20, 2, [(0, 11520), (11520, 23040)]),
-    (100000, 7, 3, [(0, 33334), (33334, 66667), (66667, 100000)]),
+@pytest.mark.parametrize("rows, k, want", [
+    (66228, 20, [(0, 33114), (33114, 66228)]),
+    (23039, 20, [(0, 23039)]),  # 23039 * 20 < GEMV_THREADED
+    (23040, 20, [(0, 11520), (11520, 23040)]),
+    (100000, 7, [(0, 50000), (50000, 100000)]),
+    (99999, 7, [(0, 50000), (50000, 99999)]),
 ])
-def test_gemv_parts_follow_openblas_partition(rows, k, threads, want):
-    assert swag._gemv_parts(rows, k, threads) == want
+def test_gemv_parts_follow_openblas_partition(rows, k, want):
+    # OpenBLAS's two-thread partition, whatever the thread count
+    assert swag._gemv_parts(rows, k) == want
 
 
-def _whole_gemv_draws(m, count, seed):
-    """The draws' arithmetic with the low-rank term as one np.matmul."""
+def _split_gemv_draws(m, count, seed, split):
+    """Reference: the draws' arithmetic with the low-rank term as one
+    np.matmul for the rows before split and one for the rest."""
     rng = np.random.default_rng(seed)
     scale = np.sqrt(m.sigma_diag() / 2.0)
+    dev = m._dev[:, :m.k]
     for _ in range(count):
         z = rng.standard_normal(m.layout.size) * scale + m.mean
-        z += (np.matmul(m._dev[:, :m.k], rng.standard_normal(m.k))
-              / np.sqrt(2.0 * (m.k - 1)))
+        z2 = rng.standard_normal(m.k)
+        low_rank = np.concatenate([np.matmul(dev[:split], z2),
+                                   np.matmul(dev[split:], z2)])
+        z += low_rank / np.sqrt(2.0 * (m.k - 1))
         yield z
 
 
-@pytest.mark.parametrize("threads", [2, 3, 4])
-def test_draws_have_the_whole_gemvs_bits_at_each_thread_count(
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_draws_take_the_two_thread_bits_at_each_thread_count(
         set_blas_threads, threads):
     # p * k on both sides of GEMV_THREADED, odd p, and k below and at k_max;
-    # the draws made inside a one-thread window, as the fold makes them,
-    # still have the bits of the whole gemv at the thread count in effect
-    # when draws was called
+    # made inside a one-thread window, as the fold makes them, or outside
+    # one, the draws have the bits of the two halves (the first ceil(p / 2)
+    # rows and the rest once p * k >= 460800) taken at one thread, which at
+    # two threads are the bits of the whole gemv
     set_blas_threads(threads)
+    assert blas.threads() == threads
     moved = 0
     for p, k in ((23039, 20), (23041, 20), (40980, 20), (65828, 7),
                  (65829, 7), (66228, 7), (99999, 20)):
         m = _absorbed(p, 20, k, p)
         assert m.k == k
-        want = list(_whole_gemv_draws(m, 2, seed=1))
-        draws = m.draws(2, seed=1)
+        half = -(-p // 2) if p * k >= 460800 else p
         with blas.one_thread():
-            got = [d.copy() for d in draws]
-            one_thread = list(_whole_gemv_draws(m, 2, seed=1))
+            want = list(_split_gemv_draws(m, 2, 1, half))
+            whole_at_one_thread = list(_split_gemv_draws(m, 2, 1, p))
+            got = [d.copy() for d in m.draws(2, seed=1)]
         assert blas.threads() == threads
         for g, w in zip(got + [d.copy() for d in m.draws(2, seed=1)],
                         want + want):
             assert g.tobytes() == w.tobytes()
-        moved += any((o != w).any() for o, w in zip(one_thread, want))
+        if threads == 2:
+            for whole, w in zip(_split_gemv_draws(m, 2, 1, p), want):
+                assert whole.tobytes() == w.tobytes()
+        moved += any((o != w).any()
+                     for o, w in zip(whole_at_one_thread, want))
     assert moved  # the partition is what keeps the bits

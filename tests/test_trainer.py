@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from swagppm import models, trainer
+from swagppm import blas, models, trainer
 from swagppm.params import ParameterVector
 
 from conftest import large_instance, random_instance, traced_peak
@@ -373,6 +374,9 @@ def test_dp_sgd_config_validation():
     {"batch_size": True}, {"epochs": True}, {"learning_rate": True},
     {"optimizer": trainer.DP_SGD, "clip_norm": True},
     {"optimizer": None},
+    # not finite, or past a float's range
+    {"learning_rate": float("inf")}, {"learning_rate": 10 ** 400},
+    {"clip_norm": float("inf")},
 ])
 def test_config_of_a_wrong_type_raises_train_error(fields):
     args = dict(optimizer=trainer.DP_SGD, learning_rate=0.1, batch_size=4,
@@ -856,13 +860,13 @@ def test_only_dp_sgd_starts_a_thread(rng, monkeypatch, optimizer):
 
 
 # Trains DP-SGD at p = 4096 * 3 + 3 = 12291 > 10000, where one dot of theta
-# with itself runs on OpenBLAS's pool, and prints each epoch's loss repr and
-# the sha256 of the final theta.
+# with itself runs on OpenBLAS's pool, and prints the BLAS thread count it
+# ran at, each epoch's loss repr and the sha256 of the final theta.
 _THREAD_COUNT_RUN = """
 import hashlib, json
 import numpy as np
 import scipy.sparse as sp
-from swagppm import models, trainer
+from swagppm import blas, models, trainer
 rng = np.random.default_rng(5)
 spec = models.ModelSpec(models.SOFTMAX_LINEAR, 4096, 3, weight_decay=0.01)
 theta0 = models.init_params(spec, 0).replace(rng.normal(0, 1, spec.num_params))
@@ -870,22 +874,26 @@ X = sp.random(200, 4096, density=0.01, format="csr", random_state=5)
 y = rng.integers(0, 3, 200)
 cfg = trainer.TrainConfig(trainer.DP_SGD, 0.1, 20, 3, seed=1, clip_norm=0.5)
 ((theta, losses),) = trainer.train_dp_sweep(spec, theta0, X, y, cfg, [1.1])
-print(json.dumps([[repr(loss) for loss in losses],
+print(json.dumps([blas.threads(), [repr(loss) for loss in losses],
                   hashlib.sha256(theta.values.tobytes()).hexdigest()]))
 """
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                    reason="needs 2 CPUs for a second BLAS thread")
+# OpenBLAS caps OPENBLAS_NUM_THREADS at the CPU count
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or not blas._controls(),
+                    reason="needs 2 CPUs and numpy's OpenBLAS thread "
+                           "controls for a second BLAS thread")
 def test_dp_sgd_losses_and_theta_do_not_depend_on_blas_threads():
     src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
     outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                    PYTHONPATH=os.pathsep.join(
                        [src] + os.environ.get("PYTHONPATH", "").split(
                            os.pathsep)))
-        outputs.append(subprocess.run(
+        ran_at, *run = json.loads(subprocess.run(
             [sys.executable, "-c", _THREAD_COUNT_RUN], env=env, check=True,
             capture_output=True, text=True).stdout)
+        assert ran_at == threads
+        outputs.append(run)
     assert outputs[0] == outputs[1]
