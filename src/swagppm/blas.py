@@ -3,9 +3,9 @@ set through ctypes.
 
 The library and its two symbols are looked up once, on first use, so
 importing the package costs nothing. When they are not found, threads()
-reads 1 and one_thread() does nothing: the posterior fold then runs on one
-lane, the calling thread, at the process's thread count, so a draw keeps its
-bits only at one thread or with its gemv parts below swag.GEMV_THREADED.
+reads 1 and one_thread() does nothing: ppm.posterior_sensitivity then runs
+on one lane, the calling thread, at the process's thread count, and a draw
+keeps its bits, which no thread count changes (swag.DrawMaker).
 """
 
 import contextlib
@@ -13,6 +13,7 @@ import ctypes
 import functools
 import glob
 import os
+import threading
 
 import numpy as np
 
@@ -43,19 +44,34 @@ def threads():
     return controls[0]() if controls else 1
 
 
+# The one_thread windows open on any thread: how many, and the count the
+# first one found, which the last one to close restores.
+_windows = threading.Lock()
+_open = 0
+_before = 1
+
+
 @contextlib.contextmanager
 def one_thread():
     """Run the block at one OpenBLAS thread, and restore the count the
     process had on every exit. The count is process-wide: BLAS calls that
-    other threads make meanwhile run at one thread too."""
+    other threads make meanwhile run at one thread too, and windows that
+    overlap on several threads hold it at one until the last one closes."""
+    global _open, _before
     controls = _controls()
     if not controls:
         yield
         return
     get, set_ = controls
-    before = get()
-    set_(1)
+    with _windows:
+        if not _open:
+            _before = get()
+            set_(1)
+        _open += 1
     try:
         yield
     finally:
-        set_(before)
+        with _windows:
+            _open -= 1
+            if not _open:
+                set_(_before)

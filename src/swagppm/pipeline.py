@@ -1,24 +1,20 @@
 """End-to-end orchestration: data prep, the three-round weighted training
 flow, the DP-SGD and non-private baselines, and benchmark report emission."""
 
-import contextvars
 import copy
 import csv
 import functools
 import hashlib
-import itertools
 import json
 import os
 import shutil
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import accountant, blas, data, metrics, models, ppm, swag, trainer
+from . import accountant, data, metrics, models, ppm, swag, trainer
 from .params import is_finite, is_integer, is_number, save_checkpoint
 
 
@@ -290,85 +286,6 @@ def _phase(name, fn, *args):
         raise PhaseError(name, e) from e
 
 
-def _lane(maker, lock, numbers, count, sink, failures, lane):
-    """Make, score and fold draws until count are taken or a lane failed:
-    the next draw's number and normals under the stream's lock, then the
-    draw's arithmetic, its |ll| row, the row's fold into the lane's Fold and
-    its write into the sink. An exception goes into failures with its draw,
-    or count when it came before the lane took one."""
-    z, low_rank, z2, finite, scorer, fold = lane
-    while True:
-        s = count
-        try:
-            with lock:
-                if failures:
-                    return
-                s = next(numbers)
-                if s >= count:
-                    return
-                maker.take(z, z2)
-            maker.finish(z, z2, low_rank, finite, s)
-            row = next(scorer)
-            fold.add(s, row)
-            if sink is not None:
-                sink[s] = row
-        except BaseException as e:  # noqa: BLE001 - raised by _score_draws
-            failures.append((s, e))
-            return
-
-
-def _score_draws(spec, moments, seed, count, X, y, alpha, ids,
-                 abs_ll_path=None):
-    """Make and score count draws of the moments at seed, folding each into
-    the weighted sensitivity as it is made; no draw outlives its row. Any
-    thread count t and lane count give the same bits: swag.DrawMaker fixes
-    a draw's, and a max is exact in any order, so only the normals must
-    come off the stream in draw order. The fold runs at one OpenBLAS thread
-    on t lanes (_lane), whose buffers, scorers and ppm.Folds (0.26 MiB each
-    at n = 10751) are made here, once. One lane runs on this thread; more
-    run on a t-worker pool in a with block, each in a copy of this thread's
-    context, so numpy's errstate holds there too. Merged, the lanes' folds
-    give the bits of ppm.sensitivity over the rows in draw order. Every
-    draw below one that raised is finished before the lanes stop, so the
-    lowest draw's exception is raised. With a path, each row is also
-    written into a (count, n) .npy file, which a failure removes rather
-    than leave it partly written."""
-    maker = swag.DrawMaker(moments, seed)
-    sink = np.lib.format.open_memmap(
-        abs_ll_path, mode="w+", dtype=np.float64,
-        shape=(count, len(ids))) if abs_ll_path else None
-    lanes = []
-    for _ in range(blas.threads()):
-        buffers = maker.buffers()  # (z, low_rank, z2, finite)
-        scorer = ppm.abs_loglik_rows(spec, itertools.repeat(buffers[0]), X, y)
-        lanes.append(buffers + (scorer, ppm.Fold(alpha)))
-    failures = []
-    run = functools.partial(_lane, maker, threading.Lock(), itertools.count(),
-                            count, sink, failures)
-    try:
-        with blas.one_thread():
-            if len(lanes) == 1:
-                run(lanes[0])
-            else:
-                with ThreadPoolExecutor(len(lanes)) as pool:
-                    futures = [pool.submit(contextvars.copy_context().run,
-                                           run, lane) for lane in lanes]
-                for future in futures:
-                    future.result()
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        report = functools.reduce(ppm.Fold.merge,
-                                  [lane[-1] for lane in lanes]).report(ids)
-        if sink is not None:
-            sink.flush()
-    except BaseException:
-        failures.append((count, None))  # a lane still running stops
-        if sink is not None:
-            os.remove(abs_ll_path)
-        raise
-    return report
-
-
 def _swag_rounds(cfg, train_view, out_dir=None):
     """The fine-tune + SWAG rounds in order, run one per step of the
     generator, each yielding (round, moments, weights, report): round 1 the
@@ -400,9 +317,9 @@ def _swag_rounds(cfg, train_view, out_dir=None):
         # round 1 scores unweighted: its per-record maxima are the risks
         alpha = np.ones(len(ids)) if weights is None else weights.alpha
         abs_ll = internal and os.path.join(internal, tag + "_abs_ll.npy")
-        scores = _phase(score_phase, _score_draws, spec, moments,
-                        derive_seed(master, "draws%d" % r), ph["draws"], X, y,
-                        alpha, ids, abs_ll)
+        scores = _phase(score_phase, ppm.posterior_sensitivity, spec,
+                        moments, derive_seed(master, "draws%d" % r),
+                        ph["draws"], X, y, alpha, ids, abs_ll)
         if weights is None:
             weights = ppm.map_weights(ids, scores.per_record, ph["c"],
                                       ph["g"])

@@ -1,14 +1,20 @@
 """Pseudo-posterior mechanism core: per-record risks from posterior draws,
-risk-to-weight mapping, weighted sensitivity, the 2*Delta privacy bound,
-and the Lipschitz-preserving reweighting step."""
+risk-to-weight mapping, the weighted sensitivity of a round's draws and its
+2*Delta privacy bound, and the Lipschitz-preserving reweighting step."""
 
+import contextvars
 import csv
+import functools
+import itertools
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import blas, models, swag
 
 STAGE_INITIAL = "initial"
 
@@ -146,6 +152,83 @@ def sensitivity(rows, alpha, record_ids=None):
     for s, row in enumerate(rows):
         fold.add(s, row)
     return fold.report(record_ids)
+
+
+def _lane(maker, lock, numbers, count, sink, failures, lane):
+    """Make, score and fold draws until count are taken or a lane failed:
+    the next draw's number and normals under the stream's lock, then the
+    draw's arithmetic, its |ll| row, the row's fold into the lane's Fold and
+    its write into the sink. An exception goes into failures with its draw,
+    or count when it came before the lane took one."""
+    z, low_rank, z2, finite, scorer, fold = lane
+    while True:
+        s = count
+        try:
+            with lock:
+                if failures:
+                    return
+                s = next(numbers)
+                if s >= count:
+                    return
+                maker.take(z, z2)
+            maker.finish(z, z2, low_rank, finite, s)
+            row = next(scorer)
+            fold.add(s, row)
+            if sink is not None:
+                sink[s] = row
+        except BaseException as e:  # noqa: BLE001 - the fold re-raises it
+            failures.append((s, e))
+            return
+
+
+def posterior_sensitivity(spec, moments, seed, count, X, y, alpha, ids,
+                          abs_ll_path=None):
+    """The SensitivityReport of count draws of the moments at seed, each
+    made, scored and folded as it is made; no draw outlives its row. Any
+    thread count t and lane count give the same bits: swag.DrawMaker fixes
+    a draw's, and a max is exact in any order, so only the normals must
+    come off the stream in draw order. The fold holds the package's one
+    blas.one_thread window, so that its lanes' MLP H @ W2 products do not
+    each wake OpenBLAS's pool, and runs on t lanes (_lane), whose buffers,
+    scorers and Folds are made here, once. One lane runs on this thread;
+    more run on a t-worker pool, each in a copy of this thread's context,
+    so numpy's errstate holds there too. The lowest failed draw's exception
+    is raised, once every draw below it is finished. With a path, each row
+    is also written into a (count, n) .npy file, which a failure removes."""
+    maker = swag.DrawMaker(moments, seed)
+    sink = np.lib.format.open_memmap(
+        abs_ll_path, mode="w+", dtype=np.float64,
+        shape=(count, len(ids))) if abs_ll_path else None
+    lanes = []
+    for _ in range(blas.threads()):
+        buffers = maker.buffers()  # (z, low_rank, z2, finite)
+        scorer = abs_loglik_rows(spec, itertools.repeat(buffers[0]), X, y)
+        lanes.append(buffers + (scorer, Fold(alpha)))
+    failures = []
+    run = functools.partial(_lane, maker, threading.Lock(), itertools.count(),
+                            count, sink, failures)
+    try:
+        with blas.one_thread():
+            if len(lanes) == 1:
+                run(lanes[0])
+            else:
+                with ThreadPoolExecutor(len(lanes)) as pool:
+                    futures = [pool.submit(contextvars.copy_context().run,
+                                           run, lane) for lane in lanes]
+                for future in futures:
+                    future.result()
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        report = functools.reduce(Fold.merge,
+                                  [lane[-1] for lane in lanes]).report(ids)
+        if sink is not None:
+            sink.flush()
+    except BaseException:
+        failures.append((count, None))  # a lane still running stops
+        if sink is not None:
+            os.remove(abs_ll_path)
+        raise
+    return report
 
 
 def reweight(weights, report, k):

@@ -2,11 +2,9 @@
 a diagonal second-moment term and a low-rank deviation term."""
 
 import mmap
-from contextlib import nullcontext
 
 import numpy as np
 
-from . import blas
 from .params import LayoutError, ParameterVector, read_file, write_file
 
 
@@ -31,13 +29,17 @@ GEMV_THREADED = 460800
 def _gemv_parts(rows, k):
     """The row ranges a draw takes its (rows, k) @ (k,) gemv in, whatever
     the thread count: one when rows * k < GEMV_THREADED, else the two
-    halves of OpenBLAS's own two-thread gemv, the first ceil(rows / 2)
-    rows and the rest. Each half taken on its own at one thread has the
-    bits of its rows in the whole gemv at two threads."""
+    halves of OpenBLAS's two-thread gemv (the first ceil(rows / 2) rows and
+    the rest), each cut into chunks of a multiple of 4 rows below
+    GEMV_THREADED / k. OpenBLAS's kernel groups a chunk's rows by fours from
+    its start, so each has its rows' bits in the half at one thread."""
     if rows * k < GEMV_THREADED:
         return [(0, rows)]
     half = -(-rows // 2)
-    return [(0, half), (half, rows)]
+    chunk = 4 * ((GEMV_THREADED // k - 1) // 4)
+    return [(a, min(a + chunk, end))
+            for start, end in ((0, half), (half, rows))
+            for a in range(start, end, chunk)]
 
 
 class SwagMoments:
@@ -116,13 +118,13 @@ class SwagMoments:
         mean + sqrt(sigma_diag/2) * z1 + D z2 / sqrt(2 (k-1)) with z1 ~ N(0,
         I_p) and, when k >= 2, z2 ~ N(0, I_k); with k < 2 the low-rank term
         is dropped. Deterministic per (seed, count), whatever the OpenBLAS
-        thread count: a DrawMaker makes the draws in one set of its buffers,
-        as it does in each of the posterior fold's lanes' own, so a draw has
-        the same bits either way. The arguments are checked here,
-        before the first draw, and sigma_diag is computed once for all draws.
-        Each draw is a read-only view of one buffer, valid until the next
-        draw (copy it to keep it); a draw that is not finite raises
-        SwagError."""
+        thread count and with no thread control: a DrawMaker makes the draws
+        in one set of its buffers, as it does in each lane's own in
+        ppm.posterior_sensitivity, so a draw has the same bits either way.
+        The arguments are checked here, before the first draw, and
+        sigma_diag is computed once for all draws. Each draw is a read-only
+        view of one buffer, valid until the next draw (copy it to keep it);
+        a draw that is not finite raises SwagError."""
         if count < 1:
             raise SwagError("need at least one draw")
         return self._draws(count, DrawMaker(self, seed))
@@ -131,11 +133,9 @@ class SwagMoments:
         z, low_rank, z2, finite = maker.buffers()
         draw = z.view()
         draw.flags.writeable = False
-        window = blas.one_thread if len(maker.parts) > 1 else nullcontext
         for s in range(count):
             maker.take(z, z2)
-            with window():
-                maker.finish(z, z2, low_rank, finite, s)
+            maker.finish(z, z2, low_rank, finite, s)
             yield draw
 
     def sample(self, count, seed):
@@ -157,12 +157,12 @@ class DrawMaker:
     Neither step allocates: z2 is filled through standard_normal's out, and
     the finite check goes through the bool buffer finite. D z2 is taken in
     the row ranges of _gemv_parts, which depend on p and k alone, each as
-    np.matmul(D[a:b], z2, out=low_rank[a:b]) inside a one-thread window
-    (blas.one_thread; the fold holds one for all its draws). So a draw has
-    the bits of the whole gemv at two threads, the count the stored
-    benchmark references were recorded at, whatever the process's count.
-    The moments must have a snapshot absorbed and must not change while
-    the maker is used."""
+    np.matmul(D[a:b], z2, out=low_rank[a:b]). Each range is below
+    GEMV_THREADED, OpenBLAS's own threshold, so it runs on the calling
+    thread, and a draw has the bits of the whole gemv at two threads, the
+    count the stored benchmark references were recorded at, whatever the
+    process's count and with no thread control. The moments must have a
+    snapshot absorbed and must not change while the maker is used."""
 
     def __init__(self, moments, seed):
         if moments.count < 1:

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import settings, strategies as st
 
-from swagppm import blas, models
+from swagppm import blas, models, pipeline
 
 # CI selects this profile (HYPOTHESIS_PROFILE=ci) so that a failing property
 # replays the same examples on every run and prints its reproduction blob.
@@ -27,6 +28,38 @@ def set_blas_threads():
     before = get()
     yield set_
     set_(before)
+
+
+def tiny_config():
+    """The default config at 400 records, 6 classes and 256 features, with
+    short phases."""
+    cfg = pipeline.load_config({"seed": 7})
+    cfg["data"]["synthetic"].update(num_classes=6, total_records=400,
+                                    vocab_size=300, feature_dim=256)
+    cfg["phases"].update(finetune_epochs=3, swag_epochs=6, draws=40,
+                         batch_size=32)
+    cfg["dp_sgd"].update(epochs=5, batch_size=64)
+    cfg["nonprivate"].update(epochs=5)
+    return cfg
+
+
+def within_a_minute(fn):
+    """Run fn on a thread of its own, which must end within a minute (a
+    lane left waiting for the stream would hang the fold's pool join); the
+    exception fn raised, or None."""
+    caught = []
+
+    def run():
+        try:
+            fn()
+        except Exception as e:  # noqa: BLE001 - handed to the test
+            caught.append(e)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    return caught[0] if caught else None
 
 
 def random_instance(rng, family, input_dim=5, num_classes=3, hidden_dim=4,

@@ -4,32 +4,18 @@ import gc
 import json
 import os
 import shutil
-import sys
 import threading
-import time
 import tracemalloc
-import types
 import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from swagppm import blas, models, pipeline, ppm, swag, trainer
 from swagppm.params import ParameterVector
 
-from conftest import frozen_frame, large_instance, traced_peak
-
-
-def tiny_config(seed=7, **phase_overrides):
-    cfg = pipeline.load_config({"seed": seed})
-    cfg["data"]["synthetic"].update(num_classes=6, total_records=400,
-                                    vocab_size=300, feature_dim=256)
-    cfg["phases"].update(finetune_epochs=3, swag_epochs=6, draws=40,
-                         batch_size=32)
-    cfg["dp_sgd"].update(epochs=5, batch_size=64)
-    cfg["nonprivate"].update(epochs=5)
-    return cfg
+from conftest import (frozen_frame, large_instance, tiny_config,
+                      traced_peak, within_a_minute)
 
 
 def test_load_config_rejects_unknown_keys():
@@ -424,196 +410,6 @@ def test_fold_lanes_keep_the_thread_rules(monkeypatch, two_blas_threads,
     assert blas.threads() == 2
 
 
-@pytest.fixture(scope="module")
-def round1():
-    """(spec, X, y, round 1's moments) at the tiny config."""
-    cfg = tiny_config()
-    train, _ = pipeline.prepare_data(cfg)
-    X, y = train.feature_matrix(), train.labels
-    spec = pipeline.model_spec(cfg, train.num_classes, train.feature_dim)
-    return spec, X, y, pipeline._train_round(
-        spec, models.init_params(spec, 0), X, y, None, cfg, "round1")
-
-
-def _alpha(n):
-    return np.linspace(0.1, 1.0, n)
-
-
-def _fold(spec, moments, seed, count, X, y, path=None):
-    """_score_draws's report of count draws at seed, and with a path its
-    .npy rows."""
-    return pipeline._score_draws(spec, moments, seed, count, X, y,
-                                 _alpha(len(y)), np.arange(len(y)), path)
-
-
-def test_more_lanes_than_cores_hand_on_every_row_in_draw_order(
-        round1, monkeypatch, tmp_path):
-    # a lane that took a number or the stream outside the lock, or wrote a
-    # row into another draw's slot, would change the report or the file; a
-    # take that sleeps first and a thread switch every microsecond make
-    # such an interleaving likely
-    spec, X, y, moments = round1
-    lanes = len(os.sched_getaffinity(0)) + 1
-    count = 8 * lanes
-    want_rows = ppm.abs_loglik_matrix(
-        spec, [d.values for d in moments.sample(count, 5)], X, y)
-    want = ppm.sensitivity(want_rows, _alpha(len(y)))
-    monkeypatch.setattr(blas, "threads", lambda: lanes)
-    take = swag.DrawMaker.take
-
-    def yielding_take(self, z, z2):
-        time.sleep(1e-5)  # another lane runs between a number and its normals
-        take(self, z, z2)
-
-    monkeypatch.setattr(swag.DrawMaker, "take", yielding_take)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = _fold(spec, moments, 5, count, X, y, str(tmp_path / "ll.npy"))
-    finally:
-        sys.setswitchinterval(interval)
-    assert (got.delta, got.argmax_draw, got.argmax_record_id,
-            got.num_draws) == (want.delta, want.argmax_draw,
-                               want.argmax_record_id, want.num_draws)
-    assert got.per_record.tobytes() == want.per_record.tobytes()
-    assert np.load(tmp_path / "ll.npy").tobytes() == want_rows.tobytes()
-
-
-@pytest.mark.parametrize("lanes", [1, 2])
-def test_fold_draws_allocate_nothing_per_draw(monkeypatch, lanes):
-    # p = 9999 * 20 + 20 = 200000. Once the fold's buffers exist (from the
-    # first draw's normals on), neither a fold of 20 draws nor one of 220
-    # peaks as high as one p-sized bool array (a finite check through
-    # np.isfinite(z).all() would make one per draw) above what it held
-    # then, and the 200 more draws raise the peak by less than p // 4 bytes,
-    # which 200 draws keeping 250 bytes each would reach. Scoring a draw makes
-    # short-lived numpy temporaries (the logits' bias add alone takes 11 KB
-    # on numpy 2.4), so at two lanes a peak moves by up to one lane's
-    # temporaries, about 12 KB, as the lanes' steps happen to overlap or not.
-    spec = models.ModelSpec(models.SOFTMAX_LINEAR, 9999, 20)
-    p = spec.num_params
-    X = sp.random(64, 9999, density=0.01, format="csr", random_state=3)
-    y = np.random.default_rng(3).integers(0, 20, 64)
-    moments = swag.SwagMoments(spec.layout(), k_max=4)
-    rng = np.random.default_rng(0)
-    moments.absorb(*(rng.normal(0, 0.1, p) for _ in range(4)))
-    monkeypatch.setattr(blas, "threads", lambda: lanes)
-    take = swag.DrawMaker.take
-    held = []
-
-    def measured_from_the_first_take(self, z, z2):
-        if not held:
-            tracemalloc.reset_peak()
-            held.append(tracemalloc.get_traced_memory()[0])
-        take(self, z, z2)
-
-    monkeypatch.setattr(swag.DrawMaker, "take", measured_from_the_first_take)
-
-    def fold_peak(count):
-        held.clear()
-        _fold(spec, moments, 0, count, X, y)
-        return tracemalloc.get_traced_memory()[1] - held[0]
-
-    tracemalloc.start()
-    try:
-        peaks = [fold_peak(20), fold_peak(220)]
-    finally:
-        tracemalloc.stop()
-    assert max(peaks) < p
-    assert peaks[1] - peaks[0] < p // 4
-
-
-def _within_a_minute(fn):
-    """Run fn on a thread of its own, which must end within a minute (a
-    lane left waiting for the stream would hang the fold's pool join); the
-    exception fn raised, or None."""
-    caught = []
-
-    def run():
-        try:
-            fn()
-        except Exception as e:  # noqa: BLE001 - handed to the test
-            caught.append(e)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(60)
-    assert not thread.is_alive()
-    return caught[0] if caught else None
-
-
-class _CountedLock:
-    """The fold's stream lock, counting the requests for it; the request
-    numbered fail_before raises error before it holds the lock, once a
-    later request came."""
-
-    def __init__(self, fail_before=None, error=None):
-        self._lock = threading.Lock()
-        self._requested = threading.Condition()
-        self.requests = 0
-        self.fail_before, self.error = fail_before, error
-
-    def __enter__(self):
-        with self._requested:
-            self.requests += 1
-            request = self.requests
-            self._requested.notify_all()
-        if request == self.fail_before:
-            self.wait_for(request + 1)
-            raise self.error
-        self._lock.acquire()
-
-    def __exit__(self, *exc_info):
-        self._lock.release()
-
-    def wait_for(self, request):
-        """Wait until the lock has been requested that many times."""
-        with self._requested:
-            assert self._requested.wait_for(
-                lambda: self.requests >= request, 60)
-
-
-@pytest.mark.parametrize("when", ["before its turn", "holding its turn",
-                                  "after its turn"])
-def test_a_lane_that_raises_releases_the_lanes_waiting_for_a_turn(
-        round1, monkeypatch, tmp_path, when):
-    # the lane that comes for draw 3 (the lock's fourth request) raises
-    # before it holds the stream's lock, while it holds it (taking draw 3's
-    # normals) or after it let it go (in draw 3's arithmetic), each once
-    # the other lane has come for the lock again
-    spec, X, y, moments = round1
-    error = RuntimeError("lane failed")
-    lock = _CountedLock(4 if when == "before its turn" else None, error)
-    monkeypatch.setattr(pipeline, "threading",
-                        types.SimpleNamespace(Lock=lambda: lock))
-    monkeypatch.setattr(blas, "threads", lambda: 2)
-    take, finish = swag.DrawMaker.take, swag.DrawMaker.finish
-    taken = []
-
-    def fail_at_draw_3(s, step):
-        if s == 3 and when == step:
-            lock.wait_for(5)
-            raise error
-
-    def counting_take(self, z, z2):
-        taken.append(len(taken))  # the draws take the stream in draw order
-        fail_at_draw_3(taken[-1], "holding its turn")
-        take(self, z, z2)
-
-    def failing_finish(self, *args):
-        fail_at_draw_3(args[-1], "after its turn")
-        finish(self, *args)
-
-    monkeypatch.setattr(swag.DrawMaker, "take", counting_take)
-    monkeypatch.setattr(swag.DrawMaker, "finish", failing_finish)
-    path = tmp_path / "ll.npy"
-    before = threading.enumerate()
-    assert _within_a_minute(
-        lambda: _fold(spec, moments, 3, 10, X, y, str(path))) is error
-    assert not path.exists()
-    assert threading.enumerate() == before
-
-
 def test_the_lowest_failed_draw_on_the_lanes_is_the_phase_cause(
         monkeypatch, two_blas_threads):
     # draw 2 raises only once draw 3, which the other lane takes while
@@ -637,53 +433,13 @@ def test_the_lowest_failed_draw_on_the_lanes_is_the_phase_cause(
 
     monkeypatch.setattr(swag.DrawMaker, "finish", failing_finish)
     before = threading.enumerate()
-    err = _within_a_minute(lambda: pipeline.run_swag_ppm(cfg, train))
+    err = within_a_minute(lambda: pipeline.run_swag_ppm(cfg, train))
     assert isinstance(err, pipeline.PhaseError)
     assert err.phase == "risks"
     assert sorted(errors) == [2, 3]
     assert err.cause is errors[2]
     assert threading.enumerate() == before
     assert blas.threads() == 2
-
-
-def test_an_interrupted_fold_stops_its_lanes(round1, monkeypatch, tmp_path):
-    # Ctrl-C while this thread waits for the lanes ends the pool's join
-    # early; draws 2 and 3, taken by then, wait until the fold has removed
-    # its file, and then each lane stops before it takes another draw
-    spec, X, y, moments = round1
-    path = tmp_path / "ll.npy"
-    take, finish = swag.DrawMaker.take, swag.DrawMaker.finish
-    taken, four_taken, pools = [], threading.Event(), []
-
-    class InterruptedJoin(pipeline.ThreadPoolExecutor):
-        def __exit__(self, *exc_info):
-            pools.append(self)
-            assert four_taken.wait(60)
-            raise KeyboardInterrupt
-
-    def counting_take(self, z, z2):
-        taken.append(len(taken))
-        if len(taken) == 4:
-            four_taken.set()
-        take(self, z, z2)
-
-    def finish_once_the_file_is_gone(self, *args):
-        deadline = time.monotonic() + 60
-        while args[-1] >= 2 and path.exists():
-            assert time.monotonic() < deadline
-            time.sleep(1e-3)
-        finish(self, *args)
-
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", InterruptedJoin)
-    monkeypatch.setattr(blas, "threads", lambda: 2)
-    monkeypatch.setattr(swag.DrawMaker, "take", counting_take)
-    monkeypatch.setattr(swag.DrawMaker, "finish",
-                        finish_once_the_file_is_gone)
-    with pytest.raises(KeyboardInterrupt):
-        _fold(spec, moments, 3, 10, X, y, str(path))
-    assert not path.exists()
-    assert _within_a_minute(pools[0].shutdown) is None
-    assert taken == [0, 1, 2, 3]
 
 
 def _missing_symbol(monkeypatch):
@@ -694,41 +450,40 @@ def _missing_symbol(monkeypatch):
                         lambda pattern: [ctypes.util.find_library("c")])
 
 
-def _wide_config():
-    # p = 16384 * 6 + 6 = 98310 and k = 6: p * k is above
-    # swag.GEMV_THREADED, so each draw's gemv comes in two halves, each
-    # below it
-    cfg = tiny_config()
-    cfg["data"]["synthetic"]["feature_dim"] = 16384
-    return cfg
-
-
 def test_without_blas_controls_the_fold_runs_on_one_lane_with_the_same_bits(
         monkeypatch, two_blas_threads):
-    cfg = _wide_config()
+    # p = 16384 * 6 + 6 = 98310 and k = swag_epochs: p * k is above
+    # swag.GEMV_THREADED, and at k = 10 so is each half's (49155 * 10), which
+    # the draws then take in chunks below it, each on the calling thread at
+    # two BLAS threads; each half split over two threads moves the release
+    cfg = tiny_config()
+    cfg["data"]["synthetic"]["feature_dim"] = 16384
     train, _ = pipeline.prepare_data(cfg)
-    want = pipeline.run_swag_ppm(cfg, train, reweighted=True)
-    _missing_symbol(monkeypatch)
-    started = []
-    start = threading.Thread.start
+    for swag_epochs in (6, 10):
+        cfg["phases"]["swag_epochs"] = swag_epochs
+        want = pipeline.run_swag_ppm(cfg, train, reweighted=True)
+        _missing_symbol(monkeypatch)
+        started = []
+        start = threading.Thread.start
 
-    def counting_start(self):
-        started.append(self)
-        start(self)
+        def counting_start(self):
+            started.append(self)
+            start(self)
 
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    assert blas.threads() == 1
-    assert blas._controls() == ()
-    got = pipeline.run_swag_ppm(cfg, train, reweighted=True)
-    assert started == []
-    monkeypatch.undo()
-    assert blas.threads() == 2
-    assert got.report.delta == want.report.delta
-    assert got.report.per_record.tobytes() == want.report.per_record.tobytes()
-    assert (got.report.argmax_draw, got.report.argmax_record_id) \
-        == (want.report.argmax_draw, want.report.argmax_record_id)
-    assert got.released_theta.values.tobytes() \
-        == want.released_theta.values.tobytes()
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        assert blas.threads() == 1
+        assert blas._controls() == ()
+        got = pipeline.run_swag_ppm(cfg, train, reweighted=True)
+        assert started == []
+        monkeypatch.undo()
+        assert blas.threads() == 2
+        assert got.report.delta == want.report.delta
+        assert got.report.per_record.tobytes() \
+            == want.report.per_record.tobytes()
+        assert (got.report.argmax_draw, got.report.argmax_record_id) \
+            == (want.report.argmax_draw, want.report.argmax_record_id)
+        assert got.released_theta.values.tobytes() \
+            == want.released_theta.values.tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])

@@ -1,13 +1,20 @@
 import csv
+import os
+import sys
+import threading
+import time
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from swagppm import models, ppm, swag
+from swagppm import blas, models, pipeline, ppm, swag
 from swagppm.params import ParameterVector
 
-from conftest import random_instance
+from conftest import random_instance, tiny_config, within_a_minute
 
 
 FIXTURE_LL = np.array([[1.0, 4.0], [2.0, 3.0]])  # (draws, records)
@@ -425,3 +432,214 @@ def test_reweighted_unclipped_risks_stay_within_k_delta(grid, k):
     # each rounding is within a unit roundoff, eps / 2
     bound = k * report.delta * (1 + 3 * np.finfo(float).eps)
     assert np.all(after.per_record[unclipped] <= bound)
+
+
+@pytest.fixture(scope="module")
+def round1():
+    """(spec, X, y, round 1's moments) at the tiny config."""
+    cfg = tiny_config()
+    train, _ = pipeline.prepare_data(cfg)
+    X, y = train.feature_matrix(), train.labels
+    spec = pipeline.model_spec(cfg, train.num_classes, train.feature_dim)
+    return spec, X, y, pipeline._train_round(
+        spec, models.init_params(spec, 0), X, y, None, cfg, "round1")
+
+
+def _alpha(n):
+    return np.linspace(0.1, 1.0, n)
+
+
+def _fold(spec, moments, seed, count, X, y, path=None):
+    """posterior_sensitivity's report of count draws at seed, and with a
+    path its .npy rows."""
+    return ppm.posterior_sensitivity(spec, moments, seed, count, X, y,
+                                     _alpha(len(y)), np.arange(len(y)), path)
+
+
+def test_more_lanes_than_cores_hand_on_every_row_in_draw_order(
+        round1, monkeypatch, tmp_path):
+    # a lane that took a number or the stream outside the lock, or wrote a
+    # row into another draw's slot, would change the report or the file; a
+    # take that sleeps first and a thread switch every microsecond make
+    # such an interleaving likely
+    spec, X, y, moments = round1
+    lanes = len(os.sched_getaffinity(0)) + 1
+    count = 8 * lanes
+    want_rows = ppm.abs_loglik_matrix(
+        spec, [d.values for d in moments.sample(count, 5)], X, y)
+    want = ppm.sensitivity(want_rows, _alpha(len(y)))
+    monkeypatch.setattr(blas, "threads", lambda: lanes)
+    take = swag.DrawMaker.take
+
+    def yielding_take(self, z, z2):
+        time.sleep(1e-5)  # another lane runs between a number and its normals
+        take(self, z, z2)
+
+    monkeypatch.setattr(swag.DrawMaker, "take", yielding_take)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _fold(spec, moments, 5, count, X, y, str(tmp_path / "ll.npy"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert (got.delta, got.argmax_draw, got.argmax_record_id,
+            got.num_draws) == (want.delta, want.argmax_draw,
+                               want.argmax_record_id, want.num_draws)
+    assert got.per_record.tobytes() == want.per_record.tobytes()
+    assert np.load(tmp_path / "ll.npy").tobytes() == want_rows.tobytes()
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_fold_draws_allocate_nothing_per_draw(monkeypatch, lanes):
+    # p = 9999 * 20 + 20 = 200000. Once the fold's buffers exist (from the
+    # first draw's normals on), neither a fold of 20 draws nor one of 220
+    # peaks as high as one p-sized bool array (a finite check through
+    # np.isfinite(z).all() would make one per draw) above what it held
+    # then, and the 200 more draws raise the peak by less than p // 4 bytes,
+    # which 200 draws keeping 250 bytes each would reach. Scoring a draw makes
+    # short-lived numpy temporaries (the logits' bias add alone takes 11 KB
+    # on numpy 2.4), so at two lanes a peak moves by up to one lane's
+    # temporaries, about 12 KB, as the lanes' steps happen to overlap or not.
+    spec = models.ModelSpec(models.SOFTMAX_LINEAR, 9999, 20)
+    p = spec.num_params
+    X = sp.random(64, 9999, density=0.01, format="csr", random_state=3)
+    y = np.random.default_rng(3).integers(0, 20, 64)
+    moments = swag.SwagMoments(spec.layout(), k_max=4)
+    rng = np.random.default_rng(0)
+    moments.absorb(*(rng.normal(0, 0.1, p) for _ in range(4)))
+    monkeypatch.setattr(blas, "threads", lambda: lanes)
+    take = swag.DrawMaker.take
+    held = []
+
+    def measured_from_the_first_take(self, z, z2):
+        if not held:
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+        take(self, z, z2)
+
+    monkeypatch.setattr(swag.DrawMaker, "take", measured_from_the_first_take)
+
+    def fold_peak(count):
+        held.clear()
+        _fold(spec, moments, 0, count, X, y)
+        return tracemalloc.get_traced_memory()[1] - held[0]
+
+    tracemalloc.start()
+    try:
+        peaks = [fold_peak(20), fold_peak(220)]
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < p
+    assert peaks[1] - peaks[0] < p // 4
+
+
+class _CountedLock:
+    """The fold's stream lock, counting the requests for it; the request
+    numbered fail_before raises error before it holds the lock, once a
+    later request came."""
+
+    def __init__(self, fail_before=None, error=None):
+        self._lock = threading.Lock()
+        self._requested = threading.Condition()
+        self.requests = 0
+        self.fail_before, self.error = fail_before, error
+
+    def __enter__(self):
+        with self._requested:
+            self.requests += 1
+            request = self.requests
+            self._requested.notify_all()
+        if request == self.fail_before:
+            self.wait_for(request + 1)
+            raise self.error
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+    def wait_for(self, request):
+        """Wait until the lock has been requested that many times."""
+        with self._requested:
+            assert self._requested.wait_for(
+                lambda: self.requests >= request, 60)
+
+
+@pytest.mark.parametrize("when", ["before its turn", "holding its turn",
+                                  "after its turn"])
+def test_a_lane_that_raises_releases_the_lanes_waiting_for_a_turn(
+        round1, monkeypatch, tmp_path, when):
+    # the lane that comes for draw 3 (the lock's fourth request) raises
+    # before it holds the stream's lock, while it holds it (taking draw 3's
+    # normals) or after it let it go (in draw 3's arithmetic), each once
+    # the other lane has come for the lock again
+    spec, X, y, moments = round1
+    error = RuntimeError("lane failed")
+    lock = _CountedLock(4 if when == "before its turn" else None, error)
+    monkeypatch.setattr(ppm, "threading",
+                        types.SimpleNamespace(Lock=lambda: lock))
+    monkeypatch.setattr(blas, "threads", lambda: 2)
+    take, finish = swag.DrawMaker.take, swag.DrawMaker.finish
+    taken = []
+
+    def fail_at_draw_3(s, step):
+        if s == 3 and when == step:
+            lock.wait_for(5)
+            raise error
+
+    def counting_take(self, z, z2):
+        taken.append(len(taken))  # the draws take the stream in draw order
+        fail_at_draw_3(taken[-1], "holding its turn")
+        take(self, z, z2)
+
+    def failing_finish(self, *args):
+        fail_at_draw_3(args[-1], "after its turn")
+        finish(self, *args)
+
+    monkeypatch.setattr(swag.DrawMaker, "take", counting_take)
+    monkeypatch.setattr(swag.DrawMaker, "finish", failing_finish)
+    path = tmp_path / "ll.npy"
+    before = threading.enumerate()
+    assert within_a_minute(
+        lambda: _fold(spec, moments, 3, 10, X, y, str(path))) is error
+    assert not path.exists()
+    assert threading.enumerate() == before
+
+
+def test_an_interrupted_fold_stops_its_lanes(round1, monkeypatch, tmp_path):
+    # Ctrl-C while this thread waits for the lanes ends the pool's join
+    # early; draws 2 and 3, taken by then, wait until the fold has removed
+    # its file, and then each lane stops before it takes another draw
+    spec, X, y, moments = round1
+    path = tmp_path / "ll.npy"
+    take, finish = swag.DrawMaker.take, swag.DrawMaker.finish
+    taken, four_taken, pools = [], threading.Event(), []
+
+    class InterruptedJoin(ppm.ThreadPoolExecutor):
+        def __exit__(self, *exc_info):
+            pools.append(self)
+            assert four_taken.wait(60)
+            raise KeyboardInterrupt
+
+    def counting_take(self, z, z2):
+        taken.append(len(taken))
+        if len(taken) == 4:
+            four_taken.set()
+        take(self, z, z2)
+
+    def finish_once_the_file_is_gone(self, *args):
+        deadline = time.monotonic() + 60
+        while args[-1] >= 2 and path.exists():
+            assert time.monotonic() < deadline
+            time.sleep(1e-3)
+        finish(self, *args)
+
+    monkeypatch.setattr(ppm, "ThreadPoolExecutor", InterruptedJoin)
+    monkeypatch.setattr(blas, "threads", lambda: 2)
+    monkeypatch.setattr(swag.DrawMaker, "take", counting_take)
+    monkeypatch.setattr(swag.DrawMaker, "finish",
+                        finish_once_the_file_is_gone)
+    with pytest.raises(KeyboardInterrupt):
+        _fold(spec, moments, 3, 10, X, y, str(path))
+    assert not path.exists()
+    assert within_a_minute(pools[0].shutdown) is None
+    assert taken == [0, 1, 2, 3]

@@ -522,15 +522,38 @@ def test_absorb_checks_every_layout_before_absorbing_any(p1):
 
 
 @pytest.mark.parametrize("rows, k, want", [
-    (66228, 20, [(0, 33114), (33114, 66228)]),
+    (66228, 20, [(0, 23036), (23036, 33114), (33114, 56150),
+                 (56150, 66228)]),
     (23039, 20, [(0, 23039)]),  # 23039 * 20 < GEMV_THREADED
     (23040, 20, [(0, 11520), (11520, 23040)]),
     (100000, 7, [(0, 50000), (50000, 100000)]),
     (99999, 7, [(0, 50000), (50000, 99999)]),
+    (240006, 6, [(0, 76796), (76796, 120003), (120003, 196799),
+                 (196799, 240006)]),
 ])
 def test_gemv_parts_follow_openblas_partition(rows, k, want):
-    # OpenBLAS's two-thread partition, whatever the thread count
+    # OpenBLAS's two-thread halves, whatever the thread count, each cut
+    # into chunks of 4 * floor((GEMV_THREADED / k - 1) / 4) rows
     assert swag._gemv_parts(rows, k) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 2 * 10 ** 6), k=st.integers(2, 64))
+def test_gemv_parts_tile_the_halves_in_chunks_below_the_threshold(rows, k):
+    # in order and without a gap, each part below GEMV_THREADED, and above
+    # it none crosses the half boundary and each starts a multiple of 4
+    # rows from its half's start, as OpenBLAS's kernel groups the rows
+    parts = swag._gemv_parts(rows, k)
+    assert [a for a, _ in parts] == [0] + [b for _, b in parts[:-1]]
+    assert parts[-1][1] == rows
+    assert all(a < b and (b - a) * k < swag.GEMV_THREADED for a, b in parts)
+    half = -(-rows // 2)
+    if rows * k < swag.GEMV_THREADED:
+        assert parts == [(0, rows)]
+    else:
+        for a, b in parts:
+            assert b <= half or a >= half
+            assert (a if a < half else a - half) % 4 == 0
 
 
 def _split_gemv_draws(m, count, seed, split):
@@ -550,31 +573,34 @@ def _split_gemv_draws(m, count, seed, split):
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 def test_draws_take_the_two_thread_bits_at_each_thread_count(
-        set_blas_threads, threads):
-    # p * k on both sides of GEMV_THREADED, odd p, and k below and at k_max;
-    # made inside a one-thread window, as the fold makes them, or outside
-    # one, the draws have the bits of the two halves (the first ceil(p / 2)
-    # rows and the rest once p * k >= 460800) taken at one thread, which at
-    # two threads are the bits of the whole gemv
-    set_blas_threads(threads)
-    assert blas.threads() == threads
+        monkeypatch, set_blas_threads, threads):
+    # p * k on both sides of GEMV_THREADED, halves on both sides of it, odd
+    # p, and k below and at k_max; made with no one-thread window (opening
+    # one raises here), the draws have the bits of the two halves (the first
+    # ceil(p / 2) rows and the rest once p * k >= 460800) taken at one
+    # thread, which at two threads are the bits of the whole gemv
+    def window():
+        raise AssertionError("a draw opened a BLAS thread window")
+
     moved = 0
     for p, k in ((23039, 20), (23041, 20), (40980, 20), (65828, 7),
-                 (65829, 7), (66228, 7), (99999, 20)):
+                 (65829, 7), (66228, 7), (66228, 20), (99999, 20)):
         m = _absorbed(p, 20, k, p)
         assert m.k == k
         half = -(-p // 2) if p * k >= 460800 else p
-        with blas.one_thread():
-            want = list(_split_gemv_draws(m, 2, 1, half))
-            whole_at_one_thread = list(_split_gemv_draws(m, 2, 1, p))
+        set_blas_threads(1)
+        want = list(_split_gemv_draws(m, 2, 1, half))
+        moved += any((o != w).any()
+                     for o, w in zip(_split_gemv_draws(m, 2, 1, p), want))
+        set_blas_threads(threads)
+        assert blas.threads() == threads
+        with monkeypatch.context() as patch:
+            patch.setattr(blas, "one_thread", window)
             got = [d.copy() for d in m.draws(2, seed=1)]
         assert blas.threads() == threads
-        for g, w in zip(got + [d.copy() for d in m.draws(2, seed=1)],
-                        want + want):
+        for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
         if threads == 2:
             for whole, w in zip(_split_gemv_draws(m, 2, 1, p), want):
                 assert whole.tobytes() == w.tobytes()
-        moved += any((o != w).any()
-                     for o, w in zip(whole_at_one_thread, want))
     assert moved  # the partition is what keeps the bits
