@@ -3,6 +3,7 @@ features, stratified capping/splitting, and class-imbalance measurement."""
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from typing import Tuple
@@ -197,14 +198,6 @@ class LabeledDataset:
         return LabeledDataset(self.ids[idx], self.labels[idx],
                               self._matrix[idx], self.num_classes,
                               provenance or self.provenance, self.label_names)
-
-    def compact_labels(self):
-        """Renumber labels contiguously, dropping empty classes."""
-        present = self.class_counts() > 0
-        remap = np.cumsum(present) - 1
-        names = [name for name, p in zip(self.label_names, present) if p]
-        return LabeledDataset(self.ids, remap[self.labels], self._matrix,
-                              len(names), self.provenance, names)
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -509,67 +502,58 @@ def generate(spec):
                           spec.num_classes, provenance)
 
 
-def _csv_rows(path, reader):
-    """(id, text, label) per row; DataError naming the path and line for a
-    row with a non-integer or repeated id or a missing field."""
-    lines = {}  # id -> the line it was first seen on
-    rows = []
-    for row in reader:
-        where = "%s line %d" % (path, reader.line_num)
-        if row["text"] is None or row["label"] is None:
-            raise DataError("%s: row lacks its text or label" % where)
-        try:
-            rid = int(row["id"])
-        except ValueError:
-            raise DataError("%s: id %r is not an integer"
-                            % (where, row["id"])) from None
-        if rid in lines:
-            raise DataError("%s: id %d repeats line %d"
-                            % (where, rid, lines[rid]))
-        lines[rid] = reader.line_num
-        rows.append((rid, row["text"], row["label"]))
-    return rows
-
-
-def _non_utf8_line(path):
-    """The line, counted by newlines, of the first byte of the file at path
-    that does not decode as UTF-8."""
+def _read_csv(path):
+    """The sha256 of the file at path and its (id, text, label) rows, parsed
+    from the bytes hashed; DataError naming the path and line for bytes that
+    are not UTF-8, a row the csv module cannot parse, a non-integer or
+    repeated id or a missing field."""
     with open(path, "rb") as f:
         content = f.read()
     try:
-        content.decode("utf-8")
+        text = content.decode("utf-8")
     except UnicodeDecodeError as e:
-        return content.count(b"\n", 0, e.start) + 1
-    raise DataError("%s changed while it was read" % path)
+        raise DataError("%s line %d: not UTF-8" % (
+            path, content.count(b"\n", 0, e.start) + 1)) from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    lines = {}  # id -> the line it was first seen on
+    rows = []
+    try:
+        if reader.fieldnames is None or \
+                [c.strip() for c in reader.fieldnames[:3]] != ["id", "text", "label"]:
+            raise DataError("CSV must start with header id,text,label")
+        reader.fieldnames = [c.strip() for c in reader.fieldnames]
+        for row in reader:
+            where = "%s line %d" % (path, reader.line_num)
+            if row["text"] is None or row["label"] is None:
+                raise DataError("%s: row lacks its text or label" % where)
+            try:
+                rid = int(row["id"])
+            except ValueError:
+                raise DataError("%s: id %r is not an integer"
+                                % (where, row["id"])) from None
+            if rid in lines:
+                raise DataError("%s: id %d repeats line %d"
+                                % (where, rid, lines[rid]))
+            lines[rid] = reader.line_num
+            rows.append((rid, row["text"], row["label"]))
+    except csv.Error as e:
+        # DictReader's line_num moves only past a row it returns
+        raise DataError("%s line %d: %s"
+                        % (path, reader.reader.line_num, e)) from None
+    return hashlib.sha256(content).hexdigest(), rows
 
 
 def load_csv(path, feature_dim=4096):
-    """Ingest `id,text,label` rows (header required) into hashed features.
-    Bytes that are not UTF-8, and a row the csv module cannot parse (such as
-    a field past its size limit), raise DataError naming the path and line."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        try:
-            if reader.fieldnames is None or \
-                    [c.strip() for c in reader.fieldnames[:3]] != ["id", "text", "label"]:
-                raise DataError("CSV must start with header id,text,label")
-            reader.fieldnames = [c.strip() for c in reader.fieldnames]
-            raw = _csv_rows(path, reader)
-        except csv.Error as e:
-            # DictReader's line_num moves only past a row it returns
-            raise DataError("%s line %d: %s"
-                            % (path, reader.reader.line_num, e)) from None
-        except UnicodeDecodeError:
-            # the text layer decodes ahead of the csv reader, so the line is
-            # found in the bytes
-            raise DataError("%s line %d: not UTF-8" % (path, _non_utf8_line(
-                path))) from None
+    """Ingest `id,text,label` rows (header required) into hashed features,
+    reading the file once: its provenance hash is the sha256 of the bytes
+    parsed. Bytes that are not UTF-8, and a row the csv module cannot parse
+    (such as a field past its size limit), raise DataError naming the path
+    and line."""
+    digest, raw = _read_csv(path)
     labels = sorted({label for _, _, label in raw})
     label_index = {name: i for i, name in enumerate(labels)}
     matrix = _csr(*_hash_documents([tokenize(text) for _, text, _ in raw],
                                    feature_dim), feature_dim)
-    with open(path, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()
     return LabeledDataset([rid for rid, _, _ in raw],
                           [label_index[label] for _, _, label in raw], matrix,
                           len(labels),
@@ -587,25 +571,26 @@ def stratified_cap_sample(dataset, cap=200, fraction=1.0, seed=0):
         raise DataError("cap must be >= 2")
     rng = np.random.default_rng(seed)
     labels = dataset.labels
-    keep = []
+    kept, keep = [], []  # the classes kept, and the records
     for c in range(dataset.num_classes):
         members = np.nonzero(labels == c)[0]
         n_c = members.size
-        if n_c == 0:
-            continue
         take = min(int(np.floor(fraction * n_c + 0.5)), cap, n_c)
         if take <= 1:
             continue
+        kept.append(c)
         keep.extend(rng.choice(members, size=take, replace=False).tolist())
-    keep.sort()
-    out = dataset.subset(keep).compact_labels()
-    if out.num_classes < 2:
+    if len(kept) < 2:
         raise DataError("the cap sample keeps %d classes; need at least 2"
-                        % out.num_classes)
-    out.provenance = dict(dataset.provenance,
-                          cap_sample={"cap": cap, "fraction": fraction,
-                                      "seed": seed})
-    return out
+                        % len(kept))
+    idx = np.sort(np.array(keep, dtype=np.intp))
+    remap = np.zeros(dataset.num_classes, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    return LabeledDataset(
+        dataset.ids[idx], remap[labels[idx]], dataset.feature_matrix()[idx],
+        len(kept), dict(dataset.provenance, cap_sample={
+            "cap": cap, "fraction": fraction, "seed": seed}),
+        [dataset.label_names[c] for c in kept])
 
 
 def stratified_split(dataset, train_fraction=0.5, seed=0):

@@ -229,8 +229,7 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
     return ParameterVector(theta, theta0.layout), losses
 
 
-def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers,
-                   on_epoch=None):
+def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers):
     """DP-SGD from theta0 at each sigma of noise_multipliers, trained in
     lockstep: for each sigma, (theta_final, epoch losses) as train returns
     them, or the TrainError that stopped that sigma alone (a non-finite
@@ -248,9 +247,10 @@ def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers,
     one row_sq_norms per call) and one standard-normal fill of p entries
     once; each sigma's noise is that draw times sigma * clip_norm, with the
     bits of Generator.normal (_draw_noise), and each model takes its own
-    gradient_into and _dp_update. An empty batch takes no draw. on_epoch,
-    when given, is called as on_epoch(j, theta) for each sigma j still
-    training, theta read-only as in train.
+    gradient_into and _dp_update. An empty batch takes its draw too, with a
+    zero gradient, as the sampled Gaussian mechanism the accountant composes
+    adds its noise at every step; an epoch's loss averages over the records
+    its batches held.
 
     One worker thread (a one-worker ThreadPoolExecutor in a with block, so
     none outlives the call) makes and scales the next step's draw while this
@@ -307,23 +307,23 @@ def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers,
             count = 0
             for b, batch in enumerate(batches):
                 m = batch.size
-                if m == 0:
-                    continue  # takes no draw
                 pending.result()
                 buffers.reverse()
                 pending = draw_ahead()
                 Xb, yb, xb_sq = X[batch], y[batch], x_sq[batch]
                 count += m
                 for j in list(live):
+                    # an empty batch's gradient is zero: its step is noise
                     _, loglik = models.gradient_into(
                         spec, thetas[j], Xb, (0, m), yb, grad,
                         clip_norm=config.clip_norm, x_sq=xb_sq)
-                    loss = models.nll_term(loglik)
-                    if not np.isfinite(loss):
-                        fail(j, "non-finite loss %r at epoch %d batch %d"
-                             % (loss, epoch, b))
-                        continue
-                    loss_sums[j] += loss * m
+                    if m:
+                        loss = models.nll_term(loglik)
+                        if not np.isfinite(loss):
+                            fail(j, "non-finite loss %r at epoch %d batch %d"
+                                 % (loss, epoch, b))
+                            continue
+                        loss_sums[j] += loss * m
                     _dp_update(thetas[j], grad, buffers[1][j],
                                config.learning_rate, config.batch_size)
                 if not live:
@@ -335,8 +335,6 @@ def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers,
                 results[j].append(
                     (loss_sums[j] / count if count else float("nan"))
                     + models.decay_penalty(spec, thetas[j]))
-                if on_epoch is not None:
-                    on_epoch(j, _read_only(thetas[j]))
             if not live:
                 break
         pending.result()  # the draw made ahead for a step that never came

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import importlib.resources
+import io
 
 import dataclasses
 import json
@@ -7,6 +9,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from swagppm import data, models, trainer
 from swagppm.params import ParameterVector
@@ -278,6 +281,40 @@ def test_csv_that_is_not_utf8_raises_data_error_naming_the_line(tmp_path,
         data.load_csv(path)
     assert "%s line %d: not UTF-8" % (path, rows_before + 2) in \
         str(info.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                           blacklist_characters="\x00")),
+                     min_size=1, max_size=8),
+       crlf=st.booleans(), where=st.floats(0.0, 1.0))
+def test_a_bad_byte_anywhere_names_its_line(tmp_path_factory, rows, crlf,
+                                            where):
+    # \xff is never UTF-8; put into a valid file, even inside a multi-byte
+    # character, it fails on its own line, counted by the newlines before
+    # it: a quoted newline counts, and so does the \n of a CRLF
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\r\n" if crlf else "\n")
+    writer.writerow(["id", "text", "label"])
+    writer.writerows([i, text, "a"] for i, text in enumerate(rows))
+    content = out.getvalue().encode("utf-8")
+    at = int(where * len(content))
+    path = tmp_path_factory.mktemp("csv") / "bad.csv"
+    path.write_bytes(content[:at] + b"\xff" + content[at:])
+    with pytest.raises(data.DataError) as info:
+        data.load_csv(path)
+    assert str(info.value) == "%s line %d: not UTF-8" % (
+        path, content.count(b"\n", 0, at) + 1)
+
+
+def test_csv_provenance_hash_is_the_sha256_of_the_file(tmp_path):
+    path = tmp_path / "data.csv"
+    content = ("id,text,label\r\n1,\"caf\u00e9\r\nau lait\",x\r\n"
+               "2,cut,y\r\n").encode("utf-8")
+    path.write_bytes(content)
+    ds = data.load_csv(path, feature_dim=64)
+    assert ds.provenance == {"kind": "csv", "path": str(path),
+                             "hash": hashlib.sha256(content).hexdigest()}
 
 
 def test_csv_field_past_the_size_limit_raises_data_error(tmp_path):

@@ -1,9 +1,13 @@
 """The block-hashed data path against a frozen copy of the per-record one.
 
 `_frozen_generate`, `_frozen_hash_features` and `_frozen_compact_labels` are
-the definitions the dataset used to be built from, one record at a time;
+the definitions the dataset used to be built from, one record at a time,
+and `_frozen_csv_rows` the text-mode parse CSV rows used to be read with;
 the package must reproduce them bit for bit.
 """
+
+import csv
+import io
 
 import numpy as np
 import pytest
@@ -71,6 +75,14 @@ def _frozen_stack_blocks(blocks):
             np.concatenate(indices), np.concatenate(values))
 
 
+def _frozen_csv_rows(path):
+    """(id, text, label) per row, parsed from the file opened in text mode."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        reader.fieldnames = [c.strip() for c in reader.fieldnames]
+        return [(int(row["id"]), row["text"], row["label"]) for row in reader]
+
+
 def _frozen_compact_labels(records, num_classes):
     counts = np.zeros(num_classes, dtype=np.int64)
     for _, _, _, label in records:
@@ -114,14 +126,26 @@ def specs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(spec=specs())
-def test_generate_matches_frozen_per_record_path(spec):
+@given(spec=specs(), cap=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_generate_matches_frozen_per_record_path(spec, cap, seed):
+    # the cap sample keeps the records its ids name (generate's ids are
+    # their rows) with their labels renumbered over the classes kept
     ds = data.generate(spec)
     want = _frozen_generate(spec)
     _assert_records_equal(ds.records, want)
-    compact = ds.subset(range(0, len(ds), 2)).compact_labels()
-    _assert_records_equal(compact.records, _frozen_compact_labels(
-        want[::2], spec.num_classes))
+    kept = int(np.sum(ds.class_counts() >= 2))
+    if kept < 2:
+        with pytest.raises(data.DataError, match="keeps %d classes" % kept):
+            data.stratified_cap_sample(ds, cap, seed=seed)
+        return
+    capped = data.stratified_cap_sample(ds, cap, seed=seed)
+    _assert_records_equal(capped.records, _frozen_compact_labels(
+        [want[i] for i in capped.ids], spec.num_classes))
+    assert capped.label_names == [
+        name for name, count in zip(ds.label_names, ds.class_counts())
+        if count >= 2]
+    assert capped.provenance == dict(ds.provenance, cap_sample={
+        "cap": cap, "fraction": 1.0, "seed": seed})
 
 
 @settings(max_examples=300, deadline=None)
@@ -215,6 +239,33 @@ def test_load_csv_matches_frozen_per_row_hashing(tmp_path):
     _assert_records_equal(ds.records, [
         (rid,) + _frozen_hash_features(data.tokenize(text), 8) + (label,)
         for rid, text, label in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.text(st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\x00")),
+    st.sampled_from(["fracture", " cut ", "b\u00e9"])), min_size=0,
+    max_size=8), crlf=st.booleans(), header=st.sampled_from(
+    ["id,text,label", " id , text , label ", "id,text,label,extra"]))
+def test_load_csv_rows_match_frozen_text_mode_parse(tmp_path_factory, rows,
+                                                    crlf, header):
+    # quoted newlines, lone CRs, commas and quotes in the text; CRLF or LF
+    # line ends; padded or extra header names
+    out = io.StringIO(newline="")
+    out.write(header + ("\r\n" if crlf else "\n"))
+    # quoting every text, as a lone CR outside quotes ends a row
+    writer = csv.writer(out, lineterminator="\r\n" if crlf else "\n",
+                        quoting=csv.QUOTE_NONNUMERIC)
+    writer.writerows([3 * i + 1, text, label]
+                     for i, (text, label) in enumerate(rows))
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(out.getvalue().encode("utf-8"))
+    ds = data.load_csv(path, feature_dim=8)
+    want = _frozen_csv_rows(path)
+    assert ds.label_names == sorted({label for _, _, label in want})
+    _assert_records_equal(ds.records, [
+        (rid,) + _frozen_hash_features(data.tokenize(text), 8)
+        + (ds.label_names.index(label),) for rid, text, label in want])
 
 
 # --- the raw-output replay ----------------------------------------------------

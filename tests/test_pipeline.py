@@ -723,6 +723,35 @@ def test_benchmark_draws_each_dp_step_once(monkeypatch):
     assert fills == [5] * (steps + 1)
 
 
+def test_an_empty_poisson_batch_takes_its_noise_step(monkeypatch):
+    # batches of 1 over the tiny train view: q = 1/n, so about a third of
+    # the Poisson batches are empty. The accountant composes the sampled
+    # Gaussian mechanism over all of _dp_steps' steps, so every step takes
+    # its fill of normals, an empty batch's too, plus the one made ahead
+    # for a step that never comes
+    cfg = tiny_config()
+    cfg["dp_sgd"].update(batch_size=1, epochs=2)
+    train, _ = pipeline.prepare_data(cfg)
+    fills, sizes = [], []
+    draw, gradient = trainer._draw_noise, models.gradient_into
+
+    def counted(rng, scales, outs):
+        fills.append(len(scales))
+        return draw(rng, scales, outs)
+
+    def sized(spec, theta, X, rows, *args, **kwargs):
+        sizes.append(rows[1] - rows[0])
+        return gradient(spec, theta, X, rows, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_draw_noise", counted)
+    monkeypatch.setattr(models, "gradient_into", sized)
+    (result,) = pipeline.run_dp_sweep(cfg, train, [cfg["dp_sgd"]["delta"]])
+    assert not isinstance(result, Exception)
+    _, _, steps = pipeline._dp_steps(cfg, len(train))
+    assert len(sizes) == steps and 0 in sizes
+    assert fills == [1] * (steps + 1)
+
+
 def test_dp_sweep_fails_a_delta_alone():
     # no sigma meets epsilon 4 at delta 1e-300 (log(1e300) / 63 > 4): that
     # delta fails with run_dp_sgd's error, and the other two keep the theta,

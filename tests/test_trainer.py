@@ -390,12 +390,13 @@ def _frozen_train(spec, theta0, X, y, config, weights=None, sigma=None):
     # Reference: training as it was before its steps reused buffers: each
     # step's data term from a separate mean_nll pass without decay, then
     # allocating AdamW, SGD and DP-SGD updates (DP-SGD at noise multiplier
-    # sigma), with weight decay spec.weight_decay and no decay in DP-SGD.
-    # Returns the parameters after each epoch and the epoch's loss: the
-    # batch-size-weighted mean of the data terms (NaN for an epoch whose
-    # Poisson batches were all empty) plus 0.5 * weight_decay * ||theta||^2
-    # at the epoch's end (one dot: the test instances hold under DOT_SLICE
-    # entries).
+    # sigma, an empty Poisson batch taking its noise with a zero gradient),
+    # with weight decay spec.weight_decay and no decay in DP-SGD. Returns
+    # the parameters after each epoch and the epoch's loss: the
+    # batch-size-weighted mean of the non-empty batches' data terms (NaN
+    # for an epoch whose Poisson batches were all empty) plus 0.5 *
+    # weight_decay * ||theta||^2 at the epoch's end (one dot: the test
+    # instances hold under DOT_SLICE entries).
     shuffle_rng, noise_rng = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(2)]
@@ -415,20 +416,20 @@ def _frozen_train(spec, theta0, X, y, config, weights=None, sigma=None):
             batches = _shuffle_batches(n, c.batch_size, shuffle_rng)
         loss_sum, count = 0.0, 0
         for idx in batches:
-            if idx.size == 0:
-                continue
             Xb, yb = X[idx], y[idx]
             wb = None if weights is None else weights[idx]
             cur = ParameterVector(theta, theta0.layout)
-            loss_sum += models.mean_nll(no_decay, cur, Xb, yb, wb) * idx.size
-            count += idx.size
+            if idx.size:
+                loss_sum += models.mean_nll(no_decay, cur, Xb, yb,
+                                            wb) * idx.size
+                count += idx.size
             if c.optimizer == trainer.DP_SGD:
-                g, _ = models.clipped_gradient_sum(spec, cur, Xb, yb,
-                                                   c.clip_norm)
+                g = (models.clipped_gradient_sum(spec, cur, Xb, yb,
+                                                 c.clip_norm)[0].values
+                     if idx.size else np.zeros(theta.size))
                 noise = noise_rng.normal(0.0, sigma * c.clip_norm,
                                          size=theta.size)
-                theta = theta - c.learning_rate * (g.values + noise) \
-                    / c.batch_size
+                theta = theta - c.learning_rate * (g + noise) / c.batch_size
             elif c.optimizer == trainer.SGD_CONSTANT:
                 g = models.weighted_nll_gradient(spec, cur, Xb, yb, wb).values
                 theta = theta - c.learning_rate * g
@@ -460,14 +461,12 @@ DP_SIGMA = 1.1  # the noise multiplier a DP-SGD case trains at
 
 def _fit(spec, theta0, X, y, cfg, weights=None, on_epoch=None,
          sigma=DP_SIGMA):
-    # train, or for a DP-SGD config train_dp_sweep at the one sigma, whose
-    # TrainError it raises; on_epoch(theta) as train calls it
+    # train, its sink on_epoch, or for a DP-SGD config train_dp_sweep at the
+    # one sigma, which takes no sink, and whose TrainError it raises
     if cfg.optimizer != trainer.DP_SGD:
         return trainer.train(spec, theta0, X, y, cfg, weights, on_epoch)
     assert weights is None  # DP-SGD takes none
-    (result,) = trainer.train_dp_sweep(
-        spec, theta0, X, y, cfg, [sigma],
-        on_epoch and (lambda j, values: on_epoch(values)))
+    (result,) = trainer.train_dp_sweep(spec, theta0, X, y, cfg, [sigma])
     if isinstance(result, trainer.TrainError):
         raise result
     return result
@@ -495,8 +494,8 @@ def test_train_matches_frozen_allocating_loop(rng, optimizer, family, sparse):
 
 @pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_CONFIGS))
 def test_a_dense_x_trains_like_its_csr_matrix(rng, optimizer):
-    # train converts a dense X to CSR on entry: the same epochs' thetas and
-    # losses under ==
+    # train converts a dense X to CSR on entry: the same epochs' thetas
+    # (train's alone, through its sink), final theta and losses under ==
     spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=40,
                                          weight_decay=0.01)
     X[rng.random(X.shape) < 0.5] = 0.0
@@ -506,11 +505,12 @@ def test_a_dense_x_trains_like_its_csr_matrix(rng, optimizer):
     runs = []
     for features in (X, sp.csr_matrix(X)):
         seen = []
-        _, losses = _fit(spec, theta0, features, y, cfg, weights,
-                         lambda values: seen.append(values.copy()))
-        runs.append((seen, losses))
-    (dense_seen, dense_losses), (seen, losses) = runs
+        theta, losses = _fit(spec, theta0, features, y, cfg, weights,
+                             lambda values: seen.append(values.copy()))
+        runs.append((seen, theta, losses))
+    (dense_seen, dense_theta, dense_losses), (seen, theta, losses) = runs
     np.testing.assert_array_equal(dense_seen, seen)
+    assert _bits(dense_theta.values) == _bits(theta.values)
     assert dense_losses == losses
 
 
@@ -520,15 +520,13 @@ def _bits(values):
 
 def _assert_matches_frozen_loop(spec, theta0, X, y, cfg, weights=None,
                                 sigmas=(DP_SIGMA, 0.0)):
-    # each epoch's theta, through the sink, and its mean loss equal the
-    # frozen loop's as bits (NaN equals NaN), and the final theta is the
-    # last epoch's; a DP-SGD config trains one sweep of sigmas, each sigma
-    # j's epochs seen through on_epoch(j, theta) and held to its own loop
+    # each epoch's mean loss and the final theta equal the frozen loop's as
+    # bits (NaN equals NaN), and so does each epoch's theta, seen through
+    # train's sink; a DP-SGD config trains one sweep of sigmas, each sigma
+    # held to its own loop
     if cfg.optimizer == trainer.DP_SGD:
-        seen = [[] for _ in sigmas]
-        results = trainer.train_dp_sweep(
-            spec, theta0, X, y, cfg, sigmas,
-            lambda j, values: seen[j].append(values.copy()))
+        seen = [None for _ in sigmas]
+        results = trainer.train_dp_sweep(spec, theta0, X, y, cfg, sigmas)
     else:
         sigmas, seen = [None], [[]]
         results = [trainer.train(
@@ -536,8 +534,9 @@ def _assert_matches_frozen_loop(spec, theta0, X, y, cfg, weights=None,
             lambda values: seen[0].append(values.copy()))]
     for (theta, losses), sigma, epochs in zip(results, sigmas, seen):
         want = _frozen_train(spec, theta0, X, y, cfg, weights, sigma)
-        assert len(epochs) == len(losses) == len(want) == cfg.epochs
-        assert _bits(epochs) == _bits([values for values, _ in want])
+        assert len(losses) == len(want) == cfg.epochs
+        if epochs is not None:
+            assert _bits(epochs) == _bits([values for values, _ in want])
         assert _bits(losses) == _bits([loss for _, loss in want])
         assert _bits(theta.values) == _bits(want[-1][0])
 
@@ -692,8 +691,8 @@ def test_non_finite_theta_raises_train_error_naming_the_epoch(
 
 def test_dp_sgd_with_empty_batches_matches_frozen_loop(rng):
     # batches of 1 over 12 records: q = 1/12, so about a third of the
-    # Poisson batches are empty and take no noise draw, while the draw
-    # made ahead for the next step waits across them
+    # Poisson batches are empty; each takes its noise step with a zero
+    # gradient, and adds nothing to its epoch's loss
     spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=12)
     cfg = trainer.TrainConfig(trainer.DP_SGD, batch_size=1, epochs=4, seed=8,
                               **OPTIMIZER_CONFIGS[trainer.DP_SGD])
