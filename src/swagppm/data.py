@@ -25,8 +25,8 @@ class DataError(ValueError):
 # Each token adds its sign at its index: the index is the low bits of the
 # token's 64-bit FNV-1a hash and the sign is its top bit, so vectors are
 # stable across runs and platforms. Every path (`hash_features`, `load_csv`,
-# `generate`) hashes each distinct token name once and aggregates a block of
-# records in one vectorized pass (`_hash_block`).
+# `generate`) builds through `_hashed_matrix`, which hashes each token name
+# once and aggregates a chunk of records in one vectorized pass.
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -91,22 +91,43 @@ def _hash_block(lengths, index, sign, dim):
     return indptr, (keys - owner * dim).astype(dtype), sums / norms[owner]
 
 
-def _hash_documents(documents, dim):
-    """`_hash_block` over token lists, hashing each distinct token once."""
-    rows = {}  # token -> its row in the token table, in first-seen order
-    tokens = [rows.setdefault(tok, len(rows))
-              for doc in documents for tok in doc]
-    index, sign = _token_table(rows, dim)
-    tokens = np.array(tokens, dtype=np.int64)
-    return _hash_block([len(doc) for doc in documents], index[tokens],
-                       sign[tokens], dim)
+def _stack_blocks(blocks, dim):
+    """One hashed block of consecutive hashed blocks of records, copied into
+    arrays allocated once, in the index dtype of the whole."""
+    blocks = list(blocks)
+    rows = sum(p.size - 1 for p, _, _ in blocks)
+    nnz = sum(v.size for _, _, v in blocks)
+    dtype = _index_dtype(rows, dim, nnz)
+    indptr = np.zeros(rows + 1, dtype=dtype)
+    indices = np.empty(nnz, dtype=dtype)
+    values = np.empty(nnz)
+    r = k = 0
+    for p, i, v in blocks:
+        ptr = indptr[r + 1:r + p.size]
+        ptr[:] = p[1:]
+        ptr += k
+        indices[k:k + v.size] = i
+        values[k:k + v.size] = v
+        r, k = r + p.size - 1, k + v.size
+    return indptr, indices, values
+
+
+def _hashed_matrix(names, chunks, dim):
+    """The CSR feature matrix of records given as chunks of (lengths, token
+    ids), token j being names[j]: each name is hashed once, each chunk as it
+    arrives, and the chunks are stacked once."""
+    index, sign = _token_table(names, dim)
+    return _csr(*_stack_blocks(
+        (_hash_block(lengths, index[tokens], sign[tokens], dim)
+         for lengths, tokens in chunks), dim), dim)
 
 
 def hash_features(tokens, dim):
     """Signed hashed bag-of-words of one token list, L2-normalized, as
     (int64 indices, values). Empty input gives the zero vector."""
-    _, indices, values = _hash_documents([tokens], dim)
-    return indices.astype(np.int64), values
+    matrix = _hashed_matrix(tokens, [([len(tokens)], np.arange(len(tokens)))],
+                            dim)
+    return matrix.indices.astype(np.int64), matrix.data
 
 
 def _csr(indptr, indices, values, dim):
@@ -450,27 +471,6 @@ def _draw_tokens(rng, labels, spec):
         r += i + 1
 
 
-def _stack_blocks(blocks, dim):
-    """One hashed block of consecutive hashed blocks of records, copied into
-    arrays allocated once, in the index dtype of the whole."""
-    blocks = list(blocks)
-    rows = sum(p.size - 1 for p, _, _ in blocks)
-    nnz = sum(v.size for _, _, v in blocks)
-    dtype = _index_dtype(rows, dim, nnz)
-    indptr = np.zeros(rows + 1, dtype=dtype)
-    indices = np.empty(nnz, dtype=dtype)
-    values = np.empty(nnz)
-    r = k = 0
-    for p, i, v in blocks:
-        ptr = indptr[r + 1:r + p.size]
-        ptr[:] = p[1:]
-        ptr += k
-        indices[k:k + v.size] = i
-        values[k:k + v.size] = v
-        r, k = r + p.size - 1, k + v.size
-    return indptr, indices, values
-
-
 def generate(spec):
     """Synthetic imbalanced token dataset, deterministic per seed.
 
@@ -482,17 +482,14 @@ def generate(spec):
                           spec.total_records)
     vocab, class_vocab, dim = (spec.vocab_size, spec.class_vocab_size,
                                spec.feature_dim)
+    labels = np.repeat(np.arange(spec.num_classes), counts)
     # token j < vocab is shared word j, token vocab + c * class_vocab + j is
     # class c's token j
-    index, sign = _token_table(
+    matrix = _hashed_matrix(
         ["w%d" % j for j in range(vocab)]
         + ["c%d_t%d" % (c, j) for c in range(spec.num_classes)
-           for j in range(class_vocab)], dim)
-    labels = np.repeat(np.arange(spec.num_classes), counts)
-    matrix = _csr(*_stack_blocks(
-        (_hash_block(lengths, index[tokens], sign[tokens], dim)
-         for lengths, tokens in _draw_tokens(np.random.default_rng(spec.seed),
-                                             labels, spec)), dim), dim)
+           for j in range(class_vocab)],
+        _draw_tokens(np.random.default_rng(spec.seed), labels, spec), dim)
     provenance = {"kind": "synthetic", "seed": spec.seed,
                   "params": {k: getattr(spec, k) for k in
                              ("num_classes", "zipf_exponent", "total_records",
@@ -552,8 +549,13 @@ def load_csv(path, feature_dim=4096):
     digest, raw = _read_csv(path)
     labels = sorted({label for _, _, label in raw})
     label_index = {name: i for i, name in enumerate(labels)}
-    matrix = _csr(*_hash_documents([tokenize(text) for _, text, _ in raw],
-                                   feature_dim), feature_dim)
+    ids = {}  # token -> its id, in first-seen order
+    rows = [np.array([ids.setdefault(tok, len(ids)) for tok in tokenize(text)],
+                     dtype=np.int64) for _, text, _ in raw]
+    matrix = _hashed_matrix(ids, (
+        ([row.size for row in rows[r:r + _CHUNK]],
+         np.concatenate(rows[r:r + _CHUNK]))
+        for r in range(0, len(rows), _CHUNK)), feature_dim)
     return LabeledDataset([rid for rid, _, _ in raw],
                           [label_index[label] for _, _, label in raw], matrix,
                           len(labels),

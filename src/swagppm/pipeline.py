@@ -9,7 +9,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -454,7 +454,9 @@ def run_benchmark(cfg, out_dir=None):
     fails only its own row, and an exception from the sweep as a whole
     fails every DP row. Each DP row's wall_clock is the whole sweep's time
     (every calibration and the lockstep training) plus that row's
-    evaluation."""
+    evaluation. aux["swag_ppm"] and aux["swag_ppm_rw"] hold each release's
+    SwagPpmResult with moments None, so no round's moments outlive its
+    release."""
     train_view, test_view = prepare_data(cfg)
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
     aux = {"train_view": train_view, "test_view": test_view,
@@ -501,7 +503,7 @@ def run_benchmark(cfg, out_dir=None):
                     ignore=shutil.ignore_patterns("round3_*", _ROUNDS[2][1]),
                     dirs_exist_ok=True)
         res = _release(cfg, *state, out_dir=dirs[key])
-        aux[key] = res
+        aux[key] = replace(res, moments=None)
         return res.released_theta, res.epsilon
 
     def dp_run(delta, result):
@@ -518,6 +520,7 @@ def run_benchmark(cfg, out_dir=None):
         bench("swag-ppm-reweighted", "O(n^-1/2)",
               lambda: swag_run("swag_ppm_rw", 3)),
     ]
+    rounds.close()  # drops round 3's moments before the DP sweep
     deltas = [cfg["dp_sgd"]["delta"]] + list(cfg["delta_sweep"])
     start = time.time()
     try:

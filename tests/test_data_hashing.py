@@ -11,7 +11,8 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from swagppm import data, pipeline
 
@@ -241,16 +242,22 @@ def test_load_csv_matches_frozen_per_row_hashing(tmp_path):
         for rid, text, label in rows])
 
 
-@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("chunk", [data._CHUNK, 1, 3])
+# the patched chunk size is the same for every example
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=st.lists(st.tuples(st.text(st.characters(
     blacklist_categories=("Cs",), blacklist_characters="\x00")),
     st.sampled_from(["fracture", " cut ", "b\u00e9"])), min_size=0,
     max_size=8), crlf=st.booleans(), header=st.sampled_from(
     ["id,text,label", " id , text , label ", "id,text,label,extra"]))
-def test_load_csv_rows_match_frozen_text_mode_parse(tmp_path_factory, rows,
+def test_load_csv_rows_match_frozen_text_mode_parse(chunk, monkeypatch,
+                                                    tmp_path_factory, rows,
                                                     crlf, header):
     # quoted newlines, lone CRs, commas and quotes in the text; CRLF or LF
-    # line ends; padded or extra header names
+    # line ends; padded or extra header names; with chunks of 1 or 3 rows,
+    # a file of several rows is hashed in several chunks
+    monkeypatch.setattr(data, "_CHUNK", chunk)
     out = io.StringIO(newline="")
     out.write(header + ("\r\n" if crlf else "\n"))
     # quoting every text, as a lone CR outside quotes ends a row
@@ -407,6 +414,22 @@ def test_generate_peaks_under_two_and_a_half_times_what_it_returns():
     held = sum(a.nbytes for a in (ds.ids, ds.labels, matrix.indptr,
                                   matrix.indices, matrix.data))
     assert peak < 2.5 * held
+
+
+def test_load_csv_peaks_under_twelve_times_its_file(tmp_path):
+    # 20000 rows of 30 tokens from 3000 words, 4.2 MB. The parse holds the
+    # file's bytes, their text and the csv reader's buffer at once; a chunk
+    # of rows hashed at a time stays under that, where every token of the
+    # file held as a string and as an int took 24 times the file
+    rng = np.random.default_rng(0)
+    path = tmp_path / "data.csv"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("id,text,label\n")
+        words = rng.integers(0, 3000, (20000, 30))
+        for i, label in enumerate(rng.integers(0, 20, 20000)):
+            f.write("%d,%s,c%d\n" % (i, " ".join("w%dx" % w for w in words[i]),
+                                      label))
+    assert traced_peak(lambda: data.load_csv(path)) < 12 * path.stat().st_size
 
 
 # --- golden digests -----------------------------------------------------------

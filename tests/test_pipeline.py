@@ -1,3 +1,4 @@
+import csv
 import ctypes.util
 import functools
 import gc
@@ -10,9 +11,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swagppm import blas, models, pipeline, ppm, swag, trainer
-from swagppm.params import ParameterVector
+from swagppm.params import ParameterVector, load_checkpoint
 
 from conftest import (frozen_frame, large_instance, tiny_config,
                       traced_peak, within_a_minute)
@@ -584,6 +586,96 @@ def test_no_round_outlives_the_next_rounds_training(monkeypatch):
     monkeypatch.setattr(pipeline, "_train_round", spy)
     res = pipeline.run_swag_ppm(cfg, train, reweighted=True)
     assert len(earlier) == 3 and earlier[-1]() is res.moments
+
+
+def test_benchmark_holds_no_rounds_moments_past_its_release(monkeypatch,
+                                                            tmp_path):
+    cfg = tiny_config()
+    cfg["delta_sweep"] = [0.1]
+    train_round, dp_sweep = pipeline._train_round, pipeline.run_dp_sweep
+    made, alive = [], []  # each round's moments; which were alive, and when
+
+    def spy_round(*args):
+        gc.collect()
+        alive.append([ref() is not None for ref in made])
+        moments = train_round(*args)
+        made.append(weakref.ref(moments))
+        return moments
+
+    def spy_sweep(*args):
+        gc.collect()
+        alive.append([ref() is not None for ref in made])
+        return dp_sweep(*args)
+
+    monkeypatch.setattr(pipeline, "_train_round", spy_round)
+    monkeypatch.setattr(pipeline, "run_dp_sweep", spy_sweep)
+    rows, sweep_rows, aux = pipeline.run_benchmark(cfg, str(tmp_path / "b"))
+    assert all(row.error is None for row in rows + sweep_rows)
+    assert alive == [[], [False], [False, False], [False, False, False]]
+    assert aux["swag_ppm"].moments is aux["swag_ppm_rw"].moments is None
+
+
+def _alpha_column(path):
+    with open(path, newline="") as f:
+        return np.array([float(row["alpha"]) for row in csv.DictReader(f)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from([models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN]),
+       c=st.floats(0, 3), g=st.floats(-3, 3), k=st.floats(0.01, 0.99),
+       draws=st.integers(1, 8), swag_rank=st.integers(1, 4),
+       swag_epochs=st.integers(1, 6))
+@example(family=models.SOFTMAX_LINEAR, c=0.0, g=1.0, k=0.5, draws=4,
+         swag_rank=3, swag_epochs=5)
+@example(family=models.MLP_1_HIDDEN, c=0.0, g=0.0, k=0.5, draws=4,
+         swag_rank=3, swag_epochs=5)
+def test_a_reweighted_run_holds_the_mechanisms_chain(tmp_path_factory, family,
+                                                     c, g, k, draws,
+                                                     swag_rank, swag_epochs):
+    # a swag_rank below swag_epochs evicts, and a rank of 1 draws no
+    # low-rank term
+    cfg = pipeline.load_config({"seed": 5})
+    cfg["data"]["synthetic"].update(num_classes=4, total_records=120,
+                                    vocab_size=60, feature_dim=64)
+    cfg["model"].update(family=family,
+                        hidden_dim=3 if family == models.MLP_1_HIDDEN else 0)
+    cfg["phases"].update(finetune_epochs=2, batch_size=16, draws=draws,
+                         swag_rank=swag_rank, swag_epochs=swag_epochs, c=c,
+                         g=g, k=k)
+    train, _ = pipeline.prepare_data(cfg)
+    out = str(tmp_path_factory.mktemp("run"))
+    if c + g <= 0:
+        # every initial alpha is clip(c (1 - normalized risk) + g) <= 0, so
+        # round 2's Delta is 0 and reweighting it is undefined
+        with pytest.raises(pipeline.PhaseError) as failed:
+            pipeline.run_swag_ppm(cfg, train, out_dir=out, reweighted=True)
+        assert failed.value.phase == "reweight"
+        assert "Delta is zero" in str(failed.value.cause)
+        return
+    res = pipeline.run_swag_ppm(cfg, train, out_dir=out, reweighted=True)
+    internal = os.path.join(out, "internal")
+    initial = _alpha_column(os.path.join(internal, "weights_initial.csv"))
+    alpha = _alpha_column(os.path.join(internal, "weights_reweighted.csv"))
+    for a in (initial, alpha):
+        assert a.shape == (len(train),) and np.all((0 <= a) & (a <= 1))
+    if c == 0:
+        assert np.all(initial == min(g, 1.0))
+    want = ppm.sensitivity(
+        np.load(os.path.join(internal, "round3_abs_ll.npy")), alpha,
+        train.ids)
+    report = res.report
+    assert report.delta == want.delta and report.num_draws == draws
+    assert np.array_equal(report.per_record, want.per_record)
+    assert (report.argmax_draw, report.argmax_record_id) == (
+        want.argmax_draw, want.argmax_record_id)
+    with open(os.path.join(out, "privacy_report.json")) as f:
+        written = json.load(f)
+    _, header = load_checkpoint(
+        os.path.join(out, "release", "released_model.bin"))
+    assert res.epsilon == 2 * report.delta == written["epsilon"] \
+        == header["epsilon"]
+    assert written["delta"] == report.delta
+    assert written["per_record"] == report.per_record.tolist()
 
 
 def test_benchmark_writes_each_round_artefact_once(monkeypatch, tmp_path):
