@@ -592,10 +592,10 @@ def write_reports(out_dir, cfg, rows, sweep_rows, aux):
         _write_csv(
             os.path.join(out_dir, "weight_density.csv"),
             ["record_id", "class", "size_quartile", "alpha"],
-            [[int(rid), train_view.label_names[c], quartile[c],
+            ([int(rid), train_view.label_names[c], quartile[c],
               repr(float(alpha))]
              for rid, c, alpha in zip(train_view.ids, train_view.labels,
-                                      aux["weights"].alpha)])
+                                      aux["weights"].alpha)))
 
     with open(os.path.join(out_dir, "summary.md"), "w") as f:
         f.write("| model | epsilon | delta | f1_weighted | f1_macro |\n")

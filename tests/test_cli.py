@@ -1,9 +1,11 @@
+import errno
 import json
 import os
 
 import pytest
 
-from swagppm import accountant, cli, data, models, params, pipeline, trainer
+from swagppm import (accountant, cli, data, models, params, pipeline, ppm,
+                     trainer)
 
 
 TINY = {
@@ -422,6 +424,20 @@ def test_reweighting_failure_exits_3_naming_its_phase(tmp_path,
     assert code == cli.EXIT_PHASE
     assert ("phase 'reweight' failed: reweighting undefined when Delta is "
             "zero") in capsys.readouterr().err
+
+
+def test_a_full_disk_under_the_score_file_exits_3_naming_its_phase(
+        tmp_path, tiny_config_file, capsys, monkeypatch):
+    def disk_full(out, offset, row):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(ppm, "_write_at", disk_full)
+    out = tmp_path / "o"
+    code = run(["--config", tiny_config_file, "--out", str(out), "swag-ppm"])
+    assert code == cli.EXIT_PHASE
+    assert ("phase 'risks' failed: [Errno %d] No space left on device"
+            % errno.ENOSPC) in capsys.readouterr().err
+    assert not (out / "internal" / "round1_abs_ll.npy").exists()
 
 
 def test_config_file_section_given_a_value_exits_2(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import csv
+import errno
+import io
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -607,18 +610,34 @@ def test_a_lane_that_raises_releases_the_lanes_waiting_for_a_turn(
 
 def test_an_interrupted_fold_stops_its_lanes(round1, monkeypatch, tmp_path):
     # Ctrl-C while this thread waits for the lanes ends the pool's join
-    # early; draws 2 and 3, taken by then, wait until the fold has removed
-    # its file, and then each lane stops before it takes another draw
+    # early; see _end_the_join_early
+    _end_the_join_early(round1, monkeypatch, tmp_path / "ll.npy",
+                        KeyboardInterrupt)
+
+
+def test_a_fold_that_fails_on_its_own_thread_stops_its_lanes(
+        round1, monkeypatch, tmp_path):
+    _end_the_join_early(round1, monkeypatch, tmp_path / "ll.npy",
+                        RuntimeError)
+
+
+def _end_the_join_early(round1, monkeypatch, path, error):
+    """Raise error out of the fold's pool join once four draws are taken:
+    draws 2 and 3 wait until the fold has removed its file, and then each
+    lane stops before it takes another draw. Both rows are still written,
+    each through its lane's own open handle on the removed file: a handle
+    closed under a lane, or a descriptor number reused by a later open,
+    would show as a failed write or as a write into another file."""
     spec, X, y, moments = round1
-    path = tmp_path / "ll.npy"
     take, finish = swag.DrawMaker.take, swag.DrawMaker.finish
-    taken, four_taken, pools = [], threading.Event(), []
+    write_at = ppm._write_at
+    taken, four_taken, pools, writes = [], threading.Event(), [], []
 
     class InterruptedJoin(ppm.ThreadPoolExecutor):
         def __exit__(self, *exc_info):
             pools.append(self)
             assert four_taken.wait(60)
-            raise KeyboardInterrupt
+            raise error
 
     def counting_take(self, z, z2):
         taken.append(len(taken))
@@ -633,13 +652,123 @@ def test_an_interrupted_fold_stops_its_lanes(round1, monkeypatch, tmp_path):
             time.sleep(1e-3)
         finish(self, *args)
 
+    def checked_write_at(out, offset, row):
+        named = path.stat().st_ino if path.exists() else None
+        inode = os.fstat(out.fileno()).st_ino
+        write_at(out, offset, row)
+        writes.append((offset, inode, named))
+
     monkeypatch.setattr(ppm, "ThreadPoolExecutor", InterruptedJoin)
+    monkeypatch.setattr(ppm, "_write_at", checked_write_at)
     monkeypatch.setattr(blas, "threads", lambda: 2)
     monkeypatch.setattr(swag.DrawMaker, "take", counting_take)
     monkeypatch.setattr(swag.DrawMaker, "finish",
                         finish_once_the_file_is_gone)
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(error):
         _fold(spec, moments, 3, 10, X, y, str(path))
     assert not path.exists()
     assert within_a_minute(pools[0].shutdown) is None
     assert taken == [0, 1, 2, 3]
+    # draws 0 and 1 were written before the fold's join began, so while the
+    # file was there; every row went into that file
+    header, row_bytes = 128, 8 * len(y)
+    writes.sort()
+    assert [offset for offset, _, _ in writes] == [
+        header + s * row_bytes for s in range(4)]
+    file_inode = writes[0][2]
+    assert file_inode is not None and writes[1][2] == file_inode
+    assert all(inode == file_inode for _, inode, _ in writes)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_score_file_bytes_equal_np_save_without_a_memory_map(
+        round1, monkeypatch, tmp_path, lanes):
+    spec, X, y, moments = round1
+    want = io.BytesIO()
+    np.save(want, ppm.abs_loglik_matrix(
+        spec, [d.values for d in moments.sample(9, 4)], X, y))
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("the fold mapped a file")
+
+    monkeypatch.setattr(np, "memmap", no_map)
+    monkeypatch.setattr(blas, "threads", lambda: lanes)
+    path = tmp_path / "ll.npy"
+    _fold(spec, moments, 4, 9, X, y, str(path))
+    assert path.read_bytes() == want.getvalue()
+
+
+def test_a_failed_row_write_fails_the_fold_like_a_failed_draw(
+        round1, monkeypatch, tmp_path):
+    # the write of draw 3's row finds the disk full while draw 2 is still
+    # being written on the other lane: the fold raises that error once
+    # draws 0-2 are written, removes the file and leaves no thread behind
+    spec, X, y, moments = round1
+    header, row_bytes = 128, 8 * len(y)
+    error = OSError(errno.ENOSPC, "No space left on device")
+    write_at, written, failed = ppm._write_at, [], threading.Event()
+
+    def disk_full_at_draw_3(out, offset, row):
+        s = (offset - header) // row_bytes
+        if s == 3:
+            failed.set()
+            raise error
+        if s == 2:
+            assert failed.wait(60)
+        write_at(out, offset, row)
+        written.append(s)
+
+    monkeypatch.setattr(ppm, "_write_at", disk_full_at_draw_3)
+    monkeypatch.setattr(blas, "threads", lambda: 2)
+    path = tmp_path / "ll.npy"
+    before = threading.enumerate()
+    assert within_a_minute(
+        lambda: _fold(spec, moments, 3, 10, X, y, str(path))) is error
+    assert {0, 1, 2} <= set(written) and 3 not in written
+    assert not path.exists()
+    assert threading.enumerate() == before
+
+
+_FOLD_RSS = """
+import resource, sys
+import numpy as np, scipy.sparse as sp
+from swagppm import models, ppm, swag
+n, count = 10000, 500
+spec = models.ModelSpec(models.SOFTMAX_LINEAR, 50, 5)
+X = sp.random(n, 50, density=0.1, format="csr", random_state=3)
+y = np.random.default_rng(3).integers(0, 5, n)
+moments = swag.SwagMoments(spec.layout(), k_max=4)
+rng = np.random.default_rng(0)
+moments.absorb(*(rng.normal(0, 0.1, spec.num_params) for _ in range(4)))
+alpha, ids = np.ones(n), np.arange(n)
+ppm.posterior_sensitivity(spec, moments, 0, 2, X, y, alpha, ids)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ppm.posterior_sensitivity(spec, moments, 0, count, X, y, alpha, ids,
+                          sys.argv[1])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(before, after)
+"""
+
+
+def test_resident_memory_does_not_grow_with_the_score_file(tmp_path):
+    # 500 draws of 10000 records make a 40 MB score file; a fold that held
+    # its written pages, as a memory map of the file does, would raise the
+    # child's peak resident set by about that much. Linux carries a peak
+    # across exec from the memory the new program replaced, which for a
+    # child spawned by vfork is this process's, so the child is started
+    # from a small Python launcher, whose peak it carries instead
+    pytest.importorskip("resource")
+    path = tmp_path / "ll.npy"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(ppm.__file__)))
+    launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    out = subprocess.run(
+        [sys.executable, "-c", launch, sys.executable, "-c", _FOLD_RSS,
+         str(path)],
+        env=env, capture_output=True, text=True, check=True,
+        timeout=300).stdout
+    before, after = map(int, out.split())
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss's unit
+    size = path.stat().st_size
+    assert size == 128 + 500 * 10000 * 8
+    assert (after - before) * unit < size / 4
