@@ -147,8 +147,11 @@ def cmd_report(args):
     if not os.path.exists(path):
         raise pipeline.ConfigError("no summary at %s; run `benchmark` first"
                                    % path)
-    with open(path) as f:
-        print(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            print(f.read())
+    except UnicodeDecodeError as e:  # a ValueError, not an OSError
+        raise pipeline.PhaseError("report", "%s: %s" % (path, e)) from None
     return EXIT_OK
 
 

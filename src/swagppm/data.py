@@ -194,7 +194,8 @@ class LabeledDataset:
         return self.ids.size
 
     def _rows(self):
-        """A Record per row, its indices cast from the CSR's int32 to int64."""
+        """A Record per row, its indices cast from the CSR's int32 to int64,
+        so row dtypes and content_hash do not depend on scipy's index type."""
         m = self._matrix
         bounds = m.indptr.tolist()
         for rid, label, a, b in zip(self.ids.tolist(), self.labels.tolist(),

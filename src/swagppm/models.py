@@ -426,7 +426,10 @@ def nll_term(loglik, weights=None):
 
 def decay_penalty(spec, theta):
     """The objective's weight-decay term, 0.5 * weight_decay * ||theta||^2,
-    of a flat theta."""
+    of a flat theta; 0.0 at weight decay 0, where ||theta||^2 is not taken,
+    as it may overflow for a theta that is still finite."""
+    if not spec.weight_decay:
+        return 0.0
     return 0.5 * spec.weight_decay * _sq_norm(theta)
 
 

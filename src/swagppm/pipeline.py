@@ -287,12 +287,12 @@ def _phase(name, fn, *args):
 
 
 def _swag_rounds(cfg, train_view, out_dir=None):
-    """The fine-tune + SWAG rounds in order, run one per step of the
-    generator, each yielding (round, moments, weights, report): round 1 the
-    initial weights and no report, round 2 the sensitivity report under
-    them, round 3 the reweighted weights and their report. With out_dir,
-    each round writes its artefacts once, into out_dir/internal. A round
-    drops the previous round's moments before it trains."""
+    """The fine-tune + SWAG rounds in order, as a lazy generator that yields
+    (moments, weights, report) after round 2, the initial weights and the
+    sensitivity report under them, and after round 3, the reweighted
+    weights and their report; round 1 only maps the initial weights. With
+    out_dir, each round writes its artefacts once, into out_dir/internal. A
+    round drops the previous round's moments before it trains."""
     ph = cfg["phases"]
     master = cfg["seed"]
     internal = out_dir and os.path.join(out_dir, "internal")
@@ -331,16 +331,8 @@ def _swag_rounds(cfg, train_view, out_dir=None):
             if weights_csv:
                 ppm.save_weights_csv(os.path.join(internal, weights_csv),
                                      weights)
-        yield r, moments, weights, report
-
-
-def _run_to_round(rounds, last):
-    """(moments, weights, report) of round `last`, running the _swag_rounds
-    generator up to it; no earlier round is held while the next one runs."""
-    for r, *state in rounds:
-        if r == last:
-            return state
-        del state
+        if r > 1:
+            yield moments, weights, report
 
 
 def _release(cfg, moments, weights, report, out_dir=None):
@@ -362,8 +354,9 @@ def run_swag_ppm(cfg, train_view, out_dir=None, reweighted=False):
     rounds, risk-based weights in between, epsilon from the final draws,
     and a single released draw kept apart from the internal draws."""
     rounds = _swag_rounds(cfg, train_view, out_dir)
-    return _release(cfg, *_run_to_round(rounds, 3 if reweighted else 2),
-                    out_dir)
+    if reweighted:
+        next(rounds)  # round 2's state, dropped before round 3 trains
+    return _release(cfg, *next(rounds), out_dir)
 
 
 def _dp_steps(cfg, n):
@@ -448,23 +441,31 @@ class BenchmarkRow:
 
 def run_benchmark(cfg, out_dir=None):
     """Train the four comparators on a shared split, plus the DP-SGD delta
-    sweep, and emit the summary / per-class / sweep tables. The DP-SGD row
-    at the config's delta and the sweep's rows come from one run_dp_sweep,
-    which trains every delta's model in lockstep; a delta that fails there
-    fails only its own row, and an exception from the sweep as a whole
-    fails every DP row. Each DP row's wall_clock is the whole sweep's time
-    (every calibration and the lockstep training) plus that row's
-    evaluation. aux["swag_ppm"] and aux["swag_ppm_rw"] hold each release's
-    SwagPpmResult with moments None, so no round's moments outlive its
-    release."""
+    sweep, and emit the summary / per-class / sweep tables. The SWAG rows
+    share one run of the rounds, written into swag_ppm_rw/: swag-ppm
+    releases after round 2, once rounds 1-2's files (not an earlier run's
+    round 3) are copied into swag_ppm/, and swag-ppm-reweighted after round
+    3, so each directory holds its standalone command's files and the
+    reweighted row's wall_clock covers round 3 and its release only. A
+    failed shared round fails both rows with its error; a failed copy or
+    release fails only its own row, and weight_density.csv, the initial
+    weights taken at round 2, is still written. The DP-SGD row at the
+    config's delta and the sweep's rows come from one run_dp_sweep, which
+    trains every delta's model in lockstep; a delta that fails there fails
+    only its own row, and an exception from the sweep as a whole fails
+    every DP row. Each DP row's wall_clock is the whole sweep's time plus
+    that row's evaluation. aux["swag_ppm"] and aux["swag_ppm_rw"] hold each
+    release with moments None, so no round's moments outlive its release."""
     train_view, test_view = prepare_data(cfg)
     spec = model_spec(cfg, train_view.num_classes, train_view.feature_dim)
     aux = {"train_view": train_view, "test_view": test_view,
            "dp_budgets": {}}
 
     def bench(name, delta, fn, shared_s=0.0):
-        """fn returns (theta, epsilon); a failure becomes an error row. The
-        row's wall_clock is fn's and evaluate's time plus shared_s."""
+        """fn returns (theta, epsilon); a failure becomes an error row, whose
+        error is never empty (an exception without a message gives its type
+        name). The row's wall_clock is fn's and evaluate's time plus
+        shared_s."""
         start = time.time() - shared_s
         try:
             theta, epsilon = fn()
@@ -478,19 +479,17 @@ def run_benchmark(cfg, out_dir=None):
                                 time.time() - start,
                                 error=str(e) or type(e).__name__)
 
-    # the swag rows share rounds 1-2, written into swag_ppm_rw/; the plain row
-    # copies them out after round 2, leaving out any earlier run's round 3
     dirs = {key: os.path.join(out_dir, key) if out_dir else None
             for key in ("swag_ppm", "swag_ppm_rw")}
     rounds = _swag_rounds(cfg, train_view, dirs["swag_ppm_rw"])
     round_error = None
 
-    def swag_run(key, last):
+    def swag_run(key):
         nonlocal round_error
         if round_error is not None:
             raise round_error  # a shared round failed for the first row
         try:
-            state = _run_to_round(rounds, last)
+            state = next(rounds)
         except Exception as e:
             round_error = e
             raise
@@ -516,9 +515,9 @@ def run_benchmark(cfg, out_dir=None):
     rows = [
         bench("non-private", "-",
               lambda: (run_nonprivate(cfg, train_view), None)),
-        bench("swag-ppm", "O(n^-1/2)", lambda: swag_run("swag_ppm", 2)),
+        bench("swag-ppm", "O(n^-1/2)", lambda: swag_run("swag_ppm")),
         bench("swag-ppm-reweighted", "O(n^-1/2)",
-              lambda: swag_run("swag_ppm_rw", 3)),
+              lambda: swag_run("swag_ppm_rw")),
     ]
     rounds.close()  # drops round 3's moments before the DP sweep
     deltas = [cfg["dp_sgd"]["delta"]] + list(cfg["delta_sweep"])
@@ -564,12 +563,10 @@ def write_reports(out_dir, cfg, rows, sweep_rows, aux):
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["model", "epsilon", "delta", "f1_weighted", "f1_macro"],
                [_row_cells(row) for row in rows])
-    swag_row = by_name.get("swag-ppm")
     _write_csv(os.path.join(out_dir, "delta_sweep.csv"),
                ["method", "target_epsilon", "delta", "f1_weighted",
                 "f1_macro"],
-               [_row_cells(row)
-                for row in sweep_rows + ([swag_row] if swag_row else [])])
+               [_row_cells(row) for row in sweep_rows + [by_name["swag-ppm"]]])
 
     # per_class.csv, and the data behind the F1-by-class-size figure
     for name, size_column, counts in (
@@ -579,7 +576,7 @@ def write_reports(out_dir, cfg, rows, sweep_rows, aux):
             os.path.join(out_dir, name),
             ["code", size_column, "f1_nonprivate", "f1_swagppm", "f1_dpsgd"],
             [[test_view.label_names[c], int(counts[c])] + [
-                "%.4f" % by_name[m].f1_per_class[c] if m in by_name else ""
+                "%.4f" % by_name[m].f1_per_class[c]
                 for m in ("non-private", "swag-ppm", "dp-sgd")]
              for c in range(test_view.num_classes)])
 

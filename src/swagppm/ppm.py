@@ -215,17 +215,11 @@ def posterior_sensitivity(spec, moments, seed, count, X, y, alpha, ids,
     The lowest failed draw's exception is raised, once every draw below it
     is finished. With a path, each row is also written into a (count, n)
     .npy file with np.save's bytes: this thread creates it and writes the
-    header, and each lane writes its rows in place by offset (_lane). A
-    failed write fails the fold like a failed draw, and any failure or
-    interrupt removes the file. The file is the only part of a written
-    release that grows with S n: 500 draws take 4.3 MB at the default
-    config's 1079 records, 43 MB at 10751 and 400 MB at 100000.
-    Written rows go to the page cache, not to this process's resident
-    memory, which a memory map of the file would grow by each page
-    written: on 2 vCPUs, a written reweighted release of an MLP on 10751
-    records (the release-mlp-large corpus) with one fine-tune epoch peaked
-    at 115.4-115.8 MiB with a map and 74.6-74.8 MiB without, at the same
-    file bytes, two runs each."""
+    header, and each lane writes its rows in place by offset (_lane), not
+    through a memory map, whose written pages would count as this
+    process's resident memory, growing with S n. A failed write fails the
+    fold like a failed draw, and any failure or interrupt removes the
+    file."""
     maker = swag.DrawMaker(moments, seed)
     lanes = []
     for _ in range(blas.threads()):

@@ -208,7 +208,8 @@ def save_moments(path, moments):
 
 
 def load_moments(path):
-    """Read a moments file; a misframed or corrupt file raises SwagError."""
+    """Read a moments file; a misframed or corrupt file raises SwagError.
+    The deviation buffer holds the k columns stored, whatever k_max says."""
     head, layout, values = read_file(path, _MAGIC, SwagError)
     p = layout.size
     count, k, k_max = (head.get(key) for key in ("count", "k", "k_max"))

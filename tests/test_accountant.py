@@ -86,6 +86,7 @@ def test_sgm_rdp_matches_per_k_loop(q, sigma, a):
                                                   _sgm_rdp_loop(q, sigma, a))
 
 
+@pytest.mark.floor_versions
 def test_log_factorials_equal_scipy_gammaln():
     # the port of cephes' lgam takes the product branch below 13, the
     # Stirling series up to 1000 and its short form past it
@@ -271,6 +272,12 @@ LEDGER = accountant.RdpLedger(0.1, 1.0)
                  "sampling rate q", id="nan-ledger-q"),
     pytest.param(lambda: accountant.sgm_rdp(0.1, NAN, 3),
                  "sigma", id="nan-sigma"),
+    pytest.param(lambda: accountant.sgm_rdp(NAN, 1.0, 3),
+                 r"^q must lie in \[0, 1\]$", id="nan-sgm-q"),
+    pytest.param(lambda: accountant.sgm_rdp(1.5, 1.0, 3),
+                 r"^q must lie in \[0, 1\]$", id="sgm-q-above-one"),
+    pytest.param(lambda: accountant.sgm_rdp(-0.1, 1.0, 3),
+                 r"^q must lie in \[0, 1\]$", id="sgm-q-below-zero"),
     pytest.param(lambda: accountant.compose(LEDGER, 2.5),
                  "steps", id="fractional-compose-steps"),
     pytest.param(lambda: accountant.compose(LEDGER, True),
@@ -325,6 +332,7 @@ GOLDEN_CALIBRATIONS = {
 }
 
 
+@pytest.mark.floor_versions
 def test_accountant_golden_bits():
     for q, sigma, a, want in GOLDEN_SGM_RDP:
         assert accountant.sgm_rdp(q, sigma, a).hex() == want, (q, sigma, a)

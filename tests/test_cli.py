@@ -115,6 +115,15 @@ def test_report_without_benchmark(tmp_path):
                 "report"]) == cli.EXIT_CONFIG
 
 
+def test_report_of_a_summary_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "summary.md"
+    path.write_bytes(b"\xff\xfe")
+    assert run(["--out", str(tmp_path), "report"]) == cli.EXIT_PHASE
+    err = capsys.readouterr().err
+    assert "phase failure: phase 'report' failed: %s: " % path in err
+    assert "can't decode byte 0xff" in err
+
+
 def test_account_sigma_is_the_dp_sgd_sigma(tmp_path, tiny_config_file):
     out = tmp_path / "o"
     assert run(["--config", tiny_config_file, "--out", str(out),
@@ -180,7 +189,8 @@ def _raise_runtime_error(*args, **kwargs):
     raise RuntimeError()
 
 
-@pytest.mark.parametrize("target", ["_train_round", "run_nonprivate"])
+@pytest.mark.parametrize("target", ["_train_round", "run_nonprivate",
+                                    "run_dp_sweep"])
 def test_benchmark_exits_3_on_a_failed_row(tmp_path, tiny_config_file,
                                            capsys, monkeypatch, target):
     monkeypatch.setattr(pipeline, target, _raise_runtime_error)
@@ -188,10 +198,17 @@ def test_benchmark_exits_3_on_a_failed_row(tmp_path, tiny_config_file,
                 "benchmark"])
     assert code == cli.EXIT_PHASE
     out = capsys.readouterr().out
+    failed = [line for line in out.splitlines() if "FAILED" in line]
     if target == "_train_round":
-        failed = [line for line in out.splitlines() if "FAILED" in line]
         assert len(failed) == 2
         assert all("phase 'swag-round-1' failed" in line for line in failed)
+    elif target == "run_dp_sweep":
+        # a sweep that raises as a whole fails every DP row: the config's
+        # delta and the sweep's two
+        assert len(failed) == 3
+        assert all(line.startswith("dp-sgd ")
+                   and line.endswith("FAILED: RuntimeError")
+                   for line in failed)
     else:
         assert "FAILED: RuntimeError" in out
 
@@ -387,6 +404,9 @@ def test_bad_model_config_exits_2_before_any_data(tmp_path, capsys,
      "dp-sgd training: bad learning_rate inf"),
     ("benchmark", "dp_sgd.target_epsilon=Infinity",
      "dp_sgd.target_epsilon must be finite, got inf"),
+    # a delta_sweep that is not a list at all
+    ("benchmark", "delta_sweep=0.1",
+     "delta_sweep must be a list of deltas in (0, 1), got 0.1"),
 ])
 def test_bad_training_config_exits_2_before_any_data(
         tmp_path, capsys, monkeypatch, command, override, message):

@@ -369,3 +369,29 @@ def test_csv_header_names_may_carry_spaces(tmp_path):
     path.write_text("id, text , label\n1,fell off ladder,fracture\n")
     ds = data.load_csv(path, feature_dim=64)
     assert ds.label_names == ["fracture"] and ds.records[0].id == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: small_spec(class_signal_strength=1.5),
+                 r"class_signal_strength must lie in \[0, 1\]",
+                 id="signal-above-one"),
+    pytest.param(lambda: small_spec(class_signal_strength=-0.1),
+                 r"class_signal_strength must lie in \[0, 1\]",
+                 id="signal-below-zero"),
+    pytest.param(lambda: data.stratified_cap_sample(
+        dataset_of([0, 0, 1, 1], 2), cap=1), "cap must be >= 2",
+        id="cap-below-two"),
+    pytest.param(lambda: data.gini([0, 0, 0]),
+                 "need at least one nonzero class count", id="gini-no-counts"),
+])
+def test_bad_arguments_raise_data_error(call, message):
+    with pytest.raises(data.DataError, match="^%s$" % message):
+        call()
+
+
+def test_zipf_counts_trim_an_overshoot_from_the_largest_class():
+    # 6 records over 5 classes at exponent 3: the floors of the targets are
+    # 5, 0, 0, 0, 0, raised to at least 1 they sum to 9, and the largest
+    # class gives the 3 back
+    counts = data._zipf_counts(5, 3.0, 6)
+    assert counts.tolist() == [2, 1, 1, 1, 1]

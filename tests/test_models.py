@@ -447,6 +447,7 @@ def _csr_rows_and_operand(draw):
     return X, (a, b), operand(d), operand(b - a)
 
 
+@pytest.mark.floor_versions
 @settings(max_examples=200, deadline=None)
 @given(case=_csr_rows_and_operand())
 def test_sparse_products_equal_scipy_on_the_row_slice(case):
@@ -462,6 +463,7 @@ def test_sparse_products_equal_scipy_on_the_row_slice(case):
     assert out.tobytes() == (rows.T @ D).tobytes()
 
 
+@pytest.mark.floor_versions
 def test_sparse_products_refuse_an_out_they_cannot_write_in_place():
     X = sp.random(6, 4, density=0.5, format="csr", random_state=0)
     W, D = np.ones((4, 3)), np.ones((6, 3))
@@ -624,3 +626,41 @@ def test_running_row_max_equals_np_max():
     models._running_row_max(Z, out)
     np.testing.assert_array_equal(out, np.max(Z, axis=1))
     assert np.signbit(out[3])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda spec, theta, X, y: models.weighted_nll_gradient(
+        spec, theta, X[:0], y[:0]), "empty batch", id="gradient-no-records"),
+    pytest.param(lambda spec, theta, X, y: models.weighted_nll_gradient(
+        spec, theta, X, y, np.ones(X.shape[0] + 1)),
+        "weights length does not match batch size", id="gradient-weights"),
+    pytest.param(lambda spec, theta, X, y: models.clipped_gradient_sum(
+        spec, theta, X[:0], y[:0], 1.0), "empty minibatch",
+        id="clipped-sum-no-records"),
+])
+def test_gradients_refuse_an_empty_batch_or_misfit_weights(rng, call,
+                                                           message):
+    spec, theta, X, y = random_instance(rng, models.SOFTMAX_LINEAR)
+    with pytest.raises(models.ModelError, match="^%s$" % message):
+        call(spec, theta, X, y)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.0, 1.0, 2.0], "values length 3 does not match layout size 4"),
+    ([0.0, 1.0, np.nan, 3.0], "parameter vector contains non-finite entries"),
+    ([0.0, -np.inf, 2.0, 3.0],
+     "parameter vector contains non-finite entries"),
+])
+def test_parameter_vector_refuses_a_wrong_length_or_non_finite_entry(values,
+                                                                    message):
+    with pytest.raises(LayoutError, match="^%s$" % message):
+        ParameterVector(values, Layout([("W", (2, 2))]))
+
+
+def test_checkpoint_whose_payload_holds_a_nan_raises_layout_error(tmp_path):
+    path = tmp_path / "nan.bin"
+    write_file(path, b"SWPPMCK1", {"layout": [["W", [3]]]},
+               np.array([1.0, np.nan, 2.0]))
+    with pytest.raises(LayoutError,
+                       match="^parameter vector contains non-finite entries$"):
+        load_checkpoint(str(path))

@@ -366,6 +366,7 @@ def _raise_in_a_lane(monkeypatch):
     return raised
 
 
+@pytest.mark.fold_threads
 @pytest.mark.parametrize("path", ["normal", "non-finite draw", "nan row",
                                   "lane raises"])
 def test_fold_lanes_keep_the_thread_rules(monkeypatch, two_blas_threads,
@@ -412,6 +413,7 @@ def test_fold_lanes_keep_the_thread_rules(monkeypatch, two_blas_threads,
     assert blas.threads() == 2
 
 
+@pytest.mark.fold_threads
 def test_the_lowest_failed_draw_on_the_lanes_is_the_phase_cause(
         monkeypatch, two_blas_threads):
     # draw 2 raises only once draw 3, which the other lane takes while
@@ -452,6 +454,7 @@ def _missing_symbol(monkeypatch):
                         lambda pattern: [ctypes.util.find_library("c")])
 
 
+@pytest.mark.fold_threads
 def test_without_blas_controls_the_fold_runs_on_one_lane_with_the_same_bits(
         monkeypatch, two_blas_threads):
     # p = 16384 * 6 + 6 = 98310 and k = swag_epochs: p * k is above
@@ -488,6 +491,7 @@ def test_without_blas_controls_the_fold_runs_on_one_lane_with_the_same_bits(
             == want.released_theta.values.tobytes()
 
 
+@pytest.mark.fold_threads
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 def test_lane_fold_equals_one_lane_fold_at_each_blas_thread_count(
         monkeypatch, set_blas_threads, threads):

@@ -307,6 +307,7 @@ def test_stream_delta_scales_exactly_with_alpha(grid):
         np.testing.assert_array_equal(scaled.per_record, c * base.per_record)
 
 
+@pytest.mark.fold_threads
 @settings(max_examples=200, deadline=None)
 @given(grid=score_grids(cells=st.integers(0, 3).map(float)),
        data=st.data())
@@ -459,6 +460,7 @@ def _fold(spec, moments, seed, count, X, y, path=None):
                                      _alpha(len(y)), np.arange(len(y)), path)
 
 
+@pytest.mark.fold_threads
 def test_more_lanes_than_cores_hand_on_every_row_in_draw_order(
         round1, monkeypatch, tmp_path):
     # a lane that took a number or the stream outside the lock, or wrote a
@@ -492,6 +494,7 @@ def test_more_lanes_than_cores_hand_on_every_row_in_draw_order(
     assert np.load(tmp_path / "ll.npy").tobytes() == want_rows.tobytes()
 
 
+@pytest.mark.fold_threads
 @pytest.mark.parametrize("lanes", [1, 2])
 def test_fold_draws_allocate_nothing_per_draw(monkeypatch, lanes):
     # p = 9999 * 20 + 20 = 200000. Once the fold's buffers exist (from the
@@ -567,6 +570,7 @@ class _CountedLock:
                 lambda: self.requests >= request, 60)
 
 
+@pytest.mark.fold_threads
 @pytest.mark.parametrize("when", ["before its turn", "holding its turn",
                                   "after its turn"])
 def test_a_lane_that_raises_releases_the_lanes_waiting_for_a_turn(
@@ -608,6 +612,7 @@ def test_a_lane_that_raises_releases_the_lanes_waiting_for_a_turn(
     assert threading.enumerate() == before
 
 
+@pytest.mark.fold_threads
 def test_an_interrupted_fold_stops_its_lanes(round1, monkeypatch, tmp_path):
     # Ctrl-C while this thread waits for the lanes ends the pool's join
     # early; see _end_the_join_early
@@ -615,6 +620,7 @@ def test_an_interrupted_fold_stops_its_lanes(round1, monkeypatch, tmp_path):
                         KeyboardInterrupt)
 
 
+@pytest.mark.fold_threads
 def test_a_fold_that_fails_on_its_own_thread_stops_its_lanes(
         round1, monkeypatch, tmp_path):
     _end_the_join_early(round1, monkeypatch, tmp_path / "ll.npy",
@@ -680,6 +686,7 @@ def _end_the_join_early(round1, monkeypatch, path, error):
     assert all(inode == file_inode for _, inode, _ in writes)
 
 
+@pytest.mark.floor_versions
 @pytest.mark.parametrize("lanes", [1, 2])
 def test_score_file_bytes_equal_np_save_without_a_memory_map(
         round1, monkeypatch, tmp_path, lanes):
@@ -698,6 +705,7 @@ def test_score_file_bytes_equal_np_save_without_a_memory_map(
     assert path.read_bytes() == want.getvalue()
 
 
+@pytest.mark.fold_threads
 def test_a_failed_row_write_fails_the_fold_like_a_failed_draw(
         round1, monkeypatch, tmp_path):
     # the write of draw 3's row finds the disk full while draw 2 is still
@@ -772,3 +780,26 @@ def test_resident_memory_does_not_grow_with_the_score_file(tmp_path):
     size = path.stat().st_size
     assert size == 128 + 500 * 10000 * 8
     assert (after - before) * unit < size / 4
+
+
+def _fixture_weights_and_report():
+    weights = ppm.map_weights([0, 1], [0.0, 1.0], 1.0, 0.0)
+    return weights, ppm.sensitivity(FIXTURE_LL, np.ones(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda spec, X, y: ppm.abs_loglik_rows(
+        spec, [], X[:0], y[:0]), "empty dataset", id="rows-no-records"),
+    pytest.param(lambda spec, X, y: ppm.abs_loglik_matrix(spec, [], X, y),
+                 "need at least one posterior draw", id="matrix-no-draws"),
+    pytest.param(lambda *_: ppm.map_weights([0, 1], [1.0, 2.0], -0.5, 0.0),
+                 "scale c must be nonnegative", id="negative-c"),
+    pytest.param(lambda *_: ppm.reweight(*_fixture_weights_and_report(), 0.0),
+                 r"k must lie in \(0, 1\)", id="k-zero"),
+    pytest.param(lambda *_: ppm.reweight(*_fixture_weights_and_report(), 1.0),
+                 r"k must lie in \(0, 1\)", id="k-one"),
+])
+def test_bad_arguments_raise_ppm_error(rng, call, message):
+    spec, _, X, y = random_instance(rng, models.SOFTMAX_LINEAR)
+    with pytest.raises(ppm.PpmError, match="^%s$" % message):
+        call(spec, X, y)

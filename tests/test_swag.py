@@ -604,3 +604,9 @@ def test_draws_take_the_two_thread_bits_at_each_thread_count(
             for whole, w in zip(_split_gemv_draws(m, 2, 1, p), want):
                 assert whole.tobytes() == w.tobytes()
     assert moved  # the partition is what keeps the bits
+
+
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_moments_refuse_a_k_max_below_one(p1, k_max):
+    with pytest.raises(swag.SwagError, match="^k_max must be >= 1$"):
+        swag.SwagMoments(p1, k_max=k_max)

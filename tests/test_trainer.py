@@ -222,6 +222,7 @@ def _csr_with_empty_rows_and_zeros(draw):
     return X, draw(st.integers(1, n)), seed
 
 
+@pytest.mark.floor_versions
 @settings(max_examples=60, deadline=None)
 @given(case=_csr_with_empty_rows_and_zeros())
 def test_row_batches_multiply_like_scipy_slices(case):
@@ -472,6 +473,7 @@ def _fit(spec, theta0, X, y, cfg, weights=None, on_epoch=None,
     return result
 
 
+@pytest.mark.floor_versions
 @pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_CONFIGS))
 @pytest.mark.parametrize("family",
                          [models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN])
@@ -689,6 +691,7 @@ def test_non_finite_theta_raises_train_error_naming_the_epoch(
     assert len(seen) == bad_step // 4 and np.isfinite(seen).all()
 
 
+@pytest.mark.floor_versions
 def test_dp_sgd_with_empty_batches_matches_frozen_loop(rng):
     # batches of 1 over 12 records: q = 1/12, so about a third of the
     # Poisson batches are empty; each takes its noise step with a zero
@@ -779,6 +782,7 @@ def test_no_thread_outlives_dp_sgd_train(rng, monkeypatch):
         assert threading.enumerate() == before
 
 
+@pytest.mark.floor_versions
 @settings(max_examples=40, deadline=None)
 @given(sigmas=st.lists(st.sampled_from([0.0, 0.4, 1.1, 3.0]), min_size=1,
                        max_size=4),
@@ -896,3 +900,35 @@ def test_dp_sgd_losses_and_theta_do_not_depend_on_blas_threads():
         assert ran_at == threads
         outputs.append(run)
     assert outputs[0] == outputs[1]
+
+
+def test_a_non_finite_step_loss_raises_train_error_naming_its_batch(rng):
+    # at learning rate 1e160 AdamW's decoupled decay overflows theta in the
+    # second step, so the third step's logits are NaN; numpy's overflow
+    # warning on the way is not the failure under test
+    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=20,
+                                         weight_decay=0.01)
+    cfg = trainer.TrainConfig(trainer.ADAPTIVE, 1e160, 4, 3, seed=0)
+    with np.errstate(over="ignore"), pytest.raises(
+            trainer.TrainError,
+            match=r"^non-finite loss \S*nan\S* at epoch 0 batch 2$"):
+        trainer.train(spec, theta0, X, y, cfg)
+
+
+def test_weights_of_the_wrong_length_raise_train_error(rng):
+    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR)
+    cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 0.1, 2, 1, seed=0)
+    with pytest.raises(trainer.TrainError,
+                       match="^weights must cover every record in the view$"):
+        trainer.train(spec, theta0, X, y, cfg, np.ones(X.shape[0] - 1))
+
+
+def test_no_weight_decay_keeps_the_loss_of_a_theta_whose_norm_overflows(rng):
+    # SGD at learning rate 1e155 takes theta to about 1e155: finite, but its
+    # ||theta||^2 overflows, and 0.5 * 0 * inf would make every loss NaN
+    spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=20)
+    cfg = trainer.TrainConfig(trainer.SGD_CONSTANT, 1e155, 4, 3, seed=0)
+    theta, losses = trainer.train(spec, theta0, X, y, cfg)
+    assert np.abs(theta.values).max() > 1e154
+    assert np.isfinite(losses).all()
+    assert models.decay_penalty(spec, theta.values) == 0.0
