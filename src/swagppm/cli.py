@@ -14,11 +14,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PHASE = 3
 
-# A typed error or an OSError that escapes a subcommand is its failure.
+# A typed error, OSError or MemoryError escaping a subcommand is its failure.
 SUBCOMMAND_ERRORS = (accountant.AccountantError, data.DataError,
                      metrics.MetricsError, models.ModelError,
                      params.LayoutError, ppm.PpmError, swag.SwagError,
-                     trainer.TrainError, OSError)
+                     trainer.TrainError, OSError, MemoryError)
 
 
 def _setup(args):

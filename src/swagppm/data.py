@@ -11,7 +11,7 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .params import is_integer, is_number
+from .params import check_csr_pointer, is_integer, is_number
 
 
 class DataError(ValueError):
@@ -26,20 +26,12 @@ class DataError(ValueError):
 # token's 64-bit FNV-1a hash and the sign is its top bit, so vectors are
 # stable across runs and platforms. Every path (`hash_features`, `load_csv`,
 # `generate`) builds through `_hashed_matrix`, which hashes each token name
-# once and aggregates a chunk of records in one vectorized pass.
+# once, has scipy sum a chunk of records' signs per index (CSR
+# sum_duplicates), and stacks the chunks with scipy's CSR vstack.
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-_INT64_MAX = np.iinfo(np.int64).max
-_INT32_MAX = np.iinfo(np.int32).max
-
-
-def _index_dtype(rows, dim, nnz):
-    """The index dtype scipy.sparse gives a CSR matrix of this shape and
-    nnz, int32 unless a count or an index needs int64; a block hashed in it
-    becomes the matrix's arrays with no copy."""
-    return np.int32 if max(rows, dim, nnz) <= _INT32_MAX else np.int64
 
 
 def fnv1a_64(token):
@@ -64,62 +56,38 @@ def _token_table(names, dim):
 
 
 def _hash_block(lengths, index, sign, dim):
-    """Hashed features of a block of records as CSR (indptr, indices,
-    values): record r owns the next lengths[r] tokens of index/sign.
+    """The CSR matrix of hashed features of a block of records: record r
+    owns the next lengths[r] tokens of index/sign.
 
-    Per record this equals summing the signs per index in a dict, sorting
-    the indices and dividing by np.linalg.norm, bit for bit: sums of +-1 are
+    scipy's sum_duplicates sums a copy of each record's signs per index and
+    sorts its indices. Per record this equals summing in a dict, sorting the
+    indices and dividing by np.linalg.norm, bit for bit: sums of +-1 are
     exact integers in any order, the norm is sqrt(x.x) over them, and the
     division is elementwise. An index whose signs cancel keeps an explicit
     0.0, and a record with norm 0 keeps its zero values.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    n = lengths.size
-    if n * dim > _INT64_MAX:
-        raise DataError("a block of %d records is too large for dimension %d"
-                        % (n, dim))
-    owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    keys, inverse = np.unique(owner * dim + index, return_inverse=True)
-    sums = np.bincount(inverse, weights=sign, minlength=keys.size)
-    owner = keys // dim
-    dtype = _index_dtype(n, dim, keys.size)
-    indptr = np.zeros(n + 1, dtype=dtype)
-    indptr[1:] = np.cumsum(np.bincount(owner, minlength=n))
+    n = len(lengths)
+    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    block = sp.csr_matrix((sign, index, indptr), shape=(n, dim), copy=True)
+    block.sum_duplicates()
+    owner = np.repeat(np.arange(n), np.diff(block.indptr))
     # bincount makes an empty record's segment 0, where reduceat would not
-    norms = np.sqrt(np.bincount(owner, weights=sums * sums, minlength=n))
+    norms = np.sqrt(np.bincount(owner, weights=block.data * block.data,
+                                minlength=n))
     norms[norms == 0] = 1.0
-    return indptr, (keys - owner * dim).astype(dtype), sums / norms[owner]
-
-
-def _stack_blocks(blocks, dim):
-    """One hashed block of consecutive hashed blocks of records, copied into
-    arrays allocated once, in the index dtype of the whole."""
-    blocks = list(blocks)
-    rows = sum(p.size - 1 for p, _, _ in blocks)
-    nnz = sum(v.size for _, _, v in blocks)
-    dtype = _index_dtype(rows, dim, nnz)
-    indptr = np.zeros(rows + 1, dtype=dtype)
-    indices = np.empty(nnz, dtype=dtype)
-    values = np.empty(nnz)
-    r = k = 0
-    for p, i, v in blocks:
-        ptr = indptr[r + 1:r + p.size]
-        ptr[:] = p[1:]
-        ptr += k
-        indices[k:k + v.size] = i
-        values[k:k + v.size] = v
-        r, k = r + p.size - 1, k + v.size
-    return indptr, indices, values
+    block.data /= norms[owner]
+    return block
 
 
 def _hashed_matrix(names, chunks, dim):
     """The CSR feature matrix of records given as chunks of (lengths, token
     ids), token j being names[j]: each name is hashed once, each chunk as it
-    arrives, and the chunks are stacked once."""
+    arrives, and scipy stacks the chunks once (no chunk, as from a CSV of no
+    rows, gives no records)."""
     index, sign = _token_table(names, dim)
-    return _csr(*_stack_blocks(
-        (_hash_block(lengths, index[tokens], sign[tokens], dim)
-         for lengths, tokens in chunks), dim), dim)
+    blocks = [_hash_block(lengths, index[tokens], sign[tokens], dim)
+              for lengths, tokens in chunks]
+    return sp.vstack(blocks or [sp.csr_matrix((0, dim))], format="csr")
 
 
 def hash_features(tokens, dim):
@@ -128,25 +96,6 @@ def hash_features(tokens, dim):
     matrix = _hashed_matrix(tokens, [([len(tokens)], np.arange(len(tokens)))],
                             dim)
     return matrix.indices.astype(np.int64), matrix.data
-
-
-def _csr(indptr, indices, values, dim):
-    """The CSR matrix of a hashed block."""
-    return sp.csr_matrix((values, indices, indptr),
-                         shape=(len(indptr) - 1, dim))
-
-
-def _check_block(indptr, indices, values):
-    """Raise DataError unless every record's indices strictly increase and
-    every value is finite."""
-    steps = np.diff(indices)
-    starts = np.asarray(indptr)[1:-1]
-    # the step into the next record's first index may go down
-    steps[starts[(starts > 0) & (starts <= steps.size)] - 1] = 1
-    if np.any(steps <= 0):
-        raise DataError("feature indices must be strictly increasing")
-    if not np.all(np.isfinite(values)):
-        raise DataError("feature values must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +122,21 @@ class LabeledDataset:
         except OverflowError:
             raise DataError("record ids must fit in int64") from None
         self.labels = np.array(labels, dtype=np.int64)
-        self._matrix = matrix = sp.csr_matrix(matrix)
+        try:
+            self._matrix = matrix = sp.csr_matrix(matrix)
+        except ValueError as e:  # scipy's own format check
+            raise DataError("feature matrix: %s" % e) from None
         self.feature_dim = dim = matrix.shape[1]
         if not self.ids.shape == self.labels.shape == matrix.shape[:1]:
             raise DataError("ids, labels and feature rows differ in number")
-        _check_block(matrix.indptr, matrix.indices, matrix.data)
-        if np.any((matrix.indices < 0) | (matrix.indices >= dim)):
+        check_csr_pointer(matrix, DataError)
+        # scipy's check walks indptr, so it runs after the pointer's
+        if not matrix.has_canonical_format:
+            raise DataError("feature indices must be strictly increasing")
+        if not np.all(np.isfinite(matrix.data)):
+            raise DataError("feature values must be finite")
+        if matrix.nnz and not (0 <= matrix.indices.min()
+                               and matrix.indices.max() < dim):
             raise DataError("feature indices must lie in [0, %d)" % dim)
         if np.any((self.labels < 0) | (self.labels >= num_classes)):
             raise DataError("labels must lie in [0, %d)" % num_classes)

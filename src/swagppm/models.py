@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .params import Layout, ParameterVector, is_finite, is_integer
+from .params import (Layout, ParameterVector, check_csr_pointer, is_finite,
+                     is_integer)
 
 SOFTMAX_LINEAR = "softmax-linear"
 MLP_1_HIDDEN = "mlp-1-hidden"
@@ -59,6 +60,9 @@ class ModelSpec:
                   ("b1", (self.hidden_dim,)),
                   ("W2", (self.hidden_dim, self.num_classes)),
                   ("b2", (self.num_classes,))]))
+        if self._layout.size > np.iinfo(np.intp).max // 8:
+            raise ModelError("%d parameters are more than one float64 array "
+                             "holds" % self._layout.size)
 
     def layout(self):
         return self._layout
@@ -83,13 +87,15 @@ def init_params(spec, seed):
 
 def as_csr(spec, features):
     """features as a CSR matrix, converted unless it is one; a width other
-    than spec's input dim raises ModelError."""
+    than spec's input dim, or an index pointer the kernels would read past
+    the arrays by (params.check_csr_pointer), raises ModelError."""
     X = (features if sp.issparse(features) and features.format == "csr"
          else sp.csr_matrix(features, dtype=np.float64))
     if X.shape[1] != spec.input_dim:
         raise ModelError(
             "feature dim %d does not match input tensor dim %d (W)"
             % (X.shape[1], spec.input_dim))
+    check_csr_pointer(X, ModelError)
     return X
 
 

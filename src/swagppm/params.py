@@ -31,6 +31,17 @@ def is_finite(value):
     return is_number(value) and abs(value) <= sys.float_info.max
 
 
+def check_csr_pointer(matrix, error):
+    """Raise error unless a CSR matrix's index pointer starts at 0, never
+    steps down and ends at nnz; scipy builds one that steps down, and its
+    kernels overrun on it."""
+    p = matrix.indptr
+    if not (p[0] == 0 and p[-1] == matrix.indices.size
+            and not np.any(p[1:] < p[:-1])):
+        raise error("the feature index pointer must start at 0, never step "
+                    "down and end at nnz")
+
+
 class Layout:
     """Ordered (name, shape) slots, with distinct names and non-negative
     integer dimensions, in one flat float64 vector; view reads a table."""

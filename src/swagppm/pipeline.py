@@ -187,9 +187,10 @@ def _train_config(cfg, recipe, seed_tag, batch_size=None):
 
 def _check_settings(cfg):
     """The one judge of a config, run before any record is built: the table
-    below, the model section, the data.synthetic section as the
-    data.SyntheticSpec it returns, and each recipe's TrainConfig (DP-SGD's
-    at the configured batch size). A CSV run reads only feature_dim, the
+    below, the data.synthetic section as the data.SyntheticSpec it returns,
+    the model section at that spec's feature_dim (so a model too large for
+    one array fails here), and each recipe's TrainConfig (DP-SGD's at the
+    configured batch size). A CSV run reads only feature_dim, the
     width it hashes into, so its spec takes the default section with that
     value. A bad value or type raises ConfigError naming its key or
     section."""
@@ -228,7 +229,6 @@ def _check_settings(cfg):
             good = False
         if not good:
             raise ConfigError("%s must be %s, got %r" % (key, want, value))
-    model_spec(cfg, 2, 1)
     sc = dc["synthetic"]
     if dc["csv_path"]:
         sc = dict(DEFAULT_CONFIG["data"]["synthetic"],
@@ -239,6 +239,7 @@ def _check_settings(cfg):
             seed=derive_seed(cfg["seed"], "data"))
     except (TypeError, ValueError) as e:  # DataError is a ValueError
         raise ConfigError("data.synthetic: %s" % e) from None
+    model_spec(cfg, 2, spec.feature_dim)
     for recipe in _RECIPES:
         try:
             _train_config(cfg, recipe, recipe)

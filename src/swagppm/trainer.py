@@ -185,9 +185,9 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
              else None)
     grad = np.empty(theta.size)
     y = np.asarray(y)
-    # a theta entry gone non-finite mid-epoch may take inf - inf until the
-    # epoch's check, so its TrainError, not numpy's warning, reports it
-    with np.errstate(invalid="ignore"):
+    # a step may overflow, or take inf - inf at an entry gone non-finite,
+    # until the epoch's check: its TrainError, not numpy's warning, reports it
+    with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             Xe = None  # the last epoch's copy of X is dropped first
             # a shuffle-partition epoch: permute the rows once, then take
@@ -210,7 +210,7 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
                 loss = models.nll_term(loglik, wb)
                 if not np.isfinite(loss):
                     raise TrainError("non-finite loss %r at epoch %d batch %d"
-                                     % (loss, epoch, b))
+                                     % (float(loss), epoch, b))
                 loss_sum += loss * m
                 if config.optimizer == SGD_CONSTANT:
                     if decay is not None:  # the penalty's gradient
@@ -293,10 +293,10 @@ def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers):
         return pool.submit(_draw_noise, noise_rng, [scales[j] for j in live],
                            [buffers[0][j] for j in live])
 
-    # a theta entry gone non-finite mid-epoch may take inf - inf until the
-    # epoch's check, so its TrainError, not numpy's warning, reports it
+    # a step may overflow, or take inf - inf at an entry gone non-finite,
+    # until the epoch's check: its TrainError, not numpy's warning, reports it
     with ThreadPoolExecutor(max_workers=1) as pool, \
-            np.errstate(invalid="ignore"):
+            np.errstate(over="ignore", invalid="ignore"):
         pending = draw_ahead()
         for epoch in range(config.epochs):
             # Poisson sampling: ceil(n / batch_size) batches, each taking
@@ -321,7 +321,7 @@ def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers):
                         loss = models.nll_term(loglik)
                         if not np.isfinite(loss):
                             fail(j, "non-finite loss %r at epoch %d batch %d"
-                                 % (loss, epoch, b))
+                                 % (float(loss), epoch, b))
                             continue
                         loss_sums[j] += loss * m
                     _dp_update(thetas[j], grad, buffers[1][j],

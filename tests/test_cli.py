@@ -213,6 +213,38 @@ def test_benchmark_exits_3_on_a_failed_row(tmp_path, tiny_config_file,
         assert "FAILED: RuntimeError" in out
 
 
+def test_an_array_too_large_for_the_host_exits_3_naming_the_command(
+        tmp_path, tiny_config_file, capsys, monkeypatch):
+    # as numpy raises for a model of 2**40 features, which _check_settings
+    # cannot tell from one the host could hold
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 160. TiB")
+
+    monkeypatch.setattr(pipeline, "run_nonprivate", too_large)
+    code = run(["--config", tiny_config_file, "--out", str(tmp_path / "o"),
+                "train"])
+    assert code == cli.EXIT_PHASE
+    assert "phase failure: phase 'train' failed: Unable to allocate 160. TiB" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, overrides", [
+    ("train", ["model.weight_decay=0.01", "nonprivate.learning_rate=1e160"]),
+    ("dp-sgd", ["dp_sgd.learning_rate=1e308"]),
+])
+def test_an_overflowing_step_exits_3_under_warnings_as_errors(
+        tmp_path, tiny_config_file, capsys, command, overrides):
+    # numpy's overflow warning, an error here, must not take the place of
+    # the trainer's TrainError
+    args = ["--config", tiny_config_file, "--out", str(tmp_path / "o")]
+    for override in overrides:
+        args += ["--override", override]
+    assert run(args + [command]) == cli.EXIT_PHASE
+    assert "phase failure: phase '%s' failed: " % command \
+        in capsys.readouterr().err
+
+
 def test_benchmark_exits_3_on_a_failed_sweep_row(tmp_path, tiny_config_file,
                                                  capsys, monkeypatch):
     run_dp_sweep = pipeline.run_dp_sweep
@@ -407,6 +439,10 @@ def test_bad_model_config_exits_2_before_any_data(tmp_path, capsys,
     # a delta_sweep that is not a list at all
     ("benchmark", "delta_sweep=0.1",
      "delta_sweep must be a list of deltas in (0, 1), got 0.1"),
+    # a model at this width has more parameters than one array can hold
+    ("train", "data.synthetic.feature_dim=4611686018427387904",
+     "model: 9223372036854775810 parameters are more than one float64 array "
+     "holds"),
 ])
 def test_bad_training_config_exits_2_before_any_data(
         tmp_path, capsys, monkeypatch, command, override, message):

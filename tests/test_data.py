@@ -364,6 +364,18 @@ def test_constructor_rejects_an_index_past_the_dimension(column):
         data.LabeledDataset([0], [0], matrix, 1)
 
 
+@pytest.mark.parametrize("indptr", [[0, 10, 4], [1, 2, 4], [0, 2, 5]])
+def test_constructor_rejects_an_index_pointer_past_its_arrays(indptr):
+    # scipy builds [0, 10, 4], whose records, and any kernel over them,
+    # would read past the arrays; the others are set after scipy checked the
+    # matrix. (A pointer ending short of the arrays has them trimmed to it.)
+    matrix = sp.csr_matrix((np.ones(4), [0, 1, 2, 3], [0, 2, 4]),
+                           shape=(2, 8))
+    matrix.indptr = np.array(indptr, dtype=matrix.indices.dtype)
+    with pytest.raises(data.DataError):
+        data.LabeledDataset([0, 1], [0, 1], matrix, 2)
+
+
 def test_csv_header_names_may_carry_spaces(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("id, text , label\n1,fell off ladder,fracture\n")

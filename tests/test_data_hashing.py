@@ -11,6 +11,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
@@ -64,16 +65,6 @@ def _frozen_generate(spec):
             records.append((rid, indices, values, c))
             rid += 1
     return records
-
-
-def _frozen_stack_blocks(blocks):
-    """Reference: hashed blocks stacked by one concatenation per array, in
-    int64, before the stack was written into arrays allocated once."""
-    indptr, indices, values = zip(*blocks)
-    offsets = np.cumsum([0] + [p[-1] for p in indptr[:-1]])
-    return (np.concatenate([[0]] + [p[1:] + o
-                                    for p, o in zip(indptr, offsets)]),
-            np.concatenate(indices), np.concatenate(values))
 
 
 def _frozen_csv_rows(path):
@@ -158,7 +149,9 @@ def test_hash_block_matches_frozen_aggregate(dim, lengths, seed):
     total = sum(lengths)
     index = rng.integers(0, dim, total)
     sign = rng.choice([-1.0, 1.0], total)
-    indptr, indices, values = data._hash_block(lengths, index, sign, dim)
+    block = data._hash_block(lengths, index, sign, dim)
+    indptr, indices, values = block.indptr, block.indices, block.data
+    assert block.shape == (len(lengths), dim)
     start = 0
     for r, n_tok in enumerate(lengths):
         want_i, want_v = _frozen_aggregate(
@@ -347,9 +340,10 @@ def test_generate_large_corpus_matches_frozen(seed):
     ds = data.generate(spec)
     want = _frozen_generate(spec)
     lengths = [indices.size for _, indices, _, _ in want]
-    matrix = data._csr(np.concatenate([[0], np.cumsum(lengths)]),
-                       np.concatenate([r[1] for r in want]),
-                       np.concatenate([r[2] for r in want]), spec.feature_dim)
+    matrix = sp.csr_matrix((np.concatenate([r[2] for r in want]),
+                            np.concatenate([r[1] for r in want]),
+                            np.concatenate([[0], np.cumsum(lengths)])),
+                           shape=(len(want), spec.feature_dim))
     got = ds.feature_matrix()
     for a, b in [(ds.ids, np.array([r[0] for r in want])),
                  (ds.labels, np.array([r[3] for r in want])),
@@ -361,41 +355,46 @@ def test_generate_large_corpus_matches_frozen(seed):
 
 @settings(max_examples=200, deadline=None)
 @given(dim=st.sampled_from([2, 8, 4096]),
-       blocks=st.lists(st.lists(st.integers(0, 6), max_size=5), min_size=1,
-                       max_size=6),
+       blocks=st.lists(st.lists(st.integers(0, 6), max_size=5), max_size=6),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(dim=8, blocks=[[], [3, 0], [], [0, 0], [2], []], seed=1)
-def test_stack_blocks_matches_frozen_concatenation(dim, blocks, seed):
-    # a block of no records comes from a chunk whose first record has a
-    # rejected word; a record of no tokens holds no entries
+@example(dim=8, blocks=[], seed=1)
+def test_hashed_matrix_matches_frozen_per_record_hashing(dim, blocks, seed):
+    # a chunk of no records comes from a chunk whose first record has a
+    # rejected word, and no chunk at all from a CSV of no rows; a record of
+    # no tokens holds no entries
     rng = np.random.default_rng(seed)
-    hashed = [data._hash_block(lengths, rng.integers(0, dim, sum(lengths)),
-                               rng.choice([-1.0, 1.0], sum(lengths)), dim)
+    names = ["t%d" % j for j in range(10)]
+    chunks = [(lengths, rng.integers(0, len(names), sum(lengths)))
               for lengths in blocks]
-    got = data._stack_blocks(iter(hashed), dim)
-    want = _frozen_stack_blocks(hashed)
-    assert got[0].dtype == got[1].dtype == np.int32
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert got[2].dtype == want[2].dtype
-    assert got[2].tobytes() == want[2].tobytes()
+    want = [_frozen_hash_features([names[t] for t in tokens[a - n:a]], dim)
+            for lengths, tokens in chunks
+            for n, a in zip(lengths, np.cumsum(lengths, dtype=int))]
+    got = data._hashed_matrix(names, chunks, dim)
+    assert got.shape == (len(want), dim)
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+    assert got.indptr.tolist() == [0] + np.cumsum(
+        [i.size for i, _ in want], dtype=int).tolist()
+    assert got.indices.tolist() == [j for i, _ in want for j in i.tolist()]
+    assert got.data.tobytes() == b"".join(v.tobytes() for _, v in want)
 
 
 def test_generate_holds_the_stacked_int32_arrays_uncopied(monkeypatch):
     stacked = []
 
-    def keep(blocks, dim):
-        stacked.append(stack_blocks(blocks, dim))
+    def keep(blocks, format):
+        stacked.append(vstack(blocks, format=format))
         return stacked[-1]
 
-    stack_blocks = data._stack_blocks
-    monkeypatch.setattr(data, "_stack_blocks", keep)
+    vstack = sp.vstack
+    monkeypatch.setattr(data.sp, "vstack", keep)
     matrix = data.generate(data.SyntheticSpec(
         5, 1.0, 3000, 200, (0, 12), 0.8, 11, 256)).feature_matrix()
-    (arrays,) = stacked
-    for held, made in zip((matrix.indptr, matrix.indices, matrix.data),
-                          arrays):
-        assert held.dtype == made.dtype and np.shares_memory(held, made)
+    (made,) = stacked
+    for held, array in ((matrix.indptr, made.indptr),
+                        (matrix.indices, made.indices),
+                        (matrix.data, made.data)):
+        assert held.dtype == array.dtype and np.shares_memory(held, array)
     assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
 
 
@@ -452,13 +451,10 @@ def _block():
 
 
 def test_check_block_accepts_a_hashed_block():
-    indptr, indices, values = _block()
+    block = _block()
     # record boundaries step down (2 -> 0), which is allowed
-    assert indptr.tolist() == [0, 2, 2, 6, 7]
-    data._check_block(indptr, indices, values)
-    records = data.LabeledDataset(range(4), [0, 1, 0, 1],
-                                  data._csr(indptr, indices, values, 8),
-                                  2).records
+    assert block.indptr.tolist() == [0, 2, 2, 6, 7]
+    records = data.LabeledDataset(range(4), [0, 1, 0, 1], block, 2).records
     assert [r.indices.tolist() for r in records] == [[1, 5], [], [0, 2, 3, 7],
                                                      [6]]
 
@@ -471,16 +467,22 @@ def test_check_block_accepts_a_hashed_block():
 ])
 def test_check_block_rejects_a_corrupted_block(field, position, value,
                                                message):
-    indptr, indices, values = _block()
-    {"indices": indices, "values": values}[field][position] = value
+    # the block was built canonical; the dataset judges the arrays as they
+    # are now, not a flag scipy cached before they changed
+    block = _block()
+    assert block.has_canonical_format
+    {"indices": block.indices, "values": block.data}[field][position] = value
     with pytest.raises(data.DataError, match=message):
-        data._check_block(indptr, indices, values)
-    with pytest.raises(data.DataError, match=message):
-        data.LabeledDataset(range(4), [0] * 4,
-                            data._csr(indptr, indices, values, 8), 1)
+        data.LabeledDataset(range(4), [0] * 4, block, 1)
 
 
-def test_hash_block_rejects_keys_past_int64():
-    with pytest.raises(data.DataError, match="too large"):
-        data._hash_block([1, 1], np.array([0, 0]), np.array([1.0, 1.0]),
-                         2 ** 62)
+def test_hash_features_at_dim_two_to_the_62_keeps_fnv_low_bits():
+    # the index is the hash's low 62 bits, past any record * dim key
+    tokens = ["fell", "off", "a", "ladder", "off"]
+    indices, values = data.hash_features(tokens, 2 ** 62)
+    assert indices.dtype == np.int64
+    assert indices.tolist() == sorted(
+        {data.fnv1a_64(t) & (2 ** 62 - 1) for t in tokens})
+    want_i, want_v = _frozen_hash_features(tokens, 2 ** 62)
+    assert np.array_equal(indices, want_i)
+    assert values.tobytes() == want_v.tobytes()

@@ -240,6 +240,20 @@ def test_model_spec_rejects_a_bad_weight_decay(weight_decay):
                          weight_decay=weight_decay)
 
 
+def test_model_spec_rejects_more_parameters_than_one_array_holds():
+    # 3 * (d + 1) parameters, at the limit and one column past it
+    limit = np.iinfo(np.intp).max // 8
+    assert models.ModelSpec(models.SOFTMAX_LINEAR, limit // 3 - 1,
+                            3).num_params == limit
+    for family, input_dim, hidden_dim in [
+            (models.SOFTMAX_LINEAR, limit // 3, 0),
+            (models.SOFTMAX_LINEAR, 2 ** 62, 0),
+            (models.MLP_1_HIDDEN, 2 ** 40, 2 ** 21)]:
+        with pytest.raises(models.ModelError,
+                           match="more than one float64 array holds"):
+            models.ModelSpec(family, input_dim, 3, hidden_dim)
+
+
 def _frozen_init_params(spec, seed):
     # Reference: init_params as it was when it did its own offset arithmetic
     layout = spec.layout()
@@ -484,6 +498,21 @@ def test_sparse_products_refuse_an_out_they_cannot_write_in_place():
         models._csr_matmul(X, (4, 7), W, np.zeros((3, 3)))
     with pytest.raises(models.ModelError, match="rows"):
         models._csr_t_matmul(X, (2, 8), D, np.zeros((4, 3)))
+
+
+@pytest.mark.floor_versions
+@pytest.mark.parametrize("indptr", [[0, 10, 4], [1, 2, 4], [0, 2, 3],
+                                    [0, 2, 5]])
+def test_as_csr_rejects_an_index_pointer_the_kernels_would_read_past(
+        indptr):
+    # scipy builds a matrix whose pointer steps down, and a forward pass on
+    # [0, 10, 4] read past its arrays until the process died; the other
+    # pointers are set after scipy checked the matrix. No kernel runs here.
+    spec = models.ModelSpec(models.SOFTMAX_LINEAR, 8, 2)
+    X = sp.csr_matrix((np.ones(4), [0, 1, 2, 3], [0, 2, 4]), shape=(2, 8))
+    X.indptr = np.array(indptr, dtype=X.indices.dtype)
+    with pytest.raises(models.ModelError, match="index pointer"):
+        models.as_csr(spec, X)
 
 
 @pytest.mark.parametrize("family",

@@ -902,17 +902,29 @@ def test_dp_sgd_losses_and_theta_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.filterwarnings("error")
 def test_a_non_finite_step_loss_raises_train_error_naming_its_batch(rng):
     # at learning rate 1e160 AdamW's decoupled decay overflows theta in the
-    # second step, so the third step's logits are NaN; numpy's overflow
-    # warning on the way is not the failure under test
+    # second step, so the third step's logits are NaN; with every warning an
+    # error, numpy's overflow on the way must not take the TrainError's place
     spec, theta0, X, y = random_instance(rng, models.SOFTMAX_LINEAR, n=20,
                                          weight_decay=0.01)
     cfg = trainer.TrainConfig(trainer.ADAPTIVE, 1e160, 4, 3, seed=0)
-    with np.errstate(over="ignore"), pytest.raises(
-            trainer.TrainError,
-            match=r"^non-finite loss \S*nan\S* at epoch 0 batch 2$"):
+    with pytest.raises(trainer.TrainError,
+                       match=r"^non-finite loss nan at epoch 0 batch 2$"):
         trainer.train(spec, theta0, X, y, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_dp_sgd_step_fails_its_sigma_with_train_error(rng):
+    # at learning rate 1e308 the first noisy step overflows theta
+    spec, theta0, X, y, cfg = _dp_instance(rng)
+    cfg = trainer.TrainConfig(trainer.DP_SGD, 1e308, cfg.batch_size,
+                              cfg.epochs, cfg.seed, clip_norm=cfg.clip_norm)
+    (failed,) = trainer.train_dp_sweep(spec, theta0, X, y, cfg, [1.1])
+    assert isinstance(failed, trainer.TrainError)
+    assert re.match(r"(non-finite loss nan at epoch 0 batch \d+"
+                    r"|epoch 0: theta has non-finite entries)$", str(failed))
 
 
 def test_weights_of_the_wrong_length_raise_train_error(rng):
