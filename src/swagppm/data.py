@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .params import check_csr_pointer, is_integer, is_number
+from . import csr
+from .params import is_integer, is_number
 
 
 class DataError(ValueError):
@@ -26,8 +26,8 @@ class DataError(ValueError):
 # token's 64-bit FNV-1a hash and the sign is its top bit, so vectors are
 # stable across runs and platforms. Every path (`hash_features`, `load_csv`,
 # `generate`) builds through `_hashed_matrix`, which hashes each token name
-# once, has scipy sum a chunk of records' signs per index (CSR
-# sum_duplicates), and stacks the chunks with scipy's CSR vstack.
+# once, sums a chunk of records' signs per index (csr.summed) and stacks the
+# chunks (csr.vstack).
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -56,11 +56,12 @@ def _token_table(names, dim):
 
 
 def _hash_block(lengths, index, sign, dim):
-    """The CSR matrix of hashed features of a block of records: record r
+    """The csr.Matrix of hashed features of a block of records: record r
     owns the next lengths[r] tokens of index/sign.
 
-    scipy's sum_duplicates sums a copy of each record's signs per index and
-    sorts its indices. Per record this equals summing in a dict, sorting the
+    csr.summed sums a copy of each record's signs per index and sorts its
+    indices, and csr.divide_rows divides each record's values by its
+    norm. Per record this equals summing in a dict, sorting the
     indices and dividing by np.linalg.norm, bit for bit: sums of +-1 are
     exact integers in any order, the norm is sqrt(x.x) over them, and the
     division is elementwise. An index whose signs cancel keeps an explicit
@@ -68,26 +69,23 @@ def _hash_block(lengths, index, sign, dim):
     """
     n = len(lengths)
     indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-    block = sp.csr_matrix((sign, index, indptr), shape=(n, dim), copy=True)
-    block.sum_duplicates()
+    block = csr.summed(sign, index, indptr, (n, dim))
     owner = np.repeat(np.arange(n), np.diff(block.indptr))
     # bincount makes an empty record's segment 0, where reduceat would not
     norms = np.sqrt(np.bincount(owner, weights=block.data * block.data,
                                 minlength=n))
     norms[norms == 0] = 1.0
-    block.data /= norms[owner]
-    return block
+    return csr.divide_rows(block, norms)
 
 
 def _hashed_matrix(names, chunks, dim):
-    """The CSR feature matrix of records given as chunks of (lengths, token
-    ids), token j being names[j]: each name is hashed once, each chunk as it
-    arrives, and scipy stacks the chunks once (no chunk, as from a CSV of no
-    rows, gives no records)."""
+    """The csr.Matrix of hashed features of records given as chunks of
+    (lengths, token ids), token j being names[j]: each name is hashed once,
+    each chunk as it arrives, and the chunks are stacked once (no chunk, as
+    from a CSV of no rows, gives no records)."""
     index, sign = _token_table(names, dim)
-    blocks = [_hash_block(lengths, index[tokens], sign[tokens], dim)
-              for lengths, tokens in chunks]
-    return sp.vstack(blocks or [sp.csr_matrix((0, dim))], format="csr")
+    return csr.vstack([_hash_block(lengths, index[tokens], sign[tokens], dim)
+                       for lengths, tokens in chunks], dim)
 
 
 def hash_features(tokens, dim):
@@ -112,8 +110,9 @@ class Record:
 
 class LabeledDataset:
     """Records as arrays: row i of the CSR feature matrix is record ids[i],
-    labelled labels[i]. Validated once here, then every array is read-only,
-    so every caller can share them."""
+    labelled labels[i]. Validated once here (a feature matrix from outside
+    through csr.checked), then every array is read-only, so every caller can
+    share them."""
 
     def __init__(self, ids, labels, matrix, num_classes, provenance=None,
                  label_names=None):
@@ -122,26 +121,13 @@ class LabeledDataset:
         except OverflowError:
             raise DataError("record ids must fit in int64") from None
         self.labels = np.array(labels, dtype=np.int64)
-        try:
-            self._matrix = matrix = sp.csr_matrix(matrix)
-        except ValueError as e:  # scipy's own format check
-            raise DataError("feature matrix: %s" % e) from None
-        self.feature_dim = dim = matrix.shape[1]
+        self._matrix = matrix = csr.checked(matrix, DataError)
+        self.feature_dim = matrix.shape[1]
         if not self.ids.shape == self.labels.shape == matrix.shape[:1]:
             raise DataError("ids, labels and feature rows differ in number")
-        check_csr_pointer(matrix, DataError)
-        # scipy's check walks indptr, so it runs after the pointer's
-        if not matrix.has_canonical_format:
-            raise DataError("feature indices must be strictly increasing")
-        if not np.all(np.isfinite(matrix.data)):
-            raise DataError("feature values must be finite")
-        if matrix.nnz and not (0 <= matrix.indices.min()
-                               and matrix.indices.max() < dim):
-            raise DataError("feature indices must lie in [0, %d)" % dim)
         if np.any((self.labels < 0) | (self.labels >= num_classes)):
             raise DataError("labels must lie in [0, %d)" % num_classes)
-        for array in (self.ids, self.labels, matrix.indptr, matrix.indices,
-                      matrix.data):
+        for array in (self.ids, self.labels):
             array.flags.writeable = False
         self.num_classes = num_classes
         self.provenance = provenance or {}
@@ -153,7 +139,7 @@ class LabeledDataset:
 
     def _rows(self):
         """A Record per row, its indices cast from the CSR's int32 to int64,
-        so row dtypes and content_hash do not depend on scipy's index type."""
+        so row dtypes and content_hash do not depend on the index type."""
         m = self._matrix
         bounds = m.indptr.tolist()
         for rid, label, a, b in zip(self.ids.tolist(), self.labels.tolist(),
@@ -170,13 +156,14 @@ class LabeledDataset:
         return np.bincount(self.labels, minlength=self.num_classes)
 
     def feature_matrix(self):
-        """The read-only CSR feature matrix, the same object on each call."""
+        """The read-only CSR feature matrix, a csr.Matrix, the same object
+        on each call."""
         return self._matrix
 
     def subset(self, record_indices, provenance=None):
         idx = np.asarray(record_indices, dtype=np.intp)
         return LabeledDataset(self.ids[idx], self.labels[idx],
-                              self._matrix[idx], self.num_classes,
+                              csr.take(self._matrix, idx), self.num_classes,
                               provenance or self.provenance, self.label_names)
 
     def content_hash(self):
@@ -548,7 +535,8 @@ def stratified_cap_sample(dataset, cap=200, fraction=1.0, seed=0):
     remap = np.zeros(dataset.num_classes, dtype=np.int64)
     remap[kept] = np.arange(len(kept))
     return LabeledDataset(
-        dataset.ids[idx], remap[labels[idx]], dataset.feature_matrix()[idx],
+        dataset.ids[idx], remap[labels[idx]],
+        csr.take(dataset.feature_matrix(), idx),
         len(kept), dict(dataset.provenance, cap_sample={
             "cap": cap, "fraction": fraction, "seed": seed}),
         [dataset.label_names[c] for c in kept])

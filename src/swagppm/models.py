@@ -1,11 +1,13 @@
 """Small multiclass classifiers with hand-derived gradients.
 
 Two families, a softmax-linear model and a one-hidden-layer tanh MLP, on
-CSR features; the public batch functions convert a dense (n, d) array
-once, on entry (as_csr). Every sparse product reads a row range (a, b) of
-a CSR matrix's arrays in place, through scipy's own kernels, and writes
-into a given array (_csr_matmul, _csr_t_matmul): no sparse matrix is built
-and no product allocated. The functions the training and draw loops call
+CSR features; the public batch functions convert and check a scipy sparse
+matrix or a dense (n, d) array once, on entry (as_csr). Every sparse
+product reads a row range (a, b) of a CSR matrix's arrays in place,
+through scipy's compiled kernels as csr.sparsetools loads them from their
+file without the scipy.sparse package, and writes into a given array
+(_csr_matmul, _csr_t_matmul): no sparse matrix is built and no product
+allocated. The functions the training and draw loops call
 (log_likelihood_rows, gradient_into, decay_penalty) take theta as a flat
 float64 array over spec.layout(); the others take a ParameterVector.
 """
@@ -13,11 +15,9 @@ float64 array over spec.layout(); the others take a ParameterVector.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
-from .params import (Layout, ParameterVector, check_csr_pointer, is_finite,
-                     is_integer)
+from . import csr
+from .params import Layout, ParameterVector, is_finite, is_integer
 
 SOFTMAX_LINEAR = "softmax-linear"
 MLP_1_HIDDEN = "mlp-1-hidden"
@@ -86,16 +86,16 @@ def init_params(spec, seed):
 
 
 def as_csr(spec, features):
-    """features as a CSR matrix, converted unless it is one; a width other
-    than spec's input dim, or an index pointer the kernels would read past
-    the arrays by (params.check_csr_pointer), raises ModelError."""
-    X = (features if sp.issparse(features) and features.format == "csr"
-         else sp.csr_matrix(features, dtype=np.float64))
+    """features as a csr.Matrix, converted and checked by csr.checked
+    unless it is one; a width other than spec's input dim, or a matrix the
+    kernels would read past the arrays or past W by (an index pointer or a
+    column out of range), raises ModelError. Unsorted or repeated indices
+    and non-finite values pass, as the kernels read them safely."""
+    X = csr.checked(features, ModelError, strict=False)
     if X.shape[1] != spec.input_dim:
         raise ModelError(
             "feature dim %d does not match input tensor dim %d (W)"
             % (X.shape[1], spec.input_dim))
-    check_csr_pointer(X, ModelError)
     return X
 
 
@@ -112,21 +112,22 @@ def _check_out(X, a, b, out, shape, fits):
 
 
 # The two products below call the kernels scipy's own X @ W and X.T @ D run
-# (_sparsetools.csr_matvecs and csc_matvecs, as _matmul_multivector calls
-# them) on X's arrays, with indptr[a:b+1] over the whole indices and data:
-# the kernels read global offsets, so nothing is rebased. A kernel adds into
-# out, which is zero-filled first, as scipy's np.zeros result is, so out
-# gets the bits of X[a:b] @ W or X[a:b].T @ D without a sparse matrix being
-# built or a product allocated.
+# (csr_matvecs and csc_matvecs, as _matmul_multivector calls them, from
+# scipy's _sparsetools extension, which csr.sparsetools loads from its file
+# without the scipy.sparse package) on X's arrays, with indptr[a:b+1] over
+# the whole indices and data: the kernels read global offsets, so nothing
+# is rebased. A kernel adds into out, which is zero-filled first, as
+# scipy's np.zeros result is, so out gets the bits of X[a:b] @ W or
+# X[a:b].T @ D without a sparse matrix being built or a product allocated.
 
 def _csr_matmul(X, rows, W, out):
     """out <- X[a:b] @ W for rows (a, b) of the CSR X."""
     a, b = rows
     _check_out(X, a, b, out, (b - a, W.shape[1]), W.shape[0] == X.shape[1])
     out.fill(0.0)
-    _sparsetools.csr_matvecs(b - a, X.shape[1], W.shape[1],
-                             X.indptr[a:b + 1], X.indices, X.data,
-                             W.ravel(), out.ravel())
+    csr.sparsetools.csr_matvecs(b - a, X.shape[1], W.shape[1],
+                                X.indptr[a:b + 1], X.indices, X.data,
+                                W.ravel(), out.ravel())
     return out
 
 
@@ -136,9 +137,9 @@ def _csr_t_matmul(X, rows, D, out):
     a, b = rows
     _check_out(X, a, b, out, (X.shape[1], D.shape[1]), D.shape[0] == b - a)
     out.fill(0.0)
-    _sparsetools.csc_matvecs(X.shape[1], b - a, D.shape[1],
-                             X.indptr[a:b + 1], X.indices, X.data,
-                             D.ravel(), out.ravel())
+    csr.sparsetools.csc_matvecs(X.shape[1], b - a, D.shape[1],
+                                X.indptr[a:b + 1], X.indices, X.data,
+                                D.ravel(), out.ravel())
     return out
 
 
@@ -382,11 +383,12 @@ def weighted_nll_gradient(spec, theta, X, y, weights=None):
 
 
 def row_sq_norms(X):
-    """Each row's squared L2 norm, of a CSR X or of the MLP's dense hidden
+    """Each row's squared L2 norm, of a CSR X (a csr.Matrix, or a scipy
+    sparse matrix that csr.checked converts) or of the MLP's dense hidden
     activations."""
-    if sp.issparse(X):
-        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    return (X * X).sum(axis=1)
+    if isinstance(X, np.ndarray):
+        return (X * X).sum(axis=1)
+    return csr.row_sq_norms(csr.checked(X, ModelError, strict=False))
 
 
 def clipped_gradient_sum(spec, theta, X, y, clip_norm):

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import models
+from . import csr, models
 from .params import ParameterVector, is_finite, is_integer, is_number
 
 ADAPTIVE = "adaptive"
@@ -158,8 +158,8 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
     read. After that check, on_epoch, when given, is called with the
     epoch's theta as a read-only flat array, valid only until the next step
     (copy it to keep it); a SWAG round passes SwagMoments.absorb. Only the
-    final theta becomes a ParameterVector. A dense X is converted to CSR
-    once, on entry. No thread is started.
+    final theta becomes a ParameterVector. X is converted to a csr.Matrix
+    and checked once, on entry (models.as_csr). No thread is started.
     """
     if config.optimizer == DP_SGD:
         raise TrainError("train takes no dp-sgd config; DP-SGD trains "
@@ -194,7 +194,7 @@ def train(spec, theta0, X, y, config, weights=None, on_epoch=None):
             # each batch as a row range (a, b) of the permuted arrays, which
             # gradient_into reads in place
             perm = shuffle_rng.permutation(n)
-            Xe, ye = X[perm], y[perm]
+            Xe, ye = csr.take(X, perm), y[perm]
             we = None if weights is None else weights[perm]
             batches = [(a, min(a + config.batch_size, n))
                        for a in range(0, n, config.batch_size)]
@@ -242,12 +242,12 @@ def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers):
 
     The models share config.seed's streams. An epoch takes ceil(n /
     batch_size) Poisson batches, each holding every record with probability
-    batch_size / n. Each step makes its batch's rows X[idx] (a new CSR
-    matrix, whose rows (0, m) gradient_into reads), their ||x_i||^2 (from
-    one row_sq_norms per call) and one standard-normal fill of p entries
-    once; each sigma's noise is that draw times sigma * clip_norm, with the
-    bits of Generator.normal (_draw_noise), and each model takes its own
-    gradient_into and _dp_update. An empty batch takes its draw too, with a
+    batch_size / n. Each step makes its batch's rows csr.take(X, idx) (a
+    new CSR matrix, whose rows (0, m) gradient_into reads), their ||x_i||^2
+    (from one row_sq_norms per call) and one standard-normal fill of p
+    entries once; each sigma's noise is that draw times sigma * clip_norm,
+    with the bits of Generator.normal (_draw_noise), and each model takes
+    its own gradient_into and _dp_update. An empty batch takes its draw too, with a
     zero gradient, as the sampled Gaussian mechanism the accountant composes
     adds its noise at every step; an epoch's loss averages over the records
     its batches held.
@@ -310,7 +310,7 @@ def train_dp_sweep(spec, theta0, X, y, config, noise_multipliers):
                 pending.result()
                 buffers.reverse()
                 pending = draw_ahead()
-                Xb, yb, xb_sq = X[batch], y[batch], x_sq[batch]
+                Xb, yb, xb_sq = csr.take(X, batch), y[batch], x_sq[batch]
                 count += m
                 for j in list(live):
                     # an empty batch's gradient is zero: its step is noise

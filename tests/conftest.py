@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -84,6 +86,16 @@ def large_instance(n=64):
     X = sp.random(n, 2499, density=0.01, format="csr", random_state=3)
     y = np.random.default_rng(3).integers(0, 20, n)
     return spec, models.init_params(spec, 0), X, y
+
+
+def run_package_script(script):
+    """Run script in a fresh Python process that imports this checkout's
+    package; the CompletedProcess, its output captured as text."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
 
 
 def traced_peak(fn):

@@ -1,8 +1,5 @@
 import math
-import os
 import re
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -11,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln, logsumexp
 
 from swagppm import accountant
+
+from conftest import run_package_script
 
 
 def test_sgm_rdp_no_sampling():
@@ -110,14 +109,9 @@ print("scipy.special" in sys.modules)
 
 
 def test_no_package_module_imports_scipy_special():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        accountant.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SPECIAL_RUN],
-                         env=env, check=True, capture_output=True,
-                         text=True).stdout
-    assert out == "False\n"
+    run = run_package_script(_NO_SCIPY_SPECIAL_RUN)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 @settings(max_examples=200, deadline=None)

@@ -364,16 +364,31 @@ def test_constructor_rejects_an_index_past_the_dimension(column):
         data.LabeledDataset([0], [0], matrix, 1)
 
 
-@pytest.mark.parametrize("indptr", [[0, 10, 4], [1, 2, 4], [0, 2, 5]])
+@pytest.mark.parametrize("indptr", [[0, 10, 4], [1, 2, 4], [0, 2, 5],
+                                    [0, 2, 3]])
 def test_constructor_rejects_an_index_pointer_past_its_arrays(indptr):
     # scipy builds [0, 10, 4], whose records, and any kernel over them,
     # would read past the arrays; the others are set after scipy checked the
-    # matrix. (A pointer ending short of the arrays has them trimmed to it.)
+    # matrix. A pointer ending short of the arrays is refused too, where
+    # scipy's constructor would trim the arrays to it and drop an entry.
     matrix = sp.csr_matrix((np.ones(4), [0, 1, 2, 3], [0, 2, 4]),
                            shape=(2, 8))
     matrix.indptr = np.array(indptr, dtype=matrix.indices.dtype)
     with pytest.raises(data.DataError):
         data.LabeledDataset([0, 1], [0, 1], matrix, 2)
+
+
+def test_a_dataset_freezes_the_scipy_arrays_it_keeps():
+    # the dataset's matrix shares the scipy matrix's arrays, so a later
+    # write to them, as of a column past the width, would get past every
+    # check; it raises instead
+    matrix = sp.csr_matrix(np.eye(3))
+    ds = data.LabeledDataset([0, 1, 2], [0, 1, 0], matrix, 2)
+    assert np.shares_memory(ds.feature_matrix().indices, matrix.indices)
+    for array, value in ((matrix.indices, 10 ** 9), (matrix.data, np.nan),
+                         (matrix.indptr, 5)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = value
 
 
 def test_csv_header_names_may_carry_spaces(tmp_path):

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from swagppm import data, pipeline
+from swagppm import csr, data, pipeline
 
 from conftest import traced_peak
 
@@ -382,12 +382,12 @@ def test_hashed_matrix_matches_frozen_per_record_hashing(dim, blocks, seed):
 def test_generate_holds_the_stacked_int32_arrays_uncopied(monkeypatch):
     stacked = []
 
-    def keep(blocks, format):
-        stacked.append(vstack(blocks, format=format))
+    def keep(blocks, width):
+        stacked.append(vstack(blocks, width))
         return stacked[-1]
 
-    vstack = sp.vstack
-    monkeypatch.setattr(data.sp, "vstack", keep)
+    vstack = csr.vstack
+    monkeypatch.setattr(csr, "vstack", keep)
     matrix = data.generate(data.SyntheticSpec(
         5, 1.0, 3000, 200, (0, 12), 0.8, 11, 256)).feature_matrix()
     (made,) = stacked
@@ -467,13 +467,17 @@ def test_check_block_accepts_a_hashed_block():
 ])
 def test_check_block_rejects_a_corrupted_block(field, position, value,
                                                message):
-    # the block was built canonical; the dataset judges the arrays as they
-    # are now, not a flag scipy cached before they changed
+    # the block was built canonical; the dataset judges the arrays of a
+    # scipy copy as they are now, not a flag scipy cached before they changed
     block = _block()
-    assert block.has_canonical_format
-    {"indices": block.indices, "values": block.data}[field][position] = value
+    assert csr.sparsetools.csr_has_canonical_format(4, block.indptr,
+                                                    block.indices)
+    matrix = sp.csr_matrix((block.data.copy(), block.indices.copy(),
+                            block.indptr.copy()), shape=block.shape)
+    assert matrix.has_canonical_format
+    {"indices": matrix.indices, "values": matrix.data}[field][position] = value
     with pytest.raises(data.DataError, match=message):
-        data.LabeledDataset(range(4), [0] * 4, block, 1)
+        data.LabeledDataset(range(4), [0] * 4, matrix, 1)
 
 
 def test_hash_features_at_dim_two_to_the_62_keeps_fnv_low_bits():

@@ -11,7 +11,7 @@ from swagppm.params import (Layout, LayoutError, ParameterVector,
                             load_checkpoint, save_checkpoint, write_file)
 
 from conftest import (BAD_DIMS, finite_difference_gradient, frozen_frame,
-                      random_instance, traced_peak)
+                      random_instance, run_package_script, traced_peak)
 
 
 def linear_theta(input_dim, num_classes, W=None, b=None):
@@ -515,6 +515,33 @@ def test_as_csr_rejects_an_index_pointer_the_kernels_would_read_past(
         models.as_csr(spec, X)
 
 
+# A forward pass on a CSR whose column lies past the width: the kernel
+# would read W at that row. Prints the ModelError each batch function
+# raises; a crash of the child fails the test instead of the test run.
+_COLUMN_PAST_THE_WIDTH_RUN = """
+import numpy as np, scipy.sparse as sp
+from swagppm import models
+spec = models.ModelSpec(models.SOFTMAX_LINEAR, 8, 2)
+theta = models.init_params(spec, 0)
+for column in (10 ** 9, -1):
+    X = sp.csr_matrix((np.ones(1), np.array([column]), np.array([0, 1])),
+                      shape=(1, 8))
+    for call in (lambda: models.forward_batch(spec, theta, X),
+                 lambda: models.log_likelihood_batch(spec, theta, X, [0]),
+                 lambda: models.row_sq_norms(X)):
+        try:
+            call()
+        except models.ModelError as e:
+            print(e)
+"""
+
+
+def test_batch_functions_refuse_a_column_past_the_width():
+    run = run_package_script(_COLUMN_PAST_THE_WIDTH_RUN)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "feature indices must lie in [0, 8)\n" * 6
+
+
 @pytest.mark.parametrize("family",
                          [models.SOFTMAX_LINEAR, models.MLP_1_HIDDEN])
 @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
@@ -599,6 +626,25 @@ def test_a_dense_x_gives_the_bits_of_its_csr_matrix(rng, family):
     ]
     for call in calls:
         np.testing.assert_array_equal(call(X), call(sp.csr_matrix(X)))
+
+
+def test_a_csr_matrix_out_of_canonical_order_gives_scipys_bits(rng):
+    # unsorted and repeated indices and non-finite values are read safely by
+    # the kernels, so the products and norms take them as scipy's own do
+    X = sp.csr_matrix((np.array([0.5, -2.0, 1.5, np.nan, 3.0, np.inf, 1.0]),
+                       np.array([4, 1, 4, 2, 0, 3, 3]),
+                       np.array([0, 3, 3, 5, 7])), shape=(4, 5))
+    assert not X.has_canonical_format
+    W, D = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+    spec = models.ModelSpec(models.SOFTMAX_LINEAR, 5, 3)
+    Xc = models.as_csr(spec, X)
+    with np.errstate(invalid="ignore"):
+        got = models._csr_matmul(Xc, (0, 4), W, np.empty((4, 3)))
+        assert got.tobytes() == (X @ W).tobytes()
+        got = models._csr_t_matmul(Xc, (0, 4), D, np.empty((5, 3)))
+        assert got.tobytes() == (X.T @ D).tobytes()
+        assert models.row_sq_norms(X).tobytes() == np.asarray(
+            X.multiply(X).sum(axis=1)).ravel().tobytes()
 
 
 @pytest.mark.parametrize("size", [1, 100, models.DOT_SLICE])

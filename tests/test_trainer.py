@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from swagppm import blas, models, trainer
+from swagppm import blas, csr, models, trainer
 from swagppm.params import ParameterVector
 
 from conftest import large_instance, random_instance, traced_peak
@@ -244,24 +244,22 @@ def test_row_batches_multiply_like_scipy_slices(case):
         assert got.tobytes() == (want.T @ D).tobytes()
 
 
-def _no_scipy_slice_or_transpose(monkeypatch, permutations):
-    # csr_matrix.__getitem__ raises unless it takes one index per row of X,
-    # a shuffle-partition epoch's one permutation, which it appends to
-    # permutations; transpose, which .T calls, always raises
-    getitem = sp.csr_matrix.__getitem__
+def _no_slice_or_transpose(monkeypatch, permutations):
+    # csr.take, the one way to index a csr.Matrix's rows, raises unless it
+    # takes one index per row of X, a shuffle-partition epoch's one
+    # permutation, which it appends to permutations; a csr.Matrix has no
+    # transpose to take
+    assert not any(hasattr(csr.Matrix, name) for name in ("T", "transpose"))
+    take = csr.take
 
-    def permutation_only(self, key):
-        if not (isinstance(key, np.ndarray)
-                and sorted(key.tolist()) == list(range(self.shape[0]))):
-            raise AssertionError("a CSR matrix indexed by %r" % (key,))
-        permutations.append(key)
-        return getitem(self, key)
+    def permutation_only(X, rows):
+        if not (isinstance(rows, np.ndarray)
+                and sorted(rows.tolist()) == list(range(X.shape[0]))):
+            raise AssertionError("a CSR matrix indexed by %r" % (rows,))
+        permutations.append(rows)
+        return take(X, rows)
 
-    def no_transpose(self, *args, **kwargs):
-        raise AssertionError("a CSR matrix transposed")
-
-    monkeypatch.setattr(sp.csr_matrix, "__getitem__", permutation_only)
-    monkeypatch.setattr(sp.csr_matrix, "transpose", no_transpose)
+    monkeypatch.setattr(csr, "take", permutation_only)
 
 
 @pytest.mark.parametrize("optimizer", [trainer.ADAPTIVE,
@@ -280,7 +278,7 @@ def test_shuffle_partition_steps_neither_slice_nor_transpose_csr(
                               **OPTIMIZER_CONFIGS[optimizer])
     want = trainer.train(spec, theta0, X, y, cfg, weights)
     permutations = []
-    _no_scipy_slice_or_transpose(monkeypatch, permutations)
+    _no_slice_or_transpose(monkeypatch, permutations)
     got = trainer.train(spec, theta0, X, y, cfg, weights)
     assert len(permutations) == cfg.epochs
     np.testing.assert_array_equal(got[0].values, want[0].values)
@@ -288,17 +286,21 @@ def test_shuffle_partition_steps_neither_slice_nor_transpose_csr(
 
 
 def test_dp_sgd_steps_never_transpose_csr(rng, monkeypatch):
-    # each Poisson batch is X[idx]; its transpose is built on its arrays
+    # each Poisson batch is csr.take(X, idx), taken once a step (2 epochs of
+    # 5); its transpose is read from its arrays, as a csr.Matrix has none
     spec, theta0, X, y = random_instance(rng, models.MLP_1_HIDDEN, n=23)
     X[rng.random(X.shape) < 0.5] = 0.0
     X = sp.csr_matrix(X)
     cfg = trainer.TrainConfig(trainer.DP_SGD, batch_size=5, epochs=2, seed=4,
                               **OPTIMIZER_CONFIGS[trainer.DP_SGD])
     want = _fit(spec, theta0, X, y, cfg)
-    monkeypatch.setattr(sp.csr_matrix, "transpose",
-                        lambda self, *args, **kwargs: pytest.fail(
-                            "a CSR matrix transposed"))
+    assert not any(hasattr(csr.Matrix, name) for name in ("T", "transpose"))
+    taken = []
+    take = csr.take
+    monkeypatch.setattr(csr, "take",
+                        lambda X, rows: taken.append(rows) or take(X, rows))
     got = _fit(spec, theta0, X, y, cfg)
+    assert len(taken) == 10
     np.testing.assert_array_equal(got[0].values, want[0].values)
     assert got[1] == want[1]
 
