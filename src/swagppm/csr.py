@@ -1,5 +1,5 @@
-"""The feature format: a read-only CSR matrix of float64 values, and the
-operations swagppm runs on it.
+"""The feature format: a read-only CSR matrix of float64 values that owns
+its arrays, and the operations swagppm runs on it.
 
 Each operation calls the compiled kernel scipy's own method calls, in the
 same steps, so it gives the bits and index types scipy gives. The kernels
@@ -12,8 +12,8 @@ the extension alone, which takes under a millisecond.
 
 A `Matrix` keeps its rules by construction: only this module makes one,
 from outside data (a scipy sparse matrix or array, or a dense array)
-through `checked` once, and from a Matrix through an operation that keeps
-them.
+through `checked` once, which copies what it checked, and from a Matrix
+through an operation that keeps them. No caller shares its arrays.
 """
 
 import importlib.machinery
@@ -60,28 +60,25 @@ def _index_type(shape, nnz):
 
 class Matrix:
     """A CSR matrix: row i holds data[indptr[i]:indptr[i + 1]] at the
-    columns indices[indptr[i]:indptr[i + 1]]. Its arrays are read-only
-    views: indptr and indices of one index type (_index_type), data
+    columns indices[indptr[i]:indptr[i + 1]]. It owns its arrays, which
+    are read-only: indptr and indices of one index type (_index_type), data
     float64. The pointer starts at 0, never steps down and ends at nnz, and
     every column lies in [0, width), so no kernel reads past the arrays or
-    past an operand of the matrix's width. strict holds when, besides, each
-    row's indices strictly increase and every value is finite.
+    past an operand of the matrix's width. Each row's indices may come in
+    any order, repeats allowed, and a value may be NaN or infinite: the
+    kernels read them safely.
 
     Only this module makes one: from outside data through `checked`, and
     from a Matrix through the operations below. scipy converts it with
     scipy.sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape).
     """
-    __slots__ = ("data", "indices", "indptr", "shape", "strict")
+    __slots__ = ("data", "indices", "indptr", "shape")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a csr.Matrix is made by csr.checked")
 
     def __setattr__(self, name, value):
         raise AttributeError("a csr.Matrix is read-only")
-
-    def __reduce__(self):
-        return _unpickled, (self.data, self.indices, self.indptr, self.shape,
-                            self.strict)
 
     def __repr__(self):
         return "csr.Matrix(shape=%r, nnz=%d)" % (self.shape, self.nnz)
@@ -91,48 +88,32 @@ class Matrix:
         return self.indices.size
 
 
-def _matrix(data, indices, indptr, shape, strict):
-    """The Matrix of arrays that keep its rules, as read-only views."""
+def _matrix(data, indices, indptr, shape):
+    """The Matrix of arrays that keep its rules and that no caller can
+    write to (new arrays, or a Matrix's), each made read-only."""
     X = object.__new__(Matrix)
     for name, array in (("data", data), ("indices", indices),
                         ("indptr", indptr)):
-        view = array.view()
-        view.flags.writeable = False
-        object.__setattr__(X, name, view)
+        array.flags.writeable = False
+        object.__setattr__(X, name, array)
     object.__setattr__(X, "shape", (int(shape[0]), int(shape[1])))
-    object.__setattr__(X, "strict", bool(strict))
     return X
 
 
-def _unpickled(data, indices, indptr, shape, strict):
-    """The Matrix a pickle holds, its arrays checked again as `checked`
-    checks a scipy CSR's, since a pickle is data from outside."""
-    _check_layout(data, indices, indptr, shape, ValueError)
-    if strict:
-        _check_strict(data, indices, indptr, shape[0], ValueError)
-    return _matrix(data, indices, indptr, shape, strict)
-
-
-def checked(x, error, strict=True):
-    """x as a Matrix, x itself if it is one that keeps the rules asked for.
-    A scipy CSR matrix or array gives its own arrays, uncopied unless they
-    need the index type or float64; another sparse format gives its
+def checked(x, error):
+    """x as a Matrix, x itself if it is one. A scipy CSR matrix or array
+    gives copies of its own arrays; another sparse format gives its
     .tocsr()'s, and anything else the nonzeros of a dense array of at most
     2 dimensions, in row-major order.
 
     Raises error unless the index pointer holds rows + 1 entries, starts at
-    0, never steps down and ends at the length of indices and data, which
-    is checked before anything trims them, and every column index lies in
-    [0, width). With strict (a dataset's rules), also unless each row's
-    indices strictly increase (csr_has_canonical_format) and every value is
-    finite. An array of x's that the Matrix keeps uncopied is made
-    read-only in x too, so that no write reaches the Matrix after its
-    checks."""
+    0, never steps down and ends at the length of indices and data, and
+    every column index lies in [0, width). These are checked on the arrays
+    given, before anything casts or trims them; the copies are made after,
+    so no later write to x, to an array it views or to one that views it
+    reaches the Matrix."""
     if isinstance(x, Matrix):
-        if x.strict or not strict:
-            return x
-        _check_strict(x.data, x.indices, x.indptr, x.shape[0], error)
-        return _matrix(x.data, x.indices, x.indptr, x.shape, True)
+        return x
     if getattr(x, "format", "csr") != "csr":
         x = x.tocsr()
     if getattr(x, "format", None) != "csr":
@@ -144,21 +125,14 @@ def checked(x, error, strict=True):
         rows, columns = np.nonzero(x)
         indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=indptr[1:])
-        data, indices, given = x[rows, columns], columns, ()
+        data, indices = x[rows, columns], columns
     else:
-        given = data, indices, indptr = tuple(
-            np.asarray(a) for a in (x.data, x.indices, x.indptr))
+        data, indices, indptr = (np.asarray(a)
+                                 for a in (x.data, x.indices, x.indptr))
         _check_layout(data, indices, indptr, x.shape, error)
-    shape = x.shape
-    kind = _index_type(shape, indices.size)
-    kept = (np.asarray(data, dtype=np.float64),
-            indices.astype(kind, copy=False), indptr.astype(kind, copy=False))
-    if strict:
-        _check_strict(*kept, shape[0], error)
-    for array in given:
-        if any(array is k for k in kept):
-            array.flags.writeable = False
-    return _matrix(*kept, shape, strict)
+    kind = _index_type(x.shape, indices.size)
+    return _matrix(np.array(data, dtype=np.float64), indices.astype(kind),
+                   indptr.astype(kind), x.shape)
 
 
 def _check_layout(data, indices, indptr, shape, error):
@@ -178,16 +152,6 @@ def _check_layout(data, indices, indptr, shape, error):
                     "down and end at nnz")
     if indices.size and not (0 <= indices.min() and indices.max() < shape[1]):
         raise error("feature indices must lie in [0, %d)" % shape[1])
-
-
-def _check_strict(data, indices, indptr, rows, error):
-    """Raise error unless each row's indices strictly increase and every
-    value is finite, over a pointer and indices that keep a Matrix's
-    rules."""
-    if not sparsetools.csr_has_canonical_format(rows, indptr, indices):
-        raise error("feature indices must be strictly increasing")
-    if not np.isfinite(data).all():
-        raise error("feature values must be finite")
 
 
 def summed(data, indices, indptr, shape):
@@ -210,25 +174,27 @@ def summed(data, indices, indptr, shape):
         sparsetools.csr_sum_duplicates(n, shape[1], indptr, indices, data)
         nnz = indptr[-1]
         indices, data = indices[:nnz], data[:nnz]
-    return _matrix(data, indices, indptr, shape, np.isfinite(data).all())
+    return _matrix(data, indices, indptr, shape)
 
 
 def divide_rows(X, divisors):
     """X with each row's values divided by that row's entry of divisors,
-    elementwise; strict while every quotient is finite."""
+    elementwise."""
     data = X.data / np.repeat(divisors, np.diff(X.indptr))
-    return _matrix(data, X.indices, X.indptr, X.shape,
-                   X.strict and np.isfinite(data).all())
+    return _matrix(data, X.indices, X.indptr, X.shape)
 
 
 def take(X, rows):
     """Rows `rows` of X in that order, repeats allowed, as scipy's X[rows]
     gathers them (_major_index_fancy's csr_row_index); a negative row
-    counts from the end, and one outside X raises IndexError."""
+    counts from the end. Rows that are not integers (a boolean mask among
+    them), or one outside X, raise IndexError."""
     n, width = X.shape
     rows = np.asarray(rows)
     if rows.ndim != 1:
         raise IndexError("rows must be a 1-D array")
+    if rows.size and rows.dtype.kind not in "iu":
+        raise IndexError("rows must be integers, not %s" % rows.dtype)
     if rows.size and not (-n <= rows.min() and rows.max() < n):
         raise IndexError("a row index lies outside %d rows" % n)
     rows = np.where(rows < 0, rows + n, rows).astype(X.indptr.dtype)
@@ -244,7 +210,7 @@ def take(X, rows):
                                   indices, data)
     kind = _index_type((m, width), nnz)
     return _matrix(data, indices.astype(kind, copy=False),
-                   indptr.astype(kind, copy=False), (m, width), X.strict)
+                   indptr.astype(kind, copy=False), (m, width))
 
 
 def vstack(blocks, width):
@@ -266,8 +232,7 @@ def vstack(blocks, width):
         row += b.shape[0]
         nnz += b.nnz
     indptr[-1] = nnz
-    return _matrix(data, indices, indptr, (n, width),
-                   all(b.strict for b in blocks))
+    return _matrix(data, indices, indptr, (n, width))
 
 
 def row_sq_norms(X):

@@ -99,6 +99,22 @@ def hash_features(tokens, dim):
 # ---------------------------------------------------------------------------
 # Dataset containers
 
+def _integers(values, what):
+    """values as a read-only int64 array; DataError unless each is an
+    integer (a bool is not) that int64 holds; an empty sequence passes."""
+    given = np.asarray(values)
+    if given.size and given.dtype.kind not in "iuO":
+        raise DataError("%s must be integers" % what)
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise DataError("%s must fit in int64" % what) from None
+    if given.dtype.kind == "u" and np.any(array < 0):  # the cast wrapped
+        raise DataError("%s must fit in int64" % what)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True, slots=True)
 class Record:
     """One row of a dataset, as `LabeledDataset.records` builds it."""
@@ -110,25 +126,27 @@ class Record:
 
 class LabeledDataset:
     """Records as arrays: row i of the CSR feature matrix is record ids[i],
-    labelled labels[i]. Validated once here (a feature matrix from outside
-    through csr.checked), then every array is read-only, so every caller can
-    share them."""
+    labelled labels[i]. Validated once here (integer ids and labels, the
+    matrix through csr.checked, which copies one from outside, then a
+    dataset's own rules: each row's indices strictly increase and every
+    value is finite), then every array is read-only, so callers share them."""
 
     def __init__(self, ids, labels, matrix, num_classes, provenance=None,
                  label_names=None):
-        try:
-            self.ids = np.array(ids, dtype=np.int64)
-        except OverflowError:
-            raise DataError("record ids must fit in int64") from None
-        self.labels = np.array(labels, dtype=np.int64)
+        self.ids = _integers(ids, "record ids")
+        self.labels = _integers(labels, "labels")
         self._matrix = matrix = csr.checked(matrix, DataError)
+        # the kernel reads the pointer, so it runs after csr.checked
+        if not csr.sparsetools.csr_has_canonical_format(
+                matrix.shape[0], matrix.indptr, matrix.indices):
+            raise DataError("feature indices must be strictly increasing")
+        if not np.isfinite(matrix.data).all():
+            raise DataError("feature values must be finite")
         self.feature_dim = matrix.shape[1]
         if not self.ids.shape == self.labels.shape == matrix.shape[:1]:
             raise DataError("ids, labels and feature rows differ in number")
         if np.any((self.labels < 0) | (self.labels >= num_classes)):
             raise DataError("labels must lie in [0, %d)" % num_classes)
-        for array in (self.ids, self.labels):
-            array.flags.writeable = False
         self.num_classes = num_classes
         self.provenance = provenance or {}
         self.label_names = (label_names if label_names is not None
@@ -161,10 +179,13 @@ class LabeledDataset:
         return self._matrix
 
     def subset(self, record_indices, provenance=None):
-        idx = np.asarray(record_indices, dtype=np.intp)
-        return LabeledDataset(self.ids[idx], self.labels[idx],
-                              csr.take(self._matrix, idx), self.num_classes,
-                              provenance or self.provenance, self.label_names)
+        """The records at these integer positions (csr.take), in order."""
+        idx = np.asarray(record_indices)
+        rows = csr.take(self._matrix, idx)
+        idx = idx.astype(np.intp)
+        return LabeledDataset(self.ids[idx], self.labels[idx], rows,
+                              self.num_classes, provenance or self.provenance,
+                              self.label_names)
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -514,9 +535,12 @@ def load_csv(path, feature_dim=4096):
 
 def stratified_cap_sample(dataset, cap=200, fraction=1.0, seed=0):
     """Per class, keep min(round(fraction * n_c), cap, n_c) records without
-    replacement and drop singleton classes; DataError if under two remain."""
-    if cap < 2:
-        raise DataError("cap must be >= 2")
+    replacement and drop singleton classes; DataError if under two remain,
+    or unless cap is an integer >= 2 and fraction lies in (0, 1]."""
+    if not (is_integer(cap) and cap >= 2):
+        raise DataError("cap must be an integer >= 2, got %r" % (cap,))
+    if not (is_number(fraction) and 0 < fraction <= 1):
+        raise DataError("fraction must be in (0, 1], got %r" % (fraction,))
     rng = np.random.default_rng(seed)
     labels = dataset.labels
     kept, keep = [], []  # the classes kept, and the records
@@ -544,7 +568,11 @@ def stratified_cap_sample(dataset, cap=200, fraction=1.0, seed=0):
 
 def stratified_split(dataset, train_fraction=0.5, seed=0):
     """Per-class split; train takes round-half-up(n_c * fraction), both
-    sides nonempty for every class."""
+    sides nonempty for every class; DataError unless train_fraction lies in
+    (0, 1)."""
+    if not (is_number(train_fraction) and 0 < train_fraction < 1):
+        raise DataError("train_fraction must be in (0, 1), got %r"
+                        % (train_fraction,))
     rng = np.random.default_rng(seed)
     labels = dataset.labels
     train_idx, test_idx = [], []

@@ -91,7 +91,7 @@ def as_csr(spec, features):
     kernels would read past the arrays or past W by (an index pointer or a
     column out of range), raises ModelError. Unsorted or repeated indices
     and non-finite values pass, as the kernels read them safely."""
-    X = csr.checked(features, ModelError, strict=False)
+    X = csr.checked(features, ModelError)
     if X.shape[1] != spec.input_dim:
         raise ModelError(
             "feature dim %d does not match input tensor dim %d (W)"
@@ -388,7 +388,7 @@ def row_sq_norms(X):
     activations."""
     if isinstance(X, np.ndarray):
         return (X * X).sum(axis=1)
-    return csr.row_sq_norms(csr.checked(X, ModelError, strict=False))
+    return csr.row_sq_norms(csr.checked(X, ModelError))
 
 
 def clipped_gradient_sum(spec, theta, X, y, clip_norm):

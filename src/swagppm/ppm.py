@@ -69,11 +69,14 @@ def abs_loglik_matrix(spec, draws, X, y):
 
 
 def map_weights(record_ids, risks, c, g):
-    """Linear map from min-max normalized risks to weights in [0, 1]."""
+    """Linear map from min-max normalized risks to weights in [0, 1];
+    PpmError unless every risk, c and g is finite."""
     risks = np.asarray(risks, dtype=np.float64)
     record_ids = np.asarray(record_ids)
     if risks.shape[0] < 2:
         raise PpmError("need at least 2 records to normalize risks")
+    if not (np.isfinite(risks).all() and np.isfinite([c, g]).all()):
+        raise PpmError("risks, c and g must be finite")
     if c < 0:
         raise PpmError("scale c must be nonnegative")
     spread = risks.max() - risks.min()

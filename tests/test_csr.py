@@ -2,14 +2,12 @@
 calls the kernel scipy's own method calls, so each must give scipy's
 arrays, index types and bits."""
 
-import pickle
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from swagppm import csr
+from swagppm import csr, data
 
 from conftest import run_package_script
 
@@ -96,9 +94,11 @@ def test_take_equals_scipys_row_index(case, picks, index):
 
 def test_take_refuses_a_row_outside_the_matrix():
     X = csr.checked(np.eye(3), ValueError)
-    for rows in ([3], [-4], [[0]]):
+    # a boolean mask or a float is no row number
+    for rows in ([3], [-4], [[0]], [True, False, True], [0.9, 2.2]):
         with pytest.raises(IndexError):
             csr.take(X, rows)
+    assert csr.take(X, []).shape == (0, 3)
 
 
 @pytest.mark.floor_versions
@@ -135,28 +135,34 @@ def test_checked_dense_equals_scipys_conversion(seed, n, d):
                  sp.csr_matrix(dense, dtype=np.float64))
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_checked_holds_a_scipy_matrixs_arrays_uncopied_and_read_only(strict):
-    want = sp.csr_matrix(np.eye(4))
-    got = csr.checked(want, ValueError, strict=strict)
-    assert csr.checked(got, ValueError, strict=strict) is got
+def test_checked_copies_a_scipy_matrixs_arrays():
+    # the source's arrays are views of larger arrays, and an earlier view
+    # of each is kept; the Matrix copies what it checked, so no later write
+    # to an array, its base or another view of it reaches the Matrix
+    bases = (np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+             np.array([0, 1, 2, 3, 4], dtype=np.int32),
+             np.array([0, 1, 2, 3, 4, 5], dtype=np.int32))
+    earlier = [base[:] for base in bases]
+    want = sp.csr_matrix((4, 4))
+    want.data, want.indices, want.indptr = (bases[0][:4], bases[1][:4],
+                                            bases[2][:5])
+    got = csr.checked(want, ValueError)
+    assert csr.checked(got, ValueError) is got
+    _assert_same(got, sp.csr_matrix(np.diag([1.0, 2.0, 3.0, 4.0])))
     for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert np.shares_memory(a, b)
-        # neither the Matrix nor the scipy matrix it was checked from can
-        # be written to, so no later write gets past the checks
-        for array in (a, b):
-            with pytest.raises(ValueError):
-                array[0] = 0
+        assert not np.shares_memory(getattr(got, name), getattr(want, name))
+        # the Matrix's arrays are read-only; the caller's stay writable
+        with pytest.raises(ValueError):
+            getattr(got, name)[0] = 0
     with pytest.raises(AttributeError):
         got.data = want.data
-    # an array the Matrix copies, as to float64, stays the caller's to write
-    single = sp.csr_matrix(np.eye(4, dtype=np.float32))
-    assert not np.shares_memory(csr.checked(single, ValueError).data,
-                                single.data)
-    single.data[0] = 2.0
+    for arrays in (bases, earlier, (want.data, want.indices, want.indptr)):
+        for array, value in zip(arrays, (np.nan, 10 ** 9, 5)):
+            array[0] = value
+    _assert_same(got, sp.csr_matrix(np.diag([1.0, 2.0, 3.0, 4.0])))
     # another sparse format is converted by its own tocsr
-    _assert_same(csr.checked(want.tocoo(), ValueError), want)
+    eye = sp.csr_matrix(np.eye(4))
+    _assert_same(csr.checked(eye.tocoo(), ValueError), eye)
 
 
 def test_only_the_module_makes_a_matrix():
@@ -164,22 +170,10 @@ def test_only_the_module_makes_a_matrix():
     with pytest.raises(TypeError, match="csr.checked"):
         csr.Matrix(X.data, X.indices, X.indptr, X.shape)
     with pytest.raises(AttributeError):
-        X.strict = False
-    # a copy or pickle is a Matrix of the same arrays and rules
-    Y = pickle.loads(pickle.dumps(X))
-    assert isinstance(Y, csr.Matrix) and Y.strict and Y.shape == X.shape
-    _assert_same(Y, sp.csr_matrix(np.eye(3)))
-    assert not Y.data.flags.writeable
-    # a pickle is outside data, so its arrays are checked again
-    make, (data, indices, indptr, shape, strict) = X.__reduce__()
-    with pytest.raises(ValueError, match=r"lie in \[0, 3\)"):
-        make(data, indices + 3, indptr, shape, strict)
-    make, (data, indices, indptr, shape, strict) = csr.checked(
-        np.ones((1, 3)), ValueError).__reduce__()
-    with pytest.raises(ValueError, match="strictly increasing"):
-        make(data, indices[::-1].copy(), indptr, shape, strict)
+        X.shape = (3, 4)
 
 
+@pytest.mark.floor_versions
 @pytest.mark.parametrize("arrays, shape, message", [
     (([1.0] * 4, [0, 1, 2, 3], [0, 2, 3]), (2, 8), "index pointer"),
     (([1.0] * 4, [0, 1, 2, 3], [0, 2, 5]), (2, 8), "index pointer"),
@@ -199,32 +193,62 @@ def test_checked_refuses_a_matrix_that_breaks_a_rule(arrays, shape,
     matrix = sp.csr_matrix(shape)
     matrix.data, matrix.indices, matrix.indptr = (np.array(a)
                                                   for a in arrays)
-    with pytest.raises(KeyError, match=message):
-        csr.checked(matrix, KeyError)
-    strict_only = message in ("strictly increasing", "finite")
-    if strict_only:
+    if message in ("strictly increasing", "finite"):
         # the kernels read unsorted or repeated indices and non-finite
-        # values safely, so a matrix need not keep the strict rules
-        loose = csr.checked(matrix, KeyError, strict=False)
-        assert not loose.strict
-        with pytest.raises(KeyError, match=message):
-            csr.checked(loose, KeyError)
+        # values safely, so only a dataset refuses them
+        X = csr.checked(matrix, KeyError)
+        assert X.data.tobytes() == matrix.data.tobytes()
+        assert X.indices.tolist() == matrix.indices.tolist()
+        assert X.indptr.tolist() == matrix.indptr.tolist()
+        with pytest.raises(data.DataError, match=message):
+            data.LabeledDataset(range(2), [0, 0], matrix, 1)
     else:
         with pytest.raises(KeyError, match=message):
-            csr.checked(matrix, KeyError, strict=False)
+            csr.checked(matrix, KeyError)
 
 
-def test_checked_marks_a_matrix_strict_once_its_rules_are_checked():
-    loose = csr.checked(sp.csr_matrix(np.eye(3)), ValueError, strict=False)
-    assert not loose.strict
-    strict = csr.checked(loose, ValueError)
-    assert strict.strict and strict.data.base is loose.data.base
-    assert csr.checked(strict, ValueError) is strict
-    # operations keep the rules of what they are made from
-    assert csr.take(strict, [2, 0]).strict and not csr.take(loose, [1]).strict
-    assert not csr.vstack([strict, loose], 3).strict
-    with np.errstate(divide="ignore"):
-        assert not csr.divide_rows(strict, np.array([1.0, 0.0, 1.0])).strict
+@st.composite
+def _dataset_sources(draw):
+    """A scipy CSR from _entries(), its arrays set after scipy built it,
+    one value perhaps made NaN or infinite."""
+    values, indices, indptr, shape = draw(_entries())
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if bad is not None and values.size:
+        values[draw(st.integers(0, values.size - 1))] = bad
+    matrix = sp.csr_matrix(shape)
+    matrix.data, matrix.indices, matrix.indptr = values, indices, indptr
+    return matrix
+
+
+@pytest.mark.floor_versions
+@settings(max_examples=300, deadline=None)
+@given(source=_dataset_sources())
+def test_a_dataset_holds_its_sources_entries_or_names_the_rule_they_break(
+        source):
+    n = source.shape[0]
+    rows = [source.indices[a:b] for a, b in zip(source.indptr,
+                                                 source.indptr[1:])]
+    if not all(np.all(np.diff(r) > 0) for r in rows):
+        broken = "strictly increasing"
+    elif not np.isfinite(source.data).all():
+        broken = "finite"
+    else:
+        broken = None
+    try:
+        X = data.LabeledDataset(range(n), [0] * n, source, 1).feature_matrix()
+    except data.DataError as e:
+        assert broken is not None and broken in str(e)
+        return
+    assert broken is None
+    held = [getattr(X, name).copy() for name in ("data", "indices",
+                                                  "indptr")]
+    assert held[0].tobytes() == source.data.tobytes()
+    assert held[1].tolist() == source.indices.tolist()
+    assert held[2].tolist() == source.indptr.tolist()
+    for array in (source.data, source.indices, source.indptr):
+        array[...] = 1
+    for name, want in zip(("data", "indices", "indptr"), held):
+        assert getattr(X, name).tobytes() == want.tobytes()
 
 
 def test_summed_and_vstack_refuse_arrays_that_break_a_matrixs_rules():
@@ -268,3 +292,28 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 def test_cli_and_a_benchmark_never_import_scipy_sparse():
     assert _run(_NO_SCIPY_SPARSE_RUN).splitlines()[-1] in (
         "0 []", "0 ['scipy.sparse._sparsetools']")
+
+
+# A dataset built from a scipy CSR whose indices view a larger array; the
+# write to that array after the build would put a column past the width
+# into any matrix that shared it, and forward_batch would read W there.
+# Prints whether the probabilities after the write are those from before;
+# a crash of the child fails the test instead of the test run.
+_WRITE_TO_A_SOURCES_BASE_RUN = """
+import numpy as np, scipy.sparse as sp
+from swagppm import data, models
+big = np.array([0, 1, 2, 3], dtype=np.int32)
+ds = data.LabeledDataset([0, 1], [0, 1], sp.csr_matrix(
+    (np.ones(2), big[:2], np.array([0, 1, 2], dtype=np.int32)),
+    shape=(2, 8)), 2)
+spec = models.ModelSpec(models.SOFTMAX_LINEAR, 8, 2)
+theta = models.init_params(spec, 0)
+before = models.forward_batch(spec, theta, ds.feature_matrix())
+big[0] = 10 ** 9
+after = models.forward_batch(spec, theta, ds.feature_matrix())
+print(before.tobytes() == after.tobytes())
+"""
+
+
+def test_a_write_to_a_sources_base_never_reaches_the_kernels():
+    assert _run(_WRITE_TO_A_SOURCES_BASE_RUN) == "True\n"

@@ -348,6 +348,14 @@ def test_feature_matrix_is_the_stored_read_only_matrix():
     (range(3), [0, 1, 2], 3, r"labels must lie in \[0, 2\)"),
     (range(3), [0, -1, 1], 3, r"labels must lie in \[0, 2\)"),
     ([2 ** 63], [0], 1, "fit in int64"),
+    # numpy's cast of this array to int64 wraps it to -2**63
+    (np.array([2 ** 63], dtype=np.uint64), [0], 1, "fit in int64"),
+    # numpy would truncate floats and read bools as 0 and 1
+    ([1.5, 2.7], [0, 1], 2, "^record ids must be integers$"),
+    ([1, 2], [0.4, 1.9], 2, "^labels must be integers$"),
+    ([True, False], [0, 1], 2, "^record ids must be integers$"),
+    ([1, 2], [True, False], 2, "^labels must be integers$"),
+    (["1", "2"], [0, 1], 2, "^record ids must be integers$"),
 ])
 def test_constructor_rejects_bad_ids_lengths_and_labels(ids, labels, rows,
                                                         message):
@@ -378,17 +386,29 @@ def test_constructor_rejects_an_index_pointer_past_its_arrays(indptr):
         data.LabeledDataset([0, 1], [0, 1], matrix, 2)
 
 
-def test_a_dataset_freezes_the_scipy_arrays_it_keeps():
-    # the dataset's matrix shares the scipy matrix's arrays, so a later
-    # write to them, as of a column past the width, would get past every
-    # check; it raises instead
+def test_a_write_to_a_datasets_source_does_not_reach_it():
+    # the dataset copies the scipy matrix's arrays, so a later write to
+    # them, as of a column past the width, never gets past the checks; the
+    # caller's arrays stay writable
     matrix = sp.csr_matrix(np.eye(3))
     ds = data.LabeledDataset([0, 1, 2], [0, 1, 0], matrix, 2)
-    assert np.shares_memory(ds.feature_matrix().indices, matrix.indices)
+    X = ds.feature_matrix()
     for array, value in ((matrix.indices, 10 ** 9), (matrix.data, np.nan),
                          (matrix.indptr, 5)):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = value
+        array[0] = value
+    assert X.data.tolist() == [1.0] * 3
+    assert X.indices.tolist() == [0, 1, 2]
+    assert X.indptr.tolist() == [0, 1, 2, 3]
+
+
+def test_subset_takes_only_integer_positions():
+    ds = data.LabeledDataset([10, 11, 12], [0, 1, 0], np.eye(3), 2)
+    assert ds.subset(np.array([2, -3, 2])).ids.tolist() == [12, 10, 12]
+    assert len(ds.subset([])) == 0
+    # a boolean mask would be read as rows 1, 0, 1, and floats truncated
+    for positions in (np.array([True, False, True]), [0.9, 2.2]):
+        with pytest.raises(IndexError, match="integers"):
+            ds.subset(positions)
 
 
 def test_csv_header_names_may_carry_spaces(tmp_path):
@@ -406,8 +426,28 @@ def test_csv_header_names_may_carry_spaces(tmp_path):
                  r"class_signal_strength must lie in \[0, 1\]",
                  id="signal-below-zero"),
     pytest.param(lambda: data.stratified_cap_sample(
-        dataset_of([0, 0, 1, 1], 2), cap=1), "cap must be >= 2",
-        id="cap-below-two"),
+        dataset_of([0, 0, 1, 1], 2), cap=1),
+        "cap must be an integer >= 2, got 1", id="cap-below-two"),
+    pytest.param(lambda: data.stratified_cap_sample(
+        dataset_of([0, 0, 1, 1], 2), cap=2.5),
+        "cap must be an integer >= 2, got 2.5", id="cap-not-integer"),
+    pytest.param(lambda: data.stratified_cap_sample(
+        dataset_of([0, 0, 1, 1], 2), fraction=float("nan")),
+        r"fraction must be in \(0, 1\], got nan", id="fraction-nan"),
+    pytest.param(lambda: data.stratified_cap_sample(
+        dataset_of([0, 0, 1, 1], 2), fraction=0.0),
+        r"fraction must be in \(0, 1\], got 0.0", id="fraction-zero"),
+    pytest.param(lambda: data.stratified_cap_sample(
+        dataset_of([0, 0, 1, 1], 2), fraction=1.5),
+        r"fraction must be in \(0, 1\], got 1.5", id="fraction-above-one"),
+    pytest.param(lambda: data.stratified_split(
+        dataset_of([0, 0, 1, 1], 2), train_fraction=float("nan")),
+        r"train_fraction must be in \(0, 1\), got nan",
+        id="train-fraction-nan"),
+    pytest.param(lambda: data.stratified_split(
+        dataset_of([0, 0, 1, 1], 2), train_fraction=1.0),
+        r"train_fraction must be in \(0, 1\), got 1.0",
+        id="train-fraction-one"),
     pytest.param(lambda: data.gini([0, 0, 0]),
                  "need at least one nonzero class count", id="gini-no-counts"),
 ])

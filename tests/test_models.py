@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from swagppm import models
+from swagppm import csr, models
 from swagppm.params import (Layout, LayoutError, ParameterVector,
                             load_checkpoint, save_checkpoint, write_file)
 
@@ -423,13 +423,19 @@ def test_scorer_blocks_keep_the_whole_batch_bits(rng, family, hidden_dim,
 
 def test_forward_batch_holds_one_blocks_hidden_activations():
     # the whole batch's hidden activations (n x hidden) are never held:
-    # the peak beyond the output is below half of them at three blocks
+    # the peak beyond the output is below half of them at three blocks, for
+    # a csr.Matrix, as every pipeline caller passes
     spec = models.ModelSpec(models.MLP_1_HIDDEN, 40, 5, 32)
     theta = models.init_params(spec, 0)
-    X = sp.random(20000, 40, density=0.2, format="csr", random_state=1)
+    S = sp.random(20000, 40, density=0.2, format="csr", random_state=1)
+    X = csr.checked(S, ValueError)
     assert len(models._row_blocks(spec, X)) == 3
     peak = traced_peak(lambda: models.forward_batch(spec, theta, X))
     assert peak - 20000 * 5 * 8 < 20000 * 32 * 8 // 2
+    # a scipy matrix is copied on entry, and costs no more than its arrays
+    copy = S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
+    assert traced_peak(lambda: models.forward_batch(spec, theta, S)) \
+        <= peak + copy + 64 * 1024
 
 
 @st.composite

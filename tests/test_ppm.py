@@ -794,6 +794,17 @@ def _fixture_weights_and_report():
                  "need at least one posterior draw", id="matrix-no-draws"),
     pytest.param(lambda *_: ppm.map_weights([0, 1], [1.0, 2.0], -0.5, 0.0),
                  "scale c must be nonnegative", id="negative-c"),
+    # a NaN risk would fail the spread test and give every record full
+    # weight; a NaN c or g would give NaN weights
+    pytest.param(lambda *_: ppm.map_weights([0, 1, 2], [0.1, np.nan, 0.3],
+                                            1.0, 0.0),
+                 "risks, c and g must be finite", id="nan-risk"),
+    pytest.param(lambda *_: ppm.map_weights([0, 1], [1.0, np.inf], 1.0, 0.0),
+                 "risks, c and g must be finite", id="infinite-risk"),
+    pytest.param(lambda *_: ppm.map_weights([0, 1], [1.0, 2.0], np.nan, 0.0),
+                 "risks, c and g must be finite", id="nan-c"),
+    pytest.param(lambda *_: ppm.map_weights([0, 1], [1.0, 2.0], 1.0, np.nan),
+                 "risks, c and g must be finite", id="nan-g"),
     pytest.param(lambda *_: ppm.reweight(*_fixture_weights_and_report(), 0.0),
                  r"k must lie in \(0, 1\)", id="k-zero"),
     pytest.param(lambda *_: ppm.reweight(*_fixture_weights_and_report(), 1.0),
